@@ -3,36 +3,74 @@
 A program is *unsafe* when some consistent candidate execution contains a
 load whose (speculative) reads-from source is the secret init event; the
 attacker observes load addresses, so such a load is exactly a read of the
-secret.  The engine enumerates every candidate of the bounded program in a
-fixed lexicographic order over the choice vector
+secret.  The candidates of the bounded program are ordered
+lexicographically by their choice vector
 
     control-flow choices (branch outcome and prediction per reached branch)
     x reads-from source per load  x  coherence order  x  input values
 
-and filters through value propagation, the control-flow/window/fence
-constraints, and the model's assertions.  The first surviving candidate
-that reads the secret becomes the witness.  When no violation exists the
-verdict is Safe, or Unknown if loops could not be fully unrolled.
+`enumerate_candidates` walks this blind product and is kept as the
+reference.  `check_isolation` searches it directed instead.  Per control
+vector it builds the event skeleton once and drops the whole vector when a
+transient run exceeds the speculation window.  It then chooses reads-from
+sources depth first over the loads in id order, offering each load its
+sources in the blind order ("init", then the stores) minus those that fail
+value propagation for every coherence order and every input:
+
+  * a transient store, unless the load is a later transient load of the
+    store's thread;
+  * a store whose address expression reads no register and differs from a
+    register-free load address, unless predictive store forwarding is on
+    and the store is earlier in the load's thread;
+  * "init", for a load whose register-free address is undeclared;
+  * a source that closes a cycle of must-dependencies.  A node is the
+    value or the address of an event.  Since `eval_expr` is strict in
+    None, an event's value or address depends on the registers its
+    expression reads (a conditional assignment on its guard only), a load
+    reading init on its own address, and a load reading a store on that
+    store's value.  A cycle stays None at the propagation fixpoint.
+
+Values do not depend on the coherence order, so each complete reads-from
+vector is propagated once per input vector, and only the passing inputs are
+combined with the coherence orders.  The directed candidates are exactly
+the blind product's value-consistent candidates whose skeleton fits the
+window, in the blind order: a subsequence of it.  They pass through the
+control-flow/window/fence constraints and the model's assertions; the first
+surviving candidate that reads the secret becomes the witness, the same one
+the blind product would give.  When no violation exists the verdict is
+Safe, or Unknown if loops could not be fully unrolled.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import catlang
 from .catlang import CatModel
 from .events import (
     SECRET_INIT,
     CandidateExecution,
+    Event,
     MissingOutcome,
     _walk_thread,
     base_relations,
     build_events,
+    coherence,
     propagate_values,
     secret_sentinel,
 )
-from .masm import Program, unroll
+from .masm import (
+    Assign,
+    CondAssign,
+    Load,
+    Program,
+    Store,
+    eval_expr,
+    expr_registers,
+    stmt_target_reg,
+    unroll,
+)
 from .speculation import (
     SpecConfig,
     check_fences,
@@ -48,15 +86,19 @@ class EngineError(ValueError):
 
 @dataclass
 class Verdict:
+    """The outcome of `check_isolation`.
+
+    `generated` counts the candidates the directed search offered before the
+    verdict was reached: value-consistent candidates of control vectors that
+    fit the speculation window, not the blind product.  `filtered` counts
+    those that `candidate_consistent` rejected.
+    """
+
     outcome: str  # "safe" | "unsafe" | "unknown"
     witness: CandidateExecution | None
     bound: int
     generated: int
     filtered: int
-
-    @property
-    def stats(self) -> dict:
-        return {"generated": self.generated, "filtered": self.filtered}
 
 
 def _check_domain(program: Program, domain_bits: int):
@@ -103,43 +145,229 @@ def _control_vectors(program: Program, cfg: SpecConfig):
         yield outcomes, cps
 
 
+def _skeletons(unrolled: Program, cfg: SpecConfig):
+    """The event skeleton of every control vector, in the blind order."""
+    speculative = cfg.mode == "speculative"
+    for outcomes, cps in _control_vectors(unrolled, cfg):
+        yield build_events(
+            unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
+        )
+
+
+def _initial_values(program: Program, domain_bits: int) -> dict:
+    """Non-input locations start at 0, the secret at its sentinel."""
+    init_vals = {a: 0 for a in program.declared_addresses()}
+    init_vals[program.secret_addr] = secret_sentinel(domain_bits)
+    return init_vals
+
+
+def _instance(skeleton, rf_choice, co_order, init_vals, inputs):
+    """A candidate on fresh copies of the skeleton's events, to propagate."""
+    return CandidateExecution(
+        program=skeleton.program,
+        events=[
+            Event(e.id, e.kind, e.origin, e.stmt, e.addr, e.val, e.cp)
+            for e in skeleton.events
+        ],
+        committed=skeleton.committed,
+        transient=skeleton.transient,
+        psf=skeleton.psf,
+        rf_choice=rf_choice,
+        co_order=co_order,
+        init_vals={**init_vals, **inputs},
+        choices={
+            **skeleton.choices,
+            "rf": dict(rf_choice),
+            "co": co_order,
+            "inputs": inputs,
+        },
+    )
+
+
 def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits: int):
     """Yield every candidate execution of the k-unrolled program, value
     propagation already attempted, in deterministic lexicographic order."""
     _check_domain(program, domain_bits)
     unrolled = unroll(program, k)
-    speculative = cfg.mode == "speculative"
     domain = range(1 << domain_bits)
     inputs = sorted(program.input_locations)
+    init_vals = _initial_values(program, domain_bits)
 
-    base_init = {a: 0 for a in program.declared_addresses()}
-    base_init[program.secret_addr] = secret_sentinel(domain_bits)
-
-    for outcomes, cps in _control_vectors(unrolled, cfg):
-        proto = build_events(
-            unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
-        )
-        load_ids = [e.id for e in proto.loads()]
-        store_ids = [e.id for e in proto.stores()]
-        committed_stores = [s for s in store_ids if s in proto.committed]
+    for skeleton in _skeletons(unrolled, cfg):
+        load_ids = [e.id for e in skeleton.loads()]
+        store_ids = [e.id for e in skeleton.stores()]
+        committed_stores = [s for s in store_ids if s in skeleton.committed]
         source_options = ["init"] + store_ids
 
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
                 for input_vector in itertools.product(domain, repeat=len(inputs)):
-                    x = build_events(
-                        unrolled, outcomes, cps,
-                        speculative=speculative, psf=cfg.psf,
+                    x = _instance(
+                        skeleton,
+                        dict(zip(load_ids, rf_vector)),
+                        co_order,
+                        init_vals,
+                        dict(zip(inputs, input_vector)),
                     )
-                    x.rf_choice = dict(zip(load_ids, rf_vector))
-                    x.co_order = co_order
-                    x.init_vals = dict(base_init)
-                    x.init_vals.update(zip(inputs, input_vector))
-                    x.choices["rf"] = dict(zip(load_ids, rf_vector))
-                    x.choices["co"] = co_order
-                    x.choices["inputs"] = dict(zip(inputs, input_vector))
                     propagate_values(x, x.init_vals, domain_bits)
                     yield x
+
+
+# ---------------------------------------------------------------------------
+# Directed search
+
+# Must-dependency nodes: the address and the value of event `eid`.
+def _address(eid: int) -> int:
+    return 2 * eid
+
+
+def _value(eid: int) -> int:
+    return 2 * eid + 1
+
+
+def _fixed_address(e: Event, secret_addr: int, mask: int) -> int | None:
+    """The address of a memory event whose address reads no register."""
+    if expr_registers(e.stmt.addr):
+        return None
+    return eval_expr(e.stmt.addr, {}, secret_addr, mask)
+
+
+def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
+    """The load's rf sources in the blind order, minus those that fail value
+    propagation whatever the coherence order and the inputs."""
+    secret = skeleton.program.secret_addr
+    load_addr = _fixed_address(load, secret, mask)
+    declared = {e.addr for e in skeleton.init_events()}
+    sources = ["init"] if load_addr is None or load_addr in declared else []
+    for store in skeleton.stores():
+        forwards = store.thread == load.thread and store.label < load.label
+        if store.id in skeleton.transient and not (
+            forwards and load.id in skeleton.transient
+        ):
+            continue
+        store_addr = _fixed_address(store, secret, mask)
+        if (
+            load_addr is not None
+            and store_addr is not None
+            and load_addr != store_addr
+            and not (skeleton.psf and forwards)
+        ):
+            continue
+        sources.append(store.id)
+    return sources
+
+
+def _must_dependencies(skeleton: CandidateExecution) -> dict:
+    """Node -> the nodes that keep it unresolved while they are, from the
+    registers each expression reads (registers flow in label order)."""
+    by_thread: dict[int, list[Event]] = {}
+    for e in skeleton.instruction_events():
+        by_thread.setdefault(e.thread, []).append(e)
+    deps: dict[int, list[int]] = {}
+    for evs in by_thread.values():
+        writer: dict[str, int] = {}  # register -> value node of its last writer
+        for e in sorted(evs, key=lambda e: e.label):
+            s = e.stmt
+            if isinstance(s, Assign):
+                node, expr = _value(e.id), s.expr
+            elif isinstance(s, CondAssign):
+                node, expr = _value(e.id), s.guard
+            elif isinstance(s, Load):
+                node, expr = _address(e.id), s.addr
+            elif isinstance(s, Store):
+                node, expr = _value(e.id), s.value
+            else:
+                node = None
+            if node is not None:
+                deps[node] = [writer[r] for r in expr_registers(expr) if r in writer]
+            reg = stmt_target_reg(s)
+            if reg is not None:
+                writer[reg] = _value(e.id)
+    return deps
+
+
+def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
+    stack, seen = [start], {start}
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        succ = list(deps.get(node, ()))
+        if node in rf_needs:
+            succ.append(rf_needs[node])
+        for nxt in succ:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _rf_vectors(skeleton: CandidateExecution, mask: int):
+    """Reads-from vectors over the skeleton's loads (in id order), in the
+    blind lexicographic order, minus every vector that a static rule or a
+    must-dependency cycle dooms.  Iterative depth-first search."""
+    loads = skeleton.loads()
+    if not loads:
+        yield ()
+        return
+    options = [_sources(skeleton, load, mask) for load in loads]
+    deps = _must_dependencies(skeleton)
+    rf_needs: dict[int, int] = {}  # value node of a load -> node its source needs
+    chosen: list = [None] * len(loads)
+    cursor = [0] * len(loads)
+    depth = 0
+    while depth >= 0:
+        load = loads[depth]
+        rf_needs.pop(_value(load.id), None)
+        if cursor[depth] == len(options[depth]):
+            cursor[depth] = 0
+            depth -= 1
+            continue
+        source = options[depth][cursor[depth]]
+        cursor[depth] += 1
+        needs = _address(load.id) if source == "init" else _value(source)
+        if _reaches(needs, _value(load.id), deps, rf_needs):
+            continue
+        rf_needs[_value(load.id)] = needs
+        chosen[depth] = source
+        if depth + 1 == len(loads):
+            yield tuple(chosen)
+        else:
+            depth += 1
+
+
+def _search(skeleton: CandidateExecution, inputs, init_vals, domain_bits: int):
+    """The skeleton's value-consistent candidates, in the blind order."""
+    load_ids = [e.id for e in skeleton.loads()]
+    committed_stores = [e.id for e in skeleton.stores() if e.id in skeleton.committed]
+    input_vectors = [
+        dict(zip(inputs, v))
+        for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
+    ]
+    for rf_vector in _rf_vectors(skeleton, (1 << domain_bits) - 1):
+        rf_choice = dict(zip(load_ids, rf_vector))
+        passing = []
+        for chosen_inputs in input_vectors:
+            x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs)
+            propagate_values(x, x.init_vals, domain_bits)
+            if x.valuation is not None:
+                passing.append(x)
+        if not passing:
+            continue
+        for co_order in itertools.permutations(committed_stores):
+            for x in passing:
+                y = replace(x, co_order=co_order, choices={**x.choices, "co": co_order})
+                y.co = coherence(y)
+                yield y
+
+
+def _skeleton_searches(unrolled: Program, cfg: SpecConfig, domain_bits: int):
+    """Per control vector, in the blind order: the skeleton and a lazy
+    directed search over its value-consistent candidates."""
+    inputs = sorted(unrolled.input_locations)
+    init_vals = _initial_values(unrolled, domain_bits)
+    for skeleton in _skeletons(unrolled, cfg):
+        yield skeleton, _search(skeleton, inputs, init_vals, domain_bits)
 
 
 def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):
@@ -194,23 +422,28 @@ def check_isolation(
             f"model {model.name!r} references srf but predictive store "
             f"forwarding is disabled"
         )
+    _check_domain(program, domain_bits)
     unrolled = unroll(program, k)
     generated = 0
     filtered = 0
-    for x in enumerate_candidates(program, cfg, k, domain_bits):
-        generated += 1
-        ok, _ = candidate_consistent(x, model, cfg)
-        if not ok:
-            filtered += 1
+    for skeleton, candidates in _skeleton_searches(unrolled, cfg, domain_bits):
+        # the window depends only on the transient set: one test per vector
+        if not check_window(skeleton, cfg.window):
             continue
-        if violating_load(x) is not None:
-            return Verdict(
-                outcome="unsafe",
-                witness=x,
-                bound=k,
-                generated=generated,
-                filtered=filtered,
-            )
+        for x in candidates:
+            generated += 1
+            ok, _ = candidate_consistent(x, model, cfg)
+            if not ok:
+                filtered += 1
+                continue
+            if violating_load(x) is not None:
+                return Verdict(
+                    outcome="unsafe",
+                    witness=x,
+                    bound=k,
+                    generated=generated,
+                    filtered=filtered,
+                )
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
     return Verdict(
         outcome=outcome, witness=None, bound=k, generated=generated, filtered=filtered

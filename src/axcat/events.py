@@ -252,12 +252,6 @@ class CandidateExecution:
     def init_events(self) -> list[Event]:
         return [e for e in self.events if e.is_init()]
 
-    def secret_init(self) -> Event:
-        for e in self.events:
-            if e.kind == SECRET_INIT:
-                return e
-        raise LookupError("no secret init event")
-
     def loads(self) -> list[Event]:
         return [e for e in self.events if e.kind == "load"]
 
@@ -349,7 +343,6 @@ def build_events(
     program: Program,
     branch_outcomes: dict,
     cp_assign: dict,
-    partition_choice=None,
     speculative: bool = True,
     psf: bool = False,
 ) -> CandidateExecution:
@@ -359,9 +352,7 @@ def build_events(
     `branch_outcomes` maps (thread, label) of a reached conditional jump to
     True when the jump is taken; `cp_assign` maps the same keys to True when
     the direction was predicted correctly (ignored in traditional mode).
-    The committed/transient partition is fully determined by these choices;
-    a `partition_choice` pair (committed, transient) of label-set tuples may
-    be passed to cross-check an externally supplied partition.
+    The committed/transient partition is fully determined by these choices.
     """
     events: list[Event] = []
     for a in program.declared_addresses():
@@ -375,15 +366,6 @@ def build_events(
         com_labels, tr_labels = _walk_thread(
             program, tid, branch_outcomes, cp_assign, speculative
         )
-        if partition_choice is not None:
-            want_com, want_tr = partition_choice
-            if tuple(com_labels) != tuple(want_com[tid]) or tuple(tr_labels) != tuple(
-                want_tr[tid]
-            ):
-                raise ValueError(
-                    f"partition guess for thread {tid} does not match the "
-                    f"control-flow choices"
-                )
         instrs = {i.label: i for i in program.threads[tid]}
         for label in com_labels + tr_labels:
             ins = instrs[label]
@@ -563,28 +545,31 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         x.rf = chosen
         x.srf = Relation.empty()
 
-    # Coherence: per address, init first, then committed stores in the
-    # globally chosen sequence.  Transient stores never hit memory.
-    position = {sid: n for n, sid in enumerate(x.co_order)}
-    co_pairs = []
-    by_addr: dict[int, list[int]] = {}
+    # Transient stores never hit memory.
     for sid in x.co_order:
-        e = x.event(sid)
-        if e.id in x.transient:
+        if sid in x.transient:
             return _fail(x, f"transient store e{sid} in the coherence order")
-        by_addr.setdefault(e.addr, []).append(sid)
-    for addr, sids in sorted(by_addr.items()):
-        sids.sort(key=position.__getitem__)
-        init = init_by_addr[addr]
-        for i, sid in enumerate(sids):
-            co_pairs.append((init.id, sid))
-            for later in sids[i + 1:]:
-                co_pairs.append((sid, later))
-    x.co = Relation.of(co_pairs)
+    x.co = coherence(x)
 
     x.valuation = {e.id: (e.addr, e.val) for e in x.events}
     x.inconsistency = None
     return x.valuation
+
+
+def coherence(x: CandidateExecution) -> Relation:
+    """The coherence relation of a candidate with resolved store addresses:
+    per address, init first, then the committed stores in the sequence of
+    the global `co_order`."""
+    init_by_addr = {e.addr: e.id for e in x.events if e.is_init()}
+    by_addr: dict[int, list[int]] = {}
+    for sid in x.co_order:
+        by_addr.setdefault(x.event(sid).addr, []).append(sid)
+    co_pairs = []
+    for addr, sids in sorted(by_addr.items()):
+        for i, sid in enumerate(sids):
+            co_pairs.append((init_by_addr[addr], sid))
+            co_pairs.extend((sid, later) for later in sids[i + 1:])
+    return Relation.of(co_pairs)
 
 
 def _fail(x: CandidateExecution, reason: str):

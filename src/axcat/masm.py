@@ -236,13 +236,6 @@ def stmt_target_reg(s: Stmt) -> str | None:
     return None
 
 
-def stmt_memory_expr(s: Stmt) -> Expr | None:
-    """Address expression of a memory statement, if any."""
-    if isinstance(s, (Load, Store)):
-        return s.addr
-    return None
-
-
 @dataclass(frozen=True)
 class Instruction:
     label: int

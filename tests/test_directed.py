@@ -1,0 +1,157 @@
+"""The directed reads-from search against the blind enumeration."""
+
+import random
+
+import pytest
+
+from axcat import (
+    SpecConfig,
+    check_isolation,
+    corpus_dir,
+    emit_witness_dot,
+    enumerate_candidates,
+    load_model,
+    parse_program,
+    unroll,
+)
+from axcat.engine import _skeleton_searches, candidate_consistent, violating_load
+from axcat.speculation import check_window
+from generator import random_program_source
+
+# (model, mode, always_mispredict); psf follows the model
+ROTATION = (
+    ("inorder", "traditional", True),
+    ("stl", "speculative", True),
+    ("inorder", "speculative", False),
+    ("psf", "traditional", True),
+    ("psf", "speculative", True),
+    ("tso", "speculative", True),
+)
+
+_MODELS = {name: load_model(name) for name in ("inorder", "stl", "psf", "tso")}
+
+
+def directed(program, cfg, k, bits):
+    return [
+        x
+        for _, candidates in _skeleton_searches(unroll(program, k), cfg, bits)
+        for x in candidates
+    ]
+
+
+def blind(program, cfg, k, bits):
+    return [
+        x for x in enumerate_candidates(program, cfg, k, bits) if x.valuation is not None
+    ]
+
+
+def signature(x):
+    return (x.choices, x.valuation, x.rf, x.srf, x.co)
+
+
+def blind_verdict(program, model, cfg, k, bits):
+    """What the blind enumeration decides, counted as the directed engine
+    counts: value-consistent candidates of skeletons within the window."""
+    generated = filtered = 0
+    for x in enumerate_candidates(program, cfg, k, bits):
+        if x.valuation is None or not check_window(x, cfg.window):
+            continue
+        generated += 1
+        ok, _ = candidate_consistent(x, model, cfg)
+        if not ok:
+            filtered += 1
+        elif violating_load(x) is not None:
+            return "unsafe", x.choices, generated, filtered
+    outcome = "unknown" if unroll(program, k).unroll_incomplete else "safe"
+    return outcome, None, generated, filtered
+
+
+def verdict(program, model, cfg, k, bits):
+    v = check_isolation(program, model, cfg, k, bits)
+    choices = v.witness.choices if v.witness is not None else None
+    return v.outcome, choices, v.generated, v.filtered
+
+
+@pytest.mark.parametrize("base", range(0, 1200, 200))
+def test_directed_search_is_the_value_consistent_blind_subsequence(base):
+    mismatches = []
+    for seed in range(base, base + 200):
+        rng = random.Random(seed)
+        src = random_program_source(rng)
+        program = parse_program(src)
+        model_name, mode, always = ROTATION[seed % len(ROTATION)]
+        model = _MODELS[model_name]
+        cfg = SpecConfig(
+            mode=mode,
+            window=rng.choice((2, 3, 8)),
+            always_mispredict=always,
+            psf="srf" in model.base_names(),
+        )
+        k = 1 + seed % 2
+        got = [signature(x) for x in directed(program, cfg, k, 2)]
+        want = [signature(x) for x in blind(program, cfg, k, 2)]
+        if got != want:
+            mismatches.append((seed, "candidates", src))
+        elif verdict(program, model, cfg, k, 2) != blind_verdict(program, model, cfg, k, 2):
+            mismatches.append((seed, "verdict", src))
+    assert not mismatches, "\n".join(f"seed {s}: {what}\n{src}" for s, what, src in mismatches)
+
+
+_EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a cycle through a conditional assignment's expression is no
+        # must-dependency: with a zero guard the store writes the old r1
+        "1: load r0, A\n2: r1 <-(0?) r0\n3: store A, r1\n",
+        # a load reading init needs its own address, here fed by a later store
+        "1: load r0, B\n2: load r1, A + r0\n3: store B, r1\n",
+        # register-free addresses that differ, forwarded only under psf
+        "1: store B, 1\n2: load r0, A\n3: store A, r0\n4: load r1, B\n",
+        # a transient store feeds only later transient loads of its thread
+        "1: load r0, in0\n2: beqz r0, 5\n3: store B, 3\n4: load r1, B\n5: load r2, B\n",
+        # an undeclared register-free address has no init source
+        "1: load r0, 5\n2: load r1, in0 + 3\n3: store A, r1\n",
+    ],
+)
+@pytest.mark.parametrize("mode", ["traditional", "speculative"])
+@pytest.mark.parametrize("psf", [False, True])
+def test_directed_search_edge_cases(body, mode, psf):
+    program = parse_program(_EDGE_LAYOUT + body)
+    cfg = SpecConfig(mode=mode, psf=psf)
+    got = [signature(x) for x in directed(program, cfg, 1, 3)]
+    want = [signature(x) for x in blind(program, cfg, 1, 3)]
+    assert got == want
+
+
+def corpus_expectations():
+    for path in sorted(corpus_dir().glob("*.litmus")):
+        program = parse_program(path.read_text())
+        for exp in program.expectations:
+            yield pytest.param(program, exp, id=f"{path.stem}/{exp.model}/{exp.mode or 'speculative'}")
+
+
+@pytest.mark.parametrize("program,exp", corpus_expectations())
+def test_corpus_witness_matches_blind_enumeration(program, exp):
+    over = dict(exp.overrides)
+    model = load_model(exp.model)
+    cfg = SpecConfig(
+        mode=exp.mode or "speculative",
+        window=over.get("w", 8),
+        buffer=over.get("buffer", 2),
+        psf="srf" in model.base_names(),
+    )
+    k, bits = over.get("k", 2), over.get("bits", 3)
+    got = verdict(program, model, cfg, k, bits)
+    assert got == blind_verdict(program, model, cfg, k, bits)
+    assert got[0] == exp.outcome
+    if got[0] == "unsafe":
+        v = check_isolation(program, model, cfg, k, bits)
+        first = next(
+            x
+            for x in enumerate_candidates(program, cfg, k, bits)
+            if x.choices == v.witness.choices
+        )
+        assert emit_witness_dot(v.witness) == emit_witness_dot(first)

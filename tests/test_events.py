@@ -1,4 +1,3 @@
-import pytest
 
 from axcat.events import (
     INIT,
@@ -88,24 +87,6 @@ def test_build_mispredicted_taken_path():
     tr = [e.label for e in x.instruction_events() if e.id in x.transient]
     assert com == [1, 2, 3]
     assert tr == [7]
-
-
-def test_build_partition_choice_cross_check():
-    p = fig2()
-    x = build_events(
-        p,
-        {(0, 3): True},
-        {(0, 3): False},
-        partition_choice=([[1, 2, 3]], [[4, 5, 6, 7]]),
-    )
-    assert labels_of(x, x.transient) == [4, 5, 6, 7]
-    with pytest.raises(ValueError, match="partition guess"):
-        build_events(
-            p,
-            {(0, 3): True},
-            {(0, 3): False},
-            partition_choice=([[1, 2, 3, 4]], [[5, 6, 7]]),
-        )
 
 
 def test_build_inits_for_every_declared_address():
