@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .events import CandidateExecution, Relation, base_relations
+from .events import CandidateExecution, Relation
 
 BASE_RELATIONS = ("po", "fence", "rf", "co", "loc", "addr", "srf", "rfe")
 _BASE_ALIASES = {"add": "loc"}
@@ -513,8 +513,7 @@ def check_srf_fence(x: CandidateExecution) -> bool:
     """Alias-predicted forwarding across a fence must agree on the address."""
     if x.srf is None:
         raise ValueError("candidate has no srf relation")
-    fence = base_relations(x)["fence"]
     for w, r in x.srf:
-        if (w, r) in fence and x.event(w).addr != x.event(r).addr:
+        if (w, r) in x.structure.fence and x.event(w).addr != x.event(r).addr:
             return False
     return True

@@ -130,21 +130,19 @@ def _expectation_jobs(directory: Path):
 
 
 def _run_expectation(job):
+    """Check one expectation; returns its table row, or an error row."""
     path_str, idx = job
     path = Path(path_str)
-    program = parse_program(path.read_text())
-    exp = program.expectations[idx]
-    over = dict(exp.overrides)
-    model = load_model(exp.model)
-    cfg = SpecConfig(
-        mode=exp.mode or "speculative",
-        window=over.get("w", 8),
-        buffer=over.get("buffer", 2),
-        psf="srf" in model.base_names(),
-    )
-    verdict = check_isolation(
-        program, model, cfg, over.get("k", 2), over.get("bits", 3)
-    )
+    try:
+        program = parse_program(path.read_text())
+        exp = program.expectations[idx]
+        spec = RunSpec(path_str, exp.model, exp.mode or "speculative",
+                       **dict(exp.overrides))
+        model = load_model(spec.model)
+        verdict = check_isolation(program, model, _config(spec, model),
+                                  spec.k, spec.bits)
+    except (OSError, CatError, EngineError, ValueError) as exc:
+        return {"error": f"{path.name}: {exc}"}
     stem = path.stem
     variant = "fence" if stem.endswith("-fence") else "none"
     test = stem[: -len("-fence")] if variant == "fence" else stem
@@ -152,7 +150,7 @@ def _run_expectation(job):
         "test": test,
         "variant": variant,
         "model": exp.model,
-        "mode": cfg.mode,
+        "mode": spec.mode,
         "expected": exp.outcome,
         "got": verdict.outcome,
         "ok": verdict.outcome == exp.outcome,
@@ -181,6 +179,10 @@ def run_corpus(directory, jobs: int | None = None):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_expectation, work))
+    errors = [r["error"] for r in rows if "error" in r]
+    if errors:
+        print(f"error: {errors[0]}", file=sys.stderr)
+        return USAGE_ERROR, []
     rows.sort(key=lambda r: (r["test"], r["variant"], r["model"], r["mode"]))
 
     header = f"{'test':<10} {'variant':<8} {'model':<8} {'mode':<12} "

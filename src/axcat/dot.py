@@ -33,11 +33,7 @@ def emit_witness_dot(x: CandidateExecution) -> str:
     events = {e.id: e for e in x.events}
     edges: list[tuple[int, int, str, str]] = []  # (src, dst, label, style)
 
-    by_thread: dict[int, list[Event]] = {}
-    for e in x.instruction_events():
-        by_thread.setdefault(e.thread, []).append(e)
-    for evs in by_thread.values():
-        evs.sort(key=lambda e: e.label)
+    for evs in x.threads():
         for a, b in zip(evs, evs[1:]):
             edges.append((a.id, b.id, "po", "solid"))
         for i, f in enumerate(evs):

@@ -11,11 +11,14 @@ lexicographically by their choice vector
 
 `enumerate_candidates` walks this blind product and is kept as the
 reference.  `check_isolation` searches it directed instead.  Per control
-vector it builds the event skeleton once and drops the whole vector when a
-transient run exceeds the speculation window.  It then chooses reads-from
-sources depth first over the loads in id order, offering each load its
-sources in the blind order ("init", then the stores) minus those that fail
-value propagation for every coherence order and every input:
+vector it builds the events and their `Skeleton` (thread order, `po`,
+`fence`, `addr`, event classes) once; every candidate of the vector gets
+fresh copies of the events and shares the skeleton by reference.  The whole
+vector is dropped when a transient run exceeds the speculation window.  It
+then chooses reads-from sources depth first over the loads in id order,
+offering each load its sources in the blind order ("init", then the
+stores) minus those that fail value propagation for every coherence order
+and every input:
 
   * a transient store, unless the load is a later transient load of the
     store's thread;
@@ -171,6 +174,7 @@ def _instance(skeleton, rf_choice, co_order, init_vals, inputs):
         ],
         committed=skeleton.committed,
         transient=skeleton.transient,
+        structure=skeleton.structure,
         psf=skeleton.psf,
         rf_choice=rf_choice,
         co_order=co_order,
@@ -260,13 +264,10 @@ def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
 def _must_dependencies(skeleton: CandidateExecution) -> dict:
     """Node -> the nodes that keep it unresolved while they are, from the
     registers each expression reads (registers flow in label order)."""
-    by_thread: dict[int, list[Event]] = {}
-    for e in skeleton.instruction_events():
-        by_thread.setdefault(e.thread, []).append(e)
     deps: dict[int, list[int]] = {}
-    for evs in by_thread.values():
+    for evs in skeleton.threads():
         writer: dict[str, int] = {}  # register -> value node of its last writer
-        for e in sorted(evs, key=lambda e: e.label):
+        for e in evs:
             s = e.stmt
             if isinstance(s, Assign):
                 node, expr = _value(e.id), s.expr
@@ -336,8 +337,10 @@ def _rf_vectors(skeleton: CandidateExecution, mask: int):
             depth += 1
 
 
-def _search(skeleton: CandidateExecution, inputs, init_vals, domain_bits: int):
+def _search(skeleton: CandidateExecution, domain_bits: int):
     """The skeleton's value-consistent candidates, in the blind order."""
+    inputs = sorted(skeleton.program.input_locations)
+    init_vals = _initial_values(skeleton.program, domain_bits)
     load_ids = [e.id for e in skeleton.loads()]
     committed_stores = [e.id for e in skeleton.stores() if e.id in skeleton.committed]
     input_vectors = [
@@ -359,15 +362,6 @@ def _search(skeleton: CandidateExecution, inputs, init_vals, domain_bits: int):
                 y = replace(x, co_order=co_order, choices={**x.choices, "co": co_order})
                 y.co = coherence(y)
                 yield y
-
-
-def _skeleton_searches(unrolled: Program, cfg: SpecConfig, domain_bits: int):
-    """Per control vector, in the blind order: the skeleton and a lazy
-    directed search over its value-consistent candidates."""
-    inputs = sorted(unrolled.input_locations)
-    init_vals = _initial_values(unrolled, domain_bits)
-    for skeleton in _skeletons(unrolled, cfg):
-        yield skeleton, _search(skeleton, inputs, init_vals, domain_bits)
 
 
 def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):
@@ -426,11 +420,11 @@ def check_isolation(
     unrolled = unroll(program, k)
     generated = 0
     filtered = 0
-    for skeleton, candidates in _skeleton_searches(unrolled, cfg, domain_bits):
+    for skeleton in _skeletons(unrolled, cfg):
         # the window depends only on the transient set: one test per vector
         if not check_window(skeleton, cfg.window):
             continue
-        for x in candidates:
+        for x in _search(skeleton, domain_bits):
             generated += 1
             ok, _ = candidate_consistent(x, model, cfg)
             if not ok:

@@ -4,7 +4,11 @@ A candidate execution is the event set of one control-flow unfolding of a
 loop-free program (committed prefix per thread plus at most one transient
 continuation opened by a mispredicted branch), together with a reads-from
 choice per load, a coherence order over committed stores, and the initial
-values of attacker-controlled locations.  Whether a candidate represents a
+values of attacker-controlled locations.  The control-flow choice alone
+fixes the events and a `Skeleton`: each thread's events in program order,
+the `po`, `fence` and `addr` relations and the event classes.
+`build_events` computes it once per control vector and every candidate on
+those events shares it by reference.  Whether a candidate represents a
 behavior the hardware model allows is decided elsewhere; this module only
 builds candidates and computes the relations and the valuation they induce.
 
@@ -25,6 +29,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .masm import (
     Assign,
@@ -221,12 +226,24 @@ class MissingOutcome(LookupError):
         self.site = site  # (thread, label)
 
 
+@dataclass(frozen=True)
+class Skeleton:
+    """What one control vector fixes before any data is chosen."""
+
+    threads: tuple  # per thread id: its instruction event ids in label order
+    po: Relation
+    fence: Relation
+    addr: Relation
+    sets: MappingProxyType  # the event classes E, M, W, R of model files
+
+
 @dataclass
 class CandidateExecution:
     program: Program
     events: list[Event]
     committed: frozenset
     transient: frozenset
+    structure: Skeleton  # shared by every candidate of the control vector
     psf: bool = False
     # per-load source choice: "init" or the id of a program store event
     rf_choice: dict = field(default_factory=dict)
@@ -258,13 +275,9 @@ class CandidateExecution:
     def stores(self) -> list[Event]:
         return [e for e in self.events if e.kind == "store"]
 
-    def event_sets(self) -> dict:
-        """The event-class sets used by model files: E, M, W, R."""
-        all_ids = frozenset(e.id for e in self.events)
-        mem = frozenset(e.id for e in self.events if e.kind in MEMORY_KINDS)
-        writes = frozenset(e.id for e in self.events if e.kind in WRITE_KINDS)
-        reads = frozenset(e.id for e in self.events if e.kind == "load")
-        return {"E": all_ids, "M": mem, "W": writes, "R": reads}
+    def threads(self) -> list[list[Event]]:
+        """Each thread's instruction events in program order."""
+        return [[self.events[i] for i in ids] for ids in self.structure.threads]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +365,8 @@ def build_events(
     `branch_outcomes` maps (thread, label) of a reached conditional jump to
     True when the jump is taken; `cp_assign` maps the same keys to True when
     the direction was predicted correctly (ignored in traditional mode).
-    The committed/transient partition is fully determined by these choices.
+    The committed/transient partition and the `Skeleton` are fully
+    determined by these choices.
     """
     events: list[Event] = []
     for a in program.declared_addresses():
@@ -361,12 +375,14 @@ def build_events(
 
     committed_ids = set(e.id for e in events)  # init events count as committed
     transient_ids: set[int] = set()
+    threads = []
 
     for tid in range(len(program.threads)):
         com_labels, tr_labels = _walk_thread(
             program, tid, branch_outcomes, cp_assign, speculative
         )
         instrs = {i.label: i for i in program.threads[tid]}
+        first = len(events)
         for label in com_labels + tr_labels:
             ins = instrs[label]
             kind = KIND_BY_STMT[type(ins.stmt)]
@@ -388,17 +404,68 @@ def build_events(
                 transient_ids.add(ev.id)
             else:
                 committed_ids.add(ev.id)
+        threads.append(
+            tuple(sorted(range(first, len(events)), key=lambda i: events[i].label))
+        )
 
     return CandidateExecution(
         program=program,
         events=events,
         committed=frozenset(committed_ids),
         transient=frozenset(transient_ids),
+        structure=_skeleton(program, events, tuple(threads)),
         psf=psf,
         choices={
             "outcomes": dict(sorted(branch_outcomes.items())),
             "cp": dict(sorted(cp_assign.items())),
         },
+    )
+
+
+def _skeleton(program: Program, events: list[Event], threads: tuple) -> Skeleton:
+    po_pairs = []
+    fence_pairs = []
+    # Address dependency: a load feeds the address of a later memory access
+    # through a register that no instruction in between (textually) rewrites.
+    addr_pairs = []
+    for tid, ids in enumerate(threads):
+        evs = [events[i] for i in ids]
+        fence_labels = [e.label for e in evs if e.kind == "fence"]
+        for i, a in enumerate(evs):
+            for b in evs[i + 1:]:
+                po_pairs.append((a.id, b.id))
+                if any(a.label < fl < b.label for fl in fence_labels):
+                    fence_pairs.append((a.id, b.id))
+
+        instrs = {i.label: i for i in program.threads[tid]}
+        for a in evs:
+            if a.kind != "load":
+                continue
+            reg = a.stmt.reg
+            for b in evs:
+                if b.label <= a.label or b.kind not in ("load", "store"):
+                    continue
+                if reg not in expr_registers(b.stmt.addr):
+                    continue
+                clobbered = any(
+                    stmt_target_reg(instrs[l].stmt) == reg
+                    for l in range(a.label + 1, b.label)
+                    if l in instrs
+                )
+                if not clobbered:
+                    addr_pairs.append((a.id, b.id))
+
+    return Skeleton(
+        threads=threads,
+        po=Relation.of(po_pairs),
+        fence=Relation.of(fence_pairs),
+        addr=Relation.of(addr_pairs),
+        sets=MappingProxyType({
+            "E": frozenset(e.id for e in events),
+            "M": frozenset(e.id for e in events if e.kind in MEMORY_KINDS),
+            "W": frozenset(e.id for e in events if e.kind in WRITE_KINDS),
+            "R": frozenset(e.id for e in events if e.kind == "load"),
+        }),
     )
 
 
@@ -432,11 +499,7 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
             e.addr = None
             e.val = None
 
-    by_thread: dict[int, list[Event]] = {}
-    for e in x.instruction_events():
-        by_thread.setdefault(e.thread, []).append(e)
-    for evs in by_thread.values():
-        evs.sort(key=lambda e: e.label)
+    threads = x.threads()
 
     def resolve_source(load: Event, addr=None):
         choice = x.rf_choice.get(load.id)
@@ -451,9 +514,9 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
 
     for _ in range(len(x.events) + 2):
         changed = False
-        for tid in sorted(by_thread):
+        for evs in threads:
             regs: dict[str, int | None] = {}
-            for e in by_thread[tid]:
+            for e in evs:
                 s = e.stmt
                 addr = val = None
                 if isinstance(s, Assign):
@@ -583,52 +646,16 @@ def _fail(x: CandidateExecution, reason: str):
 
 
 def base_relations(x: CandidateExecution) -> dict:
-    """The named relations a model file may reference, plus the event sets."""
+    """The named relations a model file may reference, plus the event sets.
+    Only `loc` and the reads-from/coherence relations depend on the data;
+    the rest comes from the skeleton."""
     if x.valuation is None:
         raise ValueError("base relations need a completed valuation")
 
-    by_thread: dict[int, list[Event]] = {}
-    for e in x.instruction_events():
-        by_thread.setdefault(e.thread, []).append(e)
-    for evs in by_thread.values():
-        evs.sort(key=lambda e: e.label)
-
-    po_pairs = []
-    fence_pairs = []
-    for evs in by_thread.values():
-        fence_labels = [e.label for e in evs if e.kind == "fence"]
-        for i, a in enumerate(evs):
-            for b in evs[i + 1:]:
-                po_pairs.append((a.id, b.id))
-                if any(a.label < fl < b.label for fl in fence_labels):
-                    fence_pairs.append((a.id, b.id))
-
-    # Address dependency: a load feeds the address of a later memory access
-    # through a register that no instruction in between (textually) rewrites.
-    addr_pairs = []
-    for tid, evs in by_thread.items():
-        instrs = {i.label: i for i in x.program.threads[tid]}
-        for a in evs:
-            if a.kind != "load":
-                continue
-            reg = a.stmt.reg
-            for b in evs:
-                if b.label <= a.label or b.kind not in ("load", "store"):
-                    continue
-                if reg not in expr_registers(b.stmt.addr):
-                    continue
-                clobbered = any(
-                    stmt_target_reg(instrs[l].stmt) == reg
-                    for l in range(a.label + 1, b.label)
-                    if l in instrs
-                )
-                if not clobbered:
-                    addr_pairs.append((a.id, b.id))
-
-    mem = [e for e in x.events if e.kind in MEMORY_KINDS]
     by_addr: dict[int, list[int]] = {}
-    for e in mem:
-        by_addr.setdefault(e.addr, []).append(e.id)
+    for e in x.events:
+        if e.kind in MEMORY_KINDS:
+            by_addr.setdefault(e.addr, []).append(e.id)
     loc_pairs = []
     for ids in by_addr.values():
         for a in ids:
@@ -641,15 +668,14 @@ def base_relations(x: CandidateExecution) -> dict:
         if not x.event(w).is_init() and x.event(w).thread != x.event(r).thread
     ]
 
-    rels = {
-        "po": Relation.of(po_pairs),
-        "fence": Relation.of(fence_pairs),
-        "addr": Relation.of(addr_pairs),
+    return {
+        "po": x.structure.po,
+        "fence": x.structure.fence,
+        "addr": x.structure.addr,
         "loc": Relation.of(loc_pairs),
         "rf": x.rf or Relation.empty(),
         "co": x.co or Relation.empty(),
         "rfe": Relation.of(rfe_pairs),
         "srf": x.srf or Relation.empty(),
+        **x.structure.sets,
     }
-    rels.update(x.event_sets())
-    return rels

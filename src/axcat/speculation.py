@@ -49,42 +49,51 @@ def _is_entry(x: CandidateExecution, e: Event) -> bool:
     return e.label == x.program.threads[e.thread][0].label
 
 
-def check_traditional_cf(x: CandidateExecution) -> bool:
-    """Every executed event sits on the one path the branch values dictate."""
-    if x.transient:
+def _leads_to(x: CandidateExecution, pe: Event, e: Event) -> bool:
+    """Whether executed predecessor `pe` can pass control to `e`.
+
+    A committed event needs a committed predecessor, through a correctly
+    predicted branch whose value takes this direction; a transient event
+    needs a transient predecessor or a mispredicted branch whose value
+    contradicts this direction.
+    """
+    transient = e.id in x.transient
+    s = pe.stmt
+    if not isinstance(s, Beqz):
+        return (pe.id in x.transient) == transient
+    if transient:
+        if pe.cp:
+            return False
+    elif not pe.cp or pe.id in x.transient:
         return False
+    taken = (_rval(pe) == 0) != transient
+    # a branch to its own fall-through reaches it whatever its value
+    return e.label == (s.target if taken else pe.label + 1) or (
+        s.target == pe.label + 1 == e.label
+    )
+
+
+def _follows_branches(x: CandidateExecution) -> bool:
     by_site = _events_by_site(x)
-
-    def executed(tid, label):
-        return (tid, label) in by_site
-
     for e in x.instruction_events():
         if _is_entry(x, e):
+            if e.id in x.transient:
+                return False  # nothing upstream could have mispredicted
             continue
-        tid, label = e.thread, e.label
-        ok = False
-        for lp in pred(x.program, label, tid):
-            if not executed(tid, lp):
-                continue
-            p = x.program.instruction(tid, lp)
-            pe = by_site[(tid, lp)]
-            if isinstance(p.stmt, Beqz):
-                if lp + 1 == label and p.stmt.target != label and _rval(pe) != 0:
-                    ok = True
-                if p.stmt.target == label and _rval(pe) == 0:
-                    ok = True
-                if (
-                    p.stmt.target == label
-                    and lp + 1 == label
-                ):  # branch to its own fall-through: either value works
-                    ok = True
-            else:
-                ok = True  # plain fall-through or a direct jump here
-            if ok:
-                break
-        if not ok:
+        if not any(
+            _leads_to(x, by_site[(e.thread, lp)], e)
+            for lp in pred(x.program, e.label, e.thread)
+            if (e.thread, lp) in by_site
+        ):
             return False
     return True
+
+
+def check_traditional_cf(x: CandidateExecution) -> bool:
+    """Every executed event sits on the one path the branch values dictate,
+    through branches predicted correctly (as `build_events` records them
+    outside speculative mode)."""
+    return not x.transient and _follows_branches(x)
 
 
 def check_speculative_cf(x: CandidateExecution, cfg: SpecConfig) -> bool:
@@ -92,73 +101,17 @@ def check_speculative_cf(x: CandidateExecution, cfg: SpecConfig) -> bool:
     transient events need a misprediction contradicted by the branch value."""
     if cfg.mode != "speculative":
         raise ValueError("speculative control flow check needs speculative mode")
-    by_site = _events_by_site(x)
-
-    def status(tid, label):
-        e = by_site.get((tid, label))
-        if e is None:
-            return None
-        return "transient" if e.id in x.transient else "committed"
-
-    for e in x.instruction_events():
-        if _is_entry(x, e):
-            if e.id in x.transient:
-                return False  # nothing upstream could have mispredicted
-            continue
-        tid, label = e.thread, e.label
-        transient = e.id in x.transient
-        ok = False
-        for lp in pred(x.program, label, tid):
-            st = status(tid, lp)
-            if st is None:
-                continue
-            p = x.program.instruction(tid, lp)
-            pe = by_site[(tid, lp)]
-            if not transient:
-                if isinstance(p.stmt, Beqz):
-                    if st != "committed" or not pe.cp:
-                        continue
-                    if lp + 1 == label and p.stmt.target != label and _rval(pe) != 0:
-                        ok = True
-                    if p.stmt.target == label and _rval(pe) == 0:
-                        ok = True
-                    if p.stmt.target == label and lp + 1 == label:
-                        ok = True
-                elif st == "committed":
-                    ok = True
-            else:
-                if isinstance(p.stmt, Beqz):
-                    # any execution of the branch, wrong prediction, and a
-                    # branch value contradicting the direction taken here
-                    if pe.cp:
-                        continue
-                    if lp + 1 == label and p.stmt.target != label and _rval(pe) == 0:
-                        ok = True
-                    if p.stmt.target == label and _rval(pe) != 0:
-                        ok = True
-                    if p.stmt.target == label and lp + 1 == label:
-                        ok = True
-                elif st == "transient":
-                    ok = True  # transient flow through non-branch or jmp
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
+    return _follows_branches(x)
 
 
 def check_window(x: CandidateExecution, w: int) -> bool:
     """No w consecutive executed events of a thread are all transient."""
     if w < 1:
         raise ValueError("speculation window must be >= 1")
-    by_thread: dict[int, list[Event]] = {}
-    for e in x.instruction_events():
-        by_thread.setdefault(e.thread, []).append(e)
-    for evs in by_thread.values():
-        evs.sort(key=lambda e: e.label)
+    for ids in x.structure.threads:
         run = 0
-        for e in evs:
-            run = run + 1 if e.id in x.transient else 0
+        for eid in ids:
+            run = run + 1 if eid in x.transient else 0
             if run >= w:
                 return False
     return True

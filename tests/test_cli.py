@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from axcat import SpecConfig, check_isolation, corpus_dir, load_model, parse_program
 from axcat.cli import RunSpec, main, run, run_corpus
 
@@ -151,6 +153,27 @@ def test_corpus_missing_trailer(tmp_path, capsys):
     code, rows = run_corpus(tmp_path)
     assert code == 3
     assert "missing expectation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        ("model=nosuch", "unknown model 'nosuch'"),
+        ("model=inorder bits=1", "domain of 1 bits"),
+        ("model=inorder w=0", "speculation window must be >= 1"),
+    ],
+)
+def test_corpus_bad_expectation(monkeypatch, tmp_path, capsys, jobs, option, message):
+    monkeypatch.setenv("AXCAT_JOBS", jobs)
+    text = (corpus_dir() / "pht-01.litmus").read_text()
+    (tmp_path / "pht-01.litmus").write_text(
+        text.replace("expect safe model=inorder", f"expect safe {option}")
+    )
+    assert main(["corpus", str(tmp_path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: pht-01.litmus: ") and message in lines[0]
 
 
 def test_main_corpus_subcommand(monkeypatch, capsys):

@@ -6,15 +6,19 @@ import pytest
 
 from axcat import (
     SpecConfig,
+    base_relations,
+    build_events,
     check_isolation,
     corpus_dir,
     emit_witness_dot,
     enumerate_candidates,
     load_model,
     parse_program,
+    propagate_values,
     unroll,
 )
-from axcat.engine import _skeleton_searches, candidate_consistent, violating_load
+from axcat.engine import _search, _skeletons, candidate_consistent, violating_load
+from axcat.events import secret_sentinel
 from axcat.speculation import check_window
 from generator import random_program_source
 
@@ -33,9 +37,7 @@ _MODELS = {name: load_model(name) for name in ("inorder", "stl", "psf", "tso")}
 
 def directed(program, cfg, k, bits):
     return [
-        x
-        for _, candidates in _skeleton_searches(unroll(program, k), cfg, bits)
-        for x in candidates
+        x for skeleton in _skeletons(unroll(program, k), cfg) for x in _search(skeleton, bits)
     ]
 
 
@@ -133,8 +135,8 @@ def corpus_expectations():
             yield pytest.param(program, exp, id=f"{path.stem}/{exp.model}/{exp.mode or 'speculative'}")
 
 
-@pytest.mark.parametrize("program,exp", corpus_expectations())
-def test_corpus_witness_matches_blind_enumeration(program, exp):
+def corpus_settings(exp):
+    """(model, cfg, k, bits) of a corpus expectation, with the CLI defaults."""
     over = dict(exp.overrides)
     model = load_model(exp.model)
     cfg = SpecConfig(
@@ -143,7 +145,12 @@ def test_corpus_witness_matches_blind_enumeration(program, exp):
         buffer=over.get("buffer", 2),
         psf="srf" in model.base_names(),
     )
-    k, bits = over.get("k", 2), over.get("bits", 3)
+    return model, cfg, over.get("k", 2), over.get("bits", 3)
+
+
+@pytest.mark.parametrize("program,exp", corpus_expectations())
+def test_corpus_witness_matches_blind_enumeration(program, exp):
+    model, cfg, k, bits = corpus_settings(exp)
     got = verdict(program, model, cfg, k, bits)
     assert got == blind_verdict(program, model, cfg, k, bits)
     assert got[0] == exp.outcome
@@ -155,3 +162,45 @@ def test_corpus_witness_matches_blind_enumeration(program, exp):
             if x.choices == v.witness.choices
         )
         assert emit_witness_dot(v.witness) == emit_witness_dot(first)
+
+
+def test_directed_candidates_share_their_skeleton():
+    shared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        program = parse_program(random_program_source(rng))
+        cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
+        for skeleton in _skeletons(unroll(program, 1 + seed % 2), cfg):
+            for x in _search(skeleton, 2):
+                assert x.structure is skeleton.structure
+                assert x.events is not skeleton.events
+                shared += 1
+    assert shared > 1000
+
+
+def test_corpus_witnesses_rebuild_to_the_same_base_relations():
+    """A witness rebuilt from its choice vector gets a fresh skeleton that
+    agrees with the one the engine shared."""
+    unsafe = 0
+    for param in corpus_expectations():
+        program, exp = param.values
+        model, cfg, k, bits = corpus_settings(exp)
+        x = check_isolation(program, model, cfg, k, bits).witness
+        if x is None:
+            continue
+        unsafe += 1
+        y = build_events(
+            unroll(program, k),
+            x.choices["outcomes"],
+            x.choices["cp"],
+            speculative=cfg.mode == "speculative",
+            psf=cfg.psf,
+        )
+        y.rf_choice = dict(x.choices["rf"])
+        y.co_order = tuple(x.choices["co"])
+        init_vals = {a: 0 for a in program.declared_addresses()}
+        init_vals[program.secret_addr] = secret_sentinel(bits)
+        propagate_values(y, {**init_vals, **x.choices["inputs"]}, bits)
+        assert y.structure is not x.structure
+        assert base_relations(y) == base_relations(x)
+    assert unsafe == 7

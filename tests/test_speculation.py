@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from axcat.engine import enumerate_candidates
 from axcat.events import build_events, propagate_values, secret_sentinel
 from axcat.masm import parse_program, unroll
 from axcat.speculation import (
@@ -9,6 +12,7 @@ from axcat.speculation import (
     check_traditional_cf,
     check_window,
 )
+from generator import random_program_source
 
 FIG2 = """\
 layout A[4]@0 secret@4 input idx@5 B[2]@6
@@ -120,6 +124,24 @@ def test_speculative_matches_traditional_when_all_predictions_correct():
             xt = candidate(FIG2, {(0, 3): taken}, {}, idx=idx, speculative=False)
             assert not xs.transient
             assert check_speculative_cf(xs, SpecConfig()) == check_traditional_cf(xt)
+    # every candidate of seeded random programs, predictions all correct
+    spec = SpecConfig(always_mispredict=False)
+    verdicts = set()
+    for seed in range(300):
+        program = parse_program(random_program_source(random.Random(seed)))
+        k = 1 + seed % 2
+        pairs = zip(
+            enumerate_candidates(program, spec, k, 2),
+            enumerate_candidates(program, SpecConfig(mode="traditional"), k, 2),
+            strict=True,
+        )
+        for xs, xt in pairs:
+            assert xs.choices == xt.choices and not xs.transient
+            if xs.valuation is not None:
+                verdict = check_speculative_cf(xs, spec)
+                assert verdict == check_traditional_cf(xt), (seed, xs.choices)
+                verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_window_vacuous_without_transients():
