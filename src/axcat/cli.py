@@ -66,7 +66,6 @@ def run(spec: RunSpec):
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR, {"error": str(exc)}
 
-    cfg = _config(spec, model)
     record = {
         "program": Path(spec.program).name,
         "model": model.name,
@@ -76,6 +75,7 @@ def run(spec: RunSpec):
         "w_prime": spec.buffer,
     }
     try:
+        cfg = _config(spec, model)
         if spec.engine == "emit-smt":
             text = emit_smt(program, model, cfg, spec.k, spec.bits,
                             Path(spec.program).stem)

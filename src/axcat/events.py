@@ -6,11 +6,12 @@ continuation opened by a mispredicted branch), together with a reads-from
 choice per load, a coherence order over committed stores, and the initial
 values of attacker-controlled locations.  The control-flow choice alone
 fixes the events and a `Skeleton`: each thread's events in program order,
-the `po`, `fence` and `addr` relations and the event classes.
-`build_events` computes it once per control vector and every candidate on
-those events shares it by reference.  Whether a candidate represents a
-behavior the hardware model allows is decided elsewhere; this module only
-builds candidates and computes the relations and the valuation they induce.
+the `po`, `fence` and `addr` relations, the event classes, and the branch
+outcomes the candidate's values must confirm.  `build_events` computes it
+once per control vector and every candidate on those events shares it by
+reference.  Whether a candidate represents a behavior the hardware model
+allows is decided elsewhere; this module only builds candidates and
+computes the relations and the valuation they induce.
 
 Conventions baked in here:
 
@@ -228,9 +229,17 @@ class MissingOutcome(LookupError):
 
 @dataclass(frozen=True)
 class Skeleton:
-    """What one control vector fixes before any data is chosen."""
+    """What one control vector fixes before any data is chosen.
+
+    `branches` lists the conditional jumps whose chosen outcome decides an
+    executed successor, as (event id, taken).  The walk already followed
+    each prediction, so a candidate on these events obeys the control-flow
+    constraints exactly when every such branch value agrees with its
+    outcome: zero when taken, nonzero when not.
+    """
 
     threads: tuple  # per thread id: its instruction event ids in label order
+    branches: tuple
     po: Relation
     fence: Relation
     addr: Relation
@@ -376,6 +385,7 @@ def build_events(
     committed_ids = set(e.id for e in events)  # init events count as committed
     transient_ids: set[int] = set()
     threads = []
+    branches = []
 
     for tid in range(len(program.threads)):
         com_labels, tr_labels = _walk_thread(
@@ -383,7 +393,8 @@ def build_events(
         )
         instrs = {i.label: i for i in program.threads[tid]}
         first = len(events)
-        for label in com_labels + tr_labels:
+        walk = com_labels + tr_labels
+        for pos, label in enumerate(walk):
             ins = instrs[label]
             kind = KIND_BY_STMT[type(ins.stmt)]
             it = ins.provenance[1] if ins.provenance else 1
@@ -399,6 +410,10 @@ def build_events(
                     if not speculative
                     else cp_assign.get((tid, label), True)
                 )
+                # its outcome decides the next event, unless the walk ends
+                # here or both directions reach the fall-through
+                if pos + 1 < len(walk) and ins.stmt.target != label + 1:
+                    branches.append((ev.id, branch_outcomes[(tid, label)]))
             events.append(ev)
             if label in tr_labels:
                 transient_ids.add(ev.id)
@@ -413,7 +428,7 @@ def build_events(
         events=events,
         committed=frozenset(committed_ids),
         transient=frozenset(transient_ids),
-        structure=_skeleton(program, events, tuple(threads)),
+        structure=_skeleton(program, events, tuple(threads), tuple(branches)),
         psf=psf,
         choices={
             "outcomes": dict(sorted(branch_outcomes.items())),
@@ -422,7 +437,9 @@ def build_events(
     )
 
 
-def _skeleton(program: Program, events: list[Event], threads: tuple) -> Skeleton:
+def _skeleton(
+    program: Program, events: list[Event], threads: tuple, branches: tuple
+) -> Skeleton:
     po_pairs = []
     fence_pairs = []
     # Address dependency: a load feeds the address of a later memory access
@@ -457,6 +474,7 @@ def _skeleton(program: Program, events: list[Event], threads: tuple) -> Skeleton
 
     return Skeleton(
         threads=threads,
+        branches=branches,
         po=Relation.of(po_pairs),
         fence=Relation.of(fence_pairs),
         addr=Relation.of(addr_pairs),

@@ -41,6 +41,7 @@ from .catlang import (
     TStar,
     TUnion,
 )
+from .engine import _check_domain
 from .masm import (
     Assign,
     Beqz,
@@ -736,4 +737,5 @@ def emit_smt(
             f"model {model.name!r} references srf but predictive store "
             f"forwarding is disabled"
         )
+    _check_domain(program, domain_bits)
     return _Emitter(program, model, cfg, k, domain_bits, program_name).render()

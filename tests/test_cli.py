@@ -79,6 +79,25 @@ def test_domain_error_exit_code(capsys):
     assert "domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["enumerate", "emit-smt"])
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["-w", "0"], "speculation window must be >= 1"),
+        (["--buffer", "0"], "store buffer size must be >= 1"),
+        (["--bits", "1"], "domain of 1 bits cannot address 7"),
+    ],
+)
+def test_bad_option_exit_code(capsys, engine, option, message):
+    argv = ["--program", corpus_file("pht-01"), "--engine", engine, *option]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_cli_matches_library_verdicts(capsys):
     for name, model_name, mode in [
         ("pht-01", "inorder", "speculative"),

@@ -22,6 +22,7 @@ from axcat import (
 )
 from axcat import catlang
 from axcat.catlang import CatError
+from axcat.engine import EngineError
 from smt_eval import Script
 
 _KEYWORDS = {
@@ -218,6 +219,14 @@ def test_srf_model_requires_psf():
     p = parse_program((corpus_dir() / "psf-01.litmus").read_text())
     with pytest.raises(ValueError, match="srf"):
         emit_smt(p, load_model("psf"), SpecConfig(mode="speculative"), 2, 3)
+
+
+def test_domain_too_small_for_layout_rejected():
+    p = parse_program((corpus_dir() / "pht-01.litmus").read_text())
+    with pytest.raises(EngineError, match="domain of 1 bits cannot address 7"):
+        emit_smt(p, load_model("inorder"), SpecConfig(), 2, 1)
+    with pytest.raises(EngineError, match="domain of 1 bits cannot address 7"):
+        check_isolation(p, load_model("inorder"), SpecConfig(), 2, 1)
 
 
 def test_recursive_model_emits_rank_clauses():

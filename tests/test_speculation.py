@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from axcat.engine import enumerate_candidates
+from axcat.engine import _control_vectors, enumerate_candidates
 from axcat.events import build_events, propagate_values, secret_sentinel
 from axcat.masm import parse_program, unroll
 from axcat.speculation import (
@@ -13,6 +13,7 @@ from axcat.speculation import (
     check_window,
 )
 from generator import random_program_source
+from reference import _cf_ok
 
 FIG2 = """\
 layout A[4]@0 secret@4 input idx@5 B[2]@6
@@ -102,13 +103,21 @@ def test_speculative_accepts_wrongly_taken_jump():
 
 
 def test_speculative_rejects_transients_without_misprediction():
+    # transient events need a misprediction, and the builder opens a
+    # transient run only at one: with every branch predicted correctly
+    # no candidate has transient events to justify
     x = candidate(FIG2, {(0, 3): True}, {(0, 3): False}, idx=5)
-    # flip the branch's prediction bit to "correct": T is now unjustified
-    for e in x.instruction_events():
-        if e.kind == "cond-jump":
-            e.cp = True
-    assert x.transient
-    assert not check_speculative_cf(x, SpecConfig())
+    y = candidate(FIG2, {(0, 3): True}, {(0, 3): True}, idx=5)
+    assert x.transient and not y.transient
+    spec = SpecConfig(always_mispredict=False)
+    built = 0
+    for seed in range(300):
+        program = unroll(parse_program(random_program_source(random.Random(seed))), 2)
+        for outcomes, cps in _control_vectors(program, spec):
+            assert all(cps.values())
+            assert not build_events(program, outcomes, cps).transient
+            built += 1
+    assert built > 300
 
 
 def test_speculative_rejects_value_contradicting_misprediction():
@@ -142,6 +151,50 @@ def test_speculative_matches_traditional_when_all_predictions_correct():
                 assert verdict == check_traditional_cf(xt), (seed, xs.choices)
                 verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+def reference_events(x):
+    """The candidate's instruction events in the oracle's dict form."""
+    return [
+        {
+            "id": e.id,
+            "kind": "instr",
+            "tid": e.thread,
+            "label": e.label,
+            "transient": e.id in x.transient,
+            "val": e.val,
+            "cp": e.cp,
+        }
+        for e in x.instruction_events()
+    ]
+
+
+# (mode, always_mispredict, psf)
+CF_ROTATION = (
+    ("traditional", True, False),
+    ("speculative", True, False),
+    ("speculative", False, False),
+    ("speculative", True, True),
+)
+
+
+def test_control_flow_checks_match_the_oracle():
+    """The per-branch check equals the oracle's path re-derivation on every
+    value-consistent candidate of seeded random programs."""
+    verdicts = {mode: set() for mode, _, _ in CF_ROTATION}
+    for seed in range(1000):
+        program = parse_program(random_program_source(random.Random(seed)))
+        mode, always_mispredict, psf = CF_ROTATION[seed % len(CF_ROTATION)]
+        cfg = SpecConfig(mode=mode, always_mispredict=always_mispredict, psf=psf)
+        speculative = mode == "speculative"
+        for x in enumerate_candidates(program, cfg, 1 + seed // 4 % 2, 2):
+            if x.valuation is None:
+                continue
+            got = check_speculative_cf(x, cfg) if speculative else check_traditional_cf(x)
+            expected = _cf_ok(x.program, reference_events(x), speculative)
+            assert got == expected, (seed, x.choices)
+            verdicts[mode].add(got)
+    assert all(v == {False, True} for v in verdicts.values())
 
 
 def test_window_vacuous_without_transients():
