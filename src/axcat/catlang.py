@@ -20,14 +20,34 @@ fence, rf, co, loc, addr, srf, rfe; `add` is accepted as a spelling of
 recursive group occurs positively (never on the right of a difference);
 such systems are evaluated to their least fixpoint.  Assertions are
 `acyclic t`, `irreflexive t`, `empty t`, checked in file order.
+
+Evaluation is compiled.  `compile_model(model, cfg)` resolves every bound
+once and orders the definitions by dependency into strongly connected
+groups: a recursive group is iterated from empty to its least fixpoint,
+every other definition is evaluated once.  Each term becomes a closure over
+bitset rows: a relation over the events 0..n-1 is a list of n ints, and bit
+j of row i is the pair (i, j).  Union, intersection and difference work row
+by row, composition ORs the rows of successors, `r^{<=k}` takes O(log k)
+compositions by repeated squaring, and closure and acyclicity run on rows.
+`CompiledModel.bind(skeleton)` evaluates, once per control vector, every
+definition, subterm and assertion that names no data relation (rf, co,
+loc, srf, rfe): `win` and `ppo` in stl, `po-tso` in tso, the `[X]` and
+`X * Y` classes.  `BoundModel.check(x)` then builds only the data rows of
+the candidate and runs the remaining definitions and the assertions.  The
+public `evaluate` and `check_assertions` convert Relations to rows and back
+at the boundary and run the same closures.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .events import CandidateExecution, Relation
+from .events import CandidateExecution, Relation, Skeleton
 
 BASE_RELATIONS = ("po", "fence", "rf", "co", "loc", "addr", "srf", "rfe")
 _BASE_ALIASES = {"add": "loc"}
@@ -117,22 +137,8 @@ class CatModel:
     assertions: tuple  # of (kind, term, source text), file order
 
     def base_names(self) -> frozenset:
-        out: set[str] = set()
-
-        def walk(t):
-            if isinstance(t, TBase):
-                out.add(t.name)
-            elif isinstance(t, (TUnion, TInter, TDiff, TCompose)):
-                walk(t.left)
-                walk(t.right)
-            elif isinstance(t, (TInverse, TPlus, TStar, TBounded)):
-                walk(t.term)
-
-        for _, term in self.definitions:
-            walk(term)
-        for _, term, _ in self.assertions:
-            walk(term)
-        return frozenset(out)
+        terms = [t for _, t in self.definitions] + [t for _, t, _ in self.assertions]
+        return frozenset(set().union(*map(_names, terms)) & set(BASE_RELATIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +314,30 @@ def _classify(term, defined: set, where: str):
     return term
 
 
-def _refs(term) -> set:
-    if isinstance(term, TRef):
+def _names(term) -> set:
+    """The base relations and definitions a term names."""
+    if isinstance(term, (TBase, TRef)):
         return {term.name}
     if isinstance(term, (TUnion, TInter, TDiff, TCompose)):
-        return _refs(term.left) | _refs(term.right)
+        return _names(term.left) | _names(term.right)
     if isinstance(term, (TInverse, TPlus, TStar, TBounded)):
-        return _refs(term.term)
+        return _names(term.term)
     return set()
+
+
+def _reachable(deps: dict) -> dict:
+    """Name -> every name it depends on, directly or through others."""
+    reach = {}
+    for n in deps:
+        seen: set = set()
+        stack = list(deps[n])
+        while stack:
+            m = stack.pop()
+            if m not in seen:
+                seen.add(m)
+                stack.extend(deps.get(m, ()))
+        reach[n] = seen
+    return reach
 
 
 def _negative_refs(term, positive=True) -> set:
@@ -369,18 +391,8 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
 
     # Least fixpoints exist only if recursion stays monotone: no name of a
     # recursive group may occur on the right of a difference in the group.
-    deps = {n: _refs(t) & defined for n, t in definitions}
-    reachable: dict[str, set] = {}
-    for n in deps:
-        seen: set = set()
-        stack = list(deps[n])
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            stack.extend(deps.get(m, ()))
-        reachable[n] = seen
+    deps = {n: _names(t) & defined for n, t in definitions}
+    reachable = _reachable(deps)
     recursive = {n for n in deps if n in reachable[n]}
     by_name = dict(definitions)
     for n in recursive:
@@ -397,7 +409,156 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Bitset rows
+#
+# A relation over the events 0..n-1 is a list of n ints, one row per event:
+# bit j of row i is the pair (i, j).  An event class X is held as the rows
+# of [X].  No operation mutates its operands.
+
+
+def _bits(row: int):
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def union_rows(a: list, b: list) -> list:
+    return list(map(operator.or_, a, b))
+
+
+def inter_rows(a: list, b: list) -> list:
+    return list(map(operator.and_, a, b))
+
+
+def diff_rows(a: list, b: list) -> list:
+    return [x & ~y for x, y in zip(a, b)]
+
+
+def compose_rows(a: list, b: list) -> list:
+    """a;b: each row of `a` ORs the rows of its successors in `b`."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def inverse_rows(a: list) -> list:
+    out = [0] * len(a)
+    for i, row in enumerate(a):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def plus_rows(a: list) -> list:
+    """Transitive closure (Warshall, one row OR per reaching pair)."""
+    out = list(a)
+    for k, _ in enumerate(out):
+        bit, through = 1 << k, out[k]
+        if through:
+            for i, row in enumerate(out):
+                if row & bit:
+                    out[i] = row | through
+    return out
+
+
+def star_rows(a: list, universe: list) -> list:
+    """Reflexive-transitive closure; `universe` is the rows of [E]."""
+    return union_rows(plus_rows(a), universe)
+
+
+def cross_rows(left: list, right: list) -> list:
+    """X * Y from the rows of [X] and [Y]."""
+    mask = 0
+    for row in right:
+        mask |= row
+    return [mask if row else 0 for row in left]
+
+
+def power_rows(a: list, k: int) -> list:
+    """a^{<=k}, the (k+1)-th power of `a`, by repeated squaring: O(log k)
+    compositions."""
+    result, square, e = None, a, k + 1
+    while True:
+        if e & 1:
+            result = square if result is None else compose_rows(result, square)
+        e >>= 1
+        if not e:
+            return result
+        square = compose_rows(square, square)
+
+
+def is_acyclic_rows(a: list) -> bool:
+    """Peel off sinks until none is left (acyclic) or a sweep finds none
+    (every remaining event has a remaining successor: a cycle).  Sweeping
+    from the last event peels a chain in increasing order at once."""
+    live = [i for i in range(len(a) - 1, -1, -1) if a[i]]
+    mask = 0
+    for i in live:
+        mask |= 1 << i
+    while live:
+        still = []
+        for i in live:
+            if a[i] & mask:
+                still.append(i)
+            else:
+                mask ^= 1 << i
+        if len(still) == len(live):
+            return False
+        live = still
+    return True
+
+
+def is_irreflexive_rows(a: list) -> bool:
+    return not any(row >> i & 1 for i, row in enumerate(a))
+
+
+def is_empty_rows(a: list) -> bool:
+    return not any(a)
+
+
+def rows_of(pairs, index: dict) -> list:
+    """The rows of a set of event-id pairs; `index` maps ids to rows."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
+
+
+def identity_rows(members, index: dict) -> list:
+    rows = [0] * len(index)
+    for e in members:
+        rows[index[e]] = 1 << index[e]
+    return rows
+
+
+def relation_of(rows: list, ids: list) -> Relation:
+    """The Relation of `rows`, whose row i is the event `ids[i]`."""
+    return Relation(
+        frozenset((ids[i], ids[j]) for i, row in enumerate(rows) for j in _bits(row))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Compiled models
+
+# The base relations that depend on a candidate's data; the rest (po, fence,
+# addr and the event classes) are fixed by the control vector's skeleton.
+DATA_RELATIONS = frozenset({"rf", "co", "loc", "srf", "rfe"})
+SET_NAMES = ("E", "M", "W", "R")
+
+_BINARY = {TUnion: union_rows, TInter: inter_rows, TDiff: diff_rows, TCompose: compose_rows}
+_UNARY = {TInverse: inverse_rows, TPlus: plus_rows}
+_TESTS = {"acyclic": is_acyclic_rows, "irreflexive": is_irreflexive_rows, "empty": is_empty_rows}
 
 
 def resolve_bound(k_base, k_offset: int, cfg) -> int:
@@ -419,45 +580,233 @@ def resolve_bound(k_base, k_offset: int, cfg) -> int:
     return k
 
 
-def _eval_term(term, rels, sets, env, cfg):
-    if isinstance(term, TBase):
-        return rels[term.name]
-    if isinstance(term, TRef):
-        return env[term.name]
+def _lookup(key):
+    return lambda env: env[key]
+
+
+def _test(test, fn):
+    return lambda env: test(fn(env))
+
+
+def _lower(term, cfg, dynamic: set, hoist: list | None):
+    """The closure env -> rows of `term`.  With a `hoist` list, every maximal
+    subterm that names nothing in `dynamic` is appended to it as (key,
+    closure), to be evaluated once per skeleton, and read from env[key]."""
+    if isinstance(term, (TBase, TRef)):
+        return _lookup(term.name)
     if isinstance(term, TSetId):
-        return Relation.identity(sets[term.set_name])
+        return _lookup(term.set_name)
+    if hoist is not None and not _names(term) & dynamic:
+        hoist.append((len(hoist), _lower(term, cfg, dynamic, None)))
+        return _lookup(len(hoist) - 1)  # an int key never clashes with a name
     if isinstance(term, TCross):
-        return Relation.cartesian(sets[term.left], sets[term.right])
-    if isinstance(term, TUnion):
-        return _eval_term(term.left, rels, sets, env, cfg) | _eval_term(
-            term.right, rels, sets, env, cfg
-        )
-    if isinstance(term, TInter):
-        return _eval_term(term.left, rels, sets, env, cfg) & _eval_term(
-            term.right, rels, sets, env, cfg
-        )
-    if isinstance(term, TDiff):
-        return _eval_term(term.left, rels, sets, env, cfg) - _eval_term(
-            term.right, rels, sets, env, cfg
-        )
-    if isinstance(term, TCompose):
-        return _eval_term(term.left, rels, sets, env, cfg).compose(
-            _eval_term(term.right, rels, sets, env, cfg)
-        )
-    if isinstance(term, TInverse):
-        return _eval_term(term.term, rels, sets, env, cfg).inverse()
-    if isinstance(term, TPlus):
-        return _eval_term(term.term, rels, sets, env, cfg).closure()
-    if isinstance(term, TStar):
-        return _eval_term(term.term, rels, sets, env, cfg).rstar(sets["E"])
-    if isinstance(term, TBounded):
-        r = _eval_term(term.term, rels, sets, env, cfg)
+        left, right = term.left, term.right
+        return lambda env: cross_rows(env[left], env[right])
+    kind = type(term)
+    if kind in _BINARY:
+        op = _BINARY[kind]
+        left = _lower(term.left, cfg, dynamic, hoist)
+        right = _lower(term.right, cfg, dynamic, hoist)
+        return lambda env: op(left(env), right(env))
+    inner = _lower(term.term, cfg, dynamic, hoist)
+    if kind in _UNARY:
+        op = _UNARY[kind]
+        return lambda env: op(inner(env))
+    if kind is TStar:
+        return lambda env: star_rows(inner(env), env["E"])
+    if kind is TBounded:
         k = resolve_bound(term.k_base, term.k_offset, cfg)
-        acc = r
-        for _ in range(k):
-            acc = r.compose(acc)
-        return acc
+        return lambda env: power_rows(inner(env), k)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _groups(definitions) -> list:
+    """The definitions' strongly connected groups of names, in file order
+    within a group, each group after every group it depends on (the first
+    ready group in file order goes next)."""
+    deps = {n: _names(t) & {m for m, _ in definitions} for n, t in definitions}
+    reach = _reachable(deps)
+    pending = [n for n, _ in definitions]
+    groups: list = []
+    while pending:
+        for n in pending:
+            group = [m for m in pending if m == n or (m in reach[n] and n in reach[m])]
+            if all(d in group or d not in pending for m in group for d in deps[m]):
+                break
+        groups.append(tuple(group))
+        pending = [m for m in pending if m not in group]
+    return groups
+
+
+def _run(groups, env: dict, model_name: str):
+    """Bind each group's names in `env`: a recursive group by iteration from
+    empty to its least fixpoint, any other definition once."""
+    for recursive, members in groups:
+        if not recursive:
+            ((name, fn),) = members
+            env[name] = fn(env)
+            continue
+        size = len(env["E"])
+        empty = [0] * size
+        for name, _ in members:
+            env[name] = empty
+        for _ in range(len(members) * (size * size + 1) + 1):
+            changed = False
+            for name, fn in members:
+                new = fn(env)
+                if new != env[name]:
+                    env[name] = new
+                    changed = True
+            if not changed:
+                break
+        else:
+            raise CatError(f"{model_name}: fixpoint iteration did not converge")
+
+
+class CompiledModel(NamedTuple):
+    """A `CatModel` compiled for one configuration (see `compile_model`)."""
+
+    name: str
+    data: frozenset  # the data relations the model reads
+    static: tuple  # definition groups that read no data
+    hoisted: tuple  # (key, closure): the static subterms of everything else
+    dynamic: tuple  # the other definition groups
+    assertions: tuple  # (kind, source, closure env -> holds), file order
+
+    def bind(self, skeleton: Skeleton) -> "BoundModel":
+        """Evaluate everything the skeleton fixes, once per control vector."""
+        index = range(len(skeleton.sets["E"]))  # event ids are 0..n-1
+        env = {n: rows_of(getattr(skeleton, n).pairs, index) for n in ("po", "fence", "addr")}
+        for n in SET_NAMES:
+            env[n] = identity_rows(skeleton.sets[n], index)
+        _run(self.static, env, self.name)
+        self.hoist(env)
+        return BoundModel(self, MappingProxyType(env))
+
+    def hoist(self, env: dict):
+        for key, fn in self.hoisted:
+            env[key] = fn(env)
+
+    def violation(self, env: dict):
+        """(kind, source) of the first assertion that fails, or None."""
+        for kind, src, holds in self.assertions:
+            if not holds(env):
+                return kind, src
+        return None
+
+
+class BoundModel(NamedTuple):
+    """A compiled model with the static part of one skeleton evaluated."""
+
+    model: CompiledModel
+    env: MappingProxyType
+
+    def check(self, x: CandidateExecution):
+        """Run the assertions on a propagated candidate of the skeleton.
+
+        Returns (consistent, violated) as `check_assertions` does."""
+        env = self.env.copy()
+        env.update(_data_rows(x, self.model.data))
+        _run(self.model.dynamic, env, self.model.name)
+        violated = self.model.violation(env)
+        return violated is None, violated
+
+
+def _data_rows(x: CandidateExecution, needed: frozenset) -> dict:
+    """The rows of the data relations in `needed`, straight from the
+    candidate's reads-from choice, coherence order and valuation (the same
+    relations as `events.base_relations`)."""
+    s, events = x.structure, x.events
+    n = len(events)
+    rows = {}
+    if not needed.isdisjoint(("rf", "srf", "rfe")):
+        rf, srf, rfe = [0] * n, [0] * n, [0] * n
+        for load in s.loads:
+            e = events[load]
+            choice = x.rf_choice[load]
+            src = s.init_by_addr[e.addr] if choice == "init" else choice
+            bit = 1 << load
+            if x.psf:
+                srf[src] |= bit
+                if events[src].addr != e.addr:
+                    continue
+            rf[src] |= bit
+            if choice != "init" and events[src].thread != e.thread:
+                rfe[src] |= bit
+        rows.update(rf=rf, srf=srf, rfe=rfe)
+    if "co" in needed:
+        co = [0] * n
+        later: dict = {}  # address -> the stores after the one at hand
+        for sid in reversed(x.co_order):
+            addr = events[sid].addr
+            co[sid] = later.get(addr, 0)
+            later[addr] = co[sid] | 1 << sid
+        for addr, stores in later.items():
+            co[s.init_by_addr[addr]] = stores
+        rows["co"] = co
+    if "loc" in needed:
+        memory = (*s.init_by_addr.values(), *s.loads, *s.stores)
+        same: dict = {}
+        for eid in memory:
+            same[events[eid].addr] = same.get(events[eid].addr, 0) | 1 << eid
+        loc = [0] * n
+        for eid in memory:
+            loc[eid] = same[events[eid].addr]
+        rows["loc"] = loc
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def compile_model(model: CatModel, cfg=None) -> CompiledModel:
+    """Compile `model` for `cfg` (which gives `w` and `w'`; may be None when
+    no bound uses them).  Pure, so the results are cached."""
+    terms = dict(model.definitions)
+    dynamic = set(DATA_RELATIONS)
+    groups = _groups(model.definitions)
+    for group in groups:  # a group follows the groups it reads
+        if any(_names(terms[n]) & dynamic for n in group):
+            dynamic.update(group)
+
+    hoisted: list = []
+
+    def lower(group, hoist):
+        recursive = len(group) > 1 or group[0] in _names(terms[group[0]])
+        return recursive, tuple((n, _lower(terms[n], cfg, dynamic, hoist)) for n in group)
+
+    static = tuple(lower(g, None) for g in groups if g[0] not in dynamic)
+    dynamic_groups = tuple(lower(g, hoisted) for g in groups if g[0] in dynamic)
+    assertions = []
+    for kind, term, src in model.assertions:
+        if _names(term) & dynamic:
+            holds = _test(_TESTS[kind], _lower(term, cfg, dynamic, hoisted))
+        else:  # fixed by the skeleton: tested once per skeleton
+            hoisted.append((len(hoisted), _test(_TESTS[kind], _lower(term, cfg, dynamic, None))))
+            holds = _lookup(len(hoisted) - 1)
+        assertions.append((kind, src, holds))
+    return CompiledModel(
+        name=model.name,
+        data=frozenset(model.base_names() & DATA_RELATIONS),
+        static=static,
+        hoisted=tuple(hoisted),
+        dynamic=dynamic_groups,
+        assertions=tuple(assertions),
+    )
+
+
+def _rows_env(relations: dict, sets: dict):
+    """(ids, env): the rows of named Relations and event classes over the
+    events they mention, in id order."""
+    ids: set = set()
+    for members in sets.values():
+        ids.update(members)
+    for rel in relations.values():
+        for pair in rel.pairs:
+            ids.update(pair)
+    ids = sorted(ids)
+    index = {e: i for i, e in enumerate(ids)}
+    env = {n: rows_of(rel.pairs, index) for n, rel in relations.items()}
+    env.update((n, identity_rows(members, index)) for n, members in sets.items())
+    return ids, env
 
 
 def evaluate(model: CatModel, base: dict, cfg=None) -> dict:
@@ -468,23 +817,15 @@ def evaluate(model: CatModel, base: dict, cfg=None) -> dict:
     event sets, and derived bindings merged into one dict.
     """
     rels = {n: base[n] for n in BASE_RELATIONS}
-    sets = {n: base[n] for n in ("E", "M", "W", "R")}
-    env = {n: Relation.empty() for n, _ in model.definitions}
-    limit = max(1, len(model.definitions)) * (len(sets["E"]) ** 2 + 1) + 1
-    for _ in range(limit):
-        changed = False
-        for n, term in model.definitions:
-            new = _eval_term(term, rels, sets, env, cfg)
-            if new.pairs != env[n].pairs:
-                env[n] = new
-                changed = True
-        if not changed:
-            break
-    else:
-        raise CatError(f"{model.name}: fixpoint iteration did not converge")
+    sets = {n: base[n] for n in SET_NAMES}
+    compiled = compile_model(model, cfg)
+    ids, env = _rows_env(rels, sets)
+    _run(compiled.static, env, model.name)
+    compiled.hoist(env)
+    _run(compiled.dynamic, env, model.name)
     out = dict(rels)
     out.update(sets)
-    out.update(env)
+    out.update((n, relation_of(env[n], ids)) for n, _ in model.definitions)
     return out
 
 
@@ -494,19 +835,13 @@ def check_assertions(model: CatModel, bindings: dict, cfg=None):
     Returns (consistent, violated) where `violated` is the (kind, source)
     pair of the first failing assertion, or None.
     """
-    rels = {n: bindings[n] for n in BASE_RELATIONS}
-    sets = {n: bindings[n] for n in ("E", "M", "W", "R")}
-    env = {n: v for n, v in bindings.items() if n not in rels and n not in sets}
-    for kind, term, src in model.assertions:
-        rel = _eval_term(term, rels, sets, env, cfg)
-        ok = (
-            rel.is_acyclic()
-            if kind == "acyclic"
-            else rel.is_irreflexive() if kind == "irreflexive" else rel.is_empty()
-        )
-        if not ok:
-            return False, (kind, src)
-    return True, None
+    sets = {n: bindings[n] for n in SET_NAMES}
+    rels = {n: v for n, v in bindings.items() if n not in sets}
+    compiled = compile_model(model, cfg)
+    _, env = _rows_env(rels, sets)
+    compiled.hoist(env)
+    violated = compiled.violation(env)
+    return violated is None, violated
 
 
 def check_srf_fence(x: CandidateExecution) -> bool:

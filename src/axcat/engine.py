@@ -48,6 +48,12 @@ control-flow check reduces to one test per branch the walk passed through
 (its value agrees with the chosen outcome), and no fence can be transient:
 `_walk_thread` ends every transient run before one.  `check_fences`
 therefore runs on no candidate here.
+
+The model is compiled once per check and bound once per control vector
+(`catlang.compile_model`, `CompiledModel.bind`), so everything in it that
+reads no data relation is evaluated before the vector's first candidate;
+each candidate then only builds its rf, co, rfe, srf and loc rows and runs
+the rest.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from .events import (
     Event,
     MissingOutcome,
     _walk_thread,
-    base_relations,
+    base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
     coherence,
     propagate_values,
@@ -204,10 +210,10 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
     init_vals = _initial_values(program, domain_bits)
 
     for skeleton in _skeletons(unrolled, cfg):
-        load_ids = [e.id for e in skeleton.loads()]
-        store_ids = [e.id for e in skeleton.stores()]
+        load_ids = skeleton.structure.loads
+        store_ids = skeleton.structure.stores
         committed_stores = [s for s in store_ids if s in skeleton.committed]
-        source_options = ["init"] + store_ids
+        source_options = ["init", *store_ids]
 
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
@@ -247,7 +253,7 @@ def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
     propagation whatever the coherence order and the inputs."""
     secret = skeleton.program.secret_addr
     load_addr = _fixed_address(load, secret, mask)
-    declared = {e.addr for e in skeleton.init_events()}
+    declared = skeleton.structure.init_by_addr
     sources = ["init"] if load_addr is None or load_addr in declared else []
     for store in skeleton.stores():
         forwards = store.thread == load.thread and store.label < load.label
@@ -347,8 +353,8 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
     """The skeleton's value-consistent candidates, in the blind order."""
     inputs = sorted(skeleton.program.input_locations)
     init_vals = _initial_values(skeleton.program, domain_bits)
-    load_ids = [e.id for e in skeleton.loads()]
-    committed_stores = [e.id for e in skeleton.stores() if e.id in skeleton.committed]
+    load_ids = skeleton.structure.loads
+    committed_stores = [s for s in skeleton.structure.stores if s in skeleton.committed]
     input_vectors = [
         dict(zip(inputs, v))
         for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
@@ -370,10 +376,15 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
                 yield y
 
 
-def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):
+def candidate_consistent(
+    x: CandidateExecution, model: CatModel, cfg: SpecConfig, bound=None
+):
     """Run the full filter pipeline on a propagated candidate.
 
     Returns (consistent, reason): reason names the first failed filter.
+    `bound` is `catlang.compile_model(model, cfg).bind(x.structure)`, which
+    `check_isolation` computes once per control vector; it is computed here
+    when omitted.
     """
     if x.valuation is None:
         return False, f"values: {x.inconsistency}"
@@ -387,8 +398,9 @@ def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig
         return False, "speculation window"
     if cfg.psf and not catlang.check_srf_fence(x):
         return False, "srf across fence"
-    bindings = catlang.evaluate(model, base_relations(x), cfg)
-    ok, violated = catlang.check_assertions(model, bindings, cfg)
+    if bound is None:
+        bound = catlang.compile_model(model, cfg).bind(x.structure)
+    ok, violated = bound.check(x)
     if not ok:
         return False, f"assertion {violated[0]} {violated[1]}"
     return True, None
@@ -421,6 +433,7 @@ def check_isolation(
             f"forwarding is disabled"
         )
     _check_domain(program, domain_bits)
+    compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
     generated = 0
     filtered = 0
@@ -428,9 +441,10 @@ def check_isolation(
         # the window depends only on the transient set: one test per vector
         if not check_window(skeleton, cfg.window):
             continue
+        bound = compiled.bind(skeleton.structure)
         for x in _search(skeleton, domain_bits):
             generated += 1
-            ok, _ = candidate_consistent(x, model, cfg)
+            ok, _ = candidate_consistent(x, model, cfg, bound)
             if not ok:
                 filtered += 1
                 continue

@@ -6,7 +6,8 @@ continuation opened by a mispredicted branch), together with a reads-from
 choice per load, a coherence order over committed stores, and the initial
 values of attacker-controlled locations.  The control-flow choice alone
 fixes the events and a `Skeleton`: each thread's events in program order,
-the `po`, `fence` and `addr` relations, the event classes, and the branch
+the ids of the loads, stores, instruction events and init events, the
+`po`, `fence` and `addr` relations, the event classes, and the branch
 outcomes the candidate's values must confirm.  `build_events` computes it
 once per control vector and every candidate on those events shares it by
 reference.  Whether a candidate represents a behavior the hardware model
@@ -240,6 +241,10 @@ class Skeleton:
 
     threads: tuple  # per thread id: its instruction event ids in label order
     branches: tuple
+    instructions: tuple  # instruction event ids, in id order
+    loads: tuple  # load event ids, in id order
+    stores: tuple  # store event ids (committed and transient), in id order
+    init_by_addr: MappingProxyType  # declared address -> its init event id
     po: Relation
     fence: Relation
     addr: Relation
@@ -273,16 +278,16 @@ class CandidateExecution:
         return self.committed | self.transient
 
     def instruction_events(self) -> list[Event]:
-        return [e for e in self.events if not e.is_init()]
+        return [self.events[i] for i in self.structure.instructions]
 
     def init_events(self) -> list[Event]:
-        return [e for e in self.events if e.is_init()]
+        return [self.events[i] for i in self.structure.init_by_addr.values()]
 
     def loads(self) -> list[Event]:
-        return [e for e in self.events if e.kind == "load"]
+        return [self.events[i] for i in self.structure.loads]
 
     def stores(self) -> list[Event]:
-        return [e for e in self.events if e.kind == "store"]
+        return [self.events[i] for i in self.structure.stores]
 
     def threads(self) -> list[list[Event]]:
         """Each thread's instruction events in program order."""
@@ -475,6 +480,10 @@ def _skeleton(
     return Skeleton(
         threads=threads,
         branches=branches,
+        instructions=tuple(e.id for e in events if not e.is_init()),
+        loads=tuple(e.id for e in events if e.kind == "load"),
+        stores=tuple(e.id for e in events if e.kind == "store"),
+        init_by_addr=MappingProxyType({e.addr: e.id for e in events if e.is_init()}),
         po=Relation.of(po_pairs),
         fence=Relation.of(fence_pairs),
         addr=Relation.of(addr_pairs),
@@ -506,16 +515,15 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     """
     mask = (1 << bits) - 1
     program = x.program
-    init_by_addr = {e.addr: e for e in x.events if e.is_init()}
+    init_by_addr = x.structure.init_by_addr
 
-    for e in x.events:
-        if e.is_init():
-            if e.addr not in init_vals:
-                return _fail(x, f"no initial value for address {e.addr}")
-            e.val = init_vals[e.addr]
-        else:
-            e.addr = None
-            e.val = None
+    for addr, eid in init_by_addr.items():
+        if addr not in init_vals:
+            return _fail(x, f"no initial value for address {addr}")
+        x.events[eid].val = init_vals[addr]
+    for e in x.instruction_events():
+        e.addr = None
+        e.val = None
 
     threads = x.threads()
 
@@ -525,9 +533,9 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
             return None
         if choice == "init":
             addr = load.addr if addr is None else addr
-            if addr is None:
+            if addr not in init_by_addr:
                 return None
-            return init_by_addr.get(addr)
+            return x.events[init_by_addr[addr]]
         return x.event(choice)
 
     for _ in range(len(x.events) + 2):
@@ -641,16 +649,16 @@ def coherence(x: CandidateExecution) -> Relation:
     """The coherence relation of a candidate with resolved store addresses:
     per address, init first, then the committed stores in the sequence of
     the global `co_order`."""
-    init_by_addr = {e.addr: e.id for e in x.events if e.is_init()}
     by_addr: dict[int, list[int]] = {}
     for sid in x.co_order:
-        by_addr.setdefault(x.event(sid).addr, []).append(sid)
-    co_pairs = []
-    for addr, sids in sorted(by_addr.items()):
+        by_addr.setdefault(x.events[sid].addr, []).append(sid)
+    pairs = set()
+    for addr, sids in by_addr.items():
+        init = x.structure.init_by_addr[addr]
         for i, sid in enumerate(sids):
-            co_pairs.append((init_by_addr[addr], sid))
-            co_pairs.extend((sid, later) for later in sids[i + 1:])
-    return Relation.of(co_pairs)
+            pairs.add((init, sid))
+            pairs.update((sid, later) for later in sids[i + 1:])
+    return Relation(frozenset(pairs))
 
 
 def _fail(x: CandidateExecution, reason: str):

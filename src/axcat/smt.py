@@ -631,17 +631,8 @@ class _Emitter:
             return
         self.say("derived relations (least fixpoints)")
         names = {n for n, _ in defs}
-        deps = {n: catlang._refs(t) & names for n, t in defs}
-        reach: dict[str, set] = {}
-        for nm in deps:
-            seen: set = set()
-            stack = list(deps[nm])
-            while stack:
-                m = stack.pop()
-                if m not in seen:
-                    seen.add(m)
-                    stack.extend(deps.get(m, ()))
-            reach[nm] = seen
+        deps = {n: catlang._names(t) & names for n, t in defs}
+        reach = catlang._reachable(deps)
         recursive = {nm for nm in deps if nm in reach[nm]}
         rankw = max(2, (self.n * self.n + 1).bit_length() + 1)
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 
 import pytest
 
@@ -121,6 +122,32 @@ def test_custom_model_path(tmp_path, capsys):
     code, record = run(RunSpec(program=corpus_file("pht-01"), model=str(custom),
                                mode="traditional"))
     assert code == 0 and record["model"] == "my-inorder"
+    capsys.readouterr()
+
+
+def test_huge_store_buffer_bound_is_fast(capsys):
+    # win = [W];po;([W];po)^{<=w'-1};[R] takes O(log w') compositions
+    verdicts = []
+    for buffer in (100_000_000, 8):
+        started = time.perf_counter()
+        code, record = run(RunSpec(program=corpus_file("stl-02"), model="stl",
+                                   mode="traditional", buffer=buffer))
+        assert time.perf_counter() - started < 5
+        verdicts.append((code, record["outcome"]))
+    assert verdicts[0] == verdicts[1]
+    capsys.readouterr()
+
+
+def test_huge_literal_bound_in_custom_model(tmp_path, capsys):
+    custom = tmp_path / "deep.cat"
+    custom.write_text("com = co | rf | (rf^-1;co)\n"
+                      "far = po^{<=100000000}\n"
+                      "acyclic com | po | far\n")
+    started = time.perf_counter()
+    code, record = run(RunSpec(program=corpus_file("pht-01"), model=str(custom),
+                               mode="traditional"))
+    assert time.perf_counter() - started < 5
+    assert code == 0 and record["outcome"] == "safe"
     capsys.readouterr()
 
 

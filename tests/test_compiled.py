@@ -1,0 +1,127 @@
+"""The compiled cat model against the oracle's naive evaluator.
+
+Every value-consistent candidate of seeded `tests/generator.py` programs is
+checked by the compiled model (bound once per control vector) and by
+`reference._naive_consistent` on the candidate's base relations; the
+verdicts must agree.  The public `evaluate`/`check_assertions` path must give
+the same verdict and the same first violated assertion.
+"""
+
+import random
+
+import pytest
+
+from axcat import SpecConfig, load_model, parse_program, unroll
+from axcat.catlang import (
+    BASE_RELATIONS,
+    DATA_RELATIONS,
+    CatError,
+    _data_rows,
+    _groups,
+    check_assertions,
+    compile_model,
+    evaluate,
+    parse_cat,
+    rows_of,
+)
+from axcat.engine import _search, _skeletons
+from axcat.events import base_relations
+from generator import random_program_source
+from reference import _naive_consistent
+
+PROGRAMS = 600
+
+# every operator and class, the `add` alias, a recursive group of three
+# names, and all three assertion kinds
+EVERY_OPERATOR = parse_cat(
+    """\
+com = co | rf | (rf^-1;co)
+hb = ppo | rfe | (hb;hb)
+ppo = (po & ((L * M) | (S * W))) | fence | addr | sync
+sync = (hb;[W];po) & add
+far = ([W];po)^{<=w'-1};[R] | (po;[M])^{<=w-2} | po^{<=1}
+reach = ((com \\ [E])^+ & loc) | (far^-1)^*
+irreflexive hb;com
+acyclic com | far | (reach & po)
+empty ((rf^-1;rf) \\ [E]) & addr
+""",
+    "every-operator",
+)
+
+MODELS = [load_model(name) for name in ("inorder", "stl", "psf", "tso", "tso-mcu")]
+MODELS.append(EVERY_OPERATOR)
+
+
+def candidates(seed):
+    """(model, cfg, bound model, candidate) for every value-consistent
+    candidate of the seed's program, the model rotating with the seed."""
+    rng = random.Random(seed)
+    program = unroll(parse_program(random_program_source(rng)), 1)
+    model = MODELS[seed % len(MODELS)]
+    cfg = SpecConfig(
+        mode=rng.choice(("traditional", "speculative")),
+        window=rng.choice((2, 3, 8)),
+        buffer=rng.choice((1, 2, 3)),
+        psf="srf" in model.base_names(),
+    )
+    compiled = compile_model(model, cfg)
+    for skeleton in _skeletons(program, cfg):
+        bound = compiled.bind(skeleton.structure)
+        for x in _search(skeleton, 2):
+            yield model, cfg, bound, x
+
+
+def test_compiled_verdicts_match_the_oracle():
+    checked = {model.name: [0, 0] for model in MODELS}  # consistent, not
+    violated_kinds = set()
+    for seed in range(PROGRAMS):
+        for model, cfg, bound, x in candidates(seed):
+            base = base_relations(x)
+            rels = {n: base[n].pairs for n in BASE_RELATIONS}
+            sets = {n: base[n] for n in ("E", "M", "W", "R")}
+            want = _naive_consistent(model, rels, sets, {"w": cfg.window, "w'": cfg.buffer})
+            ok, violated = bound.check(x)
+            assert ok == want, (seed, model.name, x.choices)
+            assert check_assertions(model, evaluate(model, base, cfg), cfg) == (ok, violated)
+            checked[model.name][0 if ok else 1] += 1
+            if violated:
+                violated_kinds.add((model.name, violated[0]))
+    for name, (consistent, inconsistent) in checked.items():
+        assert consistent >= 20 and inconsistent >= 20, (name, checked[name])
+    assert {kind for name, kind in violated_kinds if name == "every-operator"} == {
+        "irreflexive", "acyclic", "empty"
+    }
+
+
+def test_candidate_rows_equal_base_relations():
+    for seed in range(0, PROGRAMS, 5):
+        for _model, _cfg, _bound, x in candidates(seed):
+            base = base_relations(x)
+            index = range(len(x.events))
+            rows = _data_rows(x, DATA_RELATIONS)
+            assert rows == {n: rows_of(base[n].pairs, index) for n in DATA_RELATIONS}
+
+
+def test_definitions_are_grouped_in_dependency_order():
+    model = parse_cat("a = b | po\nc = c;a\nb = rf | (d;po)\nd = b & loc\n")
+    assert _groups(model.definitions) == [("b", "d"), ("a",), ("c",)]
+
+
+def test_static_part_is_evaluated_once_per_skeleton():
+    # stl's win and ppo read no data: the bound model holds them, and a
+    # candidate's check builds only the relations the model reads
+    stl = compile_model(load_model("stl"), SpecConfig(mode="traditional"))
+    assert [name for _, group in stl.static for name, _ in group] == ["win", "ppo"]
+    assert [name for _, group in stl.dynamic for name, _ in group] == ["com"]
+    assert stl.data == {"rf", "co"}
+
+
+def test_compile_errors_match_evaluation_errors():
+    model = parse_cat("a = po^{<=w-5}\n")
+    with pytest.raises(CatError, match=">= 0"):
+        compile_model(model, SpecConfig(window=2))
+    with pytest.raises(CatError, match="no configuration"):
+        compile_model(model, None)
+    assert compile_model(model, SpecConfig(window=5)) is compile_model(
+        model, SpecConfig(window=5)
+    )

@@ -2,6 +2,7 @@
 
 import random
 
+from axcat import catlang
 from axcat.events import Relation
 
 TRIALS = 1_000
@@ -83,3 +84,64 @@ def test_acyclicity_agrees_with_closure_irreflexivity():
     for rng, ids in universes(8):
         r = random_relation(rng, ids)
         assert r.is_acyclic() == r.closure().is_irreflexive()
+
+
+# ---------------------------------------------------------------------------
+# The bitset kernel of compiled models: row i of a relation over events
+# 0..n-1 is an int whose bit j is the pair (i, j).
+
+
+def as_rows(r, ids):
+    return catlang.rows_of(r.pairs, range(len(ids)))
+
+
+def random_subset(rng, ids):
+    return [e for e in ids if rng.random() < 0.5]
+
+
+def test_bitset_ops_equal_relation_ops():
+    for rng, ids in universes(9):
+        r, s = random_relation(rng, ids), random_relation(rng, ids)
+        a, b = as_rows(r, ids), as_rows(s, ids)
+        universe = catlang.identity_rows(ids, range(len(ids)))
+
+        def back(rows):
+            return catlang.relation_of(rows, ids)
+
+        assert back(a) == r
+        assert back(catlang.union_rows(a, b)) == r | s
+        assert back(catlang.inter_rows(a, b)) == r & s
+        assert back(catlang.diff_rows(a, b)) == r - s
+        assert back(catlang.compose_rows(a, b)) == r.compose(s)
+        assert back(catlang.inverse_rows(a)) == r.inverse()
+        assert back(catlang.plus_rows(a)) == r.closure()
+        assert back(catlang.star_rows(a, universe)) == r.rstar(ids)
+        k = rng.randint(0, 6)
+        acc = r
+        for _ in range(k):
+            acc = r.compose(acc)
+        assert back(catlang.power_rows(a, k)) == acc
+        assert catlang.is_acyclic_rows(a) == r.is_acyclic()
+        assert catlang.is_irreflexive_rows(a) == r.is_irreflexive()
+        assert catlang.is_empty_rows(a) == r.is_empty()
+        # no operation changed its operands
+        assert back(a) == r and back(b) == s
+
+
+def test_bitset_classes_equal_relation_classes():
+    for rng, ids in universes(10):
+        x, y = random_subset(rng, ids), random_subset(rng, ids)
+        index = range(len(ids))
+        ix, iy = catlang.identity_rows(x, index), catlang.identity_rows(y, index)
+        assert catlang.relation_of(ix, ids) == Relation.identity(x)
+        assert catlang.relation_of(catlang.cross_rows(ix, iy), ids) == Relation.cartesian(x, y)
+
+
+def test_power_by_squaring_matches_repeated_composition():
+    for rng, ids in universes(11):
+        r = random_relation(rng, ids)
+        k = rng.randint(0, 40)
+        acc = r
+        for _ in range(k):
+            acc = r.compose(acc)
+        assert catlang.relation_of(catlang.power_rows(as_rows(r, ids), k), ids) == acc

@@ -20,8 +20,7 @@ from axcat import (
     parse_cat,
     parse_program,
 )
-from axcat import catlang
-from axcat.catlang import CatError
+from axcat.catlang import CatError, CatModel
 from axcat.engine import EngineError
 from smt_eval import Script
 
@@ -123,14 +122,13 @@ def witness_assignment(x, model, cfg, bits, script: Script):
 
     # order variables for acyclicity assertions: topological positions of
     # each assertion's relation over the candidate's events
-    bindings = evaluate(model, base_relations(x), cfg)
-    rels = {n: bindings[n] for n in catlang.BASE_RELATIONS}
-    sets = {n: bindings[n] for n in ("E", "M", "W", "R")}
-    env = {n: v for n, v in bindings.items() if n not in rels and n not in sets}
+    base = base_relations(x)
     for ai, (kind, term, _src) in enumerate(model.assertions):
         if kind != "acyclic":
             continue
-        rel = catlang._eval_term(term, rels, sets, env, cfg)
+        # the assertion's relation, as an extra definition of the model
+        probe = CatModel(model.name, model.definitions + (("probe term", term),), ())
+        rel = evaluate(probe, base, cfg)["probe term"]
         ids = sorted(e.id for e in x.events)
         succs = {i: [] for i in ids}
         indeg = {i: 0 for i in ids}
