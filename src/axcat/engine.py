@@ -18,7 +18,10 @@ vector is dropped when a transient run exceeds the speculation window.  It
 then chooses reads-from sources depth first over the loads in id order,
 offering each load its sources in the blind order ("init", then the
 stores) minus those that fail value propagation for every coherence order
-and every input:
+and every input.  Only a candidate that reads the secret can be a witness,
+so a reads-from vector must also have some load read "init" whose address
+reads a register or is the secret's; a prefix is dropped as soon as no
+later load can.  The sources dropped per load:
 
   * a transient store, unless the load is a later transient load of the
     store's thread;
@@ -34,14 +37,15 @@ and every input:
     store's value.  A cycle stays None at the propagation fixpoint.
 
 Values do not depend on the coherence order, so each complete reads-from
-vector is propagated once per input vector, and only the passing inputs are
-combined with the coherence orders.  The directed candidates are exactly
-the blind product's value-consistent candidates whose skeleton fits the
-window, in the blind order: a subsequence of it.  They pass through the
+vector is propagated once per input vector, and only the inputs whose
+candidate is value-consistent and reads the secret are combined with the
+coherence orders.  The directed candidates are exactly the blind product's
+value-consistent, secret-reading candidates whose skeleton fits the window,
+in the blind order: a subsequence of it.  They pass through the
 control-flow and window constraints and the model's assertions; the first
-surviving candidate that reads the secret becomes the witness, the same one
-the blind product would give.  When no violation exists the verdict is
-Safe, or Unknown if loops could not be fully unrolled.
+surviving candidate becomes the witness, the same one the blind product
+would give.  When no violation exists the verdict is Safe, or Unknown if
+loops could not be fully unrolled.
 
 The skeleton already follows the chosen outcomes and predictions, so the
 control-flow check reduces to one test per branch the walk passed through
@@ -49,11 +53,11 @@ control-flow check reduces to one test per branch the walk passed through
 `_walk_thread` ends every transient run before one.  `check_fences`
 therefore runs on no candidate here.
 
-The model is compiled once per check and bound once per control vector
-(`catlang.compile_model`, `CompiledModel.bind`), so everything in it that
-reads no data relation is evaluated before the vector's first candidate;
-each candidate then only builds its rf, co, rfe, srf and loc rows and runs
-the rest.
+The model is compiled once per check and bound at the first candidate of
+each control vector (`catlang.compile_model`, `CompiledModel.bind`), so
+everything in it that reads no data relation is evaluated once per vector,
+and a vector without candidates is never bound; each candidate then only
+builds its rf, co, rfe, srf and loc rows and runs the rest.
 """
 
 from __future__ import annotations
@@ -104,9 +108,9 @@ class Verdict:
     """The outcome of `check_isolation`.
 
     `generated` counts the candidates the directed search offered before the
-    verdict was reached: value-consistent candidates of control vectors that
-    fit the speculation window, not the blind product.  `filtered` counts
-    those that `candidate_consistent` rejected.
+    verdict was reached: value-consistent candidates that read the secret,
+    of control vectors that fit the speculation window, not the blind
+    product.  `filtered` counts those that `candidate_consistent` rejected.
     """
 
     outcome: str  # "safe" | "unsafe" | "unknown"
@@ -316,18 +320,28 @@ def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
 
 
 def _rf_vectors(skeleton: CandidateExecution, mask: int):
-    """Reads-from vectors over the skeleton's loads (in id order), in the
-    blind lexicographic order, minus every vector that a static rule or a
-    must-dependency cycle dooms.  Iterative depth-first search."""
+    """Reads-from vectors over the skeleton's loads (in id order) in which
+    some load that may read the secret reads init, in the blind
+    lexicographic order, minus every vector that a static rule or a
+    must-dependency cycle dooms.  Iterative depth-first search; a prefix is
+    dropped once no later load can still read the secret."""
     loads = skeleton.loads()
-    if not loads:
-        yield ()
-        return
+    secret = skeleton.program.secret_addr
     options = [_sources(skeleton, load, mask) for load in loads]
+    # goal[i]: load i may read the secret when it reads init (its address
+    # reads a register, or is the secret's)
+    goal = [_fixed_address(load, secret, mask) in (None, secret) for load in loads]
+    # reachable[i]: some load at i or later may still read the secret
+    reachable = [False] * (len(loads) + 1)
+    for i in reversed(range(len(loads))):
+        reachable[i] = goal[i] or reachable[i + 1]
+    if not reachable[0]:
+        return
     deps = _must_dependencies(skeleton)
     rf_needs: dict[int, int] = {}  # value node of a load -> node its source needs
     chosen: list = [None] * len(loads)
     cursor = [0] * len(loads)
+    hit = [False] * (len(loads) + 1)  # hit[i]: the first i choices read it
     depth = 0
     while depth >= 0:
         load = loads[depth]
@@ -338,6 +352,9 @@ def _rf_vectors(skeleton: CandidateExecution, mask: int):
             continue
         source = options[depth][cursor[depth]]
         cursor[depth] += 1
+        hit[depth + 1] = hit[depth] or (goal[depth] and source == "init")
+        if not (hit[depth + 1] or reachable[depth + 1]):
+            continue
         needs = _address(load.id) if source == "init" else _value(source)
         if _reaches(needs, _value(load.id), deps, rf_needs):
             continue
@@ -350,7 +367,10 @@ def _rf_vectors(skeleton: CandidateExecution, mask: int):
 
 
 def _search(skeleton: CandidateExecution, domain_bits: int):
-    """The skeleton's value-consistent candidates, in the blind order."""
+    """The skeleton's value-consistent candidates that read the secret, in
+    the blind order.  Whether a candidate reads the secret depends on its
+    reads-from choice and its values, not on the coherence order, so the
+    test runs once per (rf, inputs) pair."""
     inputs = sorted(skeleton.program.input_locations)
     init_vals = _initial_values(skeleton.program, domain_bits)
     load_ids = skeleton.structure.loads
@@ -365,7 +385,7 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
         for chosen_inputs in input_vectors:
             x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs)
             propagate_values(x, x.init_vals, domain_bits)
-            if x.valuation is not None:
+            if x.valuation is not None and violating_load(x) is not None:
                 passing.append(x)
         if not passing:
             continue
@@ -441,21 +461,24 @@ def check_isolation(
         # the window depends only on the transient set: one test per vector
         if not check_window(skeleton, cfg.window):
             continue
-        bound = compiled.bind(skeleton.structure)
+        bound = None  # bound at the vector's first candidate
         for x in _search(skeleton, domain_bits):
             generated += 1
+            if bound is None:
+                bound = compiled.bind(skeleton.structure)
             ok, _ = candidate_consistent(x, model, cfg, bound)
             if not ok:
                 filtered += 1
                 continue
-            if violating_load(x) is not None:
-                return Verdict(
-                    outcome="unsafe",
-                    witness=x,
-                    bound=k,
-                    generated=generated,
-                    filtered=filtered,
-                )
+            # every candidate reads the secret: the first consistent one
+            # is the witness
+            return Verdict(
+                outcome="unsafe",
+                witness=x,
+                bound=k,
+                generated=generated,
+                filtered=filtered,
+            )
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
     return Verdict(
         outcome=outcome, witness=None, bound=k, generated=generated, filtered=filtered

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from axcat import SpecConfig, load_model, parse_program, unroll
+from axcat import SpecConfig, enumerate_candidates, load_model, parse_program
 from axcat.catlang import (
     BASE_RELATIONS,
     DATA_RELATIONS,
@@ -24,7 +24,6 @@ from axcat.catlang import (
     parse_cat,
     rows_of,
 )
-from axcat.engine import _search, _skeletons
 from axcat.events import base_relations
 from generator import random_program_source
 from reference import _naive_consistent
@@ -54,9 +53,10 @@ MODELS.append(EVERY_OPERATOR)
 
 def candidates(seed):
     """(model, cfg, bound model, candidate) for every value-consistent
-    candidate of the seed's program, the model rotating with the seed."""
+    candidate of the seed's program (k=1, two bits) in the blind
+    enumeration, the model rotating with the seed."""
     rng = random.Random(seed)
-    program = unroll(parse_program(random_program_source(rng)), 1)
+    program = parse_program(random_program_source(rng))
     model = MODELS[seed % len(MODELS)]
     cfg = SpecConfig(
         mode=rng.choice(("traditional", "speculative")),
@@ -65,10 +65,14 @@ def candidates(seed):
         psf="srf" in model.base_names(),
     )
     compiled = compile_model(model, cfg)
-    for skeleton in _skeletons(program, cfg):
-        bound = compiled.bind(skeleton.structure)
-        for x in _search(skeleton, 2):
-            yield model, cfg, bound, x
+    structure = bound = None
+    for x in enumerate_candidates(program, cfg, 1, 2):
+        if x.valuation is None:
+            continue
+        if x.structure is not structure:
+            structure = x.structure
+            bound = compiled.bind(structure)
+        yield model, cfg, bound, x
 
 
 def test_compiled_verdicts_match_the_oracle():

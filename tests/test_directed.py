@@ -17,6 +17,7 @@ from axcat import (
     propagate_values,
     unroll,
 )
+from axcat.catlang import CompiledModel
 from axcat.engine import _search, _skeletons, candidate_consistent, violating_load
 from axcat.events import secret_sentinel
 from axcat.speculation import check_window
@@ -41,10 +42,13 @@ def directed(program, cfg, k, bits):
     ]
 
 
+def reads_secret(x):
+    return x.valuation is not None and violating_load(x) is not None
+
+
 def blind(program, cfg, k, bits):
-    return [
-        x for x in enumerate_candidates(program, cfg, k, bits) if x.valuation is not None
-    ]
+    """The value-consistent blind candidates that read the secret."""
+    return [x for x in enumerate_candidates(program, cfg, k, bits) if reads_secret(x)]
 
 
 def signature(x):
@@ -53,16 +57,17 @@ def signature(x):
 
 def blind_verdict(program, model, cfg, k, bits):
     """What the blind enumeration decides, counted as the directed engine
-    counts: value-consistent candidates of skeletons within the window."""
+    counts: value-consistent candidates that read the secret, of skeletons
+    within the window."""
     generated = filtered = 0
     for x in enumerate_candidates(program, cfg, k, bits):
-        if x.valuation is None or not check_window(x, cfg.window):
+        if not reads_secret(x) or not check_window(x, cfg.window):
             continue
         generated += 1
         ok, _ = candidate_consistent(x, model, cfg)
         if not ok:
             filtered += 1
-        elif violating_load(x) is not None:
+        else:
             return "unsafe", x.choices, generated, filtered
     outcome = "unknown" if unroll(program, k).unroll_incomplete else "safe"
     return outcome, None, generated, filtered
@@ -74,12 +79,22 @@ def verdict(program, model, cfg, k, bits):
     return v.outcome, choices, v.generated, v.filtered
 
 
-@pytest.mark.parametrize("base", range(0, 1200, 200))
-def test_directed_search_is_the_value_consistent_blind_subsequence(base):
+def with_probe(src):
+    """The program plus a thread that reads the secret when in0 is 1.  Few
+    random programs read the secret; with the probe, the search's rules
+    still decide which of the other loads' sources it offers."""
+    return src + f"thread {src.count('thread ')}:\n1: load r0, in0\n2: load r1, A + r0\n"
+
+
+def blind_mismatches(seeds, probe=False):
+    """Seeds whose directed candidates or verdict differ from the blind
+    enumeration's secret-reading, value-consistent subsequence."""
     mismatches = []
-    for seed in range(base, base + 200):
+    for seed in seeds:
         rng = random.Random(seed)
         src = random_program_source(rng)
+        if probe:
+            src = with_probe(src)
         program = parse_program(src)
         model_name, mode, always = ROTATION[seed % len(ROTATION)]
         model = _MODELS[model_name]
@@ -96,7 +111,21 @@ def test_directed_search_is_the_value_consistent_blind_subsequence(base):
             mismatches.append((seed, "candidates", src))
         elif verdict(program, model, cfg, k, 2) != blind_verdict(program, model, cfg, k, 2):
             mismatches.append((seed, "verdict", src))
-    assert not mismatches, "\n".join(f"seed {s}: {what}\n{src}" for s, what, src in mismatches)
+    return "\n".join(f"seed {s}: {what}\n{src}" for s, what, src in mismatches)
+
+
+@pytest.mark.parametrize("base", range(0, 1200, 200))
+def test_directed_search_is_the_value_consistent_blind_subsequence(base):
+    """The directed candidates are the secret-reading, value-consistent
+    blind subsequence, and decide the same verdict with the same counts."""
+    mismatches = blind_mismatches(range(base, base + 200))
+    assert not mismatches, mismatches
+
+
+@pytest.mark.parametrize("base", range(0, 400, 200))
+def test_directed_search_with_a_secret_probe(base):
+    mismatches = blind_mismatches(range(base, base + 200), probe=True)
+    assert not mismatches, mismatches
 
 
 _EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
@@ -121,7 +150,7 @@ _EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
 @pytest.mark.parametrize("mode", ["traditional", "speculative"])
 @pytest.mark.parametrize("psf", [False, True])
 def test_directed_search_edge_cases(body, mode, psf):
-    program = parse_program(_EDGE_LAYOUT + body)
+    program = parse_program(with_probe(_EDGE_LAYOUT + body))
     cfg = SpecConfig(mode=mode, psf=psf)
     got = [signature(x) for x in directed(program, cfg, 1, 3)]
     want = [signature(x) for x in blind(program, cfg, 1, 3)]
@@ -165,8 +194,10 @@ def test_corpus_witness_matches_blind_enumeration(program, exp):
 
 
 def test_directed_candidates_share_their_skeleton():
+    # few random programs read the secret: 3000 seeds give about 1200
+    # candidates
     shared = 0
-    for seed in range(200):
+    for seed in range(3000):
         rng = random.Random(seed)
         program = parse_program(random_program_source(rng))
         cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
@@ -204,3 +235,34 @@ def test_corpus_witnesses_rebuild_to_the_same_base_relations():
         assert y.structure is not x.structure
         assert base_relations(y) == base_relations(x)
     assert unsafe == 7
+
+
+def test_program_that_cannot_address_the_secret_offers_no_candidate(monkeypatch):
+    """Every load address is register-free and not the secret's: no
+    candidate is offered and no control vector binds the model."""
+    program = parse_program(
+        _EDGE_LAYOUT + "1: load r0, in0\n2: beqz r0, 4\n3: load r1, A\n4: load r2, B\n"
+    )
+    binds = []
+    bind = CompiledModel.bind
+    monkeypatch.setattr(
+        CompiledModel, "bind", lambda self, s: binds.append(s) or bind(self, s)
+    )
+    for mode in ("traditional", "speculative"):
+        v = check_isolation(program, _MODELS["inorder"], SpecConfig(mode=mode), 2, 3)
+        assert (v.outcome, v.generated, v.filtered) == ("safe", 0, 0)
+    assert binds == []
+
+
+def test_generated_counts_the_secret_readers_before_the_witness():
+    program = parse_program((corpus_dir() / "stl-01.litmus").read_text())
+    model = _MODELS["stl"]
+    cfg = SpecConfig(mode="traditional", buffer=2)
+    v = check_isolation(program, model, cfg, 2, 3)
+    assert v.outcome == "unsafe"
+    before = 0
+    for x in enumerate_candidates(program, cfg, 2, 3):
+        if x.choices == v.witness.choices:
+            break
+        before += reads_secret(x) and check_window(x, cfg.window)
+    assert v.generated == before + 1
