@@ -29,13 +29,14 @@ bitset rows: a relation over the events 0..n-1 is a list of n ints, and bit
 j of row i is the pair (i, j).  Union, intersection and difference work row
 by row, composition ORs the rows of successors, `r^{<=k}` takes O(log k)
 compositions by repeated squaring, and closure and acyclicity run on rows.
-`CompiledModel.bind(skeleton)` evaluates, once per control vector, every
+`CompiledModel.bind(skeleton)` takes the skeleton's `po`, `fence` and
+`addr` rows as they are and evaluates, once per control vector, every
 definition, subterm and assertion that names no data relation (rf, co,
 loc, srf, rfe): `win` and `ppo` in stl, `po-tso` in tso, the `[X]` and
-`X * Y` classes.  `BoundModel.check(x)` then builds only the data rows of
-the candidate and runs the remaining definitions and the assertions.  The
-public `evaluate` and `check_assertions` convert Relations to rows and back
-at the boundary and run the same closures.
+`X * Y` classes.  `BoundModel.check(x)` then takes from `events.data_rows`
+only the data rows the model reads and runs the remaining definitions and
+the assertions.  The public `evaluate` and `check_assertions` convert
+Relations to rows and back at the boundary and run the same closures.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .events import CandidateExecution, Relation, Skeleton
+from .events import (
+    DATA_RELATIONS,
+    CandidateExecution,
+    Skeleton,
+    data_rows,
+    relation_of,
+)
 
 BASE_RELATIONS = ("po", "fence", "rf", "co", "loc", "addr", "srf", "rfe")
 _BASE_ALIASES = {"add": "loc"}
@@ -416,13 +423,6 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
 # of [X].  No operation mutates its operands.
 
 
-def _bits(row: int):
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
-
-
 def union_rows(a: list, b: list) -> list:
     return list(map(operator.or_, a, b))
 
@@ -541,19 +541,9 @@ def identity_rows(members, index: dict) -> list:
     return rows
 
 
-def relation_of(rows: list, ids: list) -> Relation:
-    """The Relation of `rows`, whose row i is the event `ids[i]`."""
-    return Relation(
-        frozenset((ids[i], ids[j]) for i, row in enumerate(rows) for j in _bits(row))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Compiled models
 
-# The base relations that depend on a candidate's data; the rest (po, fence,
-# addr and the event classes) are fixed by the control vector's skeleton.
-DATA_RELATIONS = frozenset({"rf", "co", "loc", "srf", "rfe"})
 SET_NAMES = ("E", "M", "W", "R")
 
 _BINARY = {TUnion: union_rows, TInter: inter_rows, TDiff: diff_rows, TCompose: compose_rows}
@@ -676,7 +666,7 @@ class CompiledModel(NamedTuple):
     def bind(self, skeleton: Skeleton) -> "BoundModel":
         """Evaluate everything the skeleton fixes, once per control vector."""
         index = range(len(skeleton.sets["E"]))  # event ids are 0..n-1
-        env = {n: rows_of(getattr(skeleton, n).pairs, index) for n in ("po", "fence", "addr")}
+        env = {"po": skeleton.po, "fence": skeleton.fence, "addr": skeleton.addr}
         for n in SET_NAMES:
             env[n] = identity_rows(skeleton.sets[n], index)
         _run(self.static, env, self.name)
@@ -706,54 +696,10 @@ class BoundModel(NamedTuple):
 
         Returns (consistent, violated) as `check_assertions` does."""
         env = self.env.copy()
-        env.update(_data_rows(x, self.model.data))
+        env.update(data_rows(x, self.model.data))
         _run(self.model.dynamic, env, self.model.name)
         violated = self.model.violation(env)
         return violated is None, violated
-
-
-def _data_rows(x: CandidateExecution, needed: frozenset) -> dict:
-    """The rows of the data relations in `needed`, straight from the
-    candidate's reads-from choice, coherence order and valuation (the same
-    relations as `events.base_relations`)."""
-    s, events = x.structure, x.events
-    n = len(events)
-    rows = {}
-    if not needed.isdisjoint(("rf", "srf", "rfe")):
-        rf, srf, rfe = [0] * n, [0] * n, [0] * n
-        for load in s.loads:
-            e = events[load]
-            choice = x.rf_choice[load]
-            src = s.init_by_addr[e.addr] if choice == "init" else choice
-            bit = 1 << load
-            if x.psf:
-                srf[src] |= bit
-                if events[src].addr != e.addr:
-                    continue
-            rf[src] |= bit
-            if choice != "init" and events[src].thread != e.thread:
-                rfe[src] |= bit
-        rows.update(rf=rf, srf=srf, rfe=rfe)
-    if "co" in needed:
-        co = [0] * n
-        later: dict = {}  # address -> the stores after the one at hand
-        for sid in reversed(x.co_order):
-            addr = events[sid].addr
-            co[sid] = later.get(addr, 0)
-            later[addr] = co[sid] | 1 << sid
-        for addr, stores in later.items():
-            co[s.init_by_addr[addr]] = stores
-        rows["co"] = co
-    if "loc" in needed:
-        memory = (*s.init_by_addr.values(), *s.loads, *s.stores)
-        same: dict = {}
-        for eid in memory:
-            same[events[eid].addr] = same.get(events[eid].addr, 0) | 1 << eid
-        loc = [0] * n
-        for eid in memory:
-            loc[eid] = same[events[eid].addr]
-        rows["loc"] = loc
-    return rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -845,10 +791,15 @@ def check_assertions(model: CatModel, bindings: dict, cfg=None):
 
 
 def check_srf_fence(x: CandidateExecution) -> bool:
-    """Alias-predicted forwarding across a fence must agree on the address."""
-    if x.srf is None:
-        raise ValueError("candidate has no srf relation")
-    for w, r in x.srf:
-        if (w, r) in x.structure.fence and x.event(w).addr != x.event(r).addr:
+    """Alias-predicted forwarding across a fence must agree on the address:
+    no load reads a store before a fence at another address."""
+    if x.valuation is None:
+        raise ValueError("srf fence check needs a completed valuation")
+    fence, events = x.structure.fence, x.events
+    for load in x.structure.loads:
+        src = x.rf_choice[load]
+        if src == "init" or not fence[src] >> load & 1:
+            continue
+        if events[src].addr != events[load].addr:
             return False
     return True

@@ -62,7 +62,7 @@ def run(spec: RunSpec):
     try:
         program = parse_program(Path(spec.program).read_text())
         model = load_model(spec.model)
-    except (OSError, ParseError, CatError, FileNotFoundError) as exc:
+    except (OSError, ParseError, CatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR, {"error": str(exc)}
 

@@ -2,15 +2,16 @@
 
 Nodes are events labeled with their statement text; transient events are
 drawn dashed.  Edges show immediate program order, the reads-from choice
-(rfe for cross-thread pairs, srf under alias prediction), immediate
-coherence, and one dashed fence edge around each executed fence.  Init
-events appear only when an edge touches them.  Output is byte-stable for
-identical witnesses.
+(the rf, rfe and srf rows of `events.data_rows`: rfe for cross-thread
+pairs, srf under alias prediction), immediate coherence (per address, the
+init event and then its stores in `co_order`), and one dashed fence edge
+around each executed fence.  Init events appear only when an edge touches
+them.  Output is byte-stable for identical witnesses.
 """
 
 from __future__ import annotations
 
-from .events import SECRET_INIT, CandidateExecution, Event
+from .events import SECRET_INIT, CandidateExecution, Event, data_rows
 from .masm import stmt_to_text
 
 
@@ -40,31 +41,23 @@ def emit_witness_dot(x: CandidateExecution) -> str:
             if f.kind == "fence" and 0 < i < len(evs) - 1:
                 edges.append((evs[i - 1].id, evs[i + 1].id, "fence", "dashed"))
 
-    chosen = x.srf if x.psf else x.rf
-    base_label = "srf" if x.psf else "rf"
-    if chosen is not None:
-        for w, r in chosen:
-            we, re_ = events[w], events[r]
-            label = base_label
-            if (
-                not we.is_init()
-                and base_label == "rf"
-                and we.thread != re_.thread
-            ):
-                label = "rfe"
-            edges.append((w, r, label, "solid"))
+    if x.valuation is not None:
+        rows = data_rows(x, frozenset({"rf", "srf", "rfe"}))
+        kind = "srf" if x.psf else "rf"
+        for w, row in enumerate(rows[kind]):
+            for r in x.structure.loads:
+                if row >> r & 1:
+                    rfe = not x.psf and rows["rfe"][w] >> r & 1
+                    edges.append((w, r, "rfe" if rfe else kind, "solid"))
 
-    if x.co is not None:
-        # immediate coherence edges only: per address, successive stores
-        by_addr: dict[int, list[int]] = {}
-        for a, b in x.co:
-            by_addr.setdefault(events[a].addr, []).extend([a, b])
-        for addr in sorted(by_addr):
-            chain = sorted(set(by_addr[addr]), key=lambda i: sum(
-                1 for (p, q) in x.co if q == i and events[p].addr == addr
-            ))
-            for a, b in zip(chain, chain[1:]):
-                edges.append((a, b, "co", "solid"))
+        # immediate coherence edges only: per address, init and then its
+        # stores in coherence order
+        chains: dict[int, list[int]] = {}
+        for sid in x.co_order:
+            addr = events[sid].addr
+            chains.setdefault(addr, [x.structure.init_by_addr[addr]]).append(sid)
+        for chain in chains.values():
+            edges.extend((a, b, "co", "solid") for a, b in zip(chain, chain[1:]))
 
     used = {e.id for e in x.instruction_events()}
     for a, b, _, _ in edges:

@@ -57,7 +57,8 @@ The model is compiled once per check and bound at the first candidate of
 each control vector (`catlang.compile_model`, `CompiledModel.bind`), so
 everything in it that reads no data relation is evaluated once per vector,
 and a vector without candidates is never bound; each candidate then only
-builds its rf, co, rfe, srf and loc rows and runs the rest.
+builds the data rows the model reads (`events.data_rows`) and runs the
+rest.
 """
 
 from __future__ import annotations
@@ -68,14 +69,12 @@ from dataclasses import dataclass, replace
 from . import catlang
 from .catlang import CatModel
 from .events import (
-    SECRET_INIT,
     CandidateExecution,
     Event,
     MissingOutcome,
     _walk_thread,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
-    coherence,
     propagate_values,
     secret_sentinel,
 )
@@ -391,9 +390,7 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
             continue
         for co_order in itertools.permutations(committed_stores):
             for x in passing:
-                y = replace(x, co_order=co_order, choices={**x.choices, "co": co_order})
-                y.co = coherence(y)
-                yield y
+                yield replace(x, co_order=co_order, choices={**x.choices, "co": co_order})
 
 
 def candidate_consistent(
@@ -427,13 +424,14 @@ def candidate_consistent(
 
 
 def violating_load(x: CandidateExecution) -> int | None:
-    """Id of the first load reading the secret init event, if any."""
-    chosen = x.srf if x.psf else x.rf
-    if chosen is None:
+    """Id of the first load reading the secret init event, if any: a load
+    that reads init at the secret's address."""
+    if x.valuation is None:
         return None
-    for w, r in chosen:
-        if x.event(w).kind == SECRET_INIT:
-            return r
+    secret = x.program.secret_addr
+    for load in x.structure.loads:
+        if x.rf_choice[load] == "init" and x.events[load].addr == secret:
+            return load
     return None
 
 

@@ -14,6 +14,14 @@ reference.  Whether a candidate represents a behavior the hardware model
 allows is decided elsewhere; this module only builds candidates and
 computes the relations and the valuation they induce.
 
+Relations are bitset rows: a relation over the events 0..n-1 is n ints,
+and bit j of row i is the pair (i, j).  The skeleton holds `po`, `fence`
+and `addr` as rows.  A candidate stores only its choices; `data_rows` is
+the one place that derives the data relations `rf`, `srf`, `rfe`, `co`
+and `loc` from them and from the propagated addresses.  `Relation`, a set
+of pairs, is the public view: `base_relations` and the read-only `rf`,
+`co` and `srf` properties of a candidate convert rows with `relation_of`.
+
 Conventions baked in here:
 
   * one init event per declared address; the one at the secret address is
@@ -184,6 +192,18 @@ class Relation:
         return bool(self.pairs)
 
 
+def relation_of(rows, ids) -> Relation:
+    """The Relation of bitset `rows`, whose row i is the event `ids[i]`:
+    bit j of row i is the pair (ids[i], ids[j])."""
+    pairs = []
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            pairs.append((ids[i], ids[low.bit_length() - 1]))
+            row ^= low
+    return Relation(frozenset(pairs))
+
+
 # ---------------------------------------------------------------------------
 # Events
 
@@ -245,9 +265,9 @@ class Skeleton:
     loads: tuple  # load event ids, in id order
     stores: tuple  # store event ids (committed and transient), in id order
     init_by_addr: MappingProxyType  # declared address -> its init event id
-    po: Relation
-    fence: Relation
-    addr: Relation
+    po: tuple  # bitset rows over the event ids, as `data_rows` builds them
+    fence: tuple
+    addr: tuple
     sets: MappingProxyType  # the event classes E, M, W, R of model files
 
 
@@ -263,13 +283,30 @@ class CandidateExecution:
     rf_choice: dict = field(default_factory=dict)
     co_order: tuple = ()  # committed store ids, coherence positions
     init_vals: dict = field(default_factory=dict)
-    rf: Relation | None = None
-    co: Relation | None = None
-    srf: Relation | None = None
     valuation: dict | None = None
     inconsistency: str | None = None
     # choice-vector metadata, for reproducibility and witness reports
     choices: dict = field(default_factory=dict)
+
+    # The data relations, derived by `data_rows`; None until propagation
+    # succeeds.
+    @property
+    def rf(self) -> Relation | None:
+        return self._relation("rf")
+
+    @property
+    def co(self) -> Relation | None:
+        return self._relation("co")
+
+    @property
+    def srf(self) -> Relation | None:
+        return self._relation("srf")
+
+    def _relation(self, name: str) -> Relation | None:
+        if self.valuation is None:
+            return None
+        rows = data_rows(self, frozenset({name}))[name]
+        return relation_of(rows, range(len(self.events)))
 
     def event(self, eid: int) -> Event:
         return self.events[eid]
@@ -445,19 +482,18 @@ def build_events(
 def _skeleton(
     program: Program, events: list[Event], threads: tuple, branches: tuple
 ) -> Skeleton:
-    po_pairs = []
-    fence_pairs = []
+    n = len(events)
+    po, fence, addr = [0] * n, [0] * n, [0] * n
     # Address dependency: a load feeds the address of a later memory access
     # through a register that no instruction in between (textually) rewrites.
-    addr_pairs = []
     for tid, ids in enumerate(threads):
         evs = [events[i] for i in ids]
         fence_labels = [e.label for e in evs if e.kind == "fence"]
         for i, a in enumerate(evs):
             for b in evs[i + 1:]:
-                po_pairs.append((a.id, b.id))
+                po[a.id] |= 1 << b.id
                 if any(a.label < fl < b.label for fl in fence_labels):
-                    fence_pairs.append((a.id, b.id))
+                    fence[a.id] |= 1 << b.id
 
         instrs = {i.label: i for i in program.threads[tid]}
         for a in evs:
@@ -475,7 +511,7 @@ def _skeleton(
                     if l in instrs
                 )
                 if not clobbered:
-                    addr_pairs.append((a.id, b.id))
+                    addr[a.id] |= 1 << b.id
 
     return Skeleton(
         threads=threads,
@@ -484,9 +520,9 @@ def _skeleton(
         loads=tuple(e.id for e in events if e.kind == "load"),
         stores=tuple(e.id for e in events if e.kind == "store"),
         init_by_addr=MappingProxyType({e.addr: e.id for e in events if e.is_init()}),
-        po=Relation.of(po_pairs),
-        fence=Relation.of(fence_pairs),
-        addr=Relation.of(addr_pairs),
+        po=tuple(po),
+        fence=tuple(fence),
+        addr=tuple(addr),
         sets=MappingProxyType({
             "E": frozenset(e.id for e in events),
             "M": frozenset(e.id for e in events if e.kind in MEMORY_KINDS),
@@ -511,7 +547,7 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     engine fixes non-input locations at 0 and the secret at its sentinel).
     Returns the valuation dict {event id: (addr, val)} on success, else an
     `Inconsistent` with the first reason found.  The result is written back
-    into the events and the rf/srf/co relations are materialized.
+    into the events; the data relations it induces come from `data_rows`.
     """
     mask = (1 << bits) - 1
     program = x.program
@@ -586,8 +622,7 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         if e.addr not in init_by_addr:
             return _fail(x, f"store e{e.id} hits undeclared address {e.addr}")
 
-    # Materialize the reads-from choice and check its legality.
-    pairs = []
+    # Check the legality of the reads-from choice.
     for load in x.loads():
         src = resolve_source(load)
         if src is None:
@@ -622,43 +657,15 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
                     f"transient store e{src.id} can only feed a later transient "
                     f"load of its thread",
                 )
-        pairs.append((src.id, load.id))
-
-    chosen = Relation.of(pairs)
-    if x.psf:
-        x.srf = chosen
-        x.rf = Relation.of(
-            (w, r) for w, r in pairs if x.event(w).addr == x.event(r).addr
-        )
-    else:
-        x.rf = chosen
-        x.srf = Relation.empty()
 
     # Transient stores never hit memory.
     for sid in x.co_order:
         if sid in x.transient:
             return _fail(x, f"transient store e{sid} in the coherence order")
-    x.co = coherence(x)
 
     x.valuation = {e.id: (e.addr, e.val) for e in x.events}
     x.inconsistency = None
     return x.valuation
-
-
-def coherence(x: CandidateExecution) -> Relation:
-    """The coherence relation of a candidate with resolved store addresses:
-    per address, init first, then the committed stores in the sequence of
-    the global `co_order`."""
-    by_addr: dict[int, list[int]] = {}
-    for sid in x.co_order:
-        by_addr.setdefault(x.events[sid].addr, []).append(sid)
-    pairs = set()
-    for addr, sids in by_addr.items():
-        init = x.structure.init_by_addr[addr]
-        for i, sid in enumerate(sids):
-            pairs.add((init, sid))
-            pairs.update((sid, later) for later in sids[i + 1:])
-    return Relation(frozenset(pairs))
 
 
 def _fail(x: CandidateExecution, reason: str):
@@ -668,40 +675,74 @@ def _fail(x: CandidateExecution, reason: str):
 
 
 # ---------------------------------------------------------------------------
-# Base relations
+# Data relations
+
+# The base relations that depend on a candidate's data; the rest (po, fence,
+# addr and the event classes) are fixed by the control vector's skeleton.
+DATA_RELATIONS = frozenset({"rf", "co", "loc", "srf", "rfe"})
+
+
+def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict:
+    """The bitset rows of the data relations in `needed`, over the event
+    ids, from the reads-from choice, the coherence order and the addresses
+    of a propagated candidate.
+
+    Each load reads its chosen source ("init" is the init event of the
+    load's address).  That pair is in `srf` under predictive store
+    forwarding, and in `rf` when the addresses agree (always, without
+    it); `rfe` is the part of `rf` from a store of another thread.  `co`
+    orders, per address, the init event first and then the committed
+    stores in the sequence of `co_order`.  `loc` joins memory events at
+    one address.
+    """
+    s, events = x.structure, x.events
+    n = len(events)
+    rows = {}
+    if not needed.isdisjoint(("rf", "srf", "rfe")):
+        rf, srf, rfe = [0] * n, [0] * n, [0] * n
+        for load in s.loads:
+            e = events[load]
+            choice = x.rf_choice[load]
+            src = s.init_by_addr[e.addr] if choice == "init" else choice
+            bit = 1 << load
+            if x.psf:
+                srf[src] |= bit
+                if events[src].addr != e.addr:
+                    continue
+            rf[src] |= bit
+            if choice != "init" and events[src].thread != e.thread:
+                rfe[src] |= bit
+        rows.update(rf=rf, srf=srf, rfe=rfe)
+    if "co" in needed:
+        co = [0] * n
+        later: dict = {}  # address -> the stores after the one at hand
+        for sid in reversed(x.co_order):
+            addr = events[sid].addr
+            co[sid] = later.get(addr, 0)
+            later[addr] = co[sid] | 1 << sid
+        for addr, stores in later.items():
+            co[s.init_by_addr[addr]] = stores
+        rows["co"] = co
+    if "loc" in needed:
+        memory = (*s.init_by_addr.values(), *s.loads, *s.stores)
+        same: dict = {}
+        for eid in memory:
+            same[events[eid].addr] = same.get(events[eid].addr, 0) | 1 << eid
+        loc = [0] * n
+        for eid in memory:
+            loc[eid] = same[events[eid].addr]
+        rows["loc"] = loc
+    return rows
 
 
 def base_relations(x: CandidateExecution) -> dict:
-    """The named relations a model file may reference, plus the event sets.
-    Only `loc` and the reads-from/coherence relations depend on the data;
-    the rest comes from the skeleton."""
+    """The named relations a model file may reference, plus the event sets:
+    the rows of the skeleton and of `data_rows` as Relations."""
     if x.valuation is None:
         raise ValueError("base relations need a completed valuation")
-
-    by_addr: dict[int, list[int]] = {}
-    for e in x.events:
-        if e.kind in MEMORY_KINDS:
-            by_addr.setdefault(e.addr, []).append(e.id)
-    loc_pairs = []
-    for ids in by_addr.values():
-        for a in ids:
-            for b in ids:
-                loc_pairs.append((a, b))
-
-    rfe_pairs = [
-        (w, r)
-        for w, r in (x.rf.pairs if x.rf else ())
-        if not x.event(w).is_init() and x.event(w).thread != x.event(r).thread
-    ]
-
-    return {
-        "po": x.structure.po,
-        "fence": x.structure.fence,
-        "addr": x.structure.addr,
-        "loc": Relation.of(loc_pairs),
-        "rf": x.rf or Relation.empty(),
-        "co": x.co or Relation.empty(),
-        "rfe": Relation.of(rfe_pairs),
-        "srf": x.srf or Relation.empty(),
-        **x.structure.sets,
-    }
+    s = x.structure
+    rows = {"po": s.po, "fence": s.fence, "addr": s.addr, **data_rows(x)}
+    ids = range(len(x.events))
+    out = {name: relation_of(r, ids) for name, r in rows.items()}
+    out.update(s.sets)
+    return out

@@ -264,9 +264,6 @@ class Program:
     expectations: tuple[Expectation, ...] = ()
     unroll_incomplete: bool = False
 
-    def labels(self, thread: int) -> tuple[int, ...]:
-        return tuple(i.label for i in self.threads[thread])
-
     def instruction(self, thread: int, label: int) -> Instruction:
         for ins in self.threads[thread]:
             if ins.label == label:
@@ -613,9 +610,6 @@ def pred(program: Program, label: int, thread: int = 0) -> frozenset[int]:
         if isinstance(s, (Jmp, Beqz)) and s.target == label:
             out.add(ins.label)
     return frozenset(out)
-
-
-_TRUNCATED = ("<truncated>", 0)
 
 
 def _unroll_thread(instrs, k: int):

@@ -567,18 +567,22 @@ class _Emitter:
             else:
                 out = cur
         elif isinstance(term, TBounded):
-            base = self._defer(self.materialize(term.term), "b")
-            k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
-            cur = base
-            for _ in range(k):
-                prev = cur
-                cur = self._defer(
-                    lambda x, y, prev=prev: _ors(
-                        [_ands([base(x, m), prev(m, y)]) for m in self.events]
-                    ),
+            # the (k+1)-th power by repeated squaring, as catlang.power_rows
+            def compose(lf, rg):
+                return self._defer(
+                    lambda x, y: _ors([_ands([lf(x, m), rg(m, y)]) for m in self.events]),
                     "b",
                 )
-            out = cur
+
+            k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
+            out, square, e = None, self._defer(self.materialize(term.term), "b"), k + 1
+            while True:
+                if e & 1:
+                    out = square if out is None else compose(out, square)
+                e >>= 1
+                if not e:
+                    break
+                square = compose(square, square)
         else:
             raise TypeError(f"not a term: {term!r}")
 

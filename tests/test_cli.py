@@ -1,11 +1,17 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from axcat import SpecConfig, check_isolation, corpus_dir, load_model, parse_program
 from axcat.cli import RunSpec, main, run, run_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def corpus_file(name):
@@ -136,6 +142,20 @@ def test_huge_store_buffer_bound_is_fast(capsys):
         verdicts.append((code, record["outcome"]))
     assert verdicts[0] == verdicts[1]
     capsys.readouterr()
+
+
+def test_huge_store_buffer_bound_exports_fast(tmp_path):
+    # the SMT export builds ([W];po)^{<=w'-1} by repeated squaring too
+    out = tmp_path / "q.smt2"
+    done = subprocess.run(
+        [sys.executable, "-m", "axcat", "--program", corpus_file("stl-02"),
+         "--model", "stl", "--mode", "traditional", "--buffer", "100000000",
+         "--engine", "emit-smt", "--smt", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().splitlines()[-2:] == ["(check-sat)", "(exit)"]
 
 
 def test_huge_literal_bound_in_custom_model(tmp_path, capsys):

@@ -16,15 +16,13 @@ from axcat.catlang import (
     BASE_RELATIONS,
     DATA_RELATIONS,
     CatError,
-    _data_rows,
     _groups,
     check_assertions,
     compile_model,
     evaluate,
     parse_cat,
-    rows_of,
 )
-from axcat.events import base_relations
+from axcat.events import base_relations, data_rows, relation_of
 from generator import random_program_source
 from reference import _naive_consistent
 
@@ -97,13 +95,45 @@ def test_compiled_verdicts_match_the_oracle():
     }
 
 
+def reference_data_relations(x):
+    """The data relations as pair sets, straight from the definitions: each
+    load reads its chosen source (init at its own address), split into srf
+    and same-address rf under predictive store forwarding; rfe is rf from a
+    store of another thread; co orders each address's committed stores
+    after its init event as `co_order` does; loc joins memory events at one
+    address."""
+    events, init = x.events, x.structure.init_by_addr
+    chosen = {
+        (init[events[r].addr] if w == "init" else w, r) for r, w in x.rf_choice.items()
+    }
+    if x.psf:
+        srf = chosen
+        rf = {(w, r) for w, r in chosen if events[w].addr == events[r].addr}
+    else:
+        srf, rf = set(), chosen
+    rfe = {
+        (w, r)
+        for w, r in rf
+        if not events[w].is_init() and events[w].thread != events[r].thread
+    }
+    co = set()
+    for addr in {events[sid].addr for sid in x.co_order}:
+        chain = [init[addr]] + [s for s in x.co_order if events[s].addr == addr]
+        co |= {(a, b) for i, a in enumerate(chain) for b in chain[i + 1:]}
+    memory = [e for e in events if e.kind in ("load", "store", "init", "secret-init")]
+    loc = {(a.id, b.id) for a in memory for b in memory if a.addr == b.addr}
+    return {"rf": rf, "srf": srf, "rfe": rfe, "co": co, "loc": loc}
+
+
 def test_candidate_rows_equal_base_relations():
     for seed in range(0, PROGRAMS, 5):
         for _model, _cfg, _bound, x in candidates(seed):
+            want = reference_data_relations(x)
+            rows = data_rows(x, DATA_RELATIONS)
+            ids = range(len(x.events))
+            assert {n: relation_of(rows[n], ids).pairs for n in rows} == want
             base = base_relations(x)
-            index = range(len(x.events))
-            rows = _data_rows(x, DATA_RELATIONS)
-            assert rows == {n: rows_of(base[n].pairs, index) for n in DATA_RELATIONS}
+            assert {n: base[n].pairs for n in DATA_RELATIONS} == want
 
 
 def test_definitions_are_grouped_in_dependency_order():

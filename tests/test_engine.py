@@ -229,3 +229,44 @@ def test_dot_mp_witness_has_rfe_edge():
     assert v.outcome == "unsafe"
     dot = emit_witness_dot(v.witness)
     assert 'label="rfe"' in dot
+
+
+COHERENCE_CHAIN_DOT = """\
+digraph witness {
+  rankdir=TB;
+  node [shape=box, fontname="monospace"];
+  n1 [label="e_s: secret @1", color="red"];
+  n2 [label="e_0: init @2=0"];
+  n3 [label="e_0: init @3=0"];
+  n4 [label="e4 (t0): store x, 1"];
+  n5 [label="e5 (t0): store y, 1"];
+  n6 [label="e6 (t1): store x, 2"];
+  n7 [label="e7 (t1): load r1, x"];
+  n8 [label="e8 (t1): load r2, (A + (r1 & 1))"];
+  n1 -> n8 [label="rf", style="solid"];
+  n2 -> n6 [label="co", style="solid"];
+  n3 -> n5 [label="co", style="solid"];
+  n4 -> n5 [label="po", style="solid"];
+  n4 -> n7 [label="rfe", style="solid"];
+  n6 -> n4 [label="co", style="solid"];
+  n6 -> n7 [label="po", style="solid"];
+  n7 -> n8 [label="po", style="solid"];
+}
+"""
+
+
+def test_dot_coherence_chains_follow_the_coherence_order():
+    # thread 1 reads thread 0's x after writing x itself, so only a
+    # coherence order with e6 before e4 is consistent: x's chain is
+    # init, e6, e4, against id order, and y's is init, e5
+    src = (
+        "layout A[1]@0 secret@1 x@2 y@3\n"
+        "thread 0:\n1: store x, 1\n2: store y, 1\n"
+        "thread 1:\n1: store x, 2\n2: load r1, x\n3: load r2, A + (r1 & 1)\n"
+    )
+    v = check_isolation(
+        parse_program(src), load_model("inorder"), SpecConfig(mode="traditional"), 1, 2
+    )
+    assert v.outcome == "unsafe"
+    assert v.witness.co_order == (5, 6, 4)
+    assert emit_witness_dot(v.witness) == COHERENCE_CHAIN_DOT

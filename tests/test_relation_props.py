@@ -3,7 +3,7 @@
 import random
 
 from axcat import catlang
-from axcat.events import Relation
+from axcat.events import Relation, relation_of
 
 TRIALS = 1_000
 MAX_EVENTS = 8
@@ -106,7 +106,7 @@ def test_bitset_ops_equal_relation_ops():
         universe = catlang.identity_rows(ids, range(len(ids)))
 
         def back(rows):
-            return catlang.relation_of(rows, ids)
+            return relation_of(rows, ids)
 
         assert back(a) == r
         assert back(catlang.union_rows(a, b)) == r | s
@@ -133,8 +133,8 @@ def test_bitset_classes_equal_relation_classes():
         x, y = random_subset(rng, ids), random_subset(rng, ids)
         index = range(len(ids))
         ix, iy = catlang.identity_rows(x, index), catlang.identity_rows(y, index)
-        assert catlang.relation_of(ix, ids) == Relation.identity(x)
-        assert catlang.relation_of(catlang.cross_rows(ix, iy), ids) == Relation.cartesian(x, y)
+        assert relation_of(ix, ids) == Relation.identity(x)
+        assert relation_of(catlang.cross_rows(ix, iy), ids) == Relation.cartesian(x, y)
 
 
 def test_power_by_squaring_matches_repeated_composition():
@@ -144,4 +144,4 @@ def test_power_by_squaring_matches_repeated_composition():
         acc = r
         for _ in range(k):
             acc = r.compose(acc)
-        assert catlang.relation_of(catlang.power_rows(as_rows(r, ids), k), ids) == acc
+        assert relation_of(catlang.power_rows(as_rows(r, ids), k), ids) == acc

@@ -171,6 +171,22 @@ def test_witness_satisfies_emitted_formula(case):
     assert ok, failures
 
 
+@pytest.mark.parametrize("buffer", [3, 4, 5, 8])
+@pytest.mark.parametrize("name", ["stl-01", "stl-03", "stl-04"])
+def test_witness_satisfies_squared_bounded_power(name, buffer):
+    # stl's ([W];po)^{<=w'-1} is exported as the w'-th power by repeated
+    # squaring; from w' = 4 on its composition tree is no longer a chain
+    program = parse_program((corpus_dir() / f"{name}.litmus").read_text())
+    model = load_model("stl")
+    cfg = SpecConfig(mode="traditional", buffer=buffer)
+    verdict = check_isolation(program, model, cfg, 2, 3)
+    assert verdict.outcome == "unsafe"
+    script = Script(emit_smt(program, model, cfg, 2, 3, name))
+    asg = witness_assignment(verdict.witness, model, cfg, 3, script)
+    ok, failures = script.check(asg)
+    assert ok, failures
+
+
 def test_witness_satisfaction_with_cond_assign_and_jump():
     src = (
         "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
