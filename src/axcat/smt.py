@@ -17,6 +17,10 @@ the secret init event.  The encoding mirrors the enumeration semantics:
     recursive groups so the solution is the least fixpoint, and
     order-variable encodings for acyclicity assertions.
 
+Compositions outside recursive groups skip the intermediate events at
+which either side is statically FALSE, found through bitset support rows;
+the emitted bytes are the same as those of the dense product.
+
 No solver ships with the package: the file is an exchange artifact whose
 structure and determinism are tested in-tree and whose satisfiability can
 be cross-checked externally against the enumeration verdict.
@@ -67,9 +71,9 @@ FALSE = "false"
 
 
 def _ors(args):
-    args = [a for a in args if a != FALSE]
-    if any(a == TRUE for a in args):
+    if TRUE in args:
         return TRUE
+    args = [a for a in args if a != FALSE]
     if not args:
         return FALSE
     if len(args) == 1:
@@ -78,9 +82,9 @@ def _ors(args):
 
 
 def _ands(args):
-    args = [a for a in args if a != TRUE]
-    if any(a == FALSE for a in args):
+    if FALSE in args:
         return FALSE
+    args = [a for a in args if a != TRUE]
     if not args:
         return TRUE
     if len(args) == 1:
@@ -467,13 +471,9 @@ class _Emitter:
         return _ands([self.com(x), self.com(y), same,
                       f"(bvult corank_{x.name} corank_{y.name})"])
 
-    def base_term(self, name: str, x: _Ev, y: _Ev) -> str:
-        return {
-            "po": self.po_term, "fence": self.fence_term,
-            "addr": self.addr_term, "loc": self.loc_term,
-            "rf": self.rf_term, "srf": self.srf_term,
-            "rfe": self.rfe_term, "co": self.co_term,
-        }[name](x, y)
+    def base_term(self, name: str):
+        """The pointwise formula of base relation `name`."""
+        return getattr(self, f"{name}_term")
 
     def set_term(self, name: str, e: _Ev) -> str:
         if name == "E":
@@ -512,6 +512,41 @@ class _Emitter:
 
         return var
 
+    def _sparse_compose(self, lf, rg, first=None):
+        """formula(x, y) = first(x, y) | OR_m lf(x, m) & rg(m, y), over the
+        cached families `lf` and `rg`.  The first visit of row x of `lf` or
+        column y of `rg` calls both sides for every m in event order, exactly
+        as the dense product does, and records the non-FALSE m as bitset
+        support rows.  Later visits call only the m in both supports: every
+        skipped call is a cache hit yielding FALSE, so the term is the same."""
+        events = self.events
+        lrows: dict = {}
+        rcols: dict = {}
+
+        def out(x: _Ev, y: _Ev) -> str:
+            terms = [] if first is None else [first(x, y)]
+            lrow, rcol = lrows.get(x), rcols.get(y)
+            if lrow is None or rcol is None:
+                lrow = rcol = 0
+                for j, m in enumerate(events):
+                    a, b = lf(x, m), rg(m, y)
+                    if a != FALSE:
+                        lrow |= 1 << j
+                    if b != FALSE:
+                        rcol |= 1 << j
+                    if a != FALSE and b != FALSE:
+                        terms.append(_ands([a, b]))
+                lrows[x], rcols[y] = lrow, rcol
+                return _ors(terms)
+            both = lrow & rcol
+            while both:
+                m = events[(both & -both).bit_length() - 1]
+                terms.append(_ands([lf(x, m), rg(m, y)]))
+                both &= both - 1
+            return _ors(terms)
+
+        return out
+
     def materialize(self, term):
         """formula(x, y) for a term with no recursive references."""
         key = id(term)
@@ -519,7 +554,7 @@ class _Emitter:
             return self.family_memo[key]
 
         if isinstance(term, TBase):
-            out = lambda x, y, n=term.name: self.base_term(n, x, y)
+            out = self.base_term(term.name)
         elif isinstance(term, TRef):
             out = lambda x, y, n=term.name: f"d_{n}_{x.name}_{y.name}"
         elif isinstance(term, TSetId):
@@ -540,10 +575,9 @@ class _Emitter:
             else:
                 out = lambda x, y: _ands([lf(x, y), _not(rg(x, y))])
         elif isinstance(term, TCompose):
-            lf = self._defer(self.materialize(term.left), "c")
-            rg = self._defer(self.materialize(term.right), "c")
-            out = lambda x, y: _ors(
-                [_ands([lf(x, m), rg(m, y)]) for m in self.events]
+            out = self._sparse_compose(
+                self._defer(self.materialize(term.left), "c"),
+                self._defer(self.materialize(term.right), "c"),
             )
         elif isinstance(term, TInverse):
             tf = self.materialize(term.term)
@@ -551,14 +585,7 @@ class _Emitter:
         elif isinstance(term, (TPlus, TStar)):
             cur = self._defer(self.materialize(term.term), "p")
             for _ in range(max(1, (self.n - 1).bit_length())):
-                prev = cur
-                cur = self._defer(
-                    lambda x, y, prev=prev: _ors(
-                        [prev(x, y)]
-                        + [_ands([prev(x, m), prev(m, y)]) for m in self.events]
-                    ),
-                    "p",
-                )
+                cur = self._defer(self._sparse_compose(cur, cur, first=cur), "p")
             if isinstance(term, TStar):
                 plus = cur
                 out = lambda x, y: (
@@ -569,10 +596,7 @@ class _Emitter:
         elif isinstance(term, TBounded):
             # the (k+1)-th power by repeated squaring, as catlang.power_rows
             def compose(lf, rg):
-                return self._defer(
-                    lambda x, y: _ors([_ands([lf(x, m), rg(m, y)]) for m in self.events]),
-                    "b",
-                )
+                return self._defer(self._sparse_compose(lf, rg), "b")
 
             k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
             out, square, e = None, self._defer(self.materialize(term.term), "b"), k + 1
@@ -591,9 +615,10 @@ class _Emitter:
 
     def _inline_recursive(self, term, x: _Ev, y: _Ev, scc: frozenset, rank: str) -> str:
         """Pointwise translation for a recursive definition: references to
-        names of the same group carry a strictly-smaller derivation rank."""
+        names of the same group carry a strictly-smaller derivation rank.
+        Nothing is cached here, so compositions stay dense products."""
         if isinstance(term, TBase):
-            return self.base_term(term.name, x, y)
+            return self.base_term(term.name)(x, y)
         if isinstance(term, TRef):
             v = f"d_{term.name}_{x.name}_{y.name}"
             if term.name in scc:

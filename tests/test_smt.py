@@ -5,7 +5,10 @@ corpus entries is that the enumeration witness, translated to an SMT
 assignment, satisfies every clause of the emitted formula.
 """
 
+import hashlib
+import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +25,10 @@ from axcat import (
 )
 from axcat.catlang import CatError, CatModel
 from axcat.engine import EngineError
+from axcat.smt import FALSE, TRUE, _ands, _Emitter, _ors
+from generator import random_program_source
 from smt_eval import Script
+from test_compiled import EVERY_OPERATOR
 
 _KEYWORDS = {
     "and", "or", "not", "=>", "=", "distinct", "ite", "_", "true", "false",
@@ -263,3 +269,93 @@ def test_closure_operator_emits_outside_recursion():
     model = parse_cat("t = po^+ | rf^*\nacyclic t \\ (E * E)\nempty t \\ t\n", "plus")
     text = emit_smt(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2)
     Script(text)
+
+
+# sha256 of the export over every corpus expectation (its own settings, then
+# buffer 1, 3 and 4), and over 60 generator programs under five models in
+# both modes.  A change to the emitted bytes must update these on purpose.
+CORPUS_SHA256 = "3f26beb1e80fb538c1b459163bd19bf323615ee98252d9e867f2d0edb302cafd"
+GENERATOR_SHA256 = "3fd1a486cb67be43bb79cfa90574627dea9bab0276bb839a87223e13bc920a20"
+
+
+def corpus_export_sha256():
+    h = hashlib.sha256()
+    for name, program, model, cfg, k, bits, _ in corpus_cases():
+        for c in [cfg] + [replace(cfg, buffer=b) for b in (1, 3, 4)]:
+            h.update(emit_smt(program, model, c, k, bits, name).encode())
+    return h.hexdigest()
+
+
+def generator_export_sha256():
+    models = [load_model(n) for n in ("inorder", "stl", "tso", "psf")]
+    models.append(EVERY_OPERATOR)
+    h = hashlib.sha256()
+    for seed in range(60):
+        program = parse_program(random_program_source(random.Random(seed)))
+        for model in models:
+            for mode in ("traditional", "speculative"):
+                cfg = SpecConfig(mode=mode, psf="srf" in model.base_names())
+                h.update(emit_smt(program, model, cfg, 1, 2, f"g{seed}").encode())
+    return h.hexdigest()
+
+
+def test_emitted_bytes_match_golden():
+    assert corpus_export_sha256() == CORPUS_SHA256
+    assert generator_export_sha256() == GENERATOR_SHA256
+
+
+def _recording_family(rng, events, tag, calls):
+    """A cached pointwise family over `events` with a random support of
+    TRUE, FALSE and variable names (TRUE on the identity of init events, as
+    `[W]` and `[E]` give), logging each first call to `calls`."""
+    support = {}
+    for x in events:
+        for y in events:
+            if x is y and x.kind != "instr" and rng.random() < 0.7:
+                support[x, y] = TRUE
+            else:
+                support[x, y] = rng.choice(
+                    (FALSE, FALSE, FALSE, TRUE, f"{tag}_{x.name}_{y.name}"))
+    cache = {}
+
+    def family(x, y):
+        if (x, y) not in cache:
+            calls.append((tag, x.name, y.name))
+            cache[x, y] = support[x, y]
+        return cache[x, y]
+
+    return family
+
+
+@pytest.mark.parametrize("squaring", [False, True], ids=["compose", "plus-step"])
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_compose_matches_the_dense_product(seed, squaring):
+    src = (
+        "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
+        "1: load r0, in0\n2: store A, r0\n3: load r1, B\nthread 1:\n"
+        "1: store B, 1\n2: load r2, A + r0\n"
+    )
+    emitter = _Emitter(parse_program(src), load_model("inorder"),
+                       SpecConfig(mode="traditional"), 1, 2, "p")
+    events = emitter.events
+    pairs = [(x, y) for x in events for y in events] * 2
+    random.Random(seed).shuffle(pairs)
+
+    def families(calls):
+        rng = random.Random(seed)  # both sides see the same supports
+        lf = _recording_family(rng, events, "l", calls)
+        if squaring:  # the ^+ step: prev | prev;prev
+            return lf, lf, lf
+        return lf, _recording_family(rng, events, "r", calls), None
+
+    dense_calls, sparse_calls = [], []
+    lf, rg, first = families(dense_calls)
+    dense = [
+        _ors(([first(x, y)] if first else [])
+             + [_ands([lf(x, m), rg(m, y)]) for m in events])
+        for x, y in pairs
+    ]
+    lf, rg, first = families(sparse_calls)
+    out = emitter._sparse_compose(lf, rg, first=first)
+    assert [out(x, y) for x, y in pairs] == dense
+    assert sparse_calls == dense_calls
