@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -204,35 +204,24 @@ def _parse_k(text: str, where: str):
     return base, offset
 
 
-def _parse_term(toks: _Tokens, names_seen: set):
+# Infix operators, loosest first; each level is left-associative.
+_INFIX = (("|", TUnion), ("\\", TDiff), ("&", TInter), (";", TCompose))
+_POSTFIX = {"inv": TInverse, "plus": TPlus, "star": TStar}
+_BINARY_TERMS = (TUnion, TInter, TDiff, TCompose)
+_UNARY_TERMS = (TInverse, TPlus, TStar, TBounded)
+
+
+def _parse_term(toks: _Tokens):
     where = toks.where
 
-    def union():
-        t = diff()
-        while toks.peek() == ("op", "|"):
+    def infix(level):
+        if level == len(_INFIX):
+            return cross()
+        op, cls = _INFIX[level]
+        t = infix(level + 1)
+        while toks.peek() == ("op", op):
             toks.next()
-            t = TUnion(t, diff())
-        return t
-
-    def diff():
-        t = inter()
-        while toks.peek() == ("op", "\\"):
-            toks.next()
-            t = TDiff(t, inter())
-        return t
-
-    def inter():
-        t = compose()
-        while toks.peek() == ("op", "&"):
-            toks.next()
-            t = TInter(t, compose())
-        return t
-
-    def compose():
-        t = cross()
-        while toks.peek() == ("op", ";"):
-            toks.next()
-            t = TCompose(t, cross())
+            t = cls(t, infix(level + 1))
         return t
 
     def cross():
@@ -250,28 +239,18 @@ def _parse_term(toks: _Tokens, names_seen: set):
 
     def postfix():
         t = atom()
-        while True:
-            kind, text = toks.peek()
-            if kind == "inv":
-                toks.next()
-                t = TInverse(t)
-            elif kind == "plus":
-                toks.next()
-                t = TPlus(t)
-            elif kind == "star":
-                toks.next()
-                t = TStar(t)
-            elif kind == "bounded":
-                toks.next()
-                k_base, k_off = _parse_k(text, where)
-                t = TBounded(t, k_base, k_off)
+        while toks.peek()[0] in (*_POSTFIX, "bounded"):
+            kind, text = toks.next()
+            if kind == "bounded":
+                t = TBounded(t, *_parse_k(text, where))
             else:
-                return t
+                t = _POSTFIX[kind](t)
+        return t
 
     def atom():
         kind, text = toks.next()
         if (kind, text) == ("op", "("):
-            t = union()
+            t = infix(0)
             if toks.next() != ("op", ")"):
                 raise CatError(f"{where}: expected ')'")
             return t
@@ -283,11 +262,10 @@ def _parse_term(toks: _Tokens, names_seen: set):
                 raise CatError(f"{where}: expected ']'")
             return TSetId(_SET_ALIASES[name])
         if kind == "name":
-            names_seen.add(text)
             return TRef(text)  # classified later
         raise CatError(f"{where}: unexpected token {text!r}")
 
-    t = union()
+    t = infix(0)
     if not toks.done():
         raise CatError(f"{where}: trailing tokens")
     return t
@@ -302,22 +280,11 @@ def _classify(term, defined: set, where: str):
         if base in BASE_RELATIONS:
             return TBase(base)
         raise CatError(f"{where}: undefined relation name {term.name!r}")
-    if isinstance(term, TUnion):
-        return TUnion(_classify(term.left, defined, where), _classify(term.right, defined, where))
-    if isinstance(term, TInter):
-        return TInter(_classify(term.left, defined, where), _classify(term.right, defined, where))
-    if isinstance(term, TDiff):
-        return TDiff(_classify(term.left, defined, where), _classify(term.right, defined, where))
-    if isinstance(term, TCompose):
-        return TCompose(_classify(term.left, defined, where), _classify(term.right, defined, where))
-    if isinstance(term, TInverse):
-        return TInverse(_classify(term.term, defined, where))
-    if isinstance(term, TPlus):
-        return TPlus(_classify(term.term, defined, where))
-    if isinstance(term, TStar):
-        return TStar(_classify(term.term, defined, where))
-    if isinstance(term, TBounded):
-        return TBounded(_classify(term.term, defined, where), term.k_base, term.k_offset)
+    if isinstance(term, _BINARY_TERMS):
+        left, right = (_classify(t, defined, where) for t in (term.left, term.right))
+        return type(term)(left, right)
+    if isinstance(term, _UNARY_TERMS):
+        return replace(term, term=_classify(term.term, defined, where))
     return term
 
 
@@ -325,26 +292,11 @@ def _names(term) -> set:
     """The base relations and definitions a term names."""
     if isinstance(term, (TBase, TRef)):
         return {term.name}
-    if isinstance(term, (TUnion, TInter, TDiff, TCompose)):
+    if isinstance(term, _BINARY_TERMS):
         return _names(term.left) | _names(term.right)
-    if isinstance(term, (TInverse, TPlus, TStar, TBounded)):
+    if isinstance(term, _UNARY_TERMS):
         return _names(term.term)
     return set()
-
-
-def _reachable(deps: dict) -> dict:
-    """Name -> every name it depends on, directly or through others."""
-    reach = {}
-    for n in deps:
-        seen: set = set()
-        stack = list(deps[n])
-        while stack:
-            m = stack.pop()
-            if m not in seen:
-                seen.add(m)
-                stack.extend(deps.get(m, ()))
-        reach[n] = seen
-    return reach
 
 
 def _negative_refs(term, positive=True) -> set:
@@ -353,9 +305,9 @@ def _negative_refs(term, positive=True) -> set:
         return set() if positive else {term.name}
     if isinstance(term, TDiff):
         return _negative_refs(term.left, positive) | _negative_refs(term.right, not positive)
-    if isinstance(term, (TUnion, TInter, TCompose)):
+    if isinstance(term, _BINARY_TERMS):
         return _negative_refs(term.left, positive) | _negative_refs(term.right, positive)
-    if isinstance(term, (TInverse, TPlus, TStar, TBounded)):
+    if isinstance(term, _UNARY_TERMS):
         return _negative_refs(term.term, positive)
     return set()
 
@@ -372,7 +324,7 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
         if first in ASSERTION_KINDS:
             body = line[len(first):].strip()
             toks = _Tokens(body, where)
-            raw_asserts.append((first, _parse_term(toks, set()), body))
+            raw_asserts.append((first, _parse_term(toks), body))
         else:
             if "=" not in line:
                 raise CatError(f"{where}: expected 'name = term' or an assertion")
@@ -385,7 +337,7 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
             if any(d[0] == lhs for d in raw_defs):
                 raise CatError(f"{where}: duplicate definition of {lhs!r}")
             toks = _Tokens(rhs, where)
-            raw_defs.append((lhs, _parse_term(toks, set()), where))
+            raw_defs.append((lhs, _parse_term(toks), where))
 
     defined = {d[0] for d in raw_defs}
     definitions = tuple(
@@ -398,14 +350,12 @@ def parse_cat(text: str, name: str = "<model>") -> CatModel:
 
     # Least fixpoints exist only if recursion stays monotone: no name of a
     # recursive group may occur on the right of a difference in the group.
-    deps = {n: _names(t) & defined for n, t in definitions}
-    reachable = _reachable(deps)
-    recursive = {n for n in deps if n in reachable[n]}
-    by_name = dict(definitions)
-    for n in recursive:
-        group = {m for m in recursive if n in reachable[m] and m in reachable[n]} | {n}
+    terms = dict(definitions)
+    for group in _groups(definitions):
+        if not _recursive(group, terms):
+            continue
         for m in group:
-            bad = _negative_refs(by_name[m]) & group
+            bad = _negative_refs(terms[m]) & set(group)
             if bad:
                 raise CatError(
                     f"{name}: non-monotone recursion: {sorted(bad)} under the "
@@ -611,11 +561,16 @@ def _lower(term, cfg, dynamic: set, hoist: list | None):
 
 
 def _groups(definitions) -> list:
-    """The definitions' strongly connected groups of names, in file order
-    within a group, each group after every group it depends on (the first
-    ready group in file order goes next)."""
+    """The strongly connected groups of the definitions' dependency graph,
+    as tuples of names.  Names keep file order within a group; each group
+    comes after every group it depends on, and among the groups that are
+    ready the one whose first name comes first in the file goes next."""
     deps = {n: _names(t) & {m for m, _ in definitions} for n, t in definitions}
-    reach = _reachable(deps)
+    reach = {n: set(d) for n, d in deps.items()}  # n -> every name it depends on
+    for k in reach:  # Warshall: paths through k
+        for n in reach:
+            if k in reach[n]:
+                reach[n] |= reach[k]
     pending = [n for n, _ in definitions]
     groups: list = []
     while pending:
@@ -626,6 +581,13 @@ def _groups(definitions) -> list:
         groups.append(tuple(group))
         pending = [m for m in pending if m not in group]
     return groups
+
+
+def _recursive(group: tuple, terms: dict) -> bool:
+    """Whether a group from `_groups` is recursive: it has more than one
+    name, or its one definition (`terms` maps names to terms) names itself.
+    A recursive group is evaluated as a least fixpoint."""
+    return len(group) > 1 or group[0] in _names(terms[group[0]])
 
 
 def _run(groups, env: dict, model_name: str):
@@ -716,8 +678,8 @@ def compile_model(model: CatModel, cfg=None) -> CompiledModel:
     hoisted: list = []
 
     def lower(group, hoist):
-        recursive = len(group) > 1 or group[0] in _names(terms[group[0]])
-        return recursive, tuple((n, _lower(terms[n], cfg, dynamic, hoist)) for n in group)
+        lowered = tuple((n, _lower(terms[n], cfg, dynamic, hoist)) for n in group)
+        return _recursive(group, terms), lowered
 
     static = tuple(lower(g, None) for g in groups if g[0] not in dynamic)
     dynamic_groups = tuple(lower(g, hoisted) for g in groups if g[0] in dynamic)

@@ -119,8 +119,11 @@ def run(spec: RunSpec):
 
 
 def _expectation_jobs(directory: Path):
+    paths = sorted(directory.glob("*.litmus"))
+    if not paths:
+        raise FileNotFoundError(f"no .litmus file in {directory}")
     jobs = []
-    for path in sorted(directory.glob("*.litmus")):
+    for path in paths:
         program = parse_program(path.read_text())
         if not program.expectations:
             raise ParseError(f"{path.name}: missing expectation trailer")
@@ -171,7 +174,12 @@ def run_corpus(directory, jobs: int | None = None):
         return USAGE_ERROR, []
 
     if jobs is None:
-        jobs = int(os.environ.get("AXCAT_JOBS", "0")) or (os.cpu_count() or 1)
+        setting = os.environ.get("AXCAT_JOBS", "0")
+        try:
+            jobs = int(setting) or (os.cpu_count() or 1)
+        except ValueError:
+            print(f"error: AXCAT_JOBS must be an integer, not {setting!r}", file=sys.stderr)
+            return USAGE_ERROR, []
     jobs = max(1, min(jobs, len(work) or 1))
 
     if jobs == 1:
@@ -245,12 +253,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
-    spec = RunSpec(
-        program=args.program, model=args.model, mode=args.mode, k=args.k,
-        w=args.w, buffer=args.buffer, bits=args.bits, engine=args.engine,
-        dot=args.dot, smt=args.smt, json_out=args.json_out,
-    )
-    code, _ = run(spec)
+    code, _ = run(RunSpec(**vars(args)))
     return code
 
 

@@ -129,6 +129,21 @@ def _check_domain(program: Program, domain_bits: int):
         )
 
 
+def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
+                 domain_bits: int):
+    """The preconditions of `check_isolation` and of the solver export: an
+    unroll bound of at least 1, predictive store forwarding when the model
+    reads srf, and a domain wide enough for the layout."""
+    if k < 1:
+        raise EngineError("unroll bound must be >= 1")
+    if "srf" in model.base_names() and not cfg.psf:
+        raise EngineError(
+            f"model {model.name!r} references srf but predictive store "
+            f"forwarding is disabled"
+        )
+    _check_domain(program, domain_bits)
+
+
 def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
     """All (outcomes, cp) assignments for the branches this thread reaches."""
     speculative = cfg.mode == "speculative"
@@ -443,14 +458,7 @@ def check_isolation(
     domain_bits: int = 3,
 ) -> Verdict:
     """Decide software isolation for the k-unrolled program under `model`."""
-    if k < 1:
-        raise EngineError("unroll bound must be >= 1")
-    if "srf" in model.base_names() and not cfg.psf:
-        raise EngineError(
-            f"model {model.name!r} references srf but predictive store "
-            f"forwarding is disabled"
-        )
-    _check_domain(program, domain_bits)
+    _check_query(program, model, cfg, k, domain_bits)
     compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
     generated = 0

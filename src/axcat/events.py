@@ -124,22 +124,11 @@ class Relation:
         return Relation(frozenset(out))
 
     def closure(self) -> "Relation":
-        """Transitive closure."""
-        succ: dict[int, set] = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, set()).add(b)
-        out = set()
-        for start in succ:
-            stack = list(succ[start])
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                out.add((start, node))
-                stack.extend(succ.get(node, ()))
-        return Relation(frozenset(out))
+        """Transitive closure: s | s;r iterated from s = r to its fixpoint."""
+        s = self
+        while (t := s | s.compose(self)) != s:
+            s = t
+        return s
 
     def rstar(self, universe) -> "Relation":
         """Reflexive-transitive closure over the given event universe."""
@@ -152,32 +141,8 @@ class Relation:
         return not self.pairs
 
     def is_acyclic(self) -> bool:
-        succ: dict[int, list] = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, []).append(b)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[int, int] = {}
-        for root in sorted(succ):
-            if color.get(root, WHITE) != WHITE:
-                continue
-            stack = [(root, iter(sorted(succ.get(root, ()))))]
-            color[root] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, WHITE)
-                    if c == GRAY:
-                        return False
-                    if c == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return True
+        """No cycle: the transitive closure is irreflexive."""
+        return self.closure().is_irreflexive()
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
@@ -311,9 +276,6 @@ class CandidateExecution:
     def event(self, eid: int) -> Event:
         return self.events[eid]
 
-    def executed(self) -> frozenset:
-        return self.committed | self.transient
-
     def instruction_events(self) -> list[Event]:
         return [self.events[i] for i in self.structure.instructions]
 
@@ -342,64 +304,49 @@ def _fall_label(ins: Instruction, labels: frozenset) -> int | None:
 
 
 def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
-    """One control-flow unfolding of a thread.
+    """One control-flow unfolding of a thread: (committed labels, transient
+    labels).
 
-    Returns (committed labels, transient labels).  The committed walk stops
-    at a mispredicted branch; the transient continuation then follows the
-    wrong direction until a fence, a correctly predicted branch, a cut jump
-    edge, or the end of the path.
+    `outcomes` and `cps` map (thread, label) of a conditional jump to its
+    chosen direction and to whether it was predicted correctly (`cps` is
+    ignored in traditional mode, where every prediction is correct); a
+    branch without an outcome raises `MissingOutcome`.
+    One walk fills the committed list until a mispredicted branch, then the
+    transient list, which follows the direction the branch did not take
+    until a fence, a correctly predicted branch, a cut jump edge, or the end
+    of the path.  A mispredicted branch inside the transient run keeps it
+    going the wrong way.
     """
-    if not program.threads[tid]:
-        return [], []
-    instrs = {i.label: i for i in program.threads[tid]}
-    labels = frozenset(instrs)
-    first = program.threads[tid][0].label
-
     committed: list[int] = []
     transient: list[int] = []
-
-    label: int | None = first
-    transient_from: int | None = None
-    while label is not None:
-        ins = instrs[label]
-        committed.append(label)
-        s = ins.stmt
-        if isinstance(s, Beqz):
-            key = (tid, label)
-            if key not in outcomes:
-                raise MissingOutcome(key)
-            taken = outcomes[key]
-            correct = True if not speculative else cps.get(key, True)
-            if correct:
-                label = s.target if taken else _fall_label(ins, labels)
-            else:
-                transient_from = _fall_label(ins, labels) if taken else s.target
-                label = None
-        elif isinstance(s, Jmp):
-            label = s.target
-        else:
-            label = _fall_label(ins, labels)
-
-    label = transient_from
+    if not program.threads[tid]:
+        return committed, transient
+    instrs = {i.label: i for i in program.threads[tid]}
+    labels = frozenset(instrs)
+    walk = committed
+    label: int | None = program.threads[tid][0].label
     while label is not None:
         ins = instrs[label]
         s = ins.stmt
-        if isinstance(s, Fence):
+        if isinstance(s, Fence) and walk is transient:
             break  # fences stall speculation and never execute transiently
-        transient.append(label)
+        walk.append(label)
         if isinstance(s, Beqz):
             key = (tid, label)
             if key not in outcomes:
                 raise MissingOutcome(key)
-            taken = outcomes[key]
-            if cps.get(key, True):
+            predicted = not speculative or cps.get(key, True)
+            if predicted and walk is transient:
                 break  # no transient continuation after a correct prediction
-            label = _fall_label(ins, labels) if taken else s.target
+            if not predicted:
+                walk = transient
+            # a misprediction runs the direction opposite to the outcome
+            taken = outcomes[key] == predicted
+            label = s.target if taken else _fall_label(ins, labels)
         elif isinstance(s, Jmp):
             label = s.target
         else:
             label = _fall_label(ins, labels)
-
     return committed, transient
 
 
@@ -631,8 +578,6 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
                     x, f"load e{load.id} reads undeclared address {load.addr}"
                 )
             return _fail(x, f"load e{load.id} has no reads-from source")
-        if src.val != load.val:
-            return _fail(x, f"value mismatch on reads-from (e{src.id}, e{load.id})")
         if src.addr != load.addr:
             if not x.psf:
                 return _fail(

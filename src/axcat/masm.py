@@ -387,10 +387,10 @@ _COND_ASSIGN_RE = re.compile(r"^(r\d+)\s*<-\s*\((.*)\?\)\s*(.+)$")
 _ASSIGN_RE = re.compile(r"^(r\d+)\s*<-\s*(.+)$")
 
 
-def _parse_layout(parts: list[str], where: str):
-    layout: dict[str, tuple[int, int]] = {}
-    secret_addr = None
-    inputs: set[int] = set()
+def _parse_layout(parts: list[str], where: str, layout: dict, inputs: set, secret_addr):
+    """Add the entries of one layout line to `layout` (name -> (base,
+    extent)) and `inputs`; returns the secret address, `secret_addr` unless
+    the line declares it."""
     is_input = False
     for part in parts:
         if part == "input":
@@ -413,7 +413,11 @@ def _parse_layout(parts: list[str], where: str):
             if is_input:
                 inputs.update(range(base, base + extent))
         is_input = False
-    return layout, secret_addr, inputs
+    return secret_addr
+
+
+# The statements with two comma-separated operands, and how to write them.
+_OPERAND_USAGE = {"load": "load rN, addr", "store": "store addr, value", "beqz": "beqz rN, label"}
 
 
 def _parse_stmt(text: str, layout: dict[str, tuple[int, int]], where: str) -> Stmt:
@@ -423,37 +427,25 @@ def _parse_stmt(text: str, layout: dict[str, tuple[int, int]], where: str) -> St
     if text == "fence":
         return Fence()
     head = text.split(None, 1)[0]
-    if head == "load":
-        rest = text[len("load"):].strip()
+    rest = text[len(head):].strip()
+    if head in _OPERAND_USAGE:
         if "," not in rest:
-            raise ParseError(f"{where}: load needs 'load rN, addr'")
-        reg, addr = rest.split(",", 1)
-        reg = reg.strip()
+            raise ParseError(f"{where}: {head} needs '{_OPERAND_USAGE[head]}'")
+        first, second = rest.split(",", 1)
+        if head == "store":
+            return Store(parse_expr(first, layout, where), parse_expr(second, layout, where))
+        reg = first.strip()
         if not _REG_RE.match(reg):
             raise ParseError(f"{where}: unknown register or location {reg!r}")
-        return Load(reg, parse_expr(addr, layout, where))
-    if head == "store":
-        rest = text[len("store"):].strip()
-        if "," not in rest:
-            raise ParseError(f"{where}: store needs 'store addr, value'")
-        addr, value = rest.split(",", 1)
-        return Store(parse_expr(addr, layout, where), parse_expr(value, layout, where))
+        if head == "load":
+            return Load(reg, parse_expr(second, layout, where))
+        if not second.strip().isdigit():
+            raise ParseError(f"{where}: beqz target must be a numeric label")
+        return Beqz(reg, int(second))
     if head == "jmp":
-        rest = text[len("jmp"):].strip()
         if not rest.isdigit():
             raise ParseError(f"{where}: jmp needs a numeric label")
         return Jmp(int(rest))
-    if head == "beqz":
-        rest = text[len("beqz"):].strip()
-        if "," not in rest:
-            raise ParseError(f"{where}: beqz needs 'beqz rN, label'")
-        reg, target = rest.split(",", 1)
-        reg, target = reg.strip(), target.strip()
-        if not _REG_RE.match(reg):
-            raise ParseError(f"{where}: unknown register or location {reg!r}")
-        if not target.isdigit():
-            raise ParseError(f"{where}: beqz target must be a numeric label")
-        return Beqz(reg, int(target))
     m = _COND_ASSIGN_RE.match(text)
     if m:
         return CondAssign(
@@ -512,16 +504,7 @@ def parse_program(text: str) -> Program:
         where = f"line {lineno}"
         parts = line.split()
         if parts[0] == "layout":
-            layout2, secret2, inputs2 = _parse_layout(parts[1:], where)
-            for name, ext in layout2.items():
-                if name in layout:
-                    raise ParseError(f"{where}: duplicate location {name!r}")
-                layout[name] = ext
-            if secret2 is not None:
-                if secret_addr is not None:
-                    raise ParseError(f"{where}: duplicate secret address")
-                secret_addr = secret2
-            inputs |= inputs2
+            secret_addr = _parse_layout(parts[1:], where, layout, inputs, secret_addr)
             saw_layout = True
             continue
         if parts[0] == "thread":

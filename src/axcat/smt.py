@@ -45,7 +45,7 @@ from .catlang import (
     TStar,
     TUnion,
 )
-from .engine import _check_domain
+from .engine import _check_query
 from .masm import (
     Assign,
     Beqz,
@@ -659,31 +659,28 @@ class _Emitter:
         if not defs:
             return
         self.say("derived relations (least fixpoints)")
-        names = {n for n, _ in defs}
-        deps = {n: catlang._names(t) & names for n, t in defs}
-        reach = catlang._reachable(deps)
-        recursive = {nm for nm in deps if nm in reach[nm]}
+        terms = dict(defs)
+        scc_of = {}  # name of a recursive definition -> its group
+        for group in catlang._groups(defs):
+            if catlang._recursive(group, terms):
+                scc_of.update((n, frozenset(group)) for n in group)
         rankw = max(2, (self.n * self.n + 1).bit_length() + 1)
 
         for nm, _ in defs:
             for x in self.events:
                 for y in self.events:
                     self.declare(f"d_{nm}_{x.name}_{y.name}", "Bool")
-                    if nm in recursive:
+                    if nm in scc_of:
                         self.declare(
                             f"drk_{nm}_{x.name}_{y.name}", f"(_ BitVec {rankw})"
                         )
 
         for nm, term in defs:
-            if nm in recursive:
-                scc = frozenset(
-                    m for m in recursive
-                    if m == nm or (nm in reach[m] and m in reach[nm])
-                )
+            if nm in scc_of:
                 for x in self.events:
                     for y in self.events:
                         rank = f"drk_{nm}_{x.name}_{y.name}"
-                        expr = self._inline_recursive(term, x, y, scc, rank)
+                        expr = self._inline_recursive(term, x, y, scc_of[nm], rank)
                         self.assert_(f"(= d_{nm}_{x.name}_{y.name} {expr})")
             else:
                 formula = self.materialize(term)
@@ -752,10 +749,5 @@ def emit_smt(
     program_name: str = "program",
 ) -> str:
     """Emit the SMT-LIB2 isolation query for the k-unrolled program."""
-    if "srf" in model.base_names() and not cfg.psf:
-        raise ValueError(
-            f"model {model.name!r} references srf but predictive store "
-            f"forwarding is disabled"
-        )
-    _check_domain(program, domain_bits)
+    _check_query(program, model, cfg, k, domain_bits)
     return _Emitter(program, model, cfg, k, domain_bits, program_name).render()

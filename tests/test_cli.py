@@ -209,9 +209,29 @@ def test_corpus_flipped_expectation_fails(monkeypatch, tmp_path, capsys):
 
 
 def test_corpus_empty_directory(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no litmus here\n")
     code, rows = run_corpus(tmp_path)
-    assert code == 0 and rows == []
-    capsys.readouterr()
+    assert code == 3 and rows == []
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no .litmus file in {tmp_path}\n"
+    assert "expectations hold" not in captured.out
+
+
+def test_corpus_missing_directory(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("AXCAT_JOBS", "1")
+    missing = tmp_path / "missing"
+    assert main(["corpus", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: no .litmus file in {missing}"]
+    assert captured.out == ""
+
+
+def test_corpus_jobs_setting_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("AXCAT_JOBS", "abc")
+    assert main(["corpus"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: AXCAT_JOBS must be an integer, not 'abc'"]
+    assert captured.out == ""
 
 
 def test_corpus_missing_trailer(tmp_path, capsys):

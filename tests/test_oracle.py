@@ -1,12 +1,17 @@
 """Engine vs. unpruned brute-force reference on randomized programs."""
 
 import random
+import re
 
 import pytest
 
-from axcat import SpecConfig, check_isolation, load_model, parse_program, unroll
+from axcat import SpecConfig, check_isolation, emit_smt, load_model, parse_program, unroll
 from generator import random_program_source
 from reference import brute_force_isolation
+from smt_eval import Script
+from test_smt import witness_assignment
+
+UNARY_SEEDS = 300
 
 ROTATION = (
     ("inorder", "traditional"),
@@ -109,3 +114,58 @@ def test_reference_edge_cases_agree(src, model_name, mode, psf, expected):
     got = check_isolation(program, model, cfg, 1, 2).outcome
     want = brute_force_isolation(unroll(program, 1), model, mode, 8, 2, 2, psf=psf)
     assert got == want == expected
+
+
+_UNARY_OPS = ("-", "~", "!")
+# the expression parts of a generator statement: after `<-` (or its guard),
+# after `load rN,`, and both operands of `store`
+_EXPRESSION_PARTS = re.compile(r"^(\d+: (?:r\d <-(?:\()?|load r\d,|store))(.*)$")
+
+
+def unary_program_source(rng: random.Random) -> str:
+    """A generator program whose expressions apply unary operators to some
+    of their registers and literals."""
+    lines = []
+    for line in random_program_source(rng).splitlines():
+        m = _EXPRESSION_PARTS.match(line)
+        if m:
+            body = re.sub(
+                r"\b(r\d|\d)\b",
+                lambda t: (rng.choice(_UNARY_OPS) if rng.random() < 0.5 else "") + t[1],
+                m[2],
+            )
+            line = m[1] + body
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_unary_operators_agree_with_reference_and_export():
+    # no corpus, demo or generator program uses `-e`, `~e` or `!e`: the
+    # engine's verdicts must match the reference's own evaluator, and each
+    # witness must satisfy the solver export's translation of them
+    seen_ops, witnesses = set(), 0
+    for seed in range(UNARY_SEEDS):
+        rng = random.Random(seed)
+        src = unary_program_source(rng)
+        program = parse_program(src)
+        seen_ops.update(re.findall(r"([-~!])(?=r\d|\d)", src))  # binary ops are spaced
+        for model_name in ("inorder", "stl"):
+            model = _MODELS[model_name]
+            for mode in ("traditional", "speculative"):
+                cfg = SpecConfig(mode=mode, window=rng.choice((2, 3, 8)),
+                                 buffer=rng.choice((1, 2)))
+                verdict = check_isolation(program, model, cfg, k=1, domain_bits=2)
+                want = brute_force_isolation(
+                    unroll(program, 1), model, mode, cfg.window, cfg.buffer, bits=2
+                )
+                assert verdict.outcome == want, f"seed {seed} {model_name} {mode}\n{src}"
+                if verdict.outcome != "unsafe":
+                    continue
+                script = Script(emit_smt(program, model, cfg, 1, 2, f"u{seed}"))
+                ok, failures = script.check(
+                    witness_assignment(verdict.witness, model, cfg, 2, script)
+                )
+                assert ok, (seed, model_name, mode, failures, src)
+                witnesses += 1
+    assert seen_ops == set(_UNARY_OPS)
+    assert witnesses >= UNARY_SEEDS // 2, witnesses

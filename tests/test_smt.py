@@ -198,16 +198,65 @@ def test_witness_satisfaction_with_cond_assign_and_jump():
         "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
         "1: load r0, in0\n2: r0 <-(r0 < 1?) 3\n3: jmp 4\n4: load r1, A + (r0 & 1)\n"
     )
+    _witness_satisfies(src, load_model("inorder"), SpecConfig(mode="traditional"))
+
+
+def _witness_satisfies(src, model, cfg, k=1, bits=2):
+    """Check `src` is unsafe and its witness satisfies the export; returns
+    the export."""
     program = parse_program(src)
-    model = load_model("inorder")
-    cfg = SpecConfig(mode="traditional")
-    verdict = check_isolation(program, model, cfg, 1, 2)
+    verdict = check_isolation(program, model, cfg, k, bits)
     assert verdict.outcome == "unsafe"
-    text = emit_smt(program, model, cfg, 1, 2, "cond")
+    text = emit_smt(program, model, cfg, k, bits, "case")
     script = Script(text)
-    asg = witness_assignment(verdict.witness, model, cfg, 2, script)
-    ok, failures = script.check(asg)
+    ok, failures = script.check(witness_assignment(verdict.witness, model, cfg, bits, script))
     assert ok, failures
+    return text
+
+
+def test_witness_satisfaction_without_mispredictions():
+    # with always_mispredict off every prediction is asserted correct
+    src = (
+        "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
+        "1: load r0, in0\n2: beqz r0, 4\n3: load r1, A + r0\n4: skip\n"
+    )
+    cfg = SpecConfig(mode="speculative", always_mispredict=False)
+    text = _witness_satisfies(src, load_model("inorder"), cfg)
+    assert "(assert cp_t0_l2)" in text.splitlines()
+
+
+def test_witness_satisfaction_with_register_rewrite_breaking_addr():
+    # mcu-01 with r1 rewritten between its load and the dependent access:
+    # the export must drop that addr pair, as the engine's skeleton does
+    src = (
+        "layout A[1]@0 secret@1 x@2 y@3\nthread 0:\n"
+        "1: load r0, x\n2: load r1, y\n3: r1 <- r1 + 0\n"
+        "4: load r2, A + (r0 * (r0 - r1))\n"
+        "thread 1:\n1: r2 <- 1\n2: r3 <- 1\n3: store y, r2\n4: store x, r3\n"
+    )
+    program = parse_program(src)
+    emitter = _Emitter(program, load_model("tso-mcu"), SpecConfig(mode="traditional"),
+                       1, 2, "case")
+    load_y, access = emitter.by_site[(0, 2)], emitter.by_site[(0, 4)]
+    assert emitter.addr_term(load_y, access) == FALSE
+    assert emitter.addr_term(emitter.by_site[(0, 1)], access) != FALSE
+    _witness_satisfies(src, load_model("tso-mcu"), SpecConfig(mode="traditional"))
+
+
+def test_witness_satisfaction_with_rf_and_srf_under_psf():
+    # under psf, rf is the part of srf that joins equal addresses
+    model = parse_cat(
+        "com = co | rf | (rf^-1;co)\nscom = co | srf | (srf^-1;co)\n"
+        "acyclic com | po\nacyclic scom | po\n", "rf-srf",
+    )
+    src = (corpus_dir() / "psf-01.litmus").read_text()
+    cfg = SpecConfig(mode="speculative", psf=True)
+    _witness_satisfies(src, model, cfg, 2, 3)
+    emitter = _Emitter(parse_program(src), model, cfg, 2, 3, "case")
+    store, load = emitter.by_site[(0, 5)], emitter.by_site[(0, 6)]  # C + 0, C + r0
+    pick = f"rf_{store.name}_{load.name}"
+    assert emitter.srf_term(store, load) == pick
+    assert emitter.rf_term(store, load) == f"(and {pick} (= addr_t0_l5 addr_t0_l6))"
 
 
 def test_rejected_candidate_refutes_the_tighter_formula():
