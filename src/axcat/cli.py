@@ -7,23 +7,19 @@
     axcat corpus path/to/litmus/dir
 
 Exit codes: 0 safe, 1 unsafe, 2 unknown, 3 and up usage or input errors.
-AXCAT_JOBS caps the corpus runner's worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catlang import CatError
 from .dot import emit_witness_dot
-from .engine import EngineError, check_isolation
+from .engine import check_isolation
 from .masm import ParseError, parse_program
 from .resources import BUNDLED_MODELS, corpus_dir, load_model
 from .smt import emit_smt
@@ -48,34 +44,30 @@ class RunSpec:
     json_out: str | None = None
 
 
-def _config(spec: RunSpec, model) -> SpecConfig:
-    return SpecConfig(
-        mode=spec.mode,
-        window=spec.w,
-        buffer=spec.buffer,
-        psf="srf" in model.base_names(),
-    )
+def _model_and_config(spec: RunSpec, models: dict):
+    """The spec's model, loaded once per `models` cache, and its SpecConfig;
+    predictive store forwarding is on exactly when the model reads srf."""
+    if spec.model not in models:
+        models[spec.model] = load_model(spec.model)
+    model = models[spec.model]
+    cfg = SpecConfig(mode=spec.mode, window=spec.w, buffer=spec.buffer,
+                     psf="srf" in model.base_names())
+    return model, cfg
 
 
 def run(spec: RunSpec):
     """Execute one RunSpec; returns (exit code, verdict record)."""
     try:
         program = parse_program(Path(spec.program).read_text())
-        model = load_model(spec.model)
-    except (OSError, ParseError, CatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR, {"error": str(exc)}
-
-    record = {
-        "program": Path(spec.program).name,
-        "model": model.name,
-        "mode": spec.mode,
-        "k": spec.k,
-        "w": spec.w,
-        "w_prime": spec.buffer,
-    }
-    try:
-        cfg = _config(spec, model)
+        model, cfg = _model_and_config(spec, {})
+        record = {
+            "program": Path(spec.program).name,
+            "model": model.name,
+            "mode": spec.mode,
+            "k": spec.k,
+            "w": spec.w,
+            "w_prime": spec.buffer,
+        }
         if spec.engine == "emit-smt":
             text = emit_smt(program, model, cfg, spec.k, spec.bits,
                             Path(spec.program).stem)
@@ -84,32 +76,33 @@ def run(spec: RunSpec):
             else:
                 sys.stdout.write(text)
             record["outcome"] = "emitted"
-            return 0, record
-
-        started = time.perf_counter()
-        verdict = check_isolation(program, model, cfg, spec.k, spec.bits)
-        elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-        record.update(
-            outcome=verdict.outcome,
-            candidates=verdict.generated,
-            elapsed_ms=elapsed_ms,
-        )
-        print(
-            f"{verdict.outcome.upper()} program={record['program']} "
-            f"model={model.name} mode={spec.mode} candidates={verdict.generated} "
-            f"filtered={verdict.filtered} elapsed_ms={elapsed_ms}"
-        )
-        if spec.dot and verdict.witness is not None:
-            Path(spec.dot).write_text(emit_witness_dot(verdict.witness))
-        if spec.smt:
-            Path(spec.smt).write_text(
-                emit_smt(program, model, cfg, spec.k, spec.bits,
-                         Path(spec.program).stem)
+            code = 0
+        else:
+            started = time.perf_counter()
+            verdict = check_isolation(program, model, cfg, spec.k, spec.bits)
+            elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+            record.update(
+                outcome=verdict.outcome,
+                candidates=verdict.generated,
+                elapsed_ms=elapsed_ms,
             )
+            print(
+                f"{verdict.outcome.upper()} program={record['program']} "
+                f"model={model.name} mode={spec.mode} candidates={verdict.generated} "
+                f"filtered={verdict.filtered} elapsed_ms={elapsed_ms}"
+            )
+            if spec.dot and verdict.witness is not None:
+                Path(spec.dot).write_text(emit_witness_dot(verdict.witness))
+            if spec.smt:
+                Path(spec.smt).write_text(
+                    emit_smt(program, model, cfg, spec.k, spec.bits,
+                             Path(spec.program).stem)
+                )
+            code = OUTCOME_CODE[verdict.outcome]
         if spec.json_out:
             Path(spec.json_out).write_text(json.dumps(record, indent=2) + "\n")
-        return OUTCOME_CODE[verdict.outcome], record
-    except (EngineError, CatError, ValueError) as exc:
+        return code, record
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR, {"error": str(exc)}
 
@@ -118,78 +111,45 @@ def run(spec: RunSpec):
 # Corpus runner
 
 
-def _expectation_jobs(directory: Path):
-    paths = sorted(directory.glob("*.litmus"))
-    if not paths:
-        raise FileNotFoundError(f"no .litmus file in {directory}")
-    jobs = []
-    for path in paths:
-        program = parse_program(path.read_text())
-        if not program.expectations:
-            raise ParseError(f"{path.name}: missing expectation trailer")
-        for idx in range(len(program.expectations)):
-            jobs.append((str(path), idx))
-    return jobs
-
-
-def _run_expectation(job):
-    """Check one expectation; returns its table row, or an error row."""
-    path_str, idx = job
-    path = Path(path_str)
-    try:
-        program = parse_program(path.read_text())
-        exp = program.expectations[idx]
-        spec = RunSpec(path_str, exp.model, exp.mode or "speculative",
-                       **dict(exp.overrides))
-        model = load_model(spec.model)
-        verdict = check_isolation(program, model, _config(spec, model),
-                                  spec.k, spec.bits)
-    except (OSError, CatError, EngineError, ValueError) as exc:
-        return {"error": f"{path.name}: {exc}"}
-    stem = path.stem
-    variant = "fence" if stem.endswith("-fence") else "none"
-    test = stem[: -len("-fence")] if variant == "fence" else stem
-    return {
-        "test": test,
-        "variant": variant,
-        "model": exp.model,
-        "mode": spec.mode,
-        "expected": exp.outcome,
-        "got": verdict.outcome,
-        "ok": verdict.outcome == exp.outcome,
-    }
-
-
-def run_corpus(directory, jobs: int | None = None):
+def run_corpus(directory):
     """Run every expectation in a litmus directory.
 
-    Returns (exit code, rows); rows are sorted by test name so the table
-    is independent of discovery and completion order.
+    Returns (exit code, rows); rows are sorted by test, so the table does
+    not depend on the order of files or expectation lines.  Every file is
+    parsed before the first check runs, and an error names its file.
     """
     directory = Path(directory)
-    try:
-        work = _expectation_jobs(directory)
-    except (OSError, ParseError, CatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    paths = sorted(directory.glob("*.litmus"))
+    if not paths:
+        print(f"error: no .litmus file in {directory}", file=sys.stderr)
         return USAGE_ERROR, []
-
-    if jobs is None:
-        setting = os.environ.get("AXCAT_JOBS", "0")
-        try:
-            jobs = int(setting) or (os.cpu_count() or 1)
-        except ValueError:
-            print(f"error: AXCAT_JOBS must be an integer, not {setting!r}", file=sys.stderr)
-            return USAGE_ERROR, []
-    jobs = max(1, min(jobs, len(work) or 1))
-
-    if jobs == 1:
-        rows = [_run_expectation(job) for job in work]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_expectation, work))
-    errors = [r["error"] for r in rows if "error" in r]
-    if errors:
-        print(f"error: {errors[0]}", file=sys.stderr)
+    rows, models = [], {}
+    try:
+        programs = []
+        for path in paths:
+            program = parse_program(path.read_text())
+            if not program.expectations:
+                raise ParseError("missing expectation trailer")
+            programs.append((path, program))
+        for path, program in programs:
+            stem = path.stem
+            variant = "fence" if stem.endswith("-fence") else "none"
+            for exp in program.expectations:
+                spec = RunSpec(str(path), exp.model, exp.mode or RunSpec.mode,
+                               **dict(exp.overrides))
+                model, cfg = _model_and_config(spec, models)
+                got = check_isolation(program, model, cfg, spec.k, spec.bits).outcome
+                rows.append({
+                    "test": stem.removesuffix("-fence"),
+                    "variant": variant,
+                    "model": exp.model,
+                    "mode": spec.mode,
+                    "expected": exp.outcome,
+                    "got": got,
+                    "ok": got == exp.outcome,
+                })
+    except (OSError, ValueError) as exc:
+        print(f"error: {path.name}: {exc}", file=sys.stderr)
         return USAGE_ERROR, []
     rows.sort(key=lambda r: (r["test"], r["variant"], r["model"], r["mode"]))
 
@@ -218,17 +178,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--program", required=True, help="litmus file to check")
     parser.add_argument(
-        "--model", default="inorder",
+        "--model", default=RunSpec.model,
         help=f"bundled model ({', '.join(BUNDLED_MODELS)}) or a .cat path",
     )
     parser.add_argument("--mode", choices=("traditional", "speculative"),
-                        default="speculative")
-    parser.add_argument("-k", type=int, default=2, help="loop unrolling bound")
-    parser.add_argument("-w", type=int, default=8, help="branch speculation window")
-    parser.add_argument("--buffer", type=int, default=2, help="store buffer size w'")
-    parser.add_argument("--bits", type=int, default=3, help="value domain width")
+                        default=RunSpec.mode)
+    parser.add_argument("-k", type=int, default=RunSpec.k, help="loop unrolling bound")
+    parser.add_argument("-w", type=int, default=RunSpec.w,
+                        help="branch speculation window")
+    parser.add_argument("--buffer", type=int, default=RunSpec.buffer,
+                        help="store buffer size w'")
+    parser.add_argument("--bits", type=int, default=RunSpec.bits, help="value domain width")
     parser.add_argument("--engine", choices=("enumerate", "emit-smt"),
-                        default="enumerate")
+                        default=RunSpec.engine)
     parser.add_argument("--dot", metavar="PATH", help="write the witness graph")
     parser.add_argument("--smt", metavar="PATH", help="write the solver file")
     parser.add_argument("--json", metavar="PATH", dest="json_out",
@@ -236,25 +198,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _corpus_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="axcat corpus")
+    parser.add_argument("directory", nargs="?", default=str(corpus_dir()))
+    return parser
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "corpus":
-        corpus_parser = argparse.ArgumentParser(prog="axcat corpus")
-        corpus_parser.add_argument("directory", nargs="?",
-                                   default=str(corpus_dir()))
-        try:
-            args = corpus_parser.parse_args(argv[1:])
-        except SystemExit:
-            return USAGE_ERROR
-        code, _ = run_corpus(args.directory)
-        return code
-
+    corpus = argv[:1] == ["corpus"]
+    parser = _corpus_parser() if corpus else _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv[1:] if corpus else argv)
     except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0,) else 0
-    code, _ = run(RunSpec(**vars(args)))
-    return code
+        return 0 if exc.code == 0 else USAGE_ERROR
+    if corpus:
+        return run_corpus(args.directory)[0]
+    return run(RunSpec(**vars(args)))[0]
 
 
 if __name__ == "__main__":

@@ -114,7 +114,6 @@ class Verdict:
 
     outcome: str  # "safe" | "unsafe" | "unknown"
     witness: CandidateExecution | None
-    bound: int
     generated: int
     filtered: int
 
@@ -147,7 +146,7 @@ def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
 def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
     """All (outcomes, cp) assignments for the branches this thread reaches."""
     speculative = cfg.mode == "speculative"
-    cp_values = (True, False) if speculative and cfg.always_mispredict else (True,)
+    cp_values = (True, False) if speculative else (True,)
 
     def extend(outcomes, cps):
         try:
@@ -478,14 +477,6 @@ def check_isolation(
                 continue
             # every candidate reads the secret: the first consistent one
             # is the witness
-            return Verdict(
-                outcome="unsafe",
-                witness=x,
-                bound=k,
-                generated=generated,
-                filtered=filtered,
-            )
+            return Verdict("unsafe", x, generated, filtered)
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
-    return Verdict(
-        outcome=outcome, witness=None, bound=k, generated=generated, filtered=filtered
-    )
+    return Verdict(outcome, None, generated, filtered)

@@ -245,8 +245,6 @@ class _Emitter:
                 self.assert_(f"(not (and com_{e.name} trans_{e.name}))")
                 if isinstance(e.stmt, Beqz):
                     self.declare(f"cp_{e.name}", "Bool")
-                    if not self.cfg.always_mispredict:
-                        self.assert_(f"cp_{e.name}")
             if isinstance(e.stmt, (Load, Store)):
                 self.declare(self.addr(e), f"(_ BitVec {self.vw})")
             if isinstance(e.stmt, (Load, Store, Assign, CondAssign, Beqz)):

@@ -25,7 +25,6 @@ class SpecConfig:
     mode: str = "speculative"  # "traditional" | "speculative"
     window: int = 8  # w: branch speculation window
     buffer: int = 2  # w': store-buffer size, >= 1
-    always_mispredict: bool = True  # explore both prediction outcomes
     psf: bool = False  # enable predictive store forwarding (srf)
 
     def __post_init__(self):

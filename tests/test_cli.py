@@ -63,10 +63,11 @@ def test_emit_smt_engine(tmp_path, capsys):
     out = tmp_path / "q.smt2"
     code, record = run(RunSpec(program=corpus_file("stl-01"), model="stl",
                                mode="traditional", engine="emit-smt",
-                               smt=str(out)))
+                               smt=str(out), json_out=str(tmp_path / "v.json")))
     assert code == 0
     assert record["outcome"] == "emitted"
     assert "(check-sat)" in out.read_text()
+    assert json.loads((tmp_path / "v.json").read_text()) == record
 
 
 def test_usage_and_parse_errors(tmp_path, capsys):
@@ -171,8 +172,7 @@ def test_huge_literal_bound_in_custom_model(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_corpus_runner_bundled(monkeypatch, capsys):
-    monkeypatch.setenv("AXCAT_JOBS", "1")
+def test_corpus_runner_bundled(capsys):
     code, rows = run_corpus(corpus_dir())
     assert code == 0
     assert all(r["ok"] for r in rows)
@@ -182,19 +182,25 @@ def test_corpus_runner_bundled(monkeypatch, capsys):
 
 
 def test_corpus_runner_order_independent(tmp_path, capsys):
-    sub = tmp_path / "corpus"
-    sub.mkdir()
+    # the table is sorted: reversing each file's expectation lines leaves
+    # it unchanged
+    forward, backward = tmp_path / "forward", tmp_path / "backward"
+    forward.mkdir()
+    backward.mkdir()
     for name in ("pht-01", "stl-02", "mcu-01"):
-        shutil.copy(corpus_dir() / f"{name}.litmus", sub)
-    # serial and parallel completion orders produce the same sorted table
-    _, rows_serial = run_corpus(sub, jobs=1)
-    _, rows_parallel = run_corpus(sub, jobs=4)
-    assert rows_serial == rows_parallel
+        lines = (corpus_dir() / f"{name}.litmus").read_text().splitlines()
+        body = [line for line in lines if not line.startswith("expect ")]
+        expects = [line for line in lines if line.startswith("expect ")]
+        assert len(expects) > 1
+        (forward / f"{name}.litmus").write_text("\n".join(body + expects) + "\n")
+        (backward / f"{name}.litmus").write_text("\n".join(body + expects[::-1]) + "\n")
+    _, rows_forward = run_corpus(forward)
+    _, rows_backward = run_corpus(backward)
+    assert rows_forward == rows_backward and len(rows_forward) == 6
     capsys.readouterr()
 
 
-def test_corpus_flipped_expectation_fails(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("AXCAT_JOBS", "1")
+def test_corpus_flipped_expectation_fails(tmp_path, capsys):
     sub = tmp_path / "corpus"
     sub.mkdir()
     text = (corpus_dir() / "pht-01.litmus").read_text()
@@ -217,20 +223,11 @@ def test_corpus_empty_directory(tmp_path, capsys):
     assert "expectations hold" not in captured.out
 
 
-def test_corpus_missing_directory(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("AXCAT_JOBS", "1")
+def test_corpus_missing_directory(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["corpus", str(missing)]) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: no .litmus file in {missing}"]
-    assert captured.out == ""
-
-
-def test_corpus_jobs_setting_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("AXCAT_JOBS", "abc")
-    assert main(["corpus"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: AXCAT_JOBS must be an integer, not 'abc'"]
     assert captured.out == ""
 
 
@@ -241,7 +238,7 @@ def test_corpus_missing_trailer(tmp_path, capsys):
     assert "missing expectation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("files", [1, 2])
 @pytest.mark.parametrize(
     "option,message",
     [
@@ -250,19 +247,41 @@ def test_corpus_missing_trailer(tmp_path, capsys):
         ("model=inorder w=0", "speculation window must be >= 1"),
     ],
 )
-def test_corpus_bad_expectation(monkeypatch, tmp_path, capsys, jobs, option, message):
-    monkeypatch.setenv("AXCAT_JOBS", jobs)
+def test_corpus_bad_expectation(tmp_path, capsys, files, option, message):
+    # with two files, a good one is checked before the bad one
+    if files == 2:
+        shutil.copy(corpus_dir() / "mcu-01.litmus", tmp_path)
     text = (corpus_dir() / "pht-01.litmus").read_text()
     (tmp_path / "pht-01.litmus").write_text(
         text.replace("expect safe model=inorder", f"expect safe {option}")
     )
     assert main(["corpus", str(tmp_path)]) == 3
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: pht-01.litmus: ") and message in lines[0]
+    assert captured.out == ""
 
 
-def test_main_corpus_subcommand(monkeypatch, capsys):
-    monkeypatch.setenv("AXCAT_JOBS", "2")
+def test_corpus_parse_error_names_the_file(tmp_path, capsys):
+    shutil.copy(corpus_dir() / "mcu-01.litmus", tmp_path)
+    (tmp_path / "bad.litmus").write_text(
+        "layout X@0 secret@1\nthread 0:\n1: skip\n2: bogus\nexpect safe model=inorder\n"
+    )
+    assert main(["corpus", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: bad.litmus: line 4: cannot parse statement 'bogus'"
+    ]
+    assert captured.out == ""
+
+
+def test_corpus_help_exits_zero(capsys):
+    assert main(["corpus", "--help"]) == 0
+    assert main(["--help"]) == 0
+    assert "usage: axcat corpus" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_main_corpus_subcommand(capsys):
     assert main(["corpus", str(corpus_dir())]) == 0
     capsys.readouterr()

@@ -23,14 +23,15 @@ from axcat.events import secret_sentinel
 from axcat.speculation import check_window
 from generator import random_program_source
 
-# (model, mode, always_mispredict); psf follows the model
+# (model, mode, compare only candidates with every prediction correct);
+# psf follows the model
 ROTATION = (
-    ("inorder", "traditional", True),
-    ("stl", "speculative", True),
-    ("inorder", "speculative", False),
-    ("psf", "traditional", True),
-    ("psf", "speculative", True),
-    ("tso", "speculative", True),
+    ("inorder", "traditional", False),
+    ("stl", "speculative", False),
+    ("inorder", "speculative", True),
+    ("psf", "traditional", False),
+    ("psf", "speculative", False),
+    ("tso", "speculative", False),
 )
 
 _MODELS = {name: load_model(name) for name in ("inorder", "stl", "psf", "tso")}
@@ -49,6 +50,10 @@ def reads_secret(x):
 def blind(program, cfg, k, bits):
     """The value-consistent blind candidates that read the secret."""
     return [x for x in enumerate_candidates(program, cfg, k, bits) if reads_secret(x)]
+
+
+def predicted_correctly(x):
+    return all(x.choices["cp"].values())
 
 
 def signature(x):
@@ -96,17 +101,17 @@ def blind_mismatches(seeds, probe=False):
         if probe:
             src = with_probe(src)
         program = parse_program(src)
-        model_name, mode, always = ROTATION[seed % len(ROTATION)]
+        model_name, mode, correct_only = ROTATION[seed % len(ROTATION)]
         model = _MODELS[model_name]
         cfg = SpecConfig(
             mode=mode,
             window=rng.choice((2, 3, 8)),
-            always_mispredict=always,
             psf="srf" in model.base_names(),
         )
         k = 1 + seed % 2
-        got = [signature(x) for x in directed(program, cfg, k, 2)]
-        want = [signature(x) for x in blind(program, cfg, k, 2)]
+        keep = predicted_correctly if correct_only else lambda x: True
+        got = [signature(x) for x in filter(keep, directed(program, cfg, k, 2))]
+        want = [signature(x) for x in filter(keep, blind(program, cfg, k, 2))]
         if got != want:
             mismatches.append((seed, "candidates", src))
         elif verdict(program, model, cfg, k, 2) != blind_verdict(program, model, cfg, k, 2):

@@ -53,6 +53,10 @@ def candidate(src, outcomes, cps, idx, speculative=True):
     return x
 
 
+def predicted_correctly(x):
+    return all(x.choices["cp"].values())
+
+
 def force_partition(x, committed_labels, transient_labels):
     """Rewrite the partition, bypassing the builder (checker-level tests)."""
     com, tr = set(), set()
@@ -109,14 +113,13 @@ def test_speculative_rejects_transients_without_misprediction():
     x = candidate(FIG2, {(0, 3): True}, {(0, 3): False}, idx=5)
     y = candidate(FIG2, {(0, 3): True}, {(0, 3): True}, idx=5)
     assert x.transient and not y.transient
-    spec = SpecConfig(always_mispredict=False)
     built = 0
     for seed in range(300):
         program = unroll(parse_program(random_program_source(random.Random(seed))), 2)
-        for outcomes, cps in _control_vectors(program, spec):
-            assert all(cps.values())
-            assert not build_events(program, outcomes, cps).transient
-            built += 1
+        for outcomes, cps in _control_vectors(program, SpecConfig()):
+            if all(cps.values()):
+                assert not build_events(program, outcomes, cps).transient
+                built += 1
     assert built > 300
 
 
@@ -133,14 +136,14 @@ def test_speculative_matches_traditional_when_all_predictions_correct():
             xt = candidate(FIG2, {(0, 3): taken}, {}, idx=idx, speculative=False)
             assert not xs.transient
             assert check_speculative_cf(xs, SpecConfig()) == check_traditional_cf(xt)
-    # every candidate of seeded random programs, predictions all correct
-    spec = SpecConfig(always_mispredict=False)
+    # every candidate of seeded random programs with all predictions correct
+    spec = SpecConfig()
     verdicts = set()
     for seed in range(300):
         program = parse_program(random_program_source(random.Random(seed)))
         k = 1 + seed % 2
         pairs = zip(
-            enumerate_candidates(program, spec, k, 2),
+            filter(predicted_correctly, enumerate_candidates(program, spec, k, 2)),
             enumerate_candidates(program, SpecConfig(mode="traditional"), k, 2),
             strict=True,
         )
@@ -169,12 +172,12 @@ def reference_events(x):
     ]
 
 
-# (mode, always_mispredict, psf)
+# (mode, only candidates with every prediction correct, psf)
 CF_ROTATION = (
-    ("traditional", True, False),
-    ("speculative", True, False),
+    ("traditional", False, False),
     ("speculative", False, False),
-    ("speculative", True, True),
+    ("speculative", True, False),
+    ("speculative", False, True),
 )
 
 
@@ -184,11 +187,11 @@ def test_control_flow_checks_match_the_oracle():
     verdicts = {mode: set() for mode, _, _ in CF_ROTATION}
     for seed in range(1000):
         program = parse_program(random_program_source(random.Random(seed)))
-        mode, always_mispredict, psf = CF_ROTATION[seed % len(CF_ROTATION)]
-        cfg = SpecConfig(mode=mode, always_mispredict=always_mispredict, psf=psf)
+        mode, correct_only, psf = CF_ROTATION[seed % len(CF_ROTATION)]
+        cfg = SpecConfig(mode=mode, psf=psf)
         speculative = mode == "speculative"
         for x in enumerate_candidates(program, cfg, 1 + seed // 4 % 2, 2):
-            if x.valuation is None:
+            if x.valuation is None or (correct_only and not predicted_correctly(x)):
                 continue
             got = check_speculative_cf(x, cfg) if speculative else check_traditional_cf(x)
             expected = _cf_ok(x.program, reference_events(x), speculative)
