@@ -17,9 +17,10 @@ the secret init event.  The encoding mirrors the enumeration semantics:
     recursive groups so the solution is the least fixpoint, and
     order-variable encodings for acyclicity assertions.
 
-Compositions outside recursive groups skip the intermediate events at
-which either side is statically FALSE, found through bitset support rows;
-the emitted bytes are the same as those of the dense product.
+Every term has a static support, computed with `catlang`'s row operations:
+bitset rows of the pairs at which its formula may be other than FALSE.
+Only support pairs are declared, asserted and composed over, and a derived
+pair that comes out TRUE or FALSE is folded to the constant.
 
 No solver ships with the package: the file is an exchange artifact whose
 structure and determinism are tested in-tree and whose satisfiability can
@@ -100,10 +101,17 @@ def _not(a):
     return f"(not {a})"
 
 
+def _binary(kind, a, b):
+    """The pointwise formula of a `|`, `&` or `\\` of formulas `a` and `b`."""
+    if kind is TUnion:
+        return _ors([a, b])
+    return _ands([a, b if kind is TInter else _not(b)])
+
+
 class _Ev:
     """Static event universe entry: one init or one instruction instance."""
 
-    __slots__ = ("name", "kind", "addr_const", "tid", "label", "stmt")
+    __slots__ = ("name", "kind", "addr_const", "tid", "label", "stmt", "i")
 
     def __init__(self, name, kind, addr_const=None, tid=None, label=None,
                  stmt=None):
@@ -130,6 +138,10 @@ class _Emitter:
         self.lines: list[str] = []
         self.fresh = 0
         self.family_memo: dict = {}
+        self.bases: dict = {}  # base relation -> (table, rows), see `base`
+        self.supports: dict = {}  # id(term) -> rows, see `support`
+        self.def_rows: dict = {}  # definition -> its support rows
+        self.values: dict = {}  # definition -> {(i, j): TRUE or its Bool}
         self.speculative = cfg.mode == "speculative"
 
         self.inits: list[_Ev] = []
@@ -145,6 +157,8 @@ class _Emitter:
                 self.instances.append(e)
                 self.by_site[(tid, ins.label)] = e
         self.events: list[_Ev] = self.inits + self.instances
+        for i, e in enumerate(self.events):
+            e.i = i  # bit i of a support row
         self.loads = [e for e in self.instances if isinstance(e.stmt, Load)]
         self.stores = [e for e in self.instances if isinstance(e.stmt, Store)]
         self.writes = self.inits + self.stores
@@ -469,10 +483,6 @@ class _Emitter:
         return _ands([self.com(x), self.com(y), same,
                       f"(bvult corank_{x.name} corank_{y.name})"])
 
-    def base_term(self, name: str):
-        """The pointwise formula of base relation `name`."""
-        return getattr(self, f"{name}_term")
-
     def set_term(self, name: str, e: _Ev) -> str:
         if name == "E":
             return self.exec_(e)
@@ -486,17 +496,80 @@ class _Emitter:
             return self.exec_(e) if is_r else FALSE
         raise ValueError(name)
 
+    # -- static supports -------------------------------------------------------
+
+    def pairs(self, rows: list):
+        """The (x, y) event pairs of bitset rows over `self.events`."""
+        events = self.events
+        for x, row in zip(events, rows):
+            while row:
+                low = row & -row
+                yield x, events[low.bit_length() - 1]
+                row ^= low
+
+    def base(self, name: str):
+        """(table, rows) of base relation `name`: its formula at each pair
+        where it is not FALSE, keyed by event indices, and those pairs' rows."""
+        if name not in self.bases:
+            term, events, rows = getattr(self, f"{name}_term"), self.events, [0] * self.n
+            table = {(x.i, y.i): t for x in events for y in events
+                     if (t := term(x, y)) != FALSE}
+            for i, j in table:
+                rows[i] |= 1 << j
+            self.bases[name] = table, rows
+        return self.bases[name]
+
+    def set_rows(self, name: str) -> list:
+        return [(self.set_term(name, e) != FALSE) << e.i for e in self.events]
+
+    def support(self, term, memo=None) -> list:
+        """Rows of the pairs at which the formula of `term` may be other than
+        FALSE.  A reference reads the rows of the definition it names, so a
+        recursive group passes a fresh `memo` on each fixpoint round."""
+        memo = self.supports if memo is None else memo
+        key = id(term)
+        if key in memo:
+            return memo[key]
+        if memo is not self.supports and isinstance(term, (TPlus, TStar, TBounded)):
+            raise CatError("closure operators inside a recursive definition are "
+                           "not supported by the solver export")
+        if isinstance(term, (TBase, TRef)):
+            rows = (self.base(term.name)[1] if isinstance(term, TBase)
+                    else self.def_rows[term.name])
+        elif isinstance(term, TSetId):
+            rows = self.set_rows(term.set_name)
+        elif isinstance(term, TCross):
+            rows = catlang.cross_rows(self.set_rows(term.left), self.set_rows(term.right))
+        elif isinstance(term, TDiff):  # the right side may hold or not
+            rows = self.support(term.left, memo)
+        elif type(term) in catlang._BINARY:
+            left, right = self.support(term.left, memo), self.support(term.right, memo)
+            rows = catlang._BINARY[type(term)](left, right)
+        elif type(term) in catlang._UNARY:
+            rows = catlang._UNARY[type(term)](self.support(term.term, memo))
+        elif isinstance(term, TStar):
+            rows = catlang.star_rows(self.support(term.term, memo), self.set_rows("E"))
+        elif isinstance(term, TBounded):
+            k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
+            rows = catlang.power_rows(self.support(term.term, memo), k)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        memo[key] = rows
+        return rows
+
     # -- derived relations ------------------------------------------------------
 
-    def _defer(self, formula, tag: str):
-        """Materialize a pointwise formula into a Bool variable family so
-        composition chains reference variables, not duplicated subterms."""
+    def _defer(self, family, tag: str):
+        """Materialize a family, a pointwise formula and its support rows,
+        into Bool variables so composition chains reference variables, not
+        duplicated subterms."""
+        formula, rows = family
         self.fresh += 1
         fam = f"{tag}{self.fresh}"
         cache: dict = {}
 
         def var(x: _Ev, y: _Ev) -> str:
-            key = (x.name, y.name)
+            key = (x.i, y.i)
             if key not in cache:
                 expr = formula(x, y)
                 if expr in (TRUE, FALSE):
@@ -508,42 +581,32 @@ class _Emitter:
                     cache[key] = name
             return cache[key]
 
-        return var
+        return var, rows
 
-    def _sparse_compose(self, lf, rg, first=None):
-        """formula(x, y) = first(x, y) | OR_m lf(x, m) & rg(m, y), over the
-        cached families `lf` and `rg`.  The first visit of row x of `lf` or
-        column y of `rg` calls both sides for every m in event order, exactly
-        as the dense product does, and records the non-FALSE m as bitset
-        support rows.  Later visits call only the m in both supports: every
-        skipped call is a cache hit yielding FALSE, so the term is the same."""
-        events = self.events
-        lrows: dict = {}
-        rcols: dict = {}
+    def _sparse_compose(self, left, right, first=None):
+        """The family first(x, y) | OR_m lf(x, m) & rg(m, y) of families
+        `left` = (lf, lrows) and `right` = (rg, rrows), over the events m in
+        row x of `lrows` and in column y of `rrows`.  At every other m one
+        side is FALSE, so the term is that of the dense product, and neither
+        side is called."""
+        (lf, lrows), (rg, rrows) = left, right
+        events, rcols = self.events, catlang.inverse_rows(rrows)
+        rows = catlang.compose_rows(lrows, rrows)
 
         def out(x: _Ev, y: _Ev) -> str:
-            terms = [] if first is None else [first(x, y)]
-            lrow, rcol = lrows.get(x), rcols.get(y)
-            if lrow is None or rcol is None:
-                lrow = rcol = 0
-                for j, m in enumerate(events):
-                    a, b = lf(x, m), rg(m, y)
-                    if a != FALSE:
-                        lrow |= 1 << j
-                    if b != FALSE:
-                        rcol |= 1 << j
-                    if a != FALSE and b != FALSE:
-                        terms.append(_ands([a, b]))
-                lrows[x], rcols[y] = lrow, rcol
-                return _ors(terms)
-            both = lrow & rcol
+            terms = [] if first is None else [first[0](x, y)]
+            both = lrows[x.i] & rcols[y.i]
             while both:
-                m = events[(both & -both).bit_length() - 1]
+                low = both & -both
+                m = events[low.bit_length() - 1]
                 terms.append(_ands([lf(x, m), rg(m, y)]))
-                both &= both - 1
+                both ^= low
             return _ors(terms)
 
-        return out
+        return out, rows if first is None else catlang.union_rows(first[1], rows)
+
+    def family(self, term):
+        return self.materialize(term), self.support(term)
 
     def materialize(self, term):
         """formula(x, y) for a term with no recursive references."""
@@ -551,10 +614,10 @@ class _Emitter:
         if key in self.family_memo:
             return self.family_memo[key]
 
-        if isinstance(term, TBase):
-            out = self.base_term(term.name)
-        elif isinstance(term, TRef):
-            out = lambda x, y, n=term.name: f"d_{n}_{x.name}_{y.name}"
+        if isinstance(term, (TBase, TRef)):
+            table = (self.base(term.name)[0] if isinstance(term, TBase)
+                     else self.values[term.name])
+            out = lambda x, y: table.get((x.i, y.i), FALSE)
         elif isinstance(term, TSetId):
             out = lambda x, y, s=term.set_name: (
                 self.set_term(s, x) if x is y else FALSE
@@ -564,152 +627,137 @@ class _Emitter:
                 [self.set_term(t.left, x), self.set_term(t.right, y)]
             )
         elif isinstance(term, (TUnion, TInter, TDiff)):
-            lf = self.materialize(term.left)
-            rg = self.materialize(term.right)
-            if isinstance(term, TUnion):
-                out = lambda x, y: _ors([lf(x, y), rg(x, y)])
-            elif isinstance(term, TInter):
-                out = lambda x, y: _ands([lf(x, y), rg(x, y)])
-            else:
-                out = lambda x, y: _ands([lf(x, y), _not(rg(x, y))])
+            lf, rg = self.materialize(term.left), self.materialize(term.right)
+            out = lambda x, y, kind=type(term): _binary(kind, lf(x, y), rg(x, y))
         elif isinstance(term, TCompose):
-            out = self._sparse_compose(
-                self._defer(self.materialize(term.left), "c"),
-                self._defer(self.materialize(term.right), "c"),
-            )
+            out = self._sparse_compose(self._defer(self.family(term.left), "c"),
+                                       self._defer(self.family(term.right), "c"))[0]
         elif isinstance(term, TInverse):
             tf = self.materialize(term.term)
             out = lambda x, y: tf(y, x)
         elif isinstance(term, (TPlus, TStar)):
-            cur = self._defer(self.materialize(term.term), "p")
+            cur = self._defer(self.family(term.term), "p")
             for _ in range(max(1, (self.n - 1).bit_length())):
                 cur = self._defer(self._sparse_compose(cur, cur, first=cur), "p")
             if isinstance(term, TStar):
-                plus = cur
+                plus = cur[0]
                 out = lambda x, y: (
                     _ors([plus(x, y), self.exec_(x)]) if x is y else plus(x, y)
                 )
             else:
-                out = cur
+                out = cur[0]
         elif isinstance(term, TBounded):
             # the (k+1)-th power by repeated squaring, as catlang.power_rows
-            def compose(lf, rg):
-                return self._defer(self._sparse_compose(lf, rg), "b")
+            def compose(left, right):
+                return self._defer(self._sparse_compose(left, right), "b")
 
             k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
-            out, square, e = None, self._defer(self.materialize(term.term), "b"), k + 1
+            power, square, e = None, self._defer(self.family(term.term), "b"), k + 1
             while True:
                 if e & 1:
-                    out = square if out is None else compose(out, square)
+                    power = square if power is None else compose(power, square)
                 e >>= 1
                 if not e:
                     break
                 square = compose(square, square)
+            out = power[0]
         else:
             raise TypeError(f"not a term: {term!r}")
 
         self.family_memo[key] = out
         return out
 
-    def _inline_recursive(self, term, x: _Ev, y: _Ev, scc: frozenset, rank: str) -> str:
+    def _inline_recursive(self, term, x: _Ev, y: _Ev, group: tuple, rank: str) -> str:
         """Pointwise translation for a recursive definition: references to
         names of the same group carry a strictly-smaller derivation rank.
-        Nothing is cached here, so compositions stay dense products."""
-        if isinstance(term, TBase):
-            return self.base_term(term.name)(x, y)
-        if isinstance(term, TRef):
-            v = f"d_{term.name}_{x.name}_{y.name}"
-            if term.name in scc:
+        Nothing is cached here; a composition ORs over the events m at which
+        neither side's support rules the pair out."""
+        if isinstance(term, (TBase, TRef, TSetId, TCross)):
+            v = self.materialize(term)(x, y)
+            if isinstance(term, TRef) and term.name in group and v != FALSE:
                 return _ands([v, f"(bvult drk_{term.name}_{x.name}_{y.name} {rank})"])
             return v
-        if isinstance(term, TSetId):
-            return self.set_term(term.set_name, x) if x is y else FALSE
-        if isinstance(term, TCross):
-            return _ands([self.set_term(term.left, x), self.set_term(term.right, y)])
-        if isinstance(term, TUnion):
-            return _ors([self._inline_recursive(term.left, x, y, scc, rank),
-                         self._inline_recursive(term.right, x, y, scc, rank)])
-        if isinstance(term, TInter):
-            return _ands([self._inline_recursive(term.left, x, y, scc, rank),
-                          self._inline_recursive(term.right, x, y, scc, rank)])
-        if isinstance(term, TDiff):
-            return _ands([
-                self._inline_recursive(term.left, x, y, scc, rank),
-                _not(self._inline_recursive(term.right, x, y, scc, rank)),
-            ])
+        if isinstance(term, (TUnion, TInter, TDiff)):
+            return _binary(type(term), self._inline_recursive(term.left, x, y, group, rank),
+                           self._inline_recursive(term.right, x, y, group, rank))
         if isinstance(term, TCompose):
-            return _ors([
-                _ands([self._inline_recursive(term.left, x, m, scc, rank),
-                       self._inline_recursive(term.right, m, y, scc, rank)])
-                for m in self.events
-            ])
+            inline, rrows = self._inline_recursive, self.support(term.right)
+            return _ors([_ands([inline(term.left, x, m, group, rank),
+                                inline(term.right, m, y, group, rank)])
+                         for _, m in self.pairs([self.support(term.left)[x.i]])
+                         if rrows[m.i] >> y.i & 1])
         if isinstance(term, TInverse):
-            return self._inline_recursive(term.term, y, x, scc, rank)
-        if isinstance(term, (TPlus, TStar, TBounded)):
-            raise CatError(
-                "closure operators inside a recursive definition are not "
-                "supported by the solver export"
-            )
+            return self._inline_recursive(term.term, y, x, group, rank)
         raise TypeError(f"not a term: {term!r}")
 
+    def emit_recursive(self, group: tuple, terms: dict, rankw: int):
+        """A recursive group: its support is the least fixpoint of its
+        members' rows, iterated from empty, and each support pair gets a
+        Bool and a derivation rank."""
+        self.def_rows.update(dict.fromkeys(group, [0] * self.n))
+        while True:
+            memo = {}
+            rows = {nm: self.support(terms[nm], memo) for nm in group}
+            if all(rows[nm] == self.def_rows[nm] for nm in group):
+                break
+            self.def_rows.update(rows)
+        self.supports.update(memo)  # the last round saw the final rows only
+        for nm in group:
+            self.values[nm] = {(x.i, y.i): f"d_{nm}_{x.name}_{y.name}"
+                               for x, y in self.pairs(self.def_rows[nm])}
+        for nm in group:
+            for x, y in self.pairs(self.def_rows[nm]):
+                d = self.declare(self.values[nm][x.i, y.i], "Bool")
+                rank = self.declare(f"drk_{nm}_{x.name}_{y.name}", f"(_ BitVec {rankw})")
+                self.assert_(f"(= {d} {self._inline_recursive(terms[nm], x, y, group, rank)})")
+
     def emit_derived(self):
+        """Definitions in `catlang._groups` order, as one may name a later
+        one.  A pair that comes out TRUE or FALSE is not declared."""
         defs = self.model.definitions
         if not defs:
             return
         self.say("derived relations (least fixpoints)")
         terms = dict(defs)
-        scc_of = {}  # name of a recursive definition -> its group
+        rankw = max(2, (self.n * self.n + 1).bit_length() + 1)
         for group in catlang._groups(defs):
             if catlang._recursive(group, terms):
-                scc_of.update((n, frozenset(group)) for n in group)
-        rankw = max(2, (self.n * self.n + 1).bit_length() + 1)
-
-        for nm, _ in defs:
-            for x in self.events:
-                for y in self.events:
-                    self.declare(f"d_{nm}_{x.name}_{y.name}", "Bool")
-                    if nm in scc_of:
-                        self.declare(
-                            f"drk_{nm}_{x.name}_{y.name}", f"(_ BitVec {rankw})"
-                        )
-
-        for nm, term in defs:
-            if nm in scc_of:
-                for x in self.events:
-                    for y in self.events:
-                        rank = f"drk_{nm}_{x.name}_{y.name}"
-                        expr = self._inline_recursive(term, x, y, scc_of[nm], rank)
-                        self.assert_(f"(= d_{nm}_{x.name}_{y.name} {expr})")
-            else:
-                formula = self.materialize(term)
-                for x in self.events:
-                    for y in self.events:
-                        self.assert_(f"(= d_{nm}_{x.name}_{y.name} {formula(x, y)})")
+                self.emit_recursive(group, terms, rankw)
+                continue
+            (nm,) = group
+            formula, values, rows = self.materialize(terms[nm]), {}, [0] * self.n
+            for x, y in self.pairs(self.support(terms[nm])):
+                t = formula(x, y)
+                if t == FALSE:
+                    continue
+                if t != TRUE:
+                    d = self.declare(f"d_{nm}_{x.name}_{y.name}", "Bool")
+                    self.assert_(f"(= {d} {t})")
+                    t = d
+                values[x.i, y.i] = t
+                rows[x.i] |= 1 << y.i
+            self.values[nm], self.def_rows[nm] = values, rows
 
     def emit_assertions(self):
         self.say("model assertions")
         for ai, (kind, term, src) in enumerate(self.model.assertions):
             self.say(f"{kind} {src}")
-            formula = self.materialize(term)
-            if kind == "empty":
-                for x in self.events:
-                    for y in self.events:
+            formula, rows = self.materialize(term), self.support(term)
+            if kind in ("empty", "irreflexive"):
+                for x, y in self.pairs(rows):
+                    if kind == "empty" or x is y:
                         self.assert_(_not(formula(x, y)))
-            elif kind == "irreflexive":
-                for x in self.events:
-                    self.assert_(_not(formula(x, x)))
             else:  # acyclic: order-variable encoding
                 ew = max(2, self.n.bit_length() + 1)
                 for e in self.events:
                     self.declare(f"ord{ai}_{e.name}", f"(_ BitVec {ew})")
-                for x in self.events:
-                    for y in self.events:
-                        t = formula(x, y)
-                        if t == FALSE:
-                            continue
-                        self.assert_(
-                            f"(=> {t} (bvult ord{ai}_{x.name} ord{ai}_{y.name}))"
-                        )
+                for x, y in self.pairs(rows):
+                    t = formula(x, y)
+                    if t == FALSE:
+                        continue
+                    self.assert_(
+                        f"(=> {t} (bvult ord{ai}_{x.name} ord{ai}_{y.name}))"
+                    )
 
     def emit_goal(self):
         self.say("isolation goal: some load reads the secret init event")

@@ -3,9 +3,10 @@
 Parses the emitted QF_BV script and evaluates every assertion under a
 given partial assignment.  Assertions of the shape (= NAME expr), (assert
 NAME) or (assert (not NAME)) with NAME unbound act as definitions and bind
-NAME; evaluation short-circuits, so variables that only occur under false
-guards may stay unbound.  The script is "satisfied" when every assertion
-evaluates to true after the binding passes converge.
+NAME.  An `and` with a false argument is false and an `or` with a true
+one is true even if other arguments are unbound, so variables that only
+occur under false guards may stay unbound.  The script is "satisfied" when
+every assertion evaluates to true after the binding passes converge.
 """
 
 from __future__ import annotations
@@ -74,16 +75,8 @@ class Script:
             return (int(node[1][2:]), int(node[2]))
         if head == "not":
             return not self._eval(node[1], env)
-        if head == "and":
-            for arg in node[1:]:
-                if not self._eval(arg, env):
-                    return False
-            return True
-        if head == "or":
-            for arg in node[1:]:
-                if self._eval(arg, env):
-                    return True
-            return False
+        if head in ("and", "or"):
+            return self._junction(head == "or", node[1:], env)
         if head == "=>":
             if not self._eval(node[1], env):
                 return True
@@ -110,6 +103,20 @@ class Script:
                "bvand": a & b, "bvor": a | b, "bvxor": a ^ b,
                "bvshl": a << b, "bvlshr": a >> b}
         return (ops[head] & mask, w)
+
+    def _junction(self, decisive: bool, args, env):
+        """`and` (decisive False) or `or` (decisive True): any argument with
+        the decisive value decides, even when another one is unbound."""
+        unbound = None
+        for arg in args:
+            try:
+                if self._eval(arg, env) == decisive:
+                    return decisive
+            except Unbound as u:
+                unbound = unbound or u
+        if unbound:
+            raise unbound
+        return not decisive
 
     def check(self, assignment: dict):
         """Multi-pass: bind definitional asserts, then verify everything.

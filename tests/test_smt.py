@@ -6,6 +6,7 @@ assignment, satisfies every clause of the emitted formula.
 """
 
 import hashlib
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -18,15 +19,24 @@ from axcat import (
     check_isolation,
     corpus_dir,
     emit_smt,
+    enumerate_candidates,
     evaluate,
     load_model,
     parse_cat,
     parse_program,
 )
-from axcat.catlang import CatError, CatModel
-from axcat.engine import EngineError
+from axcat.catlang import (
+    BASE_RELATIONS,
+    SET_NAMES,
+    CatError,
+    CatModel,
+    _groups,
+    _recursive,
+)
+from axcat.engine import EngineError, candidate_consistent
 from axcat.smt import FALSE, TRUE, _ands, _Emitter, _ors
 from generator import random_program_source
+from reference import _naive_term
 from smt_eval import Script
 from test_compiled import EVERY_OPERATOR
 
@@ -126,9 +136,17 @@ def witness_assignment(x, model, cfg, bits, script: Script):
                     pos = i + 1
             asg[name] = (pos, width)
 
+    base = base_relations(x)
+    for (name, a, b), rank in derivation_ranks(model, base, cfg).items():
+        var = f"drk_{name}_{_event_name(x.event(a))}_{_event_name(x.event(b))}"
+        if var in script.widths:
+            asg[var] = (rank, script.widths[var])
+    for name, width in script.widths.items():
+        if name.startswith("drk_") and name not in asg:
+            asg[name] = (0, width)
+
     # order variables for acyclicity assertions: topological positions of
     # each assertion's relation over the candidate's events
-    base = base_relations(x)
     for ai, (kind, term, _src) in enumerate(model.assertions):
         if kind != "acyclic":
             continue
@@ -159,6 +177,31 @@ def witness_assignment(x, model, cfg, bits, script: Script):
             if name.startswith(f"ord{ai}_") and name not in asg:
                 asg[name] = (0, width)
     return asg
+
+
+def derivation_ranks(model, base, cfg):
+    """{(name, a, b): rank} over the recursive groups' least fixpoints: the
+    round of a simultaneous iteration from empty in which (a, b) joins
+    `name`, every other definition held at its final relation.  A pair's
+    round exceeds those of the pairs it is derived from."""
+    terms, ranks = dict(model.definitions), {}
+    groups = [g for g in _groups(model.definitions) if _recursive(g, terms)]
+    if not groups:
+        return ranks
+    final = evaluate(model, base, cfg)
+    rels = {n: final[n].pairs for n in BASE_RELATIONS}
+    sets = {n: final[n] for n in SET_NAMES}
+    bounds = {"w": cfg.window, "w'": cfg.buffer}
+    for group in groups:
+        env = {n: final[n].pairs for n in terms}
+        env.update(dict.fromkeys(group, frozenset()))
+        for rank in itertools.count(1):
+            env.update({n: _naive_term(terms[n], rels, sets, env, bounds) for n in group})
+            new = {(n, a, b) for n in group for a, b in env[n]} - ranks.keys()
+            if not new:
+                break
+            ranks.update(dict.fromkeys(new, rank))
+    return ranks
 
 
 @pytest.mark.parametrize(
@@ -309,8 +352,8 @@ def test_closure_operator_emits_outside_recursion():
 # sha256 of the export over every corpus expectation (its own settings, then
 # buffer 1, 3 and 4), and over 60 generator programs under five models in
 # both modes.  A change to the emitted bytes must update these on purpose.
-CORPUS_SHA256 = "3f26beb1e80fb538c1b459163bd19bf323615ee98252d9e867f2d0edb302cafd"
-GENERATOR_SHA256 = "3fd1a486cb67be43bb79cfa90574627dea9bab0276bb839a87223e13bc920a20"
+CORPUS_SHA256 = "932bea802068db131de8e254f8f075ffb8c9205b8b48d16b0e522fd4eeb88066"
+GENERATOR_SHA256 = "60bfa777d2cd0d2b113bd8b321cd8f121135fe3b90005d60a89b3ad37c778c61"
 
 
 def corpus_export_sha256():
@@ -339,27 +382,22 @@ def test_emitted_bytes_match_golden():
     assert generator_export_sha256() == GENERATOR_SHA256
 
 
-def _recording_family(rng, events, tag, calls):
-    """A cached pointwise family over `events` with a random support of
-    TRUE, FALSE and variable names (TRUE on the identity of init events, as
-    `[W]` and `[E]` give), logging each first call to `calls`."""
-    support = {}
+def _random_family(rng, events, tag):
+    """(values, rows): a pointwise family over `events` of TRUE, FALSE and
+    variable names (TRUE on the identity of init events, as `[W]` and `[E]`
+    give), and support rows that hold every pair where it is not FALSE and
+    some where it is."""
+    values, rows = {}, [0] * len(events)
     for x in events:
         for y in events:
             if x is y and x.kind != "instr" and rng.random() < 0.7:
-                support[x, y] = TRUE
+                v = TRUE
             else:
-                support[x, y] = rng.choice(
-                    (FALSE, FALSE, FALSE, TRUE, f"{tag}_{x.name}_{y.name}"))
-    cache = {}
-
-    def family(x, y):
-        if (x, y) not in cache:
-            calls.append((tag, x.name, y.name))
-            cache[x, y] = support[x, y]
-        return cache[x, y]
-
-    return family
+                v = rng.choice((FALSE, FALSE, FALSE, TRUE, f"{tag}_{x.name}_{y.name}"))
+            values[x, y] = v
+            if v != FALSE or rng.random() < 0.3:
+                rows[x.i] |= 1 << y.i
+    return values, rows
 
 
 @pytest.mark.parametrize("squaring", [False, True], ids=["compose", "plus-step"])
@@ -373,24 +411,135 @@ def test_sparse_compose_matches_the_dense_product(seed, squaring):
     emitter = _Emitter(parse_program(src), load_model("inorder"),
                        SpecConfig(mode="traditional"), 1, 2, "p")
     events = emitter.events
-    pairs = [(x, y) for x in events for y in events] * 2
-    random.Random(seed).shuffle(pairs)
+    rng = random.Random(seed)
+    left, lrows = _random_family(rng, events, "l")
+    right, rrows = (left, lrows) if squaring else _random_family(rng, events, "r")
+    calls = []
 
-    def families(calls):
-        rng = random.Random(seed)  # both sides see the same supports
-        lf = _recording_family(rng, events, "l", calls)
-        if squaring:  # the ^+ step: prev | prev;prev
-            return lf, lf, lf
-        return lf, _recording_family(rng, events, "r", calls), None
+    def side(values, role):
+        def family(x, y):
+            calls.append((role, x, y))
+            return values[x, y]
+        return family
 
-    dense_calls, sparse_calls = [], []
-    lf, rg, first = families(dense_calls)
-    dense = [
-        _ors(([first(x, y)] if first else [])
-             + [_ands([lf(x, m), rg(m, y)]) for m in events])
-        for x, y in pairs
-    ]
-    lf, rg, first = families(sparse_calls)
-    out = emitter._sparse_compose(lf, rg, first=first)
-    assert [out(x, y) for x, y in pairs] == dense
-    assert sparse_calls == dense_calls
+    # the ^+ step: prev | prev;prev
+    first = (side(left, "first"), lrows) if squaring else None
+    out, rows = emitter._sparse_compose(
+        (side(left, "l"), lrows), (side(right, "r"), rrows), first)
+    pairs = [(x, y) for x in events for y in events]
+    rng.shuffle(pairs)
+    for x, y in pairs:
+        dense = _ors(([left[x, y]] if squaring else [])
+                     + [_ands([left[x, m], right[m, y]]) for m in events])
+        calls.clear()
+        assert out(x, y) == dense
+        assert dense == FALSE or rows[x.i] >> y.i & 1
+        for role, a, b in calls:  # no side is called outside both supports
+            if role == "l":
+                assert a is x and lrows[x.i] >> b.i & 1 and rrows[b.i] >> y.i & 1
+            elif role == "r":
+                assert b is y and lrows[x.i] >> a.i & 1 and rrows[a.i] >> y.i & 1
+            else:
+                assert (a, b) == (x, y)
+
+
+SIX_MODELS = [load_model(n) for n in ("inorder", "stl", "tso", "psf", "tso-mcu")]
+SIX_MODELS.append(EVERY_OPERATOR)
+
+
+def generator_queries(seeds):
+    """(program, model, cfg) for seeded generator programs under the six
+    models in both modes, at the settings the golden hashes use."""
+    for seed in seeds:
+        program = parse_program(random_program_source(random.Random(seed)))
+        for model in SIX_MODELS:
+            for mode in ("traditional", "speculative"):
+                yield program, model, SpecConfig(mode=mode, psf="srf" in model.base_names())
+
+
+def _pairs_in(rows, pairs, index):
+    """The pairs of event-id pairs `pairs` that lie outside `rows`."""
+    return [(a, b) for a, b in pairs if not rows[index[a]] >> index[b] & 1]
+
+
+@pytest.mark.parametrize("seeds", [range(0, 30), range(30, 60)], ids=["0-29", "30-59"])
+def test_supports_hold_every_candidate_relation(seeds):
+    # every value-consistent candidate's definitions and assertion terms lie
+    # inside the static supports the export computed for them
+    checked = 0
+    for program, model, cfg in generator_queries(seeds):
+        emitter = _Emitter(program, model, cfg, 1, 2, "g")
+        emitter.render()
+        names = {e.name: e.i for e in emitter.events}
+        bounds = {"w": cfg.window, "w'": cfg.buffer}
+        for x in enumerate_candidates(program, cfg, 1, 2):
+            if x.valuation is None:
+                continue
+            index = {e.id: names[_event_name(e)] for e in x.events}
+            final = evaluate(model, base_relations(x), cfg)
+            rels = {n: final[n].pairs for n in BASE_RELATIONS}
+            sets = {n: final[n] for n in SET_NAMES}
+            env = {n: final[n].pairs for n, _ in model.definitions}
+            for n, _ in model.definitions:
+                assert not _pairs_in(emitter.def_rows[n], env[n], index), (model.name, n)
+            for _, term, src in model.assertions:
+                rel = _naive_term(term, rels, sets, env, bounds)
+                assert not _pairs_in(emitter.support(term), rel, index), (model.name, src)
+            checked += 1
+    assert checked >= 3000, checked
+
+
+def test_forward_reference_is_emitted_after_the_definition_it_names():
+    # `a` names `b`, which the file defines later: `b` is emitted first and
+    # `a` substitutes its pairs
+    model = parse_cat("a = b | po\nb = rf;po\nacyclic a | co\n", "forward")
+    src = (corpus_dir() / "pht-01.litmus").read_text()
+    cfg = SpecConfig(mode="speculative")
+    text = emit_smt(parse_program(src), model, cfg, 2, 3, "pht-01")
+    defined = re.findall(r"^\(assert \(= (d_[ab])_", text, re.M)
+    assert defined and defined == sorted(defined, reverse=True), defined
+    _witness_satisfies(src, model, cfg, 2, 3)
+
+
+def test_difference_keeps_the_pairs_its_right_side_may_lack():
+    # a store and a later load of its thread are in po, and in rf only when
+    # the load picks that store: po \ rf may hold there
+    src = "layout A[1]@0 secret@1\nthread 0:\n1: store A, 1\n2: load r0, A\n"
+    model = parse_cat("d = po \\ rf\nacyclic d\n", "diff")
+    emitter = _Emitter(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2, "d")
+    emitter.render()
+    store, load = emitter.by_site[(0, 1)], emitter.by_site[(0, 2)]
+    assert emitter.def_rows["d"][store.i] >> load.i & 1
+    assert emitter.values["d"][store.i, load.i] == f"d_d_{store.name}_{load.name}"
+
+
+def _without_goal(text: str) -> str:
+    """The script with its isolation goal, the last assertion, removed."""
+    lines = text.splitlines()
+    assert lines[-3].startswith("(assert ") and "goal" in lines[-4]
+    return "\n".join(lines[:-3] + lines[-2:]) + "\n"
+
+
+@pytest.mark.parametrize("seeds", [range(0, 30), range(30, 60)], ids=["0-29", "30-59"])
+def test_generator_witnesses_and_model_rejections_match_the_export(seeds):
+    # every unsafe witness satisfies the script, and every candidate that
+    # only the model's assertions reject refutes the script without its goal
+    witnesses = refuted = 0
+    for program, model, cfg in generator_queries(seeds):
+        text = emit_smt(program, model, cfg, 1, 2, "g")
+        verdict = check_isolation(program, model, cfg, 1, 2)
+        if verdict.outcome == "unsafe":
+            script = Script(text)
+            ok, failures = script.check(
+                witness_assignment(verdict.witness, model, cfg, 2, script))
+            assert ok, (model.name, cfg.mode, failures)
+            witnesses += 1
+        script = Script(_without_goal(text))
+        for x in enumerate_candidates(program, cfg, 1, 2):
+            ok, reason = candidate_consistent(x, model, cfg)
+            if ok or not reason.startswith("assertion "):
+                continue
+            ok, failures = script.check(witness_assignment(x, model, cfg, 2, script))
+            assert not ok and failures[0][0] != "unbound", (model.name, reason, failures)
+            refuted += 1
+    assert witnesses >= 10 and refuted >= 150, (witnesses, refuted)
