@@ -46,7 +46,8 @@ valuation = propagate_values(x, init_vals, bits=3)
 print("consistent valuation over", len(valuation), "events")
 print("\nresolved events:")
 for e in x.instruction_events():
-    print(f"  e{e.id} {stmt_to_text(e.stmt):24s} addr={e.addr} val={e.val}")
+    addr, val = valuation[e.id]
+    print(f"  e{e.id} {stmt_to_text(e.stmt):24s} addr={addr} val={val}")
 
 rels = base_relations(x)
 print("\nreads-from:", sorted(x.rf))

@@ -757,11 +757,11 @@ def check_srf_fence(x: CandidateExecution) -> bool:
     no load reads a store before a fence at another address."""
     if x.valuation is None:
         raise ValueError("srf fence check needs a completed valuation")
-    fence, events = x.structure.fence, x.events
+    fence, valuation = x.structure.fence, x.valuation
     for load in x.structure.loads:
         src = x.rf_choice[load]
         if src == "init" or not fence[src] >> load & 1:
             continue
-        if events[src].addr != events[load].addr:
+        if valuation[src][0] != valuation[load][0]:
             return False
     return True

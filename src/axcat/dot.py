@@ -23,7 +23,7 @@ def _node_label(x: CandidateExecution, e: Event) -> str:
     if e.kind == SECRET_INIT:
         return f"e_s: secret @{e.addr}"
     if e.is_init():
-        return f"e_0: init @{e.addr}={e.val}"
+        return f"e_0: init @{e.addr}={x.valuation[e.id][1]}"
     tag = f"e{e.id}"
     if len(x.program.threads) > 1:
         tag += f" (t{e.thread})"
@@ -54,7 +54,7 @@ def emit_witness_dot(x: CandidateExecution) -> str:
         # stores in coherence order
         chains: dict[int, list[int]] = {}
         for sid in x.co_order:
-            addr = events[sid].addr
+            addr = x.valuation[sid][0]
             chains.setdefault(addr, [x.structure.init_by_addr[addr]]).append(sid)
         for chain in chains.values():
             edges.extend((a, b, "co", "solid") for a, b in zip(chain, chain[1:]))

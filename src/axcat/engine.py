@@ -11,17 +11,17 @@ lexicographically by their choice vector
 
 `enumerate_candidates` walks this blind product and is kept as the
 reference.  `check_isolation` searches it directed instead.  Per control
-vector it builds the events and their `Skeleton` (thread order, `po`,
-`fence`, `addr`, event classes) once; every candidate of the vector gets
-fresh copies of the events and shares the skeleton by reference.  The whole
-vector is dropped when a transient run exceeds the speculation window.  It
-then chooses reads-from sources depth first over the loads in id order,
-offering each load its sources in the blind order ("init", then the
-stores) minus those that fail value propagation for every coherence order
-and every input.  Only a candidate that reads the secret can be a witness,
-so a reads-from vector must also have some load read "init" whose address
-reads a register or is the secret's; a prefix is dropped as soon as no
-later load can.  The sources dropped per load:
+vector it builds the frozen events and their `Skeleton` (thread order,
+`po`, `fence`, `addr`, event classes) once; every candidate of the vector
+shares both by reference and adds only its choices and its valuation.
+The whole vector is dropped when a transient run exceeds the speculation
+window.  It then chooses reads-from sources depth first over the loads in
+id order, offering each load its sources in the blind order ("init", then
+the stores) minus those that fail value propagation for every coherence
+order and every input.  Only a candidate that reads the secret can be a
+witness, so a reads-from vector must also have some load read "init" whose
+address reads a register or is the secret's; a prefix is dropped as soon as
+no later load can.  The sources dropped per load:
 
   * a transient store, unless the load is a later transient load of the
     store's thread;
@@ -193,28 +193,12 @@ def _initial_values(program: Program, domain_bits: int) -> dict:
     return init_vals
 
 
-def _instance(skeleton, rf_choice, co_order, init_vals, inputs):
-    """A candidate on fresh copies of the skeleton's events, to propagate."""
-    return CandidateExecution(
-        program=skeleton.program,
-        events=[
-            Event(e.id, e.kind, e.origin, e.stmt, e.addr, e.val, e.cp)
-            for e in skeleton.events
-        ],
-        committed=skeleton.committed,
-        transient=skeleton.transient,
-        structure=skeleton.structure,
-        psf=skeleton.psf,
-        rf_choice=rf_choice,
-        co_order=co_order,
-        init_vals={**init_vals, **inputs},
-        choices={
-            **skeleton.choices,
-            "rf": dict(rf_choice),
-            "co": co_order,
-            "inputs": inputs,
-        },
-    )
+def _instance(skeleton, rf_choice, co_order, init_vals, inputs, domain_bits):
+    """The skeleton's candidate for these choices, value propagation
+    attempted."""
+    x = replace(skeleton, rf_choice=rf_choice, co_order=co_order, inputs=inputs)
+    propagate_values(x, {**init_vals, **inputs}, domain_bits)
+    return x
 
 
 def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits: int):
@@ -235,15 +219,14 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
                 for input_vector in itertools.product(domain, repeat=len(inputs)):
-                    x = _instance(
+                    yield _instance(
                         skeleton,
                         dict(zip(load_ids, rf_vector)),
                         co_order,
                         init_vals,
                         dict(zip(inputs, input_vector)),
+                        domain_bits,
                     )
-                    propagate_values(x, x.init_vals, domain_bits)
-                    yield x
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +379,14 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
         rf_choice = dict(zip(load_ids, rf_vector))
         passing = []
         for chosen_inputs in input_vectors:
-            x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs)
-            propagate_values(x, x.init_vals, domain_bits)
+            x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs, domain_bits)
             if x.valuation is not None and violating_load(x) is not None:
                 passing.append(x)
         if not passing:
             continue
         for co_order in itertools.permutations(committed_stores):
             for x in passing:
-                yield replace(x, co_order=co_order, choices={**x.choices, "co": co_order})
+                yield replace(x, co_order=co_order)
 
 
 def candidate_consistent(
@@ -444,7 +426,7 @@ def violating_load(x: CandidateExecution) -> int | None:
         return None
     secret = x.program.secret_addr
     for load in x.structure.loads:
-        if x.rf_choice[load] == "init" and x.events[load].addr == secret:
+        if x.rf_choice[load] == "init" and x.valuation[load][0] == secret:
             return load
     return None
 

@@ -8,17 +8,21 @@ values of attacker-controlled locations.  The control-flow choice alone
 fixes the events and a `Skeleton`: each thread's events in program order,
 the ids of the loads, stores, instruction events and init events, the
 `po`, `fence` and `addr` relations, the event classes, and the branch
-outcomes the candidate's values must confirm.  `build_events` computes it
-once per control vector and every candidate on those events shares it by
-reference.  Whether a candidate represents a behavior the hardware model
-allows is decided elsewhere; this module only builds candidates and
-computes the relations and the valuation they induce.
+outcomes the candidate's values must confirm.  `build_events` computes the
+events (frozen, in a tuple) and the skeleton once per control vector, and
+every candidate of the vector shares both by reference: a candidate is the
+skeleton plus its choices (`rf_choice`, `co_order`, `inputs`) plus the
+valuation that `propagate_values` derives from them, the one place that
+holds an instruction event's address and value.  Whether a candidate
+represents a behavior the hardware model allows is decided elsewhere; this
+module only builds candidates and computes the relations and the valuation
+they induce.
 
 Relations are bitset rows: a relation over the events 0..n-1 is n ints,
 and bit j of row i is the pair (i, j).  The skeleton holds `po`, `fence`
 and `addr` as rows.  A candidate stores only its choices; `data_rows` is
 the one place that derives the data relations `rf`, `srf`, `rfe`, `co`
-and `loc` from them and from the propagated addresses.  `Relation`, a set
+and `loc` from them and from the valuation's addresses.  `Relation`, a set
 of pairs, is the public view: `base_relations` and the read-only `rf`,
 `co` and `srf` properties of a candidate convert rows with `relation_of`.
 
@@ -173,14 +177,16 @@ def relation_of(rows, ids) -> Relation:
 # Events
 
 
-@dataclass
+@dataclass(frozen=True)
 class Event:
+    """What the control vector fixes about one event.  The address and value
+    an instruction event resolves to live in its candidate's `valuation`."""
+
     id: int
     kind: str
     origin: tuple[int, int, int] | None = None  # (label, iteration, thread)
     stmt: Stmt | None = None
-    addr: int | None = None
-    val: int | None = None
+    addr: int | None = None  # an init event's layout address; None otherwise
     cp: bool | None = None
 
     @property
@@ -234,12 +240,14 @@ class Skeleton:
     fence: tuple
     addr: tuple
     sets: MappingProxyType  # the event classes E, M, W, R of model files
+    outcomes: MappingProxyType  # (thread, label) -> branch taken, sorted
+    predictions: MappingProxyType  # (thread, label) -> predicted correctly
 
 
 @dataclass
 class CandidateExecution:
     program: Program
-    events: list[Event]
+    events: tuple[Event, ...]  # shared by every candidate of the control vector
     committed: frozenset
     transient: frozenset
     structure: Skeleton  # shared by every candidate of the control vector
@@ -247,11 +255,21 @@ class CandidateExecution:
     # per-load source choice: "init" or the id of a program store event
     rf_choice: dict = field(default_factory=dict)
     co_order: tuple = ()  # committed store ids, coherence positions
-    init_vals: dict = field(default_factory=dict)
-    valuation: dict | None = None
+    inputs: dict = field(default_factory=dict)  # input address -> chosen value
+    # (addr, val) per event id, from `propagate_values`; None until it succeeds
+    valuation: tuple | None = None
     inconsistency: str | None = None
-    # choice-vector metadata, for reproducibility and witness reports
-    choices: dict = field(default_factory=dict)
+
+    @property
+    def choices(self) -> dict:
+        """The choice vector, for reproducibility and witness reports."""
+        return {
+            "outcomes": dict(self.structure.outcomes),
+            "cp": dict(self.structure.predictions),
+            "rf": dict(self.rf_choice),
+            "co": self.co_order,
+            "inputs": dict(self.inputs),
+        }
 
     # The data relations, derived by `data_rows`; None until propagation
     # succeeds.
@@ -364,7 +382,8 @@ def build_events(
     True when the jump is taken; `cp_assign` maps the same keys to True when
     the direction was predicted correctly (ignored in traditional mode).
     The committed/transient partition and the `Skeleton` are fully
-    determined by these choices.
+    determined by these choices.  Every candidate built from the result
+    shares its `events` tuple and its `structure`.
     """
     events: list[Event] = []
     for a in program.declared_addresses():
@@ -387,22 +406,14 @@ def build_events(
             ins = instrs[label]
             kind = KIND_BY_STMT[type(ins.stmt)]
             it = ins.provenance[1] if ins.provenance else 1
-            ev = Event(
-                id=len(events),
-                kind=kind,
-                origin=(label, it, tid),
-                stmt=ins.stmt,
-            )
+            cp = None
             if kind == "cond-jump":
-                ev.cp = (
-                    True
-                    if not speculative
-                    else cp_assign.get((tid, label), True)
-                )
+                cp = not speculative or cp_assign.get((tid, label), True)
                 # its outcome decides the next event, unless the walk ends
                 # here or both directions reach the fall-through
                 if pos + 1 < len(walk) and ins.stmt.target != label + 1:
-                    branches.append((ev.id, branch_outcomes[(tid, label)]))
+                    branches.append((len(events), branch_outcomes[(tid, label)]))
+            ev = Event(len(events), kind, (label, it, tid), ins.stmt, cp=cp)
             events.append(ev)
             if label in tr_labels:
                 transient_ids.add(ev.id)
@@ -414,20 +425,19 @@ def build_events(
 
     return CandidateExecution(
         program=program,
-        events=events,
+        events=tuple(events),
         committed=frozenset(committed_ids),
         transient=frozenset(transient_ids),
-        structure=_skeleton(program, events, tuple(threads), tuple(branches)),
+        structure=_skeleton(
+            program, events, tuple(threads), tuple(branches), branch_outcomes, cp_assign
+        ),
         psf=psf,
-        choices={
-            "outcomes": dict(sorted(branch_outcomes.items())),
-            "cp": dict(sorted(cp_assign.items())),
-        },
     )
 
 
 def _skeleton(
-    program: Program, events: list[Event], threads: tuple, branches: tuple
+    program: Program, events: list[Event], threads: tuple, branches: tuple,
+    outcomes: dict, predictions: dict,
 ) -> Skeleton:
     n = len(events)
     po, fence, addr = [0] * n, [0] * n, [0] * n
@@ -476,6 +486,8 @@ def _skeleton(
             "W": frozenset(e.id for e in events if e.kind in WRITE_KINDS),
             "R": frozenset(e.id for e in events if e.kind == "load"),
         }),
+        outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
+        predictions=MappingProxyType(dict(sorted(predictions.items()))),
     )
 
 
@@ -491,37 +503,32 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     """Resolve addresses and values, or report an inconsistency.
 
     `init_vals` gives the initial value of every declared address (the
-    engine fixes non-input locations at 0 and the secret at its sentinel).
-    Returns the valuation dict {event id: (addr, val)} on success, else an
-    `Inconsistent` with the first reason found.  The result is written back
-    into the events; the data relations it induces come from `data_rows`.
+    engine fixes non-input locations at 0, the secret at its sentinel, and
+    the inputs at the candidate's `inputs`).  Returns the valuation, a tuple
+    of (addr, val) indexed by event id, and stores it in `x.valuation`; on
+    failure `x.valuation` is None and the result an `Inconsistent` with the
+    first reason found.  The events are not touched: the data relations the
+    valuation induces come from `data_rows`.
     """
     mask = (1 << bits) - 1
-    program = x.program
-    init_by_addr = x.structure.init_by_addr
+    secret_addr = x.program.secret_addr
+    events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
+    addrs = [e.addr for e in events]  # init events keep their layout address
+    vals: list = [None] * len(events)
 
     for addr, eid in init_by_addr.items():
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
-        x.events[eid].val = init_vals[addr]
-    for e in x.instruction_events():
-        e.addr = None
-        e.val = None
+        vals[eid] = init_vals[addr]
+
+    def resolve_source(load: int, addr=None) -> int | None:
+        choice = rf_choice.get(load)
+        if choice == "init":
+            return init_by_addr.get(addrs[load] if addr is None else addr)
+        return choice
 
     threads = x.threads()
-
-    def resolve_source(load: Event, addr=None):
-        choice = x.rf_choice.get(load.id)
-        if choice is None:
-            return None
-        if choice == "init":
-            addr = load.addr if addr is None else addr
-            if addr not in init_by_addr:
-                return None
-            return x.events[init_by_addr[addr]]
-        return x.event(choice)
-
-    for _ in range(len(x.events) + 2):
+    for _ in range(len(events) + 2):
         changed = False
         for evs in threads:
             regs: dict[str, int | None] = {}
@@ -529,30 +536,30 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
                 s = e.stmt
                 addr = val = None
                 if isinstance(s, Assign):
-                    val = eval_expr(s.expr, regs, program.secret_addr, mask)
+                    val = eval_expr(s.expr, regs, secret_addr, mask)
                     regs[s.reg] = val
                 elif isinstance(s, CondAssign):
-                    guard = eval_expr(s.guard, regs, program.secret_addr, mask)
+                    guard = eval_expr(s.guard, regs, secret_addr, mask)
                     if guard is None:
                         val = None
                         regs[s.reg] = None
                     elif guard != 0:
-                        val = eval_expr(s.expr, regs, program.secret_addr, mask)
+                        val = eval_expr(s.expr, regs, secret_addr, mask)
                         regs[s.reg] = val
                     else:
                         val = regs.get(s.reg, 0)
                 elif isinstance(s, Load):
-                    addr = eval_expr(s.addr, regs, program.secret_addr, mask)
-                    src = resolve_source(e, addr)
-                    val = src.val if src is not None else None
+                    addr = eval_expr(s.addr, regs, secret_addr, mask)
+                    src = resolve_source(e.id, addr)
+                    val = vals[src] if src is not None else None
                     regs[s.reg] = val
                 elif isinstance(s, Store):
-                    addr = eval_expr(s.addr, regs, program.secret_addr, mask)
-                    val = eval_expr(s.value, regs, program.secret_addr, mask)
+                    addr = eval_expr(s.addr, regs, secret_addr, mask)
+                    val = eval_expr(s.value, regs, secret_addr, mask)
                 elif isinstance(s, Beqz):
                     val = regs.get(s.reg, 0)
-                if e.addr != addr or e.val != val:
-                    e.addr, e.val = addr, val
+                if addrs[e.id] != addr or vals[e.id] != val:
+                    addrs[e.id], vals[e.id] = addr, val
                     changed = True
         if not changed:
             break
@@ -560,46 +567,46 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         return _fail(x, "value propagation did not stabilize")
 
     for e in x.instruction_events():
-        if e.kind in ("load", "store") and e.addr is None:
+        if e.kind in ("load", "store") and addrs[e.id] is None:
             return _fail(x, f"unresolved address at e{e.id}")
-        if e.kind in ("load", "store", "cond-jump", "local", "cond-local") and e.val is None:
+        if e.kind in ("load", "store", "cond-jump", "local", "cond-local") and vals[e.id] is None:
             return _fail(x, f"unresolved value at e{e.id} (cyclic dataflow)")
 
-    for e in x.stores():
-        if e.addr not in init_by_addr:
-            return _fail(x, f"store e{e.id} hits undeclared address {e.addr}")
+    for sid in x.structure.stores:
+        if addrs[sid] not in init_by_addr:
+            return _fail(x, f"store e{sid} hits undeclared address {addrs[sid]}")
 
     # Check the legality of the reads-from choice.
     for load in x.loads():
-        src = resolve_source(load)
-        if src is None:
-            if x.rf_choice.get(load.id) == "init":
-                return _fail(
-                    x, f"load e{load.id} reads undeclared address {load.addr}"
-                )
-            return _fail(x, f"load e{load.id} has no reads-from source")
-        if src.addr != load.addr:
+        lid = load.id
+        sid = resolve_source(lid)
+        if sid is None:
+            if rf_choice.get(lid) == "init":
+                return _fail(x, f"load e{lid} reads undeclared address {addrs[lid]}")
+            return _fail(x, f"load e{lid} has no reads-from source")
+        src = events[sid]
+        if addrs[sid] != addrs[lid]:
             if not x.psf:
                 return _fail(
-                    x, f"reads-from (e{src.id}, e{load.id}) joins different addresses"
+                    x, f"reads-from (e{sid}, e{lid}) joins different addresses"
                 )
             # Alias-predicted forwarding: only a program store earlier in
             # the same thread can supply a different address.
             if src.is_init() or src.thread != load.thread or src.label >= load.label:
                 return _fail(
                     x,
-                    f"alias forwarding (e{src.id}, e{load.id}) is not a "
+                    f"alias forwarding (e{sid}, e{lid}) is not a "
                     f"store-buffer pair",
                 )
-        if src.id in x.transient:
+        if sid in x.transient:
             if (
-                load.id not in x.transient
+                lid not in x.transient
                 or src.thread != load.thread
                 or src.label >= load.label
             ):
                 return _fail(
                     x,
-                    f"transient store e{src.id} can only feed a later transient "
+                    f"transient store e{sid} can only feed a later transient "
                     f"load of its thread",
                 )
 
@@ -608,7 +615,7 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         if sid in x.transient:
             return _fail(x, f"transient store e{sid} in the coherence order")
 
-    x.valuation = {e.id: (e.addr, e.val) for e in x.events}
+    x.valuation = tuple(zip(addrs, vals))
     x.inconsistency = None
     return x.valuation
 
@@ -629,8 +636,8 @@ DATA_RELATIONS = frozenset({"rf", "co", "loc", "srf", "rfe"})
 
 def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict:
     """The bitset rows of the data relations in `needed`, over the event
-    ids, from the reads-from choice, the coherence order and the addresses
-    of a propagated candidate.
+    ids, from the reads-from choice, the coherence order and the valuation's
+    addresses of a propagated candidate.
 
     Each load reads its chosen source ("init" is the init event of the
     load's address).  That pair is in `srf` under predictive store
@@ -640,29 +647,29 @@ def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict
     stores in the sequence of `co_order`.  `loc` joins memory events at
     one address.
     """
-    s, events = x.structure, x.events
+    s, events, valuation = x.structure, x.events, x.valuation
     n = len(events)
     rows = {}
     if not needed.isdisjoint(("rf", "srf", "rfe")):
         rf, srf, rfe = [0] * n, [0] * n, [0] * n
         for load in s.loads:
-            e = events[load]
+            addr = valuation[load][0]
             choice = x.rf_choice[load]
-            src = s.init_by_addr[e.addr] if choice == "init" else choice
+            src = s.init_by_addr[addr] if choice == "init" else choice
             bit = 1 << load
             if x.psf:
                 srf[src] |= bit
-                if events[src].addr != e.addr:
+                if valuation[src][0] != addr:
                     continue
             rf[src] |= bit
-            if choice != "init" and events[src].thread != e.thread:
+            if choice != "init" and events[src].thread != events[load].thread:
                 rfe[src] |= bit
         rows.update(rf=rf, srf=srf, rfe=rfe)
     if "co" in needed:
         co = [0] * n
         later: dict = {}  # address -> the stores after the one at hand
         for sid in reversed(x.co_order):
-            addr = events[sid].addr
+            addr = valuation[sid][0]
             co[sid] = later.get(addr, 0)
             later[addr] = co[sid] | 1 << sid
         for addr, stores in later.items():
@@ -672,10 +679,11 @@ def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict
         memory = (*s.init_by_addr.values(), *s.loads, *s.stores)
         same: dict = {}
         for eid in memory:
-            same[events[eid].addr] = same.get(events[eid].addr, 0) | 1 << eid
+            addr = valuation[eid][0]
+            same[addr] = same.get(addr, 0) | 1 << eid
         loc = [0] * n
         for eid in memory:
-            loc[eid] = same[events[eid].addr]
+            loc[eid] = same[valuation[eid][0]]
         rows["loc"] = loc
     return rows
 

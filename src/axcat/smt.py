@@ -713,7 +713,8 @@ class _Emitter:
 
     def emit_derived(self):
         """Definitions in `catlang._groups` order, as one may name a later
-        one.  A pair that comes out TRUE or FALSE is not declared."""
+        one.  A pair that comes out TRUE, FALSE or one bare symbol is not
+        declared: references substitute it."""
         defs = self.model.definitions
         if not defs:
             return
@@ -730,7 +731,7 @@ class _Emitter:
                 t = formula(x, y)
                 if t == FALSE:
                     continue
-                if t != TRUE:
+                if t.startswith("("):
                     d = self.declare(f"d_{nm}_{x.name}_{y.name}", "Bool")
                     self.assert_(f"(= {d} {t})")
                     t = d

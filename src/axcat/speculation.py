@@ -37,7 +37,7 @@ class SpecConfig:
 
 
 def _branches_agree(x: CandidateExecution) -> bool:
-    return all((x.event(eid).val == 0) == taken for eid, taken in x.structure.branches)
+    return all((x.valuation[eid][1] == 0) == taken for eid, taken in x.structure.branches)
 
 
 def check_traditional_cf(x: CandidateExecution) -> bool:

@@ -180,7 +180,7 @@ def test_criterion_08_relation_property_suite():
             by_addr = {}
             for e in x.events:
                 if e.kind in ("store", "init", "secret-init") and e.id in x.committed:
-                    by_addr.setdefault(e.addr, []).append(e.id)
+                    by_addr.setdefault(x.valuation[e.id][0], []).append(e.id)
             for addr, ids in by_addr.items():  # co strict total, init first
                 init = [i for i in ids if x.event(i).is_init()]
                 assert len(init) == 1

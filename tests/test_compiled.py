@@ -103,12 +103,13 @@ def reference_data_relations(x):
     after its init event as `co_order` does; loc joins memory events at one
     address."""
     events, init = x.events, x.structure.init_by_addr
+    addr = [a for a, _ in x.valuation]
     chosen = {
-        (init[events[r].addr] if w == "init" else w, r) for r, w in x.rf_choice.items()
+        (init[addr[r]] if w == "init" else w, r) for r, w in x.rf_choice.items()
     }
     if x.psf:
         srf = chosen
-        rf = {(w, r) for w, r in chosen if events[w].addr == events[r].addr}
+        rf = {(w, r) for w, r in chosen if addr[w] == addr[r]}
     else:
         srf, rf = set(), chosen
     rfe = {
@@ -117,11 +118,11 @@ def reference_data_relations(x):
         if not events[w].is_init() and events[w].thread != events[r].thread
     }
     co = set()
-    for addr in {events[sid].addr for sid in x.co_order}:
-        chain = [init[addr]] + [s for s in x.co_order if events[s].addr == addr]
+    for location in {addr[sid] for sid in x.co_order}:
+        chain = [init[location]] + [s for s in x.co_order if addr[s] == location]
         co |= {(a, b) for i, a in enumerate(chain) for b in chain[i + 1:]}
-    memory = [e for e in events if e.kind in ("load", "store", "init", "secret-init")]
-    loc = {(a.id, b.id) for a in memory for b in memory if a.addr == b.addr}
+    memory = [e.id for e in events if e.kind in ("load", "store", "init", "secret-init")]
+    loc = {(a, b) for a in memory for b in memory if addr[a] == addr[b]}
     return {"rf": rf, "srf": srf, "rfe": rfe, "co": co, "loc": loc}
 
 

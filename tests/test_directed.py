@@ -209,7 +209,7 @@ def test_directed_candidates_share_their_skeleton():
         for skeleton in _skeletons(unroll(program, 1 + seed % 2), cfg):
             for x in _search(skeleton, 2):
                 assert x.structure is skeleton.structure
-                assert x.events is not skeleton.events
+                assert x.events is skeleton.events
                 shared += 1
     assert shared > 1000
 

@@ -1,4 +1,8 @@
 
+import dataclasses
+
+import pytest
+
 from axcat.events import (
     INIT,
     SECRET_INIT,
@@ -107,6 +111,41 @@ def test_build_empty_thread_gives_inits_only():
     assert [e.kind for e in x.events] == [INIT, SECRET_INIT, "skip"]
 
 
+def test_events_are_frozen():
+    x = build_events(fig2(), {(0, 3): False}, {(0, 3): True})
+    init, load = x.init_events()[0], x.loads()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        init.addr = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load.addr = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load.cp = False
+
+
+def test_candidates_of_one_skeleton_keep_their_own_valuation():
+    p = fig2()
+    skeleton = build_events(p, {(0, 3): False}, {(0, 3): True})
+    before = [dataclasses.astuple(e) for e in skeleton.events]
+    rf = {e.id: "init" for e in skeleton.loads()}
+    one = dataclasses.replace(skeleton, rf_choice=rf, inputs={5: 1})
+    two = dataclasses.replace(skeleton, rf_choice=rf, inputs={5: 2})
+    first = propagate_values(one, init_vals(p, **{"5": 1}), 3)
+    assert first is one.valuation
+    second = propagate_values(two, init_vals(p, **{"5": 2}), 3)
+    assert second is two.valuation and one.valuation is first
+    idx, array, _ = (e.id for e in skeleton.loads())  # idx, then A + r1
+    assert (first[idx][1], first[array][0]) == (1, 1)
+    assert (second[idx][1], second[array][0]) == (2, 2)
+    assert one.events is two.events is skeleton.events
+    assert [dataclasses.astuple(e) for e in skeleton.events] == before
+    assert skeleton.valuation is None
+    assert (one.choices["inputs"], two.choices["inputs"]) == ({5: 1}, {5: 2})
+    # the choice vector is derived, so it follows an assigned choice
+    one.co_order = (99,)
+    assert one.choices["co"] == (99,) and two.choices["co"] == ()
+    assert one.choices["outcomes"] == {(0, 3): False} and one.choices["cp"] == {(0, 3): True}
+
+
 def test_propagate_masked_index_stays_in_bounds():
     p = unroll(parse_program(MASKING), 2)
     x = build_events(p, {}, {})
@@ -119,7 +158,7 @@ def test_propagate_masked_index_stays_in_bounds():
     vals = propagate_values(x, init_vals(p, **{"5": 7}), 3)
     assert not isinstance(vals, Inconsistent)
     e4 = loads[2]  # load r3, A + r2
-    assert e4.addr == 7 & 3  # masked
+    assert x.valuation[e4.id][0] == 7 & 3  # masked
     assert (store.id, loads[1].id) in x.rf
 
 
@@ -132,10 +171,10 @@ def test_propagate_bypassed_store_reaches_secret():
     vals = propagate_values(x, init_vals(p, **{"5": 4}), 3)
     assert not isinstance(vals, Inconsistent)
     e4 = loads[2]
-    assert e4.addr == p.secret_addr
+    assert x.valuation[e4.id][0] == p.secret_addr
     src = [w for w, r in x.rf if r == e4.id]
     assert x.event(src[0]).kind == SECRET_INIT
-    assert e4.val == secret_sentinel(3)
+    assert x.valuation[e4.id][1] == secret_sentinel(3)
 
 
 def test_propagate_load_from_init_defaults_to_zero():
@@ -145,10 +184,10 @@ def test_propagate_load_from_init_defaults_to_zero():
     x.co_order = ()
     vals = propagate_values(x, init_vals(p, **{"5": 2}), 3)
     assert not isinstance(vals, Inconsistent)
-    e1, e4, e5 = x.loads()
-    assert e1.val == 2  # the input
-    assert e4.val == 0  # A[2] initial value
-    assert e5.val == 0
+    e1, e4, e5 = (x.valuation[e.id][1] for e in x.loads())
+    assert e1 == 2  # the input
+    assert e4 == 0  # A[2] initial value
+    assert e5 == 0
 
 
 def test_propagate_rejects_address_mismatch():
@@ -199,7 +238,7 @@ thread 0:
     x.co_order = ()
     ok = propagate_values(x, init_vals(p, **{"3": 0}), 3)
     assert not isinstance(ok, Inconsistent)
-    assert loads[1].val == 1
+    assert x.valuation[loads[1].id][1] == 1
 
     # a committed load must not read a transient store
     x2 = build_events(p, {(0, 2): True}, {(0, 2): False})

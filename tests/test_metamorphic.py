@@ -1,0 +1,134 @@
+"""Metamorphic properties of the verdict on seeded random programs.
+
+Each seed's generator program is checked under one bundled model (by
+rotation) in both modes, at k = 1 or 2 and bits = 2, and at every
+speculation window w in 1..4, both as generated and with its registers
+renamed by a seeded permutation; so is every corpus expectation, at its
+own settings:
+
+  * renaming registers leaves the verdict unchanged, and the directed
+    search's candidate counts too: registers start at 0 and are local to
+    their thread, so their names carry no meaning;
+  * raising w never turns UNSAFE into SAFE, and between two verdicts
+    without a witness never lowers the candidate count: the window only
+    drops control vectors, so every candidate allowed at w is allowed at
+    w + 1.
+
+A sample of the renamed programs is also decided by the brute-force
+reference, so the properties are not checked on a wrong engine alone.
+"""
+
+import random
+import re
+from dataclasses import replace
+
+from axcat import (
+    BUNDLED_MODELS,
+    SpecConfig,
+    check_isolation,
+    corpus_dir,
+    load_model,
+    parse_program,
+    unroll,
+)
+from generator import random_program_source
+from reference import brute_force_isolation
+from test_directed import corpus_settings
+
+SEEDS = 300
+REFERENCE_SEEDS = 60
+WINDOWS = (1, 2, 3, 4)
+BITS = 2
+
+_MODELS = {name: load_model(name) for name in BUNDLED_MODELS}
+REGISTERS = tuple(f"r{i}" for i in range(10))
+
+
+def rename_registers(src: str, rng: random.Random) -> str:
+    """The program with every register renamed by a permutation of r0..r9."""
+    renamed = dict(zip(REGISTERS, rng.sample(REGISTERS, len(REGISTERS))))
+    return re.sub(r"\br\d\b", lambda m: renamed[m.group(0)], src)
+
+
+def query(seed: int):
+    """(source, renamed source, model name, k) of one seed."""
+    rng = random.Random(seed)
+    src = random_program_source(rng)
+    model_name = BUNDLED_MODELS[seed % len(BUNDLED_MODELS)]
+    k = 1 + seed // len(BUNDLED_MODELS) % 2
+    return src, rename_registers(src, rng), model_name, k
+
+
+def window_sweep(src: str, model, cfg: SpecConfig, k: int, bits: int) -> list:
+    """(outcome, generated, filtered) at each window of WINDOWS."""
+    program = parse_program(src)
+    out = []
+    for w in WINDOWS:
+        v = check_isolation(program, model, replace(cfg, window=w), k, bits)
+        out.append((v.outcome, v.generated, v.filtered))
+    return out
+
+
+def check_properties(src: str, renamed: str, model, cfg: SpecConfig, k: int, bits: int):
+    """Assert both properties on one query; returns its outcome per window."""
+    got = window_sweep(src, model, cfg, k, bits)
+    assert window_sweep(renamed, model, cfg, k, bits) == got, (model.name, cfg, src, renamed)
+    outcomes = [o for o, _, _ in got]
+    first = outcomes.index("unsafe") if "unsafe" in outcomes else len(outcomes)
+    assert outcomes[first:] == ["unsafe"] * (len(outcomes) - first), (model.name, cfg, got)
+    # a search that found no witness counted every directed candidate
+    exhausted = [generated for o, generated, _ in got if o != "unsafe"]
+    assert exhausted == sorted(exhausted), (model.name, cfg, got)
+    return outcomes
+
+
+def flips(outcomes: list) -> bool:
+    """Whether some window short of the largest misses the violation."""
+    return outcomes[-1] == "unsafe" and outcomes[0] != "unsafe"
+
+
+def test_renaming_registers_and_raising_the_window():
+    unsafe = renamed_programs = window_flips = 0
+    for seed in range(SEEDS):
+        src, renamed, model_name, k = query(seed)
+        renamed_programs += renamed != src
+        model = _MODELS[model_name]
+        for mode in ("traditional", "speculative"):
+            cfg = SpecConfig(mode=mode, psf="srf" in model.base_names())
+            outcomes = check_properties(src, renamed, model, cfg, k, BITS)
+            assert "unknown" not in outcomes  # generator programs are loop-free
+            unsafe += outcomes.count("unsafe")
+            window_flips += flips(outcomes)
+    assert renamed_programs >= SEEDS - 10, renamed_programs
+    assert unsafe >= 100, unsafe
+    assert window_flips >= 1, window_flips
+
+
+def test_corpus_under_renaming_and_raising_the_window():
+    # the corpus gadgets need transient runs of several events, so their
+    # verdicts do depend on the window
+    window_flips = 0
+    for i, path in enumerate(sorted(corpus_dir().glob("*.litmus"))):
+        src = path.read_text()
+        renamed = rename_registers(src, random.Random(i))
+        assert renamed != src
+        for exp in parse_program(src).expectations:
+            model, cfg, k, bits = corpus_settings(exp)
+            window_flips += flips(check_properties(src, renamed, model, cfg, k, bits))
+    assert window_flips >= 2, window_flips
+
+
+def test_renamed_programs_agree_with_the_reference():
+    unsafe = 0
+    for seed in range(REFERENCE_SEEDS):
+        _, renamed, model_name, _ = query(seed)
+        model = _MODELS[model_name]
+        psf = "srf" in model.base_names()
+        program = parse_program(renamed)
+        mode = ("traditional", "speculative")[seed // 2 % 2]
+        for w in (1, 3):
+            got = check_isolation(program, model, SpecConfig(mode=mode, window=w, psf=psf), 1, BITS)
+            want = brute_force_isolation(unroll(program, 1), model, mode, w, 2, BITS, psf=psf)
+            assert got.outcome == want, (seed, mode, w, renamed)
+            unsafe += want == "unsafe"
+    assert unsafe >= 3, unsafe

@@ -105,7 +105,7 @@ def witness_assignment(x, model, cfg, bits, script: Script):
     vw = bits + 1
     asg = {}
     for e in x.init_events():
-        asg[f"val_init_{e.addr}"] = (e.val, vw)
+        asg[f"val_init_{e.addr}"] = (x.valuation[e.id][1], vw)
     by_site = {(e.thread, e.label): e for e in x.instruction_events()}
     for tid, thread in enumerate(x.program.threads):
         for ins in thread:
@@ -117,10 +117,11 @@ def witness_assignment(x, model, cfg, bits, script: Script):
                 asg[f"trans_{nm}"] = e is not None and e.id in x.transient
                 if f"cp_{nm}" in script.widths:
                     asg[f"cp_{nm}"] = bool(e.cp) if e is not None else True
-            if e is not None and e.addr is not None and f"addr_{nm}" in script.widths:
-                asg[f"addr_{nm}"] = (e.addr, vw)
-            if e is not None and e.val is not None and f"val_{nm}" in script.widths:
-                asg[f"val_{nm}"] = (e.val, vw)
+            addr, val = x.valuation[e.id] if e is not None else (None, None)
+            if addr is not None and f"addr_{nm}" in script.widths:
+                asg[f"addr_{nm}"] = (addr, vw)
+            if val is not None and f"val_{nm}" in script.widths:
+                asg[f"val_{nm}"] = (val, vw)
 
     chosen = x.srf if cfg.psf else x.rf
     chosen_names = {(_event_name(x.event(w)), _event_name(x.event(r))) for w, r in chosen}
@@ -352,8 +353,8 @@ def test_closure_operator_emits_outside_recursion():
 # sha256 of the export over every corpus expectation (its own settings, then
 # buffer 1, 3 and 4), and over 60 generator programs under five models in
 # both modes.  A change to the emitted bytes must update these on purpose.
-CORPUS_SHA256 = "932bea802068db131de8e254f8f075ffb8c9205b8b48d16b0e522fd4eeb88066"
-GENERATOR_SHA256 = "60bfa777d2cd0d2b113bd8b321cd8f121135fe3b90005d60a89b3ad37c778c61"
+CORPUS_SHA256 = "2c3c909bc449c82ef561b20bb78a21982ecd74cde39bd4ddae6219780132b9d6"
+GENERATOR_SHA256 = "ab8712fb0b063245744e34cf7a63a3174a3b521dc7bb7b9383a7134ab131ed36"
 
 
 def corpus_export_sha256():

@@ -165,7 +165,7 @@ def reference_events(x):
             "tid": e.thread,
             "label": e.label,
             "transient": e.id in x.transient,
-            "val": e.val,
+            "val": x.valuation[e.id][1],
             "cp": e.cp,
         }
         for e in x.instruction_events()
