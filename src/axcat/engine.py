@@ -119,6 +119,8 @@ class Verdict:
 
 
 def _check_domain(program: Program, domain_bits: int):
+    if domain_bits < 0:
+        raise EngineError(f"domain width must be >= 0 bits, got {domain_bits}")
     limit = 1 << domain_bits
     worst = program.max_address()
     if worst >= limit:

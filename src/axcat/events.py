@@ -13,7 +13,10 @@ events (frozen, in a tuple) and the skeleton once per control vector, and
 every candidate of the vector shares both by reference: a candidate is the
 skeleton plus its choices (`rf_choice`, `co_order`, `inputs`) plus the
 valuation that `propagate_values` derives from them, the one place that
-holds an instruction event's address and value.  Whether a candidate
+holds an instruction event's address and value.  `static_skeleton` builds
+the same events and skeleton for every instruction instance of a program
+at once, as if all executed; the solver export reads its events, `po`,
+`fence`, `addr` and classes from it.  Whether a candidate
 represents a behavior the hardware model allows is decided elsewhere; this
 module only builds candidates and computes the relations and the valuation
 they induce.
@@ -368,6 +371,19 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     return committed, transient
 
 
+def _init_events(program: Program) -> list[Event]:
+    """One init event per declared address, in address order, from id 0."""
+    return [
+        Event(i, SECRET_INIT if a == program.secret_addr else INIT, addr=a)
+        for i, a in enumerate(program.declared_addresses())
+    ]
+
+
+def _instruction_event(eid: int, tid: int, ins: Instruction, cp: bool | None = None) -> Event:
+    it = ins.provenance[1] if ins.provenance else 1
+    return Event(eid, KIND_BY_STMT[type(ins.stmt)], (ins.label, it, tid), ins.stmt, cp=cp)
+
+
 def build_events(
     program: Program,
     branch_outcomes: dict,
@@ -385,11 +401,7 @@ def build_events(
     determined by these choices.  Every candidate built from the result
     shares its `events` tuple and its `structure`.
     """
-    events: list[Event] = []
-    for a in program.declared_addresses():
-        kind = SECRET_INIT if a == program.secret_addr else INIT
-        events.append(Event(id=len(events), kind=kind, addr=a))
-
+    events = _init_events(program)
     committed_ids = set(e.id for e in events)  # init events count as committed
     transient_ids: set[int] = set()
     threads = []
@@ -404,16 +416,14 @@ def build_events(
         walk = com_labels + tr_labels
         for pos, label in enumerate(walk):
             ins = instrs[label]
-            kind = KIND_BY_STMT[type(ins.stmt)]
-            it = ins.provenance[1] if ins.provenance else 1
             cp = None
-            if kind == "cond-jump":
+            if isinstance(ins.stmt, Beqz):
                 cp = not speculative or cp_assign.get((tid, label), True)
                 # its outcome decides the next event, unless the walk ends
                 # here or both directions reach the fall-through
                 if pos + 1 < len(walk) and ins.stmt.target != label + 1:
                     branches.append((len(events), branch_outcomes[(tid, label)]))
-            ev = Event(len(events), kind, (label, it, tid), ins.stmt, cp=cp)
+            ev = _instruction_event(len(events), tid, ins, cp)
             events.append(ev)
             if label in tr_labels:
                 transient_ids.add(ev.id)
@@ -435,40 +445,53 @@ def build_events(
     )
 
 
+def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
+    """The events of every instruction of the loop-free `program` as if all
+    executed, after the init events (ids in thread, then label order), and
+    their skeleton: its relations and classes hold every pair and member
+    that some execution can have."""
+    events = _init_events(program)
+    threads = []
+    for tid, instrs in enumerate(program.threads):
+        first = len(events)
+        events.extend(_instruction_event(first + i, tid, ins) for i, ins in enumerate(instrs))
+        threads.append(tuple(range(first, len(events))))
+    return tuple(events), _skeleton(program, events, tuple(threads), (), {}, {})
+
+
 def _skeleton(
     program: Program, events: list[Event], threads: tuple, branches: tuple,
     outcomes: dict, predictions: dict,
 ) -> Skeleton:
     n = len(events)
     po, fence, addr = [0] * n, [0] * n, [0] * n
-    # Address dependency: a load feeds the address of a later memory access
-    # through a register that no instruction in between (textually) rewrites.
     for tid, ids in enumerate(threads):
-        evs = [events[i] for i in ids]
-        fence_labels = [e.label for e in evs if e.kind == "fence"]
-        for i, a in enumerate(evs):
-            for b in evs[i + 1:]:
-                po[a.id] |= 1 << b.id
-                if any(a.label < fl < b.label for fl in fence_labels):
-                    fence[a.id] |= 1 << b.id
+        # po and fence in one backward pass: `later` holds the events after
+        # the one at hand, `fenced` those after a fence that follows it
+        later = fenced = 0
+        for i in reversed(ids):
+            po[i], fence[i] = later, fenced
+            if events[i].kind == "fence":
+                fenced = later
+            later |= 1 << i
 
-        instrs = {i.label: i for i in program.threads[tid]}
-        for a in evs:
-            if a.kind != "load":
+        # Address dependency: a load feeds the address of a later memory
+        # access through a register that no instruction in between
+        # (textually) rewrites; each load scans up to the first rewrite.
+        text = program.threads[tid]
+        at = {events[i].label: i for i in ids}
+        for pos, ins in enumerate(text):
+            load = at.get(ins.label)
+            if load is None or events[load].kind != "load":
                 continue
-            reg = a.stmt.reg
-            for b in evs:
-                if b.label <= a.label or b.kind not in ("load", "store"):
-                    continue
-                if reg not in expr_registers(b.stmt.addr):
-                    continue
-                clobbered = any(
-                    stmt_target_reg(instrs[l].stmt) == reg
-                    for l in range(a.label + 1, b.label)
-                    if l in instrs
-                )
-                if not clobbered:
-                    addr[a.id] |= 1 << b.id
+            reg = ins.stmt.reg
+            for nxt in text[pos + 1:]:
+                b = at.get(nxt.label)
+                if (b is not None and events[b].kind in ("load", "store")
+                        and reg in expr_registers(nxt.stmt.addr)):
+                    addr[load] |= 1 << b
+                if stmt_target_reg(nxt.stmt) == reg:
+                    break
 
     return Skeleton(
         threads=threads,

@@ -413,6 +413,8 @@ def _parse_layout(parts: list[str], where: str, layout: dict, inputs: set, secre
             if is_input:
                 inputs.update(range(base, base + extent))
         is_input = False
+    if is_input:
+        raise ParseError(f"{where}: 'input' must precede a layout entry")
     return secret_addr
 
 

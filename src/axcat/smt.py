@@ -17,10 +17,15 @@ the secret init event.  The encoding mirrors the enumeration semantics:
     recursive groups so the solution is the least fixpoint, and
     order-variable encodings for acyclicity assertions.
 
-Every term has a static support, computed with `catlang`'s row operations:
-bitset rows of the pairs at which its formula may be other than FALSE.
-Only support pairs are declared, asserted and composed over, and a derived
-pair that comes out TRUE or FALSE is folded to the constant.
+The events and their skeleton come from `events.static_skeleton`: every
+instruction instance of the unrolled program, as if all executed.  Every
+term has a static support: bitset rows of the pairs at which its formula
+may be other than FALSE.  A base relation's support is the skeleton's `po`,
+`fence` or `addr` rows, or a product of its event classes (W x R for `rf`,
+W x stores for `co`, M x M for `loc`); a derived term's is computed from
+those with `catlang`'s row operations.  Only support pairs are declared,
+asserted and composed over, and a derived pair that comes out TRUE or FALSE
+is folded to the constant.
 
 No solver ships with the package: the file is an exchange artifact whose
 structure and determinism are tested in-tree and whose satisfiability can
@@ -47,6 +52,7 @@ from .catlang import (
     TUnion,
 )
 from .engine import _check_query
+from .events import SECRET_INIT, Event, static_skeleton
 from .masm import (
     Assign,
     Beqz,
@@ -60,7 +66,6 @@ from .masm import (
     Secret,
     Store,
     Unary,
-    expr_registers,
     pred as static_pred,
     stmt_target_reg,
     unroll,
@@ -108,21 +113,6 @@ def _binary(kind, a, b):
     return _ands([a, b if kind is TInter else _not(b)])
 
 
-class _Ev:
-    """Static event universe entry: one init or one instruction instance."""
-
-    __slots__ = ("name", "kind", "addr_const", "tid", "label", "stmt", "i")
-
-    def __init__(self, name, kind, addr_const=None, tid=None, label=None,
-                 stmt=None):
-        self.name = name
-        self.kind = kind  # init | secret-init | instr
-        self.addr_const = addr_const
-        self.tid = tid
-        self.label = label
-        self.stmt = stmt
-
-
 class _Emitter:
     def __init__(self, program: Program, model: CatModel, cfg: SpecConfig,
                  k: int, bits: int, program_name: str):
@@ -144,27 +134,24 @@ class _Emitter:
         self.values: dict = {}  # definition -> {(i, j): TRUE or its Bool}
         self.speculative = cfg.mode == "speculative"
 
-        self.inits: list[_Ev] = []
-        for a in self.program.declared_addresses():
-            kind = "secret-init" if a == self.program.secret_addr else "init"
-            self.inits.append(_Ev(f"init_{a}", kind, addr_const=a))
-        self.instances: list[_Ev] = []
-        self.by_site: dict = {}
-        for tid, thread in enumerate(self.program.threads):
-            for ins in thread:
-                e = _Ev(f"t{tid}_l{ins.label}", "instr", tid=tid,
-                        label=ins.label, stmt=ins.stmt)
-                self.instances.append(e)
-                self.by_site[(tid, ins.label)] = e
-        self.events: list[_Ev] = self.inits + self.instances
-        for i, e in enumerate(self.events):
-            e.i = i  # bit i of a support row
-        self.loads = [e for e in self.instances if isinstance(e.stmt, Load)]
-        self.stores = [e for e in self.instances if isinstance(e.stmt, Store)]
+        # every instruction instance as an event; an event's id is its bit
+        # in a support row
+        self.events, self.skeleton = static_skeleton(self.program)
+        sk, events = self.skeleton, self.events
+        self.names = tuple(f"init_{e.addr}" if e.is_init() else f"t{e.thread}_l{e.label}"
+                           for e in events)
+        # each event's guard and address terms, constants for an init event
+        self.execs = tuple(TRUE if e.is_init() else f"exec_{name}"
+                           for e, name in zip(events, self.names))
+        self.addrs = tuple(self.bv(e.addr) if e.is_init() else f"addr_{name}"
+                           for e, name in zip(events, self.names))
+        self.inits = [events[i] for i in sk.init_by_addr.values()]
+        self.instances = [events[i] for i in sk.instructions]
+        self.by_site = {(e.thread, e.label): e for e in self.instances}
+        self.loads = [events[i] for i in sk.loads]
+        self.stores = [events[i] for i in sk.stores]
         self.writes = self.inits + self.stores
-        self.write_names = {e.name for e in self.writes}
-        self.load_names = {e.name for e in self.loads}
-        self.n = len(self.events)
+        self.n = len(events)
 
     # -- small term helpers --------------------------------------------------
 
@@ -183,24 +170,27 @@ class _Emitter:
         if term != TRUE:
             self.lines.append(f"(assert {term})")
 
-    def exec_(self, e: _Ev) -> str:
-        return TRUE if e.kind != "instr" else f"exec_{e.name}"
+    def exec_(self, e: Event) -> str:
+        return self.execs[e.id]
 
-    def com(self, e: _Ev) -> str:
-        if e.kind != "instr":
-            return TRUE
-        return f"com_{e.name}" if self.speculative else f"exec_{e.name}"
+    def com(self, e: Event) -> str:
+        if self.speculative and not e.is_init():
+            return f"com_{self.names[e.id]}"
+        return self.exec_(e)
 
-    def trans(self, e: _Ev) -> str:
-        if e.kind != "instr" or not self.speculative:
+    def trans(self, e: Event) -> str:
+        if e.is_init() or not self.speculative:
             return FALSE
-        return f"trans_{e.name}"
+        return f"trans_{self.names[e.id]}"
 
-    def val(self, e: _Ev) -> str:
-        return f"val_{e.name}"
+    def val(self, e: Event) -> str:
+        return f"val_{self.names[e.id]}"
 
-    def addr(self, e: _Ev) -> str:
-        return self.bv(e.addr_const) if e.kind != "instr" else f"addr_{e.name}"
+    def addr(self, e: Event) -> str:
+        return self.addrs[e.id]
+
+    def pair_name(self, x: Event, y: Event) -> str:
+        return f"{self.names[x.id]}_{self.names[y.id]}"
 
     def masked(self, term: str) -> str:
         return f"(bvand {term} {self.bv(self.mask)})"
@@ -242,33 +232,33 @@ class _Emitter:
         self.say("holds the out-of-band sentinel, everything else is zero")
         for e in self.inits:
             self.declare(self.val(e), f"(_ BitVec {self.vw})")
-            if e.kind == "secret-init":
+            if e.kind == SECRET_INIT:
                 self.assert_(f"(= {self.val(e)} {self.bv(1 << self.bits)})")
-            elif e.addr_const in self.program.input_locations:
+            elif e.addr in self.program.input_locations:
                 self.assert_(f"(bvule {self.val(e)} {self.bv(self.mask)})")
             else:
                 self.assert_(f"(= {self.val(e)} {self.bv(0)})")
 
         self.say("per-instance guards, addresses, values, register flow")
         for e in self.instances:
-            self.declare(f"exec_{e.name}", "Bool")
+            name = self.names[e.id]
+            self.declare(f"exec_{name}", "Bool")
             if self.speculative:
-                self.declare(f"com_{e.name}", "Bool")
-                self.declare(f"trans_{e.name}", "Bool")
-                self.assert_(f"(= exec_{e.name} (or com_{e.name} trans_{e.name}))")
-                self.assert_(f"(not (and com_{e.name} trans_{e.name}))")
+                self.declare(f"com_{name}", "Bool")
+                self.declare(f"trans_{name}", "Bool")
+                self.assert_(f"(= exec_{name} (or com_{name} trans_{name}))")
+                self.assert_(f"(not (and com_{name} trans_{name}))")
                 if isinstance(e.stmt, Beqz):
-                    self.declare(f"cp_{e.name}", "Bool")
+                    self.declare(f"cp_{name}", "Bool")
             if isinstance(e.stmt, (Load, Store)):
                 self.declare(self.addr(e), f"(_ BitVec {self.vw})")
             if isinstance(e.stmt, (Load, Store, Assign, CondAssign, Beqz)):
                 self.declare(self.val(e), f"(_ BitVec {self.vw})")
 
-        for tid, thread in enumerate(self.program.threads):
+        for ids in self.skeleton.threads:
             state: dict[str, str] = {}
-            for ins in thread:
-                e = self.by_site[(tid, ins.label)]
-                s = ins.stmt
+            for e in map(self.events.__getitem__, ids):
+                s = e.stmt
                 if isinstance(s, Assign):
                     self.assert_(f"(= {self.val(e)} {self.tr_expr(s.expr, state)})")
                 elif isinstance(s, CondAssign):
@@ -285,7 +275,7 @@ class _Emitter:
                     self.assert_(f"(= {self.val(e)} {state.get(s.reg, self.bv(0))})")
                 reg = stmt_target_reg(s)
                 if reg:
-                    nxt = self.declare(f"reg_{e.name}_{reg}", f"(_ BitVec {self.vw})")
+                    nxt = self.declare(f"reg_{self.names[e.id]}_{reg}", f"(_ BitVec {self.vw})")
                     prev = state.get(reg, self.bv(0))
                     self.assert_(f"(= {nxt} (ite {self.exec_(e)} {self.val(e)} {prev}))")
                     state = dict(state)
@@ -297,21 +287,20 @@ class _Emitter:
         self.say("control flow: committed events follow the correct path,")
         self.say("transient events follow a mispredicted branch's wrong path")
         for e in self.instances:
-            thread = self.program.threads[e.tid]
-            if e.label == thread[0].label:
+            if e.id == self.skeleton.threads[e.thread][0]:
                 self.assert_(self.com(e))
                 if self.speculative:
                     self.assert_(_not(self.trans(e)))
                 continue
             com_cases = []
             trans_cases = []
-            for lp in sorted(static_pred(self.program, e.label, e.tid)):
-                p = self.by_site[(e.tid, lp)]
+            for lp in sorted(static_pred(self.program, e.label, e.thread)):
+                p = self.by_site[(e.thread, lp)]
                 ps = p.stmt
                 if isinstance(ps, Beqz):
                     zero = f"(= {self.val(p)} {self.bv(0)})"
                     nonzero = f"(distinct {self.val(p)} {self.bv(0)})"
-                    cp = f"cp_{p.name}" if self.speculative else TRUE
+                    cp = f"cp_{self.names[p.id]}" if self.speculative else TRUE
                     fall = lp + 1 == e.label
                     target = ps.target == e.label
                     if fall and not target:
@@ -341,17 +330,17 @@ class _Emitter:
         self.say("speculation window: transient run lengths stay below w")
         w = self.cfg.window
         ww = max(self.n, w).bit_length() + 1
-        for tid, thread in enumerate(self.program.threads):
+        for ids in self.skeleton.threads:
             prevrun = self.bv(0, ww)
-            for ins in thread:
-                e = self.by_site[(tid, ins.label)]
-                trl = self.declare(f"trl_{e.name}", f"(_ BitVec {ww})")
+            for e in map(self.events.__getitem__, ids):
+                name = self.names[e.id]
+                trl = self.declare(f"trl_{name}", f"(_ BitVec {ww})")
                 self.assert_(
                     f"(= {trl} (ite {self.trans(e)} "
                     f"(bvadd {prevrun} {self.bv(1, ww)}) {self.bv(0, ww)}))"
                 )
                 self.assert_(f"(bvult {trl} {self.bv(w, ww)})")
-                run = self.declare(f"run_{e.name}", f"(_ BitVec {ww})")
+                run = self.declare(f"run_{name}", f"(_ BitVec {ww})")
                 self.assert_(f"(= {run} (ite {self.exec_(e)} {trl} {prevrun}))")
                 prevrun = run
 
@@ -360,33 +349,28 @@ class _Emitter:
     def emit_reads_from(self):
         label = "speculative reads-from" if self.cfg.psf else "reads-from"
         self.say(f"{label}: every executed load picks exactly one source")
+        po = self.skeleton.po
         for r in self.loads:
             selectors = []
             for w in self.writes:
-                v = self.declare(f"rf_{w.name}_{r.name}", "Bool")
+                v = self.rf_sel(w, r)
+                self.declare(v, "Bool")
                 selectors.append(v)
                 conds = [self.exec_(r), self.exec_(w),
                          f"(= {self.val(w)} {self.val(r)})"]
                 same_addr = f"(= {self.addr(w)} {self.addr(r)})"
-                alias_ok = (
-                    self.cfg.psf and w.kind == "instr"
-                    and w.tid == r.tid and w.label < r.label
-                )
+                earlier = po[w.id] >> r.id & 1  # a store of r's thread before r
+                alias_ok = self.cfg.psf and earlier
                 if not alias_ok:
                     conds.append(same_addr)
                 self.assert_(f"(=> {v} {_ands(conds)})")
-                if w.kind == "instr":
-                    if w.tid == r.tid and w.label < r.label:
-                        self.assert_(f"(=> (and {v} {self.trans(w)}) {self.trans(r)})")
-                    elif self.trans(w) != FALSE:
-                        self.assert_(f"(=> {v} {_not(self.trans(w))})")
+                if earlier:
+                    self.assert_(f"(=> (and {v} {self.trans(w)}) {self.trans(r)})")
+                elif self.trans(w) != FALSE:
+                    self.assert_(f"(=> {v} {_not(self.trans(w))})")
                 if alias_ok:
-                    for l in range(w.label + 1, r.label):
-                        f = self.by_site[(r.tid, l)]
-                        if isinstance(f.stmt, Fence):
-                            self.assert_(
-                                f"(=> (and {v} {self.exec_(f)}) {same_addr})"
-                            )
+                    for f in self.fences_between(w, r):
+                        self.assert_(f"(=> (and {v} {self.exec_(f)}) {same_addr})")
             self.assert_(f"(= {self.exec_(r)} {_ors(selectors)})")
             for i, a in enumerate(selectors):
                 for b in selectors[i + 1:]:
@@ -398,103 +382,62 @@ class _Emitter:
         self.say("coherence ranks over committed stores")
         rw = (len(self.stores) + 1).bit_length() + 1
         for s in self.stores:
-            self.declare(f"corank_{s.name}", f"(_ BitVec {rw})")
+            self.declare(self.corank(s), f"(_ BitVec {rw})")
         for i, a in enumerate(self.stores):
             for b in self.stores[i + 1:]:
                 self.assert_(
                     f"(=> (and {self.com(a)} {self.com(b)} "
                     f"(= {self.addr(a)} {self.addr(b)})) "
-                    f"(distinct corank_{a.name} corank_{b.name}))"
+                    f"(distinct {self.corank(a)} {self.corank(b)}))"
                 )
 
-    # -- base relation terms -------------------------------------------------------
+    def corank(self, store: Event) -> str:
+        return f"corank_{self.names[store.id]}"
 
-    def po_term(self, x: _Ev, y: _Ev) -> str:
-        if (x.kind != "instr" or y.kind != "instr"
-                or x.tid != y.tid or x.label >= y.label):
-            return FALSE
+    # -- base relations ----------------------------------------------------------
+    # Each term gives the formula of a pair of the relation's static support,
+    # `base_rows`, from the skeleton of every instruction instance.
+
+    def po_term(self, x: Event, y: Event) -> str:
         return _ands([self.exec_(x), self.exec_(y)])
 
-    def fence_term(self, x: _Ev, y: _Ev) -> str:
-        if self.po_term(x, y) == FALSE:
-            return FALSE
-        fences = [
-            self.by_site[(x.tid, l)]
-            for l in range(x.label + 1, y.label)
-            if isinstance(self.by_site[(x.tid, l)].stmt, Fence)
-        ]
-        if not fences:
-            return FALSE
+    addr_term = po_term  # both hold where their two events execute
+
+    def fence_term(self, x: Event, y: Event) -> str:
         return _ands([self.exec_(x), self.exec_(y),
-                      _ors([self.exec_(f) for f in fences])])
+                      _ors([self.exec_(f) for f in self.fences_between(x, y)])])
 
-    def addr_term(self, x: _Ev, y: _Ev) -> str:
-        if (x.kind != "instr" or y.kind != "instr"
-                or not isinstance(x.stmt, Load)
-                or not isinstance(y.stmt, (Load, Store))
-                or x.tid != y.tid or x.label >= y.label):
-            return FALSE
-        reg = x.stmt.reg
-        if reg not in expr_registers(y.stmt.addr):
-            return FALSE
-        for l in range(x.label + 1, y.label):
-            if stmt_target_reg(self.by_site[(x.tid, l)].stmt) == reg:
-                return FALSE
-        return _ands([self.exec_(x), self.exec_(y)])
+    def fences_between(self, x: Event, y: Event) -> list:
+        """The fence events po-after `x` and po-before `y`."""
+        po = self.skeleton.po
+        return [f for _, f in self.pairs([po[x.id]])
+                if f.kind == "fence" and po[f.id] >> y.id & 1]
 
-    def _is_mem(self, e: _Ev) -> bool:
-        return e.kind != "instr" or isinstance(e.stmt, (Load, Store))
-
-    def loc_term(self, x: _Ev, y: _Ev) -> str:
-        if not self._is_mem(x) or not self._is_mem(y):
-            return FALSE
+    def loc_term(self, x: Event, y: Event) -> str:
         return _ands([self.exec_(x), self.exec_(y),
                       f"(= {self.addr(x)} {self.addr(y)})"])
 
-    def rf_sel(self, w: _Ev, r: _Ev) -> str:
-        if w.name not in self.write_names or r.name not in self.load_names:
-            return FALSE
-        return f"rf_{w.name}_{r.name}"
+    def rf_sel(self, w: Event, r: Event) -> str:
+        return f"rf_{self.names[w.id]}_{self.names[r.id]}"
 
-    def rf_term(self, x: _Ev, y: _Ev) -> str:
+    def rf_term(self, x: Event, y: Event) -> str:
         v = self.rf_sel(x, y)
-        if v == FALSE:
-            return FALSE
         if self.cfg.psf:
             return _ands([v, f"(= {self.addr(x)} {self.addr(y)})"])
         return v
 
-    def srf_term(self, x: _Ev, y: _Ev) -> str:
-        return self.rf_sel(x, y) if self.cfg.psf else FALSE
+    srf_term = rf_sel  # its pairs are the selectors themselves
+    rfe_term = rf_term
 
-    def rfe_term(self, x: _Ev, y: _Ev) -> str:
-        if x.kind != "instr" or y.kind != "instr" or x.tid == y.tid:
-            return FALSE
-        return self.rf_term(x, y)
-
-    def co_term(self, x: _Ev, y: _Ev) -> str:
-        if y.kind != "instr" or not isinstance(y.stmt, Store):
-            return FALSE
+    def co_term(self, x: Event, y: Event) -> str:
         same = f"(= {self.addr(x)} {self.addr(y)})"
-        if x.kind != "instr":
+        if x.is_init():
             return _ands([self.com(y), same])
-        if not isinstance(x.stmt, Store):
-            return FALSE
         return _ands([self.com(x), self.com(y), same,
-                      f"(bvult corank_{x.name} corank_{y.name})"])
+                      f"(bvult {self.corank(x)} {self.corank(y)})"])
 
-    def set_term(self, name: str, e: _Ev) -> str:
-        if name == "E":
-            return self.exec_(e)
-        if name == "M":
-            return self.exec_(e) if self._is_mem(e) else FALSE
-        if name == "W":
-            is_w = e.kind != "instr" or isinstance(e.stmt, Store)
-            return self.exec_(e) if is_w else FALSE
-        if name == "R":
-            is_r = e.kind == "instr" and isinstance(e.stmt, Load)
-            return self.exec_(e) if is_r else FALSE
-        raise ValueError(name)
+    def set_term(self, name: str, e: Event) -> str:
+        return self.exec_(e) if e.id in self.skeleton.sets[name] else FALSE
 
     # -- static supports -------------------------------------------------------
 
@@ -507,20 +450,42 @@ class _Emitter:
                 yield x, events[low.bit_length() - 1]
                 row ^= low
 
+    def base_rows(self, name: str) -> list:
+        """The static support of base relation `name`: the skeleton's rows
+        for po, fence and addr; for the data relations, the pairs of event
+        classes they join."""
+        sk = self.skeleton
+        if name in ("po", "fence", "addr"):
+            return list(getattr(sk, name))
+        if name == "rfe":  # stores to loads of other threads
+            loads, rows = sum(1 << i for i in sk.loads), [0] * self.n
+            own = [sum(1 << i for i in ids) for ids in sk.threads]
+            for i in sk.stores:
+                rows[i] = loads & ~own[self.events[i].thread]
+            return rows
+        if name == "srf" and not self.cfg.psf:
+            return [0] * self.n
+        if name in ("rf", "srf"):
+            return catlang.cross_rows(self.set_rows("W"), self.set_rows("R"))
+        if name == "co":  # writes to stores
+            return catlang.cross_rows(self.set_rows("W"), self.member_rows(sk.stores))
+        return catlang.cross_rows(self.set_rows("M"), self.set_rows("M"))  # loc
+
     def base(self, name: str):
         """(table, rows) of base relation `name`: its formula at each pair
-        where it is not FALSE, keyed by event indices, and those pairs' rows."""
+        of its static support, keyed by event ids, and the support rows."""
         if name not in self.bases:
-            term, events, rows = getattr(self, f"{name}_term"), self.events, [0] * self.n
-            table = {(x.i, y.i): t for x in events for y in events
-                     if (t := term(x, y)) != FALSE}
-            for i, j in table:
-                rows[i] |= 1 << j
-            self.bases[name] = table, rows
+            term, rows = getattr(self, f"{name}_term"), self.base_rows(name)
+            self.bases[name] = {(x.id, y.id): term(x, y) for x, y in self.pairs(rows)}, rows
         return self.bases[name]
 
+    def member_rows(self, ids) -> list:
+        """The rows of [X] for the event set X of `ids`."""
+        ids = frozenset(ids)
+        return [(i in ids) << i for i in range(self.n)]
+
     def set_rows(self, name: str) -> list:
-        return [(self.set_term(name, e) != FALSE) << e.i for e in self.events]
+        return self.member_rows(self.skeleton.sets[name])
 
     def support(self, term, memo=None) -> list:
         """Rows of the pairs at which the formula of `term` may be other than
@@ -568,14 +533,14 @@ class _Emitter:
         fam = f"{tag}{self.fresh}"
         cache: dict = {}
 
-        def var(x: _Ev, y: _Ev) -> str:
-            key = (x.i, y.i)
+        def var(x: Event, y: Event) -> str:
+            key = (x.id, y.id)
             if key not in cache:
                 expr = formula(x, y)
                 if expr in (TRUE, FALSE):
                     cache[key] = expr
                 else:
-                    name = f"{fam}_{x.name}_{y.name}"
+                    name = f"{fam}_{self.pair_name(x, y)}"
                     self.declare(name, "Bool")
                     self.assert_(f"(= {name} {expr})")
                     cache[key] = name
@@ -593,9 +558,9 @@ class _Emitter:
         events, rcols = self.events, catlang.inverse_rows(rrows)
         rows = catlang.compose_rows(lrows, rrows)
 
-        def out(x: _Ev, y: _Ev) -> str:
+        def out(x: Event, y: Event) -> str:
             terms = [] if first is None else [first[0](x, y)]
-            both = lrows[x.i] & rcols[y.i]
+            both = lrows[x.id] & rcols[y.id]
             while both:
                 low = both & -both
                 m = events[low.bit_length() - 1]
@@ -617,7 +582,7 @@ class _Emitter:
         if isinstance(term, (TBase, TRef)):
             table = (self.base(term.name)[0] if isinstance(term, TBase)
                      else self.values[term.name])
-            out = lambda x, y: table.get((x.i, y.i), FALSE)
+            out = lambda x, y: table.get((x.id, y.id), FALSE)
         elif isinstance(term, TSetId):
             out = lambda x, y, s=term.set_name: (
                 self.set_term(s, x) if x is y else FALSE
@@ -667,7 +632,7 @@ class _Emitter:
         self.family_memo[key] = out
         return out
 
-    def _inline_recursive(self, term, x: _Ev, y: _Ev, group: tuple, rank: str) -> str:
+    def _inline_recursive(self, term, x: Event, y: Event, group: tuple, rank: str) -> str:
         """Pointwise translation for a recursive definition: references to
         names of the same group carry a strictly-smaller derivation rank.
         Nothing is cached here; a composition ORs over the events m at which
@@ -675,7 +640,7 @@ class _Emitter:
         if isinstance(term, (TBase, TRef, TSetId, TCross)):
             v = self.materialize(term)(x, y)
             if isinstance(term, TRef) and term.name in group and v != FALSE:
-                return _ands([v, f"(bvult drk_{term.name}_{x.name}_{y.name} {rank})"])
+                return _ands([v, f"(bvult drk_{term.name}_{self.pair_name(x, y)} {rank})"])
             return v
         if isinstance(term, (TUnion, TInter, TDiff)):
             return _binary(type(term), self._inline_recursive(term.left, x, y, group, rank),
@@ -684,8 +649,8 @@ class _Emitter:
             inline, rrows = self._inline_recursive, self.support(term.right)
             return _ors([_ands([inline(term.left, x, m, group, rank),
                                 inline(term.right, m, y, group, rank)])
-                         for _, m in self.pairs([self.support(term.left)[x.i]])
-                         if rrows[m.i] >> y.i & 1])
+                         for _, m in self.pairs([self.support(term.left)[x.id]])
+                         if rrows[m.id] >> y.id & 1])
         if isinstance(term, TInverse):
             return self._inline_recursive(term.term, y, x, group, rank)
         raise TypeError(f"not a term: {term!r}")
@@ -703,12 +668,12 @@ class _Emitter:
             self.def_rows.update(rows)
         self.supports.update(memo)  # the last round saw the final rows only
         for nm in group:
-            self.values[nm] = {(x.i, y.i): f"d_{nm}_{x.name}_{y.name}"
+            self.values[nm] = {(x.id, y.id): f"d_{nm}_{self.pair_name(x, y)}"
                                for x, y in self.pairs(self.def_rows[nm])}
         for nm in group:
             for x, y in self.pairs(self.def_rows[nm]):
-                d = self.declare(self.values[nm][x.i, y.i], "Bool")
-                rank = self.declare(f"drk_{nm}_{x.name}_{y.name}", f"(_ BitVec {rankw})")
+                d = self.declare(self.values[nm][x.id, y.id], "Bool")
+                rank = self.declare(f"drk_{nm}_{self.pair_name(x, y)}", f"(_ BitVec {rankw})")
                 self.assert_(f"(= {d} {self._inline_recursive(terms[nm], x, y, group, rank)})")
 
     def emit_derived(self):
@@ -732,11 +697,11 @@ class _Emitter:
                 if t == FALSE:
                     continue
                 if t.startswith("("):
-                    d = self.declare(f"d_{nm}_{x.name}_{y.name}", "Bool")
+                    d = self.declare(f"d_{nm}_{self.pair_name(x, y)}", "Bool")
                     self.assert_(f"(= {d} {t})")
                     t = d
-                values[x.i, y.i] = t
-                rows[x.i] |= 1 << y.i
+                values[x.id, y.id] = t
+                rows[x.id] |= 1 << y.id
             self.values[nm], self.def_rows[nm] = values, rows
 
     def emit_assertions(self):
@@ -751,18 +716,18 @@ class _Emitter:
             else:  # acyclic: order-variable encoding
                 ew = max(2, self.n.bit_length() + 1)
                 for e in self.events:
-                    self.declare(f"ord{ai}_{e.name}", f"(_ BitVec {ew})")
+                    self.declare(f"ord{ai}_{self.names[e.id]}", f"(_ BitVec {ew})")
                 for x, y in self.pairs(rows):
                     t = formula(x, y)
                     if t == FALSE:
                         continue
                     self.assert_(
-                        f"(=> {t} (bvult ord{ai}_{x.name} ord{ai}_{y.name}))"
+                        f"(=> {t} (bvult ord{ai}_{self.names[x.id]} ord{ai}_{self.names[y.id]}))"
                     )
 
     def emit_goal(self):
         self.say("isolation goal: some load reads the secret init event")
-        secret = next(e for e in self.inits if e.kind == "secret-init")
+        secret = self.events[self.skeleton.init_by_addr[self.program.secret_addr]]
         self.lines.append(
             f"(assert {_ors([self.rf_sel(secret, r) for r in self.loads])})"
         )

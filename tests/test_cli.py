@@ -94,6 +94,7 @@ def test_domain_error_exit_code(capsys):
         (["-w", "0"], "speculation window must be >= 1"),
         (["--buffer", "0"], "store buffer size must be >= 1"),
         (["--bits", "1"], "domain of 1 bits cannot address 7"),
+        (["--bits", "-1"], "domain width must be >= 0 bits, got -1"),
     ],
 )
 def test_bad_option_exit_code(capsys, engine, option, message):

@@ -11,7 +11,13 @@ import random
 
 import pytest
 
-from axcat import SpecConfig, enumerate_candidates, load_model, parse_program
+from axcat import (
+    SpecConfig,
+    corpus_dir,
+    enumerate_candidates,
+    load_model,
+    parse_program,
+)
 from axcat.catlang import (
     BASE_RELATIONS,
     DATA_RELATIONS,
@@ -23,6 +29,8 @@ from axcat.catlang import (
     parse_cat,
 )
 from axcat.events import base_relations, data_rows, relation_of
+from axcat.masm import expr_registers, stmt_target_reg
+from axcat.smt import _Emitter
 from generator import random_program_source
 from reference import _naive_consistent
 
@@ -126,6 +134,38 @@ def reference_data_relations(x):
     return {"rf": rf, "srf": srf, "rfe": rfe, "co": co, "loc": loc}
 
 
+STATIC_RELATIONS = ("po", "fence", "addr")
+
+
+def reference_static_relations(program, events):
+    """po, fence and addr over `events` (of the unrolled `program`) as pair
+    sets, straight from the definitions: po orders the instruction events
+    of one thread by label; fence holds the po pairs with a fence event
+    strictly between them; addr holds the po pairs from a load to an access
+    whose address reads the load's register, with no instruction of the
+    thread's text in between that rewrites it."""
+    instrs = [e for e in events if not e.is_init()]
+    text = {(ins.thread, ins.label): ins.stmt for thread in program.threads for ins in thread}
+    po = {(a, b) for a in instrs for b in instrs if a.thread == b.thread and a.label < b.label}
+    fence = {
+        (a.id, b.id)
+        for a, b in po
+        if any(f.kind == "fence" and (a, f) in po and (f, b) in po for f in instrs)
+    }
+    addr = {
+        (a.id, b.id)
+        for a, b in po
+        if a.kind == "load"
+        and b.kind in ("load", "store")
+        and a.stmt.reg in expr_registers(b.stmt.addr)
+        and not any(
+            stmt_target_reg(text[a.thread, label]) == a.stmt.reg
+            for label in range(a.label + 1, b.label)
+        )
+    }
+    return {"po": {(a.id, b.id) for a, b in po}, "fence": fence, "addr": addr}
+
+
 def test_candidate_rows_equal_base_relations():
     for seed in range(0, PROGRAMS, 5):
         for _model, _cfg, _bound, x in candidates(seed):
@@ -135,6 +175,28 @@ def test_candidate_rows_equal_base_relations():
             assert {n: relation_of(rows[n], ids).pairs for n in rows} == want
             base = base_relations(x)
             assert {n: base[n].pairs for n in DATA_RELATIONS} == want
+            static = {n: relation_of(getattr(x.structure, n), ids).pairs
+                      for n in STATIC_RELATIONS}
+            assert static == reference_static_relations(x.program, x.events)
+            assert {n: base[n].pairs for n in STATIC_RELATIONS} == static
+
+
+def test_export_supports_equal_static_relations():
+    # over every instruction instance, as if all executed, the export's
+    # po, fence and addr supports are the relations themselves
+    programs = [parse_program(p.read_text()) for p in sorted(corpus_dir().glob("*.litmus"))]
+    programs += [parse_program(random_program_source(random.Random(seed)))
+                 for seed in range(0, PROGRAMS, 5)]
+    fenced = addressed = 0
+    for program in programs:
+        for k in (1, 2):
+            emitter = _Emitter(program, load_model("inorder"), SpecConfig(), k, 3, "p")
+            ids = range(emitter.n)
+            got = {n: relation_of(emitter.base(n)[1], ids).pairs for n in STATIC_RELATIONS}
+            assert got == reference_static_relations(emitter.program, emitter.events)
+            fenced += bool(got["fence"])
+            addressed += bool(got["addr"])
+    assert fenced >= 30 and addressed >= 30, (fenced, addressed)
 
 
 def test_definitions_are_grouped_in_dependency_order():

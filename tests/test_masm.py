@@ -110,6 +110,7 @@ thread 0:
         ("layout X@0 secret@1\nthread 0:\n1: r1 <- bogus\n", "unknown register"),
         ("layout X@0 secret@1\nthread 0:\n1: load q1, X\n", "unknown register"),
         ("layout X@0\nthread 0:\n1: skip\n", "secret"),
+        ("layout A@0 secret@1 input\nthread 0:\n1: skip\n", "'input' must precede"),
     ],
 )
 def test_validation_errors(src, message):

@@ -16,6 +16,10 @@ own settings:
 
 A sample of the renamed programs is also decided by the brute-force
 reference, so the properties are not checked on a wrong engine alone.
+
+Inserting a `fence` is not such a property: a pinned pair shows a fence
+that turns SAFE into UNSAFE, because the window drops a transient run that
+reaches w whole rather than cutting it at w.
 """
 
 import random
@@ -116,6 +120,24 @@ def test_corpus_under_renaming_and_raising_the_window():
             model, cfg, k, bits = corpus_settings(exp)
             window_flips += flips(check_properties(src, renamed, model, cfg, k, bits))
     assert window_flips >= 2, window_flips
+
+
+def test_inserting_a_fence_can_turn_safe_into_unsafe():
+    # not a metamorphic property: the window drops a control vector whose
+    # transient run reaches w whole instead of cutting the run at w, so a
+    # fence that ends a nine-event run after one event admits the vector.
+    # The engine and the reference agree on both verdicts.
+    model, cfg = _MODELS["inorder"], SpecConfig(mode="speculative", window=4)
+    for fenced, want in ((False, "safe"), (True, "unsafe")):
+        body = ["fence"] * fenced + ["skip"] * 8
+        src = (
+            "layout A[4]@0 secret@4 input idx@5\nthread 0:\n1: load r1, idx\n"
+            f"2: r2 <- r1 < 4\n3: beqz r2, {4 + len(body)}\n4: load r3, A + r1\n"
+            + "".join(f"{label}: {stmt}\n" for label, stmt in enumerate(body, 5))
+        )
+        program = parse_program(src)
+        assert check_isolation(program, model, cfg, 1, 3).outcome == want
+        assert brute_force_isolation(unroll(program, 1), model, "speculative", 4, 2, 3) == want
 
 
 def test_renamed_programs_agree_with_the_reference():

@@ -268,8 +268,9 @@ def test_witness_satisfaction_with_register_rewrite_breaking_addr():
     emitter = _Emitter(program, load_model("tso-mcu"), SpecConfig(mode="traditional"),
                        1, 2, "case")
     load_y, access = emitter.by_site[(0, 2)], emitter.by_site[(0, 4)]
-    assert emitter.addr_term(load_y, access) == FALSE
-    assert emitter.addr_term(emitter.by_site[(0, 1)], access) != FALSE
+    addr = emitter.base("addr")[0]
+    assert addr.get((load_y.id, access.id), FALSE) == FALSE
+    assert addr.get((emitter.by_site[(0, 1)].id, access.id), FALSE) != FALSE
     _witness_satisfies(src, load_model("tso-mcu"), SpecConfig(mode="traditional"))
 
 
@@ -284,9 +285,9 @@ def test_witness_satisfaction_with_rf_and_srf_under_psf():
     _witness_satisfies(src, model, cfg, 2, 3)
     emitter = _Emitter(parse_program(src), model, cfg, 2, 3, "case")
     store, load = emitter.by_site[(0, 5)], emitter.by_site[(0, 6)]  # C + 0, C + r0
-    pick = f"rf_{store.name}_{load.name}"
-    assert emitter.srf_term(store, load) == pick
-    assert emitter.rf_term(store, load) == f"(and {pick} (= addr_t0_l5 addr_t0_l6))"
+    pick = f"rf_{emitter.names[store.id]}_{emitter.names[load.id]}"
+    assert emitter.base("srf")[0][store.id, load.id] == pick
+    assert emitter.base("rf")[0][store.id, load.id] == f"(and {pick} (= addr_t0_l5 addr_t0_l6))"
 
 
 def test_rejected_candidate_refutes_the_tighter_formula():
@@ -391,13 +392,13 @@ def _random_family(rng, events, tag):
     values, rows = {}, [0] * len(events)
     for x in events:
         for y in events:
-            if x is y and x.kind != "instr" and rng.random() < 0.7:
+            if x is y and x.is_init() and rng.random() < 0.7:
                 v = TRUE
             else:
-                v = rng.choice((FALSE, FALSE, FALSE, TRUE, f"{tag}_{x.name}_{y.name}"))
+                v = rng.choice((FALSE, FALSE, FALSE, TRUE, f"{tag}_{x.id}_{y.id}"))
             values[x, y] = v
             if v != FALSE or rng.random() < 0.3:
-                rows[x.i] |= 1 << y.i
+                rows[x.id] |= 1 << y.id
     return values, rows
 
 
@@ -434,12 +435,12 @@ def test_sparse_compose_matches_the_dense_product(seed, squaring):
                      + [_ands([left[x, m], right[m, y]]) for m in events])
         calls.clear()
         assert out(x, y) == dense
-        assert dense == FALSE or rows[x.i] >> y.i & 1
+        assert dense == FALSE or rows[x.id] >> y.id & 1
         for role, a, b in calls:  # no side is called outside both supports
             if role == "l":
-                assert a is x and lrows[x.i] >> b.i & 1 and rrows[b.i] >> y.i & 1
+                assert a is x and lrows[x.id] >> b.id & 1 and rrows[b.id] >> y.id & 1
             elif role == "r":
-                assert b is y and lrows[x.i] >> a.i & 1 and rrows[a.i] >> y.i & 1
+                assert b is y and lrows[x.id] >> a.id & 1 and rrows[a.id] >> y.id & 1
             else:
                 assert (a, b) == (x, y)
 
@@ -471,7 +472,7 @@ def test_supports_hold_every_candidate_relation(seeds):
     for program, model, cfg in generator_queries(seeds):
         emitter = _Emitter(program, model, cfg, 1, 2, "g")
         emitter.render()
-        names = {e.name: e.i for e in emitter.events}
+        names = {name: i for i, name in enumerate(emitter.names)}
         bounds = {"w": cfg.window, "w'": cfg.buffer}
         for x in enumerate_candidates(program, cfg, 1, 2):
             if x.valuation is None:
@@ -510,8 +511,8 @@ def test_difference_keeps_the_pairs_its_right_side_may_lack():
     emitter = _Emitter(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2, "d")
     emitter.render()
     store, load = emitter.by_site[(0, 1)], emitter.by_site[(0, 2)]
-    assert emitter.def_rows["d"][store.i] >> load.i & 1
-    assert emitter.values["d"][store.i, load.i] == f"d_d_{store.name}_{load.name}"
+    assert emitter.def_rows["d"][store.id] >> load.id & 1
+    assert emitter.values["d"][store.id, load.id] == f"d_d_{emitter.pair_name(store, load)}"
 
 
 def _without_goal(text: str) -> str:
