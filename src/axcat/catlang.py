@@ -30,13 +30,13 @@ j of row i is the pair (i, j).  Union, intersection and difference work row
 by row, composition ORs the rows of successors, `r^{<=k}` takes O(log k)
 compositions by repeated squaring, and closure and acyclicity run on rows.
 `CompiledModel.bind(skeleton)` takes the skeleton's `po`, `fence` and
-`addr` rows as they are and evaluates, once per control vector, every
-definition, subterm and assertion that names no data relation (rf, co,
-loc, srf, rfe): `win` and `ppo` in stl, `po-tso` in tso, the `[X]` and
-`X * Y` classes.  `BoundModel.check(x)` then takes from `events.data_rows`
-only the data rows the model reads and runs the remaining definitions and
-the assertions.  The public `evaluate` and `check_assertions` convert
-Relations to rows and back at the boundary and run the same closures.
+`addr` rows and its event classes as they are and evaluates, once per
+control vector, every definition that names no data relation (rf, co, loc,
+srf, rfe): `win` and `ppo` in stl, `po-tso` in tso and tso-mcu.
+`BoundModel.check(x)` then takes from `events.data_rows` only the data rows
+the model reads and runs the remaining definitions and the assertions.
+The public `evaluate` and `check_assertions` convert Relations to rows and
+back at the boundary and run the same closures.
 """
 
 from __future__ import annotations
@@ -265,7 +265,10 @@ def _parse_term(toks: _Tokens):
             return TRef(text)  # classified later
         raise CatError(f"{where}: unexpected token {text!r}")
 
-    t = infix(0)
+    try:
+        t = infix(0)
+    except RecursionError:
+        raise CatError(f"{where}: nested too deeply") from None
     if not toks.done():
         raise CatError(f"{where}: trailing tokens")
     return t
@@ -528,27 +531,22 @@ def _test(test, fn):
     return lambda env: test(fn(env))
 
 
-def _lower(term, cfg, dynamic: set, hoist: list | None):
-    """The closure env -> rows of `term`.  With a `hoist` list, every maximal
-    subterm that names nothing in `dynamic` is appended to it as (key,
-    closure), to be evaluated once per skeleton, and read from env[key]."""
+def _lower(term, cfg):
+    """The closure env -> rows of `term`."""
     if isinstance(term, (TBase, TRef)):
         return _lookup(term.name)
     if isinstance(term, TSetId):
         return _lookup(term.set_name)
-    if hoist is not None and not _names(term) & dynamic:
-        hoist.append((len(hoist), _lower(term, cfg, dynamic, None)))
-        return _lookup(len(hoist) - 1)  # an int key never clashes with a name
     if isinstance(term, TCross):
         left, right = term.left, term.right
         return lambda env: cross_rows(env[left], env[right])
     kind = type(term)
     if kind in _BINARY:
         op = _BINARY[kind]
-        left = _lower(term.left, cfg, dynamic, hoist)
-        right = _lower(term.right, cfg, dynamic, hoist)
+        left = _lower(term.left, cfg)
+        right = _lower(term.right, cfg)
         return lambda env: op(left(env), right(env))
-    inner = _lower(term.term, cfg, dynamic, hoist)
+    inner = _lower(term.term, cfg)
     if kind in _UNARY:
         op = _UNARY[kind]
         return lambda env: op(inner(env))
@@ -621,7 +619,6 @@ class CompiledModel(NamedTuple):
     name: str
     data: frozenset  # the data relations the model reads
     static: tuple  # definition groups that read no data
-    hoisted: tuple  # (key, closure): the static subterms of everything else
     dynamic: tuple  # the other definition groups
     assertions: tuple  # (kind, source, closure env -> holds), file order
 
@@ -632,12 +629,7 @@ class CompiledModel(NamedTuple):
         for n in SET_NAMES:
             env[n] = identity_rows(skeleton.sets[n], index)
         _run(self.static, env, self.name)
-        self.hoist(env)
         return BoundModel(self, MappingProxyType(env))
-
-    def hoist(self, env: dict):
-        for key, fn in self.hoisted:
-            env[key] = fn(env)
 
     def violation(self, env: dict):
         """(kind, source) of the first assertion that fails, or None."""
@@ -675,29 +667,18 @@ def compile_model(model: CatModel, cfg=None) -> CompiledModel:
         if any(_names(terms[n]) & dynamic for n in group):
             dynamic.update(group)
 
-    hoisted: list = []
+    def lower(group):
+        return _recursive(group, terms), tuple((n, _lower(terms[n], cfg)) for n in group)
 
-    def lower(group, hoist):
-        lowered = tuple((n, _lower(terms[n], cfg, dynamic, hoist)) for n in group)
-        return _recursive(group, terms), lowered
-
-    static = tuple(lower(g, None) for g in groups if g[0] not in dynamic)
-    dynamic_groups = tuple(lower(g, hoisted) for g in groups if g[0] in dynamic)
-    assertions = []
-    for kind, term, src in model.assertions:
-        if _names(term) & dynamic:
-            holds = _test(_TESTS[kind], _lower(term, cfg, dynamic, hoisted))
-        else:  # fixed by the skeleton: tested once per skeleton
-            hoisted.append((len(hoisted), _test(_TESTS[kind], _lower(term, cfg, dynamic, None))))
-            holds = _lookup(len(hoisted) - 1)
-        assertions.append((kind, src, holds))
     return CompiledModel(
         name=model.name,
         data=frozenset(model.base_names() & DATA_RELATIONS),
-        static=static,
-        hoisted=tuple(hoisted),
-        dynamic=dynamic_groups,
-        assertions=tuple(assertions),
+        static=tuple(lower(g) for g in groups if g[0] not in dynamic),
+        dynamic=tuple(lower(g) for g in groups if g[0] in dynamic),
+        assertions=tuple(
+            (kind, src, _test(_TESTS[kind], _lower(term, cfg)))
+            for kind, term, src in model.assertions
+        ),
     )
 
 
@@ -729,7 +710,6 @@ def evaluate(model: CatModel, base: dict, cfg=None) -> dict:
     compiled = compile_model(model, cfg)
     ids, env = _rows_env(rels, sets)
     _run(compiled.static, env, model.name)
-    compiled.hoist(env)
     _run(compiled.dynamic, env, model.name)
     out = dict(rels)
     out.update(sets)
@@ -747,7 +727,6 @@ def check_assertions(model: CatModel, bindings: dict, cfg=None):
     rels = {n: v for n, v in bindings.items() if n not in sets}
     compiled = compile_model(model, cfg)
     _, env = _rows_env(rels, sets)
-    compiled.hoist(env)
     violated = compiled.violation(env)
     return violated is None, violated
 

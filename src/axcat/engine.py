@@ -23,12 +23,9 @@ witness, so a reads-from vector must also have some load read "init" whose
 address reads a register or is the secret's; a prefix is dropped as soon as
 no later load can.  The sources dropped per load:
 
-  * a transient store, unless the load is a later transient load of the
-    store's thread;
   * a store whose address expression reads no register and differs from a
     register-free load address, unless predictive store forwarding is on
     and the store is earlier in the load's thread;
-  * "init", for a load whose register-free address is undeclared;
   * a source that closes a cycle of must-dependencies.  A node is the
     value or the address of an event.  Since `eval_expr` is strict in
     None, an event's value or address depends on the registers its
@@ -55,9 +52,9 @@ therefore runs on no candidate here.
 
 The model is compiled once per check and bound at the first candidate of
 each control vector (`catlang.compile_model`, `CompiledModel.bind`), so
-everything in it that reads no data relation is evaluated once per vector,
-and a vector without candidates is never bound; each candidate then only
-builds the data rows the model reads (`events.data_rows`) and runs the
+every definition in it that reads no data relation is evaluated once per
+vector, and a vector without candidates is never bound; each candidate then
+only builds the data rows the model reads (`events.data_rows`) and runs the
 rest.
 """
 
@@ -255,20 +252,15 @@ def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
     propagation whatever the coherence order and the inputs."""
     secret = skeleton.program.secret_addr
     load_addr = _fixed_address(load, secret, mask)
-    declared = skeleton.structure.init_by_addr
-    sources = ["init"] if load_addr is None or load_addr in declared else []
+    sources = ["init"]
     for store in skeleton.stores():
-        forwards = store.thread == load.thread and store.label < load.label
-        if store.id in skeleton.transient and not (
-            forwards and load.id in skeleton.transient
-        ):
-            continue
         store_addr = _fixed_address(store, secret, mask)
         if (
             load_addr is not None
             and store_addr is not None
             and load_addr != store_addr
-            and not (skeleton.psf and forwards)
+            and not (skeleton.psf and store.thread == load.thread
+                     and store.label < load.label)
         ):
             continue
         sources.append(store.id)
@@ -320,8 +312,8 @@ def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
 def _rf_vectors(skeleton: CandidateExecution, mask: int):
     """Reads-from vectors over the skeleton's loads (in id order) in which
     some load that may read the secret reads init, in the blind
-    lexicographic order, minus every vector that a static rule or a
-    must-dependency cycle dooms.  Iterative depth-first search; a prefix is
+    lexicographic order, minus every vector that the address rule of
+    `_sources` or a must-dependency cycle dooms.  Iterative depth-first search; a prefix is
     dropped once no later load can still read the secret."""
     loads = skeleton.loads()
     secret = skeleton.program.secret_addr
@@ -382,7 +374,7 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
         passing = []
         for chosen_inputs in input_vectors:
             x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs, domain_bits)
-            if x.valuation is not None and violating_load(x) is not None:
+            if violating_load(x) is not None:
                 passing.append(x)
         if not passing:
             continue

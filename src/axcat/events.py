@@ -97,10 +97,6 @@ class Relation:
         return cls(frozenset((a, b) for a, b in pairs))
 
     @classmethod
-    def empty(cls) -> "Relation":
-        return cls(frozenset())
-
-    @classmethod
     def identity(cls, ids) -> "Relation":
         return cls(frozenset((e, e) for e in ids))
 

@@ -78,10 +78,6 @@ class Binary(Expr):
     right: Expr
 
 
-# evaluation is modular over 2^bits; checks pick their own width, litmus
-# programs that never say otherwise get a byte-sized domain
-DEFAULT_VALUE_BITS = 8
-
 _BIN_OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -106,8 +102,8 @@ _UN_OPS = {
 }
 
 
-def eval_expr(e: Expr, regs, secret_addr: int, mask: int = (1 << DEFAULT_VALUE_BITS) - 1):
-    """Evaluate `e` modulo the value domain.
+def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
+    """Evaluate `e` modulo `mask` + 1, the size of the value domain.
 
     Register values are looked up in `regs` (missing registers read 0); a
     value of None means "not yet resolved" and poisons the result, which
@@ -127,6 +123,8 @@ def eval_expr(e: Expr, regs, secret_addr: int, mask: int = (1 << DEFAULT_VALUE_B
         b = eval_expr(e.right, regs, secret_addr, mask)
         if a is None or b is None:
             return None
+        if e.op == "<<":  # a count of the width or more shifts every bit out
+            b = min(b, mask.bit_length())
         return _BIN_OPS[e.op](a, b) & mask
     raise TypeError(f"not an expression: {e!r}")
 
@@ -374,7 +372,10 @@ class _ExprParser:
 
 
 def parse_expr(text: str, layout: dict[str, tuple[int, int]], where: str = "expr") -> Expr:
-    return _ExprParser(text, layout, where).parse()
+    try:
+        return _ExprParser(text, layout, where).parse()
+    except RecursionError:
+        raise ParseError(f"{where}: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

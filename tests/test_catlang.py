@@ -86,6 +86,11 @@ def test_parse_errors():
         parse_cat("po = rf\n")
     with pytest.raises(CatError, match="expect"):
         parse_cat("just words\n")
+    deep = "(" * 400 + "po" + ")" * 400
+    with pytest.raises(CatError, match="line 2: nested too deeply"):
+        parse_cat(f"x = po\nacyclic {deep}\n")
+    with pytest.raises(CatError, match="line 1: nested too deeply"):
+        parse_cat(f"x = {deep}\n")
 
 
 def test_monotone_recursion_accepted_nonmonotone_rejected():

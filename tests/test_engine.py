@@ -197,6 +197,15 @@ def test_engine_errors():
         check_isolation(p, load_model("inorder"), SpecConfig(), 0, 3)
 
 
+def test_shift_of_the_secret_sentinel_in_a_wide_domain():
+    # the load reads the sentinel 2^64; shifting by it must not build a
+    # 2^64-bit integer before the mask is applied
+    p = parse_program("layout secret@0 A@1\n1: load r1, secret\n2: r2 <- 1 << r1\n")
+    cfg = SpecConfig(mode="traditional")
+    for bits in (3, 64):
+        assert check_isolation(p, load_model("inorder"), cfg, 1, bits).outcome == "unsafe"
+
+
 # ---------------------------------------------------------------------------
 # Witness graphs
 

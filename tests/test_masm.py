@@ -88,6 +88,17 @@ thread 0:
     assert masm.eval_expr(stmt.addr, {}, p.secret_addr, 7) == 3
 
 
+def test_shift_by_the_width_or_more_is_zero():
+    shift = Binary("<<", Const(1), Reg("r1"))
+    mask = (1 << 64) - 1
+    # a load of the secret reads the sentinel 2^bits
+    assert masm.eval_expr(shift, {"r1": 1 << 64}, 0, mask) == 0
+    assert masm.eval_expr(shift, {"r1": 64}, 0, mask) == 0
+    assert masm.eval_expr(shift, {"r1": 63}, 0, mask) == 1 << 63
+    assert masm.eval_expr(shift, {"r1": 8}, 0, 7) == 0
+    assert masm.eval_expr(shift, {"r1": 2}, 0, 7) == 4
+
+
 def test_undefined_jump_target_rejected():
     src = """\
 layout X@0 secret@1
@@ -111,6 +122,10 @@ thread 0:
         ("layout X@0 secret@1\nthread 0:\n1: load q1, X\n", "unknown register"),
         ("layout X@0\nthread 0:\n1: skip\n", "secret"),
         ("layout A@0 secret@1 input\nthread 0:\n1: skip\n", "'input' must precede"),
+        pytest.param(
+            "layout X@0 secret@1\nthread 0:\n1: r1 <- " + "(" * 400 + "1" + ")" * 400 + "\n",
+            "line 3: nested too deeply", id="400-nested-parentheses",
+        ),
     ],
 )
 def test_validation_errors(src, message):

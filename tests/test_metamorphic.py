@@ -14,14 +14,21 @@ own settings:
     drops control vectors, so every candidate allowed at w is allowed at
     w + 1.
 
-A sample of the renamed programs is also decided by the brute-force
-reference, so the properties are not checked on a wrong engine alone.
+Every two-thread program among those seeds, and `mcu-01`, is also checked
+with its thread sections in reverse order: the outcome stays the same.
+Event ids follow thread order, and so do the candidate counts and the
+witness, so only the outcome is compared.
+
+A sample of the renamed and of the reversed programs is also decided by the
+brute-force reference, so the properties are not checked on a wrong engine
+alone.
 
 Inserting a `fence` is not such a property: a pinned pair shows a fence
 that turns SAFE into UNSAFE, because the window drops a transient run that
 reaches w whole rather than cutting it at w.
 """
 
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -41,6 +48,7 @@ from test_directed import corpus_settings
 
 SEEDS = 300
 REFERENCE_SEEDS = 60
+REVERSED_REFERENCE_PROGRAMS = 15
 WINDOWS = (1, 2, 3, 4)
 BITS = 2
 
@@ -61,6 +69,32 @@ def query(seed: int):
     model_name = BUNDLED_MODELS[seed % len(BUNDLED_MODELS)]
     k = 1 + seed // len(BUNDLED_MODELS) % 2
     return src, rename_registers(src, rng), model_name, k
+
+
+def reverse_threads(src: str) -> str:
+    """The program with its thread sections in reverse order, renumbered;
+    every line outside an instruction (layout, comments, expectations) goes
+    before them."""
+    head, sections = [], []
+    for line in src.splitlines():
+        if line.startswith("thread "):
+            sections.append([])
+        elif sections and re.match(r"\d+\s*:", line):
+            sections[-1].append(line)
+        else:
+            head.append(line)
+    for tid, body in enumerate(reversed(sections)):
+        head += [f"thread {tid}:", *body]
+    return "\n".join(head) + "\n"
+
+
+def two_thread_queries():
+    """(seed, source, model name, k) of every seed whose program has two
+    threads."""
+    for seed in range(SEEDS):
+        src, _, model_name, k = query(seed)
+        if "thread 1:" in src:
+            yield seed, src, model_name, k
 
 
 def window_sweep(src: str, model, cfg: SpecConfig, k: int, bits: int) -> list:
@@ -120,6 +154,48 @@ def test_corpus_under_renaming_and_raising_the_window():
             model, cfg, k, bits = corpus_settings(exp)
             window_flips += flips(check_properties(src, renamed, model, cfg, k, bits))
     assert window_flips >= 2, window_flips
+
+
+def test_reversing_the_threads():
+    programs = unsafe = 0
+    for _, src, model_name, k in two_thread_queries():
+        model = _MODELS[model_name]
+        program, reversed_program = parse_program(src), parse_program(reverse_threads(src))
+        assert reversed_program.threads[0][0].stmt == program.threads[1][0].stmt
+        for mode in ("traditional", "speculative"):
+            cfg = SpecConfig(mode=mode, psf="srf" in model.base_names())
+            got = check_isolation(program, model, cfg, k, BITS).outcome
+            assert check_isolation(reversed_program, model, cfg, k, BITS).outcome == got, (
+                model.name, mode, src)
+            unsafe += got == "unsafe"
+        programs += 1
+    assert programs >= 60, programs
+    assert unsafe >= 5, unsafe
+    src = (corpus_dir() / "mcu-01.litmus").read_text()
+    for exp in parse_program(src).expectations:
+        model, cfg, k, bits = corpus_settings(exp)
+        for text in (src, reverse_threads(src)):
+            assert check_isolation(parse_program(text), model, cfg, k, bits).outcome == exp.outcome
+
+
+def test_reversed_threads_agree_with_the_reference():
+    unsafe = 0
+    for seed, src, model_name, _ in itertools.islice(two_thread_queries(),
+                                                     REVERSED_REFERENCE_PROGRAMS):
+        model = _MODELS[model_name]
+        psf = "srf" in model.base_names()
+        mode = ("traditional", "speculative")[seed % 2]
+        cfg = SpecConfig(mode=mode, psf=psf)
+        wants = []
+        for text in (src, reverse_threads(src)):
+            program = parse_program(text)
+            want = brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
+                                         cfg.buffer, BITS, psf=psf)
+            assert check_isolation(program, model, cfg, 1, BITS).outcome == want, (seed, text)
+            wants.append(want)
+        assert wants[0] == wants[1], (seed, src)
+        unsafe += wants[0] == "unsafe"
+    assert unsafe >= 1, unsafe
 
 
 def test_inserting_a_fence_can_turn_safe_into_unsafe():
