@@ -209,6 +209,7 @@ _INFIX = (("|", TUnion), ("\\", TDiff), ("&", TInter), (";", TCompose))
 _POSTFIX = {"inv": TInverse, "plus": TPlus, "star": TStar}
 _BINARY_TERMS = (TUnion, TInter, TDiff, TCompose)
 _UNARY_TERMS = (TInverse, TPlus, TStar, TBounded)
+_MAX_TERM_DEPTH = 100  # far beyond any model, far within the recursion limit
 
 
 def _parse_term(toks: _Tokens):
@@ -271,7 +272,24 @@ def _parse_term(toks: _Tokens):
         raise CatError(f"{where}: nested too deeply") from None
     if not toks.done():
         raise CatError(f"{where}: trailing tokens")
+    # postfix and infix chains nest without recursing here, but every later
+    # pass over the term (classifying, hashing, lowering) recurses
+    if _depth(t) > _MAX_TERM_DEPTH:
+        raise CatError(f"{where}: nested too deeply")
     return t
+
+
+def _depth(term) -> int:
+    """The number of nested terms on the longest path down `term`."""
+    deepest, stack = 0, [(term, 1)]
+    while stack:
+        t, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(t, _BINARY_TERMS):
+            stack += ((t.left, d + 1), (t.right, d + 1))
+        elif isinstance(t, _UNARY_TERMS):
+            stack.append((t.term, d + 1))
+    return deepest
 
 
 def _classify(term, defined: set, where: str):

@@ -10,18 +10,21 @@ lexicographically by their choice vector
     x reads-from source per load  x  coherence order  x  input values
 
 `enumerate_candidates` walks this blind product and is kept as the
-reference.  `check_isolation` searches it directed instead.  Per control
-vector it builds the frozen events and their `Skeleton` (thread order,
-`po`, `fence`, `addr`, event classes) once; every candidate of the vector
-shares both by reference and adds only its choices and its valuation.
-The whole vector is dropped when a transient run exceeds the speculation
-window.  It then chooses reads-from sources depth first over the loads in
-id order, offering each load its sources in the blind order ("init", then
-the stores) minus those that fail value propagation for every coherence
-order and every input.  Only a candidate that reads the secret can be a
-witness, so a reads-from vector must also have some load read "init" whose
-address reads a register or is the secret's; a prefix is dropped as soon as
-no later load can.  The sources dropped per load:
+reference.  `check_isolation` searches it directed instead.  Only a
+candidate that reads the secret can be a witness, and only a load that
+reads "init" and whose address reads a register or is the secret's can
+read it.  A control vector whose thread walks run no such load therefore
+gets no skeleton at all.  For every other vector the search builds the
+frozen events and their `Skeleton` (thread order, `po`, `fence`, `addr`,
+event classes, the register-writer table) once; every candidate of the
+vector shares both by reference and adds only its choices and its
+valuation.  The whole vector is dropped when a transient run exceeds the
+speculation window.  It then chooses reads-from sources depth first over
+the loads in id order, offering each load its sources in the blind order
+("init", then the stores) minus those that fail value propagation for
+every coherence order and every input.  A reads-from vector must have some
+such load read "init"; a prefix is dropped as soon as no later load can.
+The sources dropped per load:
 
   * a store whose address expression reads no register and differs from a
     register-free load address, unless predictive store forwarding is on
@@ -31,14 +34,18 @@ no later load can.  The sources dropped per load:
     None, an event's value or address depends on the registers its
     expression reads (a conditional assignment on its guard only), a load
     reading init on its own address, and a load reading a store on that
-    store's value.  A cycle stays None at the propagation fixpoint.
+    store's value.  A cycle stays None at the least fixpoint that value
+    propagation computes.
 
-Values do not depend on the coherence order, so each complete reads-from
-vector is propagated once per input vector, and only the inputs whose
-candidate is value-consistent and reads the secret are combined with the
-coherence orders.  The directed candidates are exactly the blind product's
-value-consistent, secret-reading candidates whose skeleton fits the window,
-in the blind order: a subsequence of it.  They pass through the
+Values do not depend on the coherence order, so whether a candidate reads
+the secret is decided once per (reads-from vector, input vector) pair, by a
+goal test: `events.Evaluator` evaluates on demand only the addresses of
+the loads that read "init" and may read the secret, and only a pair where
+one of them is the secret's address is propagated.  The inputs whose
+candidate is then value-consistent and reads the secret are combined with
+the coherence orders.  The directed candidates are exactly the blind
+product's value-consistent, secret-reading candidates whose skeleton fits
+the window, in the blind order: a subsequence of it.  They pass through the
 control-flow and window constraints and the model's assertions; the first
 surviving candidate becomes the witness, the same one the blind product
 would give.  When no violation exists the verdict is Safe, or Unknown if
@@ -67,6 +74,7 @@ from . import catlang
 from .catlang import CatModel
 from .events import (
     CandidateExecution,
+    Evaluator,
     Event,
     MissingOutcome,
     _walk_thread,
@@ -83,7 +91,6 @@ from .masm import (
     Store,
     eval_expr,
     expr_registers,
-    stmt_target_reg,
     unroll,
 )
 from .speculation import (
@@ -143,13 +150,14 @@ def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
 
 
 def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
-    """All (outcomes, cp) assignments for the branches this thread reaches."""
+    """All (outcomes, cp, walk) assignments for the branches this thread
+    reaches; `walk` lists the labels it runs, committed then transient."""
     speculative = cfg.mode == "speculative"
     cp_values = (True, False) if speculative else (True,)
 
     def extend(outcomes, cps):
         try:
-            _walk_thread(program, tid, outcomes, cps, speculative)
+            committed, transient = _walk_thread(program, tid, outcomes, cps, speculative)
         except MissingOutcome as miss:
             for taken in (False, True):
                 for cp in cp_values:
@@ -157,20 +165,26 @@ def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
                         {**outcomes, miss.site: taken}, {**cps, miss.site: cp}
                     )
             return
-        yield outcomes, cps
+        yield outcomes, cps, committed + transient
 
     yield from extend({}, {})
 
 
-def _control_vectors(program: Program, cfg: SpecConfig):
+def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
+    """Every (outcomes, cps) choice of the program, in the blind order.
+    With `leaky`, a set of labels per thread, only the choices under which
+    some thread runs one of its labels."""
     per_thread = [
-        list(_thread_vectors(program, tid, cfg))
+        [(o, c, leaky is None or not leaky[tid].isdisjoint(walk))
+         for o, c, walk in _thread_vectors(program, tid, cfg)]
         for tid in range(len(program.threads))
     ]
     for combo in itertools.product(*per_thread):
+        if not any(hit for _, _, hit in combo):
+            continue
         outcomes: dict = {}
         cps: dict = {}
-        for o, c in combo:
+        for o, c, _ in combo:
             outcomes.update(o)
             cps.update(c)
         yield outcomes, cps
@@ -240,21 +254,27 @@ def _value(eid: int) -> int:
     return 2 * eid + 1
 
 
-def _fixed_address(e: Event, secret_addr: int, mask: int) -> int | None:
-    """The address of a memory event whose address reads no register."""
-    if expr_registers(e.stmt.addr):
+def _fixed_address(s: Load | Store, secret_addr: int, mask: int) -> int | None:
+    """The address of a load or store whose address reads no register."""
+    if expr_registers(s.addr):
         return None
-    return eval_expr(e.stmt.addr, {}, secret_addr, mask)
+    return eval_expr(s.addr, {}, secret_addr, mask)
+
+
+def _may_read_secret(s: Load, secret_addr: int, mask: int) -> bool:
+    """Whether the load may read the secret when it reads init: its address
+    reads a register, or is the secret's."""
+    return _fixed_address(s, secret_addr, mask) in (None, secret_addr)
 
 
 def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
     """The load's rf sources in the blind order, minus those that fail value
     propagation whatever the coherence order and the inputs."""
     secret = skeleton.program.secret_addr
-    load_addr = _fixed_address(load, secret, mask)
+    load_addr = _fixed_address(load.stmt, secret, mask)
     sources = ["init"]
     for store in skeleton.stores():
-        store_addr = _fixed_address(store, secret, mask)
+        store_addr = _fixed_address(store.stmt, secret, mask)
         if (
             load_addr is not None
             and store_addr is not None
@@ -268,28 +288,26 @@ def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
 
 
 def _must_dependencies(skeleton: CandidateExecution) -> dict:
-    """Node -> the nodes that keep it unresolved while they are, from the
-    registers each expression reads (registers flow in label order)."""
+    """Node -> the nodes that keep it unresolved while they are: the value
+    nodes of the last writers (the skeleton's `writers`) of the registers
+    that an assignment's expression, a conditional assignment's guard, a
+    load's address or a store's value reads."""
+    events, writers = skeleton.events, skeleton.structure.writers
     deps: dict[int, list[int]] = {}
-    for evs in skeleton.threads():
-        writer: dict[str, int] = {}  # register -> value node of its last writer
-        for e in evs:
-            s = e.stmt
-            if isinstance(s, Assign):
-                node, expr = _value(e.id), s.expr
-            elif isinstance(s, CondAssign):
-                node, expr = _value(e.id), s.guard
-            elif isinstance(s, Load):
-                node, expr = _address(e.id), s.addr
-            elif isinstance(s, Store):
-                node, expr = _value(e.id), s.value
-            else:
-                node = None
-            if node is not None:
-                deps[node] = [writer[r] for r in expr_registers(expr) if r in writer]
-            reg = stmt_target_reg(s)
-            if reg is not None:
-                writer[reg] = _value(e.id)
+    for eid in skeleton.structure.instructions:
+        s = events[eid].stmt
+        if isinstance(s, Assign):
+            node, expr = _value(eid), s.expr
+        elif isinstance(s, CondAssign):
+            node, expr = _value(eid), s.guard
+        elif isinstance(s, Load):
+            node, expr = _address(eid), s.addr
+        elif isinstance(s, Store):
+            node, expr = _value(eid), s.value
+        else:
+            continue
+        last = writers[eid]
+        deps[node] = [_value(last[r]) for r in expr_registers(expr) if r in last]
     return deps
 
 
@@ -318,9 +336,8 @@ def _rf_vectors(skeleton: CandidateExecution, mask: int):
     loads = skeleton.loads()
     secret = skeleton.program.secret_addr
     options = [_sources(skeleton, load, mask) for load in loads]
-    # goal[i]: load i may read the secret when it reads init (its address
-    # reads a register, or is the secret's)
-    goal = [_fixed_address(load, secret, mask) in (None, secret) for load in loads]
+    # goal[i]: load i may read the secret when it reads init
+    goal = [_may_read_secret(load.stmt, secret, mask) for load in loads]
     # reachable[i]: some load at i or later may still read the secret
     reachable = [False] * (len(loads) + 1)
     for i in reversed(range(len(loads))):
@@ -360,19 +377,32 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
     """The skeleton's value-consistent candidates that read the secret, in
     the blind order.  Whether a candidate reads the secret depends on its
     reads-from choice and its values, not on the coherence order, so the
-    test runs once per (rf, inputs) pair."""
-    inputs = sorted(skeleton.program.input_locations)
-    init_vals = _initial_values(skeleton.program, domain_bits)
+    test runs once per (rf, inputs) pair.  It evaluates on demand only the
+    addresses of the loads that read init and may read the secret, and
+    propagates the pair only when one of them is the secret's."""
+    program = skeleton.program
+    secret, mask = program.secret_addr, (1 << domain_bits) - 1
+    inputs = sorted(program.input_locations)
+    init_vals = _initial_values(program, domain_bits)
     load_ids = skeleton.structure.loads
     committed_stores = [s for s in skeleton.structure.stores if s in skeleton.committed]
     input_vectors = [
         dict(zip(inputs, v))
         for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
     ]
-    for rf_vector in _rf_vectors(skeleton, (1 << domain_bits) - 1):
+    may_read = [
+        load.id for load in skeleton.loads() if _may_read_secret(load.stmt, secret, mask)
+    ]
+    probe = replace(skeleton)  # the goal test's candidate, one rf vector at a time
+    for rf_vector in _rf_vectors(skeleton, mask):
         rf_choice = dict(zip(load_ids, rf_vector))
+        readers = [load for load in may_read if rf_choice[load] == "init"]
+        probe.rf_choice = rf_choice
         passing = []
         for chosen_inputs in input_vectors:
+            dataflow = Evaluator(probe, {**init_vals, **chosen_inputs}, domain_bits)
+            if all(dataflow.address(load) != secret for load in readers):
+                continue
             x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs, domain_bits)
             if violating_load(x) is not None:
                 passing.append(x)
@@ -436,9 +466,21 @@ def check_isolation(
     _check_query(program, model, cfg, k, domain_bits)
     compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
+    speculative = cfg.mode == "speculative"
+    secret, mask = program.secret_addr, (1 << domain_bits) - 1
+    # per thread, the labels of its loads that may read the secret: a
+    # control vector that runs none of them has no candidate
+    leaky = [
+        {ins.label for ins in instrs
+         if isinstance(ins.stmt, Load) and _may_read_secret(ins.stmt, secret, mask)}
+        for instrs in unrolled.threads
+    ]
     generated = 0
     filtered = 0
-    for skeleton in _skeletons(unrolled, cfg):
+    for outcomes, cps in _control_vectors(unrolled, cfg, leaky):
+        skeleton = build_events(
+            unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
+        )
         # the window depends only on the transient set: one test per vector
         if not check_window(skeleton, cfg.window):
             continue

@@ -7,19 +7,23 @@ choice per load, a coherence order over committed stores, and the initial
 values of attacker-controlled locations.  The control-flow choice alone
 fixes the events and a `Skeleton`: each thread's events in program order,
 the ids of the loads, stores, instruction events and init events, the
-`po`, `fence` and `addr` relations, the event classes, and the branch
-outcomes the candidate's values must confirm.  `build_events` computes the
-events (frozen, in a tuple) and the skeleton once per control vector, and
-every candidate of the vector shares both by reference: a candidate is the
-skeleton plus its choices (`rf_choice`, `co_order`, `inputs`) plus the
-valuation that `propagate_values` derives from them, the one place that
-holds an instruction event's address and value.  `static_skeleton` builds
-the same events and skeleton for every instruction instance of a program
-at once, as if all executed; the solver export reads its events, `po`,
-`fence`, `addr` and classes from it.  Whether a candidate
-represents a behavior the hardware model allows is decided elsewhere; this
-module only builds candidates and computes the relations and the valuation
-they induce.
+`po`, `fence` and `addr` relations, the event classes, the branch
+outcomes the candidate's values must confirm, and the register-writer
+table (for each event, the last writer of each register).  `build_events`
+computes the events (frozen, in a tuple) and the skeleton once per control
+vector, and every candidate of the vector shares both by reference: a
+candidate is the skeleton plus its choices (`rf_choice`, `co_order`,
+`inputs`) plus the valuation that `propagate_values` derives from them,
+the one place that holds an instruction event's address and value.  The
+valuation is the least fixpoint of the candidate's dataflow, which
+`Evaluator` computes on demand over the writer table; evaluating only some
+addresses with it is how the search decides cheaply whether a candidate
+can read the secret at all.  `static_skeleton` builds the same events and
+skeleton for every instruction instance of a program at once, as if all
+executed; the solver export reads its events, `po`, `fence`, `addr` and
+classes from it.  Whether a candidate represents a behavior the hardware
+model allows is decided elsewhere; this module only builds candidates and
+computes the relations and the valuation they induce.
 
 Relations are bitset rows: a relation over the events 0..n-1 is n ints,
 and bit j of row i is the pair (i, j).  The skeleton holds `po`, `fence`
@@ -241,6 +245,10 @@ class Skeleton:
     sets: MappingProxyType  # the event classes E, M, W, R of model files
     outcomes: MappingProxyType  # (thread, label) -> branch taken, sorted
     predictions: MappingProxyType  # (thread, label) -> predicted correctly
+    # per event id: register -> the id of its last writer among the earlier
+    # events of the thread (registers without one read 0); shared between
+    # events with no write in between, and never mutated
+    writers: tuple
 
 
 @dataclass
@@ -461,7 +469,17 @@ def _skeleton(
 ) -> Skeleton:
     n = len(events)
     po, fence, addr = [0] * n, [0] * n, [0] * n
+    writers: list = [{}] * n
     for tid, ids in enumerate(threads):
+        # the register-writer table as each event sees it; a write copies
+        # it, so the events between two writes share one
+        last: dict[str, int] = {}
+        for i in ids:
+            writers[i] = last
+            reg = stmt_target_reg(events[i].stmt)
+            if reg is not None:
+                last = {**last, reg: i}
+
         # po and fence in one backward pass: `later` holds the events after
         # the one at hand, `fenced` those after a fence that follows it
         later = fenced = 0
@@ -507,6 +525,7 @@ def _skeleton(
         }),
         outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
         predictions=MappingProxyType(dict(sorted(predictions.items()))),
+        writers=tuple(writers),
     )
 
 
@@ -518,72 +537,160 @@ def secret_sentinel(bits: int) -> int:
     return 1 << bits
 
 
+_UNSET = object()  # not evaluated yet
+# Evaluations nest at most this deep: each level takes a few interpreter
+# frames, and one more per level of the expression that reads the input.
+_NESTED = 16
+
+
+class Evaluator:
+    """Demand-driven evaluation of a candidate's dataflow: `value(eid)` and
+    `address(eid)` are the value and the address of event `eid` at the
+    least fixpoint of the dataflow equations, None where unresolved.
+
+    A node is the value or the address of an event.  A node evaluates only
+    the inputs it needs, memoized: an expression reads the values of its
+    registers' last writers (the skeleton's `writers`), a conditional
+    assignment evaluates its expression only when its guard is nonzero and
+    keeps the register's old value otherwise, and a load's value is its
+    source's, the init event of its own address when it reads "init".
+    Every such need is strict: an unresolved input leaves the node
+    unresolved.  The nodes under evaluation therefore form a chain, each
+    needed by the one before it, and a node needed again while it is in the
+    chain lies on its own dependency cycle: it reads None, as at the least
+    fixpoint.  An input not yet evaluated is evaluated at once, nested, up
+    to `_NESTED` deep; deeper, it is pushed on an explicit stack and the
+    node that needs it is evaluated again once it is, so a long dependency
+    chain does not exhaust the interpreter's recursion limit.  `init_vals`
+    must cover every declared address.
+    """
+
+    __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
+                 "mask", "memo", "at", "missing", "depth")
+
+    def __init__(self, x: CandidateExecution, init_vals: dict, bits: int):
+        self.events, self.rf_choice = x.events, x.rf_choice
+        self.init_by_addr, self.writers = x.structure.init_by_addr, x.structure.writers
+        self.secret_addr, self.mask = x.program.secret_addr, (1 << bits) - 1
+        # node 2 * eid is the address of event eid, node 2 * eid + 1 its value
+        self.memo = memo = [_UNSET] * (2 * len(x.events))
+        for addr, eid in self.init_by_addr.items():
+            memo[2 * eid], memo[2 * eid + 1] = addr, init_vals[addr]
+        self.at: dict = {}  # the writers of the registers of the node at hand
+        self.missing = None  # an input of that node left for the stack
+        self.depth = 0  # the nested evaluations under way
+
+    def value(self, eid: int):
+        return self._demand(2 * eid + 1)
+
+    def address(self, eid: int):
+        return self._demand(2 * eid)
+
+    def _demand(self, node: int):
+        """The node's value: the node, and every input pushed for it, are
+        evaluated until none is missing."""
+        memo = self.memo
+        result = memo[node]
+        if result is not _UNSET:
+            return result
+        memo[node] = None  # on its own dependency cycle until resolved
+        stack = [node]
+        while stack:
+            result = self._evaluate(stack[-1])
+            need = self.missing
+            if need is None:
+                memo[stack.pop()] = result
+            else:
+                self.missing = None
+                memo[need] = None
+                stack.append(need)
+        return result
+
+    def _input(self, node: int):
+        """The value of an input of the node at hand; void once an input is
+        missing."""
+        val = self.memo[node]
+        if val is not _UNSET:
+            return val
+        if self.missing is not None:
+            return None
+        if self.depth >= _NESTED:
+            self.missing = node
+            return None
+        at = self.at
+        self.depth += 1
+        val = self._demand(node)
+        self.depth -= 1
+        self.at = at
+        return val
+
+    def get(self, reg: str, default: int):
+        """The value of a register of the node at hand, for `eval_expr`."""
+        writer = self.at.get(reg)
+        return default if writer is None else self._input(2 * writer + 1)
+
+    def _evaluate(self, node: int):
+        """The node's value from its inputs; when one is not evaluated yet,
+        `missing` names it and the result is void."""
+        eid = node >> 1
+        s = self.events[eid].stmt
+        kind = type(s)
+        self.at = self.writers[eid]
+        if not node & 1:
+            if kind is Load or kind is Store:
+                return eval_expr(s.addr, self, self.secret_addr, self.mask)
+            return None
+        if kind is Load:
+            choice = self.rf_choice.get(eid)
+            if choice == "init":
+                choice = self.init_by_addr.get(self._input(node - 1))
+            return None if choice is None else self._input(2 * choice + 1)
+        if kind is Assign:
+            return eval_expr(s.expr, self, self.secret_addr, self.mask)
+        if kind is Store:
+            return eval_expr(s.value, self, self.secret_addr, self.mask)
+        if kind is CondAssign:
+            guard = eval_expr(s.guard, self, self.secret_addr, self.mask)
+            if guard is None or self.missing is not None:
+                return None
+            if guard != 0:
+                return eval_expr(s.expr, self, self.secret_addr, self.mask)
+            return self.get(s.reg, 0)  # the register keeps its old value
+        if kind is Beqz:
+            return self.get(s.reg, 0)
+        return None  # jumps, fences and skips have no value
+
+
 def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     """Resolve addresses and values, or report an inconsistency.
 
     `init_vals` gives the initial value of every declared address (the
     engine fixes non-input locations at 0, the secret at its sentinel, and
-    the inputs at the candidate's `inputs`).  Returns the valuation, a tuple
-    of (addr, val) indexed by event id, and stores it in `x.valuation`; on
+    the inputs at the candidate's `inputs`).  Every address and value is
+    that of the least fixpoint of the dataflow equations, computed on demand
+    by `Evaluator`: registers start at 0 and follow program order within a
+    thread, a load takes its source's value, and a value on its own
+    dependency cycle stays unresolved.  Returns the valuation, a tuple of
+    (addr, val) indexed by event id, and stores it in `x.valuation`; on
     failure `x.valuation` is None and the result an `Inconsistent` with the
     first reason found.  The events are not touched: the data relations the
     valuation induces come from `data_rows`.
     """
-    mask = (1 << bits) - 1
-    secret_addr = x.program.secret_addr
     events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
-    addrs = [e.addr for e in events]  # init events keep their layout address
-    vals: list = [None] * len(events)
-
-    for addr, eid in init_by_addr.items():
+    for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
-        vals[eid] = init_vals[addr]
+    dataflow = Evaluator(x, init_vals, bits)
+    addrs, vals = [], []
+    for e in events:  # in id order, so a thread's earlier events come first
+        addrs.append(dataflow.address(e.id))
+        vals.append(dataflow.value(e.id))
 
-    def resolve_source(load: int, addr=None) -> int | None:
+    def resolve_source(load: int) -> int | None:
         choice = rf_choice.get(load)
         if choice == "init":
-            return init_by_addr.get(addrs[load] if addr is None else addr)
+            return init_by_addr.get(addrs[load])
         return choice
-
-    threads = x.threads()
-    for _ in range(len(events) + 2):
-        changed = False
-        for evs in threads:
-            regs: dict[str, int | None] = {}
-            for e in evs:
-                s = e.stmt
-                addr = val = None
-                if isinstance(s, Assign):
-                    val = eval_expr(s.expr, regs, secret_addr, mask)
-                    regs[s.reg] = val
-                elif isinstance(s, CondAssign):
-                    guard = eval_expr(s.guard, regs, secret_addr, mask)
-                    if guard is None:
-                        val = None
-                        regs[s.reg] = None
-                    elif guard != 0:
-                        val = eval_expr(s.expr, regs, secret_addr, mask)
-                        regs[s.reg] = val
-                    else:
-                        val = regs.get(s.reg, 0)
-                elif isinstance(s, Load):
-                    addr = eval_expr(s.addr, regs, secret_addr, mask)
-                    src = resolve_source(e.id, addr)
-                    val = vals[src] if src is not None else None
-                    regs[s.reg] = val
-                elif isinstance(s, Store):
-                    addr = eval_expr(s.addr, regs, secret_addr, mask)
-                    val = eval_expr(s.value, regs, secret_addr, mask)
-                elif isinstance(s, Beqz):
-                    val = regs.get(s.reg, 0)
-                if addrs[e.id] != addr or vals[e.id] != val:
-                    addrs[e.id], vals[e.id] = addr, val
-                    changed = True
-        if not changed:
-            break
-    else:
-        return _fail(x, "value propagation did not stabilize")
 
     for e in x.instruction_events():
         if e.kind in ("load", "store") and addrs[e.id] is None:

@@ -105,9 +105,11 @@ _UN_OPS = {
 def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
     """Evaluate `e` modulo `mask` + 1, the size of the value domain.
 
-    Register values are looked up in `regs` (missing registers read 0); a
-    value of None means "not yet resolved" and poisons the result, which
-    lets the value-propagation fixpoint iterate across threads.
+    Register values are looked up with `regs.get(name, 0)`, so missing
+    registers read 0; `regs` is a dict, or the demand-driven evaluator of
+    value propagation (`events.Evaluator`), which evaluates a register's
+    writer when the register is read.  A value of None means "unresolved"
+    and poisons the result.
     """
     if isinstance(e, Const):
         return e.value & mask

@@ -91,6 +91,11 @@ def test_parse_errors():
         parse_cat(f"x = po\nacyclic {deep}\n")
     with pytest.raises(CatError, match="line 1: nested too deeply"):
         parse_cat(f"x = {deep}\n")
+    # postfix chains nest without recursing in the parser; at 500 the term
+    # used to crash when hashed, at 2,000 when classified
+    for length in (500, 2000):
+        with pytest.raises(CatError, match="line 2: nested too deeply"):
+            parse_cat("x = po\nacyclic po" + "^-1" * length + "\n")
 
 
 def test_monotone_recursion_accepted_nonmonotone_rejected():

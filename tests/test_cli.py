@@ -87,6 +87,9 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     model.write_text("acyclic " + "(" * 400 + "po" + ")" * 400 + "\n")
     assert main(["--program", corpus_file("pht-01"), "--model", str(model)]) == 3
     assert "line 1: nested too deeply" in capsys.readouterr().err
+    model.write_text("acyclic po" + "^-1" * 500 + "\n")
+    assert main(["--program", corpus_file("pht-01"), "--model", str(model)]) == 3
+    assert "line 1: nested too deeply" in capsys.readouterr().err
 
 
 def test_domain_error_exit_code(capsys):

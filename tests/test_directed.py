@@ -17,6 +17,7 @@ from axcat import (
     propagate_values,
     unroll,
 )
+from axcat import engine
 from axcat.catlang import CompiledModel
 from axcat.engine import _search, _skeletons, candidate_consistent, violating_load
 from axcat.events import secret_sentinel
@@ -271,3 +272,34 @@ def test_generated_counts_the_secret_readers_before_the_witness():
             break
         before += reads_secret(x) and check_window(x, cfg.window)
     assert v.generated == before + 1
+
+
+def test_control_vectors_that_reach_no_secret_reader_are_not_built(monkeypatch):
+    """Only label 4 may read the secret, and only the vectors whose walk
+    reaches it get a skeleton; the verdict and its counts are the blind
+    enumeration's."""
+    program = parse_program(
+        "layout A[4]@0 secret@4 input idx@5\nthread 0:\n"
+        "1: load r1, idx\n2: r2 <- r1 < 4\n3: beqz r2, 5\n4: load r3, A + r1\n5: skip\n"
+    )
+    built = []
+    build = engine.build_events
+
+    def counted(p, outcomes, cps, **kw):
+        built.append((outcomes, cps))
+        return build(p, outcomes, cps, **kw)
+
+    monkeypatch.setattr(engine, "build_events", counted)
+    site = (0, 3)
+    for mode, reaching in (
+        # not taken and predicted, or taken and mispredicted: the fall-through
+        # runs label 4, committed or transient
+        ("speculative", [({site: False}, {site: True}), ({site: True}, {site: False})]),
+        ("traditional", [({site: False}, {site: True})]),
+    ):
+        cfg = SpecConfig(mode=mode)
+        built.clear()
+        got = verdict(program, _MODELS["inorder"], cfg, 2, 3)
+        assert built == reaching
+        outcome, _, generated, filtered = blind_verdict(program, _MODELS["inorder"], cfg, 2, 3)
+        assert (got[0], got[2], got[3]) == (outcome, generated, filtered)

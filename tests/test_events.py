@@ -1,11 +1,13 @@
 
 import dataclasses
+import sys
 
 import pytest
 
 from axcat.events import (
     INIT,
     SECRET_INIT,
+    Evaluator,
     Inconsistent,
     base_relations,
     build_events,
@@ -352,3 +354,90 @@ thread 0:
     assert (s2, s1) in x.co and (s1, s2) not in x.co
     assert (init1, s3) in x.co
     assert (s3, s1) not in x.co and (s1, s3) not in x.co  # different addresses
+
+
+# The dataflow is evaluated on demand (`Evaluator`); its valuation must be
+# the least fixpoint.  The valuations below are worked out by hand.  Event
+# ids: the init events of the layout's addresses first, then thread 0's
+# instructions in label order, then thread 1's.
+
+CYCLE = """\
+layout x@0 y@1 secret@2
+thread 0:
+1: load r1, x
+2: r2 <-({guard}?) r1
+3: store y, r2
+thread 1:
+1: load r3, y
+2: store x, r3
+"""
+
+
+def cycle_candidate(guard):
+    p = unroll(parse_program(CYCLE.format(guard=guard)), 1)
+    x = build_events(p, {}, {})
+    load_x, _, store_y, load_y, store_x = (e.id for e in x.instruction_events())
+    x.rf_choice = {load_x: store_x, load_y: store_y}
+    x.co_order = (store_y, store_x)
+    return p, x
+
+
+def test_must_dependency_cycle_across_threads_stays_unresolved():
+    # e3 reads e7, which stores r3 from e6, which reads e5, which stores r2,
+    # which a nonzero guard takes from r1, the value of e3
+    p, x = cycle_candidate(1)
+    out = propagate_values(x, init_vals(p), 3)
+    assert isinstance(out, Inconsistent)
+    assert out.reason == "unresolved value at e3 (cyclic dataflow)"
+    dataflow = Evaluator(x, init_vals(p), 3)
+    assert [dataflow.value(e) for e in range(3, 8)] == [None] * 5
+    assert [dataflow.address(e) for e in range(3, 8)] == [0, None, 1, 1, 0]
+
+
+def test_zero_guard_breaks_a_cycle_of_the_program_text():
+    # with a zero guard e4 keeps r2's old value, 0, and never reads r1
+    p, x = cycle_candidate(0)
+    out = propagate_values(x, init_vals(p), 3)
+    assert out == ((0, 0), (1, 0), (2, 8), (0, 0), (None, 0), (1, 0), (1, 0), (0, 0))
+    assert x.inconsistency is None
+
+
+def test_load_from_init_resolves_its_address_from_a_later_thread():
+    src = """\
+layout A[2]@0 secret@2 p@3
+thread 0:
+1: load r1, p
+2: load r2, A + r1
+thread 1:
+1: store p, 2
+"""
+    p = unroll(parse_program(src), 1)
+    x = build_events(p, {}, {})
+    load_p, load_a, store_p = 4, 5, 6
+    assert [e.kind for e in x.events[4:]] == ["load", "load", "store"]
+    x.rf_choice = {load_p: store_p, load_a: "init"}
+    x.co_order = (store_p,)
+    # e5 reads init at A + 2, the secret, so it takes the sentinel
+    assert Evaluator(x, init_vals(p), 3).address(load_a) == 2
+    out = propagate_values(x, init_vals(p), 3)
+    assert out[4:] == ((3, 2), (2, secret_sentinel(3)), (3, 2))
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_long_dependency_chain_stays_within_the_recursion_limit(cyclic):
+    # thread 1 adds 1 to what it reads at y, many times over, and stores the
+    # sum at x; thread 0 reads x and stores it at y
+    steps = 2 * sys.getrecursionlimit() + 3
+    body = "".join(f"{label}: r1 <- r1 + 1\n" for label in range(2, steps + 2))
+    src = (f"layout x@0 y@1 secret@2\nthread 0:\n1: load r0, x\n2: store y, r0\n"
+           f"thread 1:\n1: load r1, y\n{body}{steps + 2}: store x, r1\n")
+    p = unroll(parse_program(src), 1)
+    x = build_events(p, {}, {})
+    load_x, load_y = x.structure.loads
+    store_y, store_x = x.structure.stores
+    x.rf_choice = {load_x: store_x, load_y: store_y if cyclic else "init"}
+    out = propagate_values(x, init_vals(p), 3)
+    if cyclic:
+        assert out.reason == f"unresolved value at e{load_x} (cyclic dataflow)"
+    else:
+        assert (out[load_x], out[store_y]) == ((0, steps % 8), (1, steps % 8))
