@@ -10,25 +10,27 @@ lexicographically by their choice vector
     x reads-from source per load  x  coherence order  x  input values
 
 `enumerate_candidates` walks this blind product and is kept as the
-reference.  `check_isolation` searches it directed instead.  Only a
+reference.  `check_isolation` searches it directed instead, deciding each
+fact that a control vector fixes once, where it is first fixed.  Only a
 candidate that reads the secret can be a witness, and only a load that
 reads "init" and whose address reads a register or is the secret's can
-read it.  A control vector whose thread walks run no such load therefore
-gets no skeleton at all.  For every other vector the search builds the
+read it.  A thread's labels increase along its walk, so its transient
+events follow its committed ones: the window is decided on the walks.  A
+vector with a transient walk as long as the window, or whose walks run no
+such load, gets no skeleton.  For every other vector the search builds the
 frozen events and their `Skeleton` (thread order, `po`, `fence`, `addr`,
-event classes, the register-writer table) once; every candidate of the
-vector shares both by reference and adds only its choices and its
-valuation.  The whole vector is dropped when a transient run exceeds the
-speculation window.  It then chooses reads-from sources depth first over
-the loads in id order, offering each load its sources in the blind order
+event classes, the register-writer table) once, shared by reference by
+every candidate of the vector, and a table of its register-free load and
+store addresses.  It then chooses reads-from sources depth first over the
+loads in id order, offering each load its sources in the blind order
 ("init", then the stores) minus those that fail value propagation for
 every coherence order and every input.  A reads-from vector must have some
 such load read "init"; a prefix is dropped as soon as no later load can.
 The sources dropped per load:
 
-  * a store whose address expression reads no register and differs from a
-    register-free load address, unless predictive store forwarding is on
-    and the store is earlier in the load's thread;
+  * a store whose register-free address differs from the load's, unless
+    predictive store forwarding is on and the store is `po`-before the load
+    (a store-buffer pair);
   * a source that closes a cycle of must-dependencies.  A node is the
     value or the address of an event.  Since `eval_expr` is strict in
     None, an event's value or address depends on the registers its
@@ -75,7 +77,6 @@ from .catlang import CatModel
 from .events import (
     CandidateExecution,
     Evaluator,
-    Event,
     MissingOutcome,
     _walk_thread,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
@@ -150,8 +151,8 @@ def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
 
 
 def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
-    """All (outcomes, cp, walk) assignments for the branches this thread
-    reaches; `walk` lists the labels it runs, committed then transient."""
+    """All (outcomes, cp, committed, transient) assignments for the branches
+    this thread reaches, with the labels it runs committed and transient."""
     speculative = cfg.mode == "speculative"
     cp_values = (True, False) if speculative else (True,)
 
@@ -165,7 +166,7 @@ def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
                         {**outcomes, miss.site: taken}, {**cps, miss.site: cp}
                     )
             return
-        yield outcomes, cps, committed + transient
+        yield outcomes, cps, committed, transient
 
     yield from extend({}, {})
 
@@ -173,10 +174,12 @@ def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
 def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
     """Every (outcomes, cps) choice of the program, in the blind order.
     With `leaky`, a set of labels per thread, only the choices under which
-    some thread runs one of its labels."""
+    every thread's transient walk, its one transient run, is shorter than
+    the window and some thread runs one of its labels."""
     per_thread = [
-        [(o, c, leaky is None or not leaky[tid].isdisjoint(walk))
-         for o, c, walk in _thread_vectors(program, tid, cfg)]
+        [(o, c, leaky is None or not leaky[tid].isdisjoint(committed + transient))
+         for o, c, committed, transient in _thread_vectors(program, tid, cfg)
+         if leaky is None or len(transient) < cfg.window]
         for tid in range(len(program.threads))
     ]
     for combo in itertools.product(*per_thread):
@@ -190,10 +193,11 @@ def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
         yield outcomes, cps
 
 
-def _skeletons(unrolled: Program, cfg: SpecConfig):
-    """The event skeleton of every control vector, in the blind order."""
+def _skeletons(unrolled: Program, cfg: SpecConfig, leaky=None):
+    """The event skeleton of every control vector that `_control_vectors`
+    yields, in the blind order."""
     speculative = cfg.mode == "speculative"
-    for outcomes, cps in _control_vectors(unrolled, cfg):
+    for outcomes, cps in _control_vectors(unrolled, cfg, leaky):
         yield build_events(
             unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
         )
@@ -261,30 +265,16 @@ def _fixed_address(s: Load | Store, secret_addr: int, mask: int) -> int | None:
     return eval_expr(s.addr, {}, secret_addr, mask)
 
 
-def _may_read_secret(s: Load, secret_addr: int, mask: int) -> bool:
-    """Whether the load may read the secret when it reads init: its address
-    reads a register, or is the secret's."""
-    return _fixed_address(s, secret_addr, mask) in (None, secret_addr)
-
-
-def _sources(skeleton: CandidateExecution, load: Event, mask: int) -> list:
-    """The load's rf sources in the blind order, minus those that fail value
-    propagation whatever the coherence order and the inputs."""
-    secret = skeleton.program.secret_addr
-    load_addr = _fixed_address(load.stmt, secret, mask)
-    sources = ["init"]
-    for store in skeleton.stores():
-        store_addr = _fixed_address(store.stmt, secret, mask)
-        if (
-            load_addr is not None
-            and store_addr is not None
-            and load_addr != store_addr
-            and not (skeleton.psf and store.thread == load.thread
-                     and store.label < load.label)
-        ):
-            continue
-        sources.append(store.id)
-    return sources
+def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
+    """The load's rf sources in the blind order, minus the stores whose
+    register-free address in `fixed` differs from the load's, unless they
+    forward to it from the store buffer under predictive forwarding."""
+    po, at = skeleton.structure.po, fixed[load]
+    return ["init", *(
+        store for store in skeleton.structure.stores
+        if at is None or fixed[store] in (None, at)
+        or (skeleton.psf and po[store] >> load & 1)
+    )]
 
 
 def _must_dependencies(skeleton: CandidateExecution) -> dict:
@@ -327,17 +317,16 @@ def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
     return False
 
 
-def _rf_vectors(skeleton: CandidateExecution, mask: int):
+def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: tuple):
     """Reads-from vectors over the skeleton's loads (in id order) in which
-    some load that may read the secret reads init, in the blind
-    lexicographic order, minus every vector that the address rule of
-    `_sources` or a must-dependency cycle dooms.  Iterative depth-first search; a prefix is
+    some load of `may_read` reads init, in the blind lexicographic order,
+    minus every vector that the address rule of `_sources` or a
+    must-dependency cycle dooms.  Iterative depth-first search; a prefix is
     dropped once no later load can still read the secret."""
     loads = skeleton.loads()
-    secret = skeleton.program.secret_addr
-    options = [_sources(skeleton, load, mask) for load in loads]
+    options = [_sources(skeleton, load.id, fixed) for load in loads]
     # goal[i]: load i may read the secret when it reads init
-    goal = [_may_read_secret(load.stmt, secret, mask) for load in loads]
+    goal = [load.id in may_read for load in loads]
     # reachable[i]: some load at i or later may still read the secret
     reachable = [False] * (len(loads) + 1)
     for i in reversed(range(len(loads))):
@@ -390,11 +379,13 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
         dict(zip(inputs, v))
         for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
     ]
-    may_read = [
-        load.id for load in skeleton.loads() if _may_read_secret(load.stmt, secret, mask)
-    ]
+    # the address of every load and store whose address reads no register
+    memory = (*skeleton.loads(), *skeleton.stores())
+    fixed = {e.id: _fixed_address(e.stmt, secret, mask) for e in memory}
+    # the loads that may read the secret when they read init
+    may_read = tuple(load for load in load_ids if fixed[load] in (None, secret))
     probe = replace(skeleton)  # the goal test's candidate, one rf vector at a time
-    for rf_vector in _rf_vectors(skeleton, mask):
+    for rf_vector in _rf_vectors(skeleton, fixed, may_read):
         rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in may_read if rf_choice[load] == "init"]
         probe.rf_choice = rf_choice
@@ -466,24 +457,19 @@ def check_isolation(
     _check_query(program, model, cfg, k, domain_bits)
     compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
-    speculative = cfg.mode == "speculative"
     secret, mask = program.secret_addr, (1 << domain_bits) - 1
     # per thread, the labels of its loads that may read the secret: a
-    # control vector that runs none of them has no candidate
+    # control vector that runs none of them, or whose skeleton would not fit
+    # the window, has no candidate, and `_skeletons` does not build it
     leaky = [
         {ins.label for ins in instrs
-         if isinstance(ins.stmt, Load) and _may_read_secret(ins.stmt, secret, mask)}
+         if isinstance(ins.stmt, Load)
+         and _fixed_address(ins.stmt, secret, mask) in (None, secret)}
         for instrs in unrolled.threads
     ]
     generated = 0
     filtered = 0
-    for outcomes, cps in _control_vectors(unrolled, cfg, leaky):
-        skeleton = build_events(
-            unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
-        )
-        # the window depends only on the transient set: one test per vector
-        if not check_window(skeleton, cfg.window):
-            continue
+    for skeleton in _skeletons(unrolled, cfg, leaky):
         bound = None  # bound at the vector's first candidate
         for x in _search(skeleton, domain_bits):
             generated += 1

@@ -539,7 +539,8 @@ def secret_sentinel(bits: int) -> int:
 
 _UNSET = object()  # not evaluated yet
 # Evaluations nest at most this deep: each level takes a few interpreter
-# frames, and one more per level of the expression that reads the input.
+# frames, and one more per level of the expression that reads the input
+# (at most `masm._MAX_EXPR_DEPTH`).
 _NESTED = 16
 
 
@@ -677,6 +678,7 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     valuation induces come from `data_rows`.
     """
     events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
+    po = x.structure.po
     for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
@@ -702,15 +704,15 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         if addrs[sid] not in init_by_addr:
             return _fail(x, f"store e{sid} hits undeclared address {addrs[sid]}")
 
-    # Check the legality of the reads-from choice.
-    for load in x.loads():
-        lid = load.id
+    # Check the legality of the reads-from choice.  A store-buffer pair is a
+    # store `po`-before the load: earlier in the load's thread.
+    for lid in x.structure.loads:
         sid = resolve_source(lid)
         if sid is None:
             if rf_choice.get(lid) == "init":
                 return _fail(x, f"load e{lid} reads undeclared address {addrs[lid]}")
             return _fail(x, f"load e{lid} has no reads-from source")
-        src = events[sid]
+        buffered = po[sid] >> lid & 1  # never for an init event
         if addrs[sid] != addrs[lid]:
             if not x.psf:
                 return _fail(
@@ -718,18 +720,14 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
                 )
             # Alias-predicted forwarding: only a program store earlier in
             # the same thread can supply a different address.
-            if src.is_init() or src.thread != load.thread or src.label >= load.label:
+            if not buffered:
                 return _fail(
                     x,
                     f"alias forwarding (e{sid}, e{lid}) is not a "
                     f"store-buffer pair",
                 )
         if sid in x.transient:
-            if (
-                lid not in x.transient
-                or src.thread != load.thread
-                or src.label >= load.label
-            ):
+            if lid not in x.transient or not buffered:
                 return _fail(
                     x,
                     f"transient store e{sid} can only feed a later transient "

@@ -301,6 +301,9 @@ _LEVELS = (
 )
 
 _REG_RE = re.compile(r"^r\d+$")
+# evaluating recurses once per level, in up to `events._NESTED` nested
+# evaluations: this bound keeps them within the recursion limit
+_MAX_EXPR_DEPTH = 32
 
 
 class _ExprParser:
@@ -375,9 +378,23 @@ class _ExprParser:
 
 def parse_expr(text: str, layout: dict[str, tuple[int, int]], where: str = "expr") -> Expr:
     try:
-        return _ExprParser(text, layout, where).parse()
+        e = _ExprParser(text, layout, where).parse()
     except RecursionError:
-        raise ParseError(f"{where}: nested too deeply") from None
+        e = None
+    # an infix chain nests without recursion here, but evaluation recurses
+    if e is None or _depth(e) > _MAX_EXPR_DEPTH:
+        raise ParseError(f"{where}: nested too deeply")
+    return e
+
+
+def _depth(e: Expr) -> int:
+    """The number of nested expressions on the longest path down `e`."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        e, d = stack.pop()
+        deepest = max(deepest, d)
+        stack += [(sub, d + 1) for sub in vars(e).values() if isinstance(sub, Expr)]
+    return deepest
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .catlang import (
     TUnion,
 )
 from .engine import _check_query
-from .events import SECRET_INIT, Event, static_skeleton
+from .events import SECRET_INIT, Event, secret_sentinel, static_skeleton
 from .masm import (
     Assign,
     Beqz,
@@ -127,7 +127,6 @@ class _Emitter:
         self.decls: list[str] = []
         self.lines: list[str] = []
         self.fresh = 0
-        self.family_memo: dict = {}
         self.bases: dict = {}  # base relation -> (table, rows), see `base`
         self.supports: dict = {}  # id(term) -> rows, see `support`
         self.def_rows: dict = {}  # definition -> its support rows
@@ -233,7 +232,7 @@ class _Emitter:
         for e in self.inits:
             self.declare(self.val(e), f"(_ BitVec {self.vw})")
             if e.kind == SECRET_INIT:
-                self.assert_(f"(= {self.val(e)} {self.bv(1 << self.bits)})")
+                self.assert_(f"(= {self.val(e)} {self.bv(secret_sentinel(self.bits))})")
             elif e.addr in self.program.input_locations:
                 self.assert_(f"(bvule {self.val(e)} {self.bv(self.mask)})")
             else:
@@ -575,10 +574,6 @@ class _Emitter:
 
     def materialize(self, term):
         """formula(x, y) for a term with no recursive references."""
-        key = id(term)
-        if key in self.family_memo:
-            return self.family_memo[key]
-
         if isinstance(term, (TBase, TRef)):
             table = (self.base(term.name)[0] if isinstance(term, TBase)
                      else self.values[term.name])
@@ -628,8 +623,6 @@ class _Emitter:
             out = power[0]
         else:
             raise TypeError(f"not a term: {term!r}")
-
-        self.family_memo[key] = out
         return out
 
     def _inline_recursive(self, term, x: Event, y: Event, group: tuple, rank: str) -> str:

@@ -83,6 +83,9 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     deep.write_text("layout X@0 secret@1\n1: r1 <- " + "(" * 400 + "1" + ")" * 400 + "\n")
     assert main(["--program", str(deep)]) == 3
     assert "line 2: nested too deeply" in capsys.readouterr().err
+    deep.write_text("layout X@0 secret@1\n1: r1 <- r0" + " + 1" * 1200 + "\n")
+    assert main(["--program", str(deep)]) == 3
+    assert "line 2: nested too deeply" in capsys.readouterr().err
     model = tmp_path / "deep.cat"
     model.write_text("acyclic " + "(" * 400 + "po" + ")" * 400 + "\n")
     assert main(["--program", corpus_file("pht-01"), "--model", str(model)]) == 3

@@ -20,7 +20,7 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import CompiledModel
 from axcat.engine import _search, _skeletons, candidate_consistent, violating_load
-from axcat.events import secret_sentinel
+from axcat.events import _walk_thread, secret_sentinel
 from axcat.speculation import check_window
 from generator import random_program_source
 
@@ -163,6 +163,26 @@ def test_directed_search_edge_cases(body, mode, psf):
     assert got == want
 
 
+def test_store_buffer_sources_come_from_po():
+    """A store at another register-free address than the load's is offered
+    only under predictive store forwarding, and only when it is `po`-before
+    the load: earlier in the load's thread."""
+    program = unroll(parse_program(
+        _EDGE_LAYOUT + "1: store B, 1\n2: load r0, A\n3: store B, 2\n"
+        "thread 1:\n1: store B, 3\n"
+    ), 1)
+    for psf in (False, True):
+        skeleton = next(_skeletons(program, SpecConfig(mode="traditional", psf=psf)))
+        fixed = {
+            e.id: engine._fixed_address(e.stmt, program.secret_addr, 7)
+            for e in (*skeleton.loads(), *skeleton.stores())
+        }
+        (load,) = skeleton.structure.loads
+        earlier = skeleton.structure.stores[0]
+        offered = engine._sources(skeleton, load, fixed)
+        assert offered == (["init", earlier] if psf else ["init"])
+
+
 def corpus_expectations():
     for path in sorted(corpus_dir().glob("*.litmus")):
         program = parse_program(path.read_text())
@@ -303,3 +323,57 @@ def test_control_vectors_that_reach_no_secret_reader_are_not_built(monkeypatch):
         assert built == reaching
         outcome, _, generated, filtered = blind_verdict(program, _MODELS["inorder"], cfg, 2, 3)
         assert (got[0], got[2], got[3]) == (outcome, generated, filtered)
+
+
+def window_mismatches(program, k):
+    """Control vectors of the k-unrolled program, in either mode, whose
+    skeleton's `check_window` disagrees, for some w in 1..8, with "every
+    thread's transient walk is shorter than w"."""
+    unrolled = unroll(program, k)
+    for mode in ("traditional", "speculative"):
+        speculative = mode == "speculative"
+        for outcomes, cps in engine._control_vectors(unrolled, SpecConfig(mode=mode)):
+            x = build_events(unrolled, outcomes, cps, speculative=speculative)
+            runs = [
+                len(_walk_thread(unrolled, tid, outcomes, cps, speculative)[1])
+                for tid in range(len(unrolled.threads))
+            ]
+            for w in range(1, 9):
+                if check_window(x, w) != all(run < w for run in runs):
+                    yield mode, outcomes, cps, w
+
+
+def test_window_is_decided_by_the_transient_walks():
+    """A thread's transient events follow all its committed ones, so a
+    skeleton fits the window exactly when every transient walk is shorter:
+    the rule the directed search applies before it builds a skeleton."""
+    for path in sorted(corpus_dir().glob("*.litmus")):
+        assert not list(window_mismatches(parse_program(path.read_text()), 2)), path.stem
+    for seed in range(300):
+        src = random_program_source(random.Random(seed))
+        assert not list(window_mismatches(parse_program(src), 1 + seed % 2)), src
+
+
+def test_vectors_beyond_the_window_are_not_built(monkeypatch):
+    """At w=2 most mispredictions of two unfenced gadgets run too long: no
+    such skeleton is built, and the verdict and its counts are the blind
+    enumeration's."""
+    gadget = (
+        "{0}: load r1, idx\n{1}: r2 <- r1 < 4\n{2}: beqz r2, {5}\n"
+        "{3}: load r3, A + r1\n{4}: load r4, B + r3\n"
+    )
+    program = parse_program(
+        "layout A[4]@0 secret@4 input idx@5 B[1]@6\nthread 0:\n"
+        + gadget.format(*range(1, 7)) + gadget.format(*range(6, 12)) + "11: skip\n"
+    )
+    cfg = SpecConfig(mode="speculative", window=2)
+    assert not all(check_window(x, cfg.window) for x in _skeletons(unroll(program, 2), cfg))
+    built = []
+    build = engine.build_events
+    monkeypatch.setattr(
+        engine, "build_events", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1]
+    )
+    got = verdict(program, _MODELS["inorder"], cfg, 2, 3)
+    assert built and all(check_window(x, cfg.window) for x in built)
+    outcome, _, generated, filtered = blind_verdict(program, _MODELS["inorder"], cfg, 2, 3)
+    assert (got[0], got[2], got[3]) == (outcome, generated, filtered)

@@ -10,7 +10,8 @@ from axcat import (
     parse_program,
 )
 from axcat.engine import EngineError, candidate_consistent, violating_load
-from axcat.events import SECRET_INIT
+from axcat.events import _NESTED, SECRET_INIT
+from axcat.masm import _MAX_EXPR_DEPTH, ParseError
 
 
 def corpus(name):
@@ -204,6 +205,27 @@ def test_shift_of_the_secret_sentinel_in_a_wide_domain():
     cfg = SpecConfig(mode="traditional")
     for bits in (3, 64):
         assert check_isolation(p, load_model("inorder"), cfg, 1, bits).outcome == "unsafe"
+
+
+def test_deepest_expressions_along_a_long_chain_resolve():
+    """Every link of a register chain longer than the evaluator's nesting
+    bound is an expression as deep as the parser admits; a check called
+    150 frames deep still resolves the load at its end."""
+    links = _NESTED + 4
+    terms = " + 1" * (_MAX_EXPR_DEPTH - 1)  # r + 1 + ... + 1 nests that deep
+    head = "layout A[1]@0 secret@1 input x@2\nthread 0:\n1: load r0, x\n"
+    body = "".join(f"{i + 2}: r{i + 1} <- r{i}{terms}\n" for i in range(links))
+    p = parse_program(f"{head}{body}{links + 2}: load r99, A + r{links}\n")
+    with pytest.raises(ParseError, match="line 4: nested too deeply"):
+        parse_program(f"{head}2: r1 <- r0{terms} + 1\n")
+
+    def nested(depth):
+        if depth:
+            return nested(depth - 1)
+        return check_isolation(p, load_model("inorder"), SpecConfig(mode="traditional"), 1, 2)
+
+    # whatever the chain adds to x, some x makes the load read A + 1
+    assert nested(150).outcome == "unsafe"
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,10 @@ thread 0:
             "layout X@0 secret@1\nthread 0:\n1: r1 <- " + "(" * 400 + "1" + ")" * 400 + "\n",
             "line 3: nested too deeply", id="400-nested-parentheses",
         ),
+        pytest.param(
+            "layout X@0 secret@1\nthread 0:\n1: r1 <- r0" + " + 1" * 1200 + "\n",
+            "line 3: nested too deeply", id="1200-term-chain",
+        ),
     ],
 )
 def test_validation_errors(src, message):
