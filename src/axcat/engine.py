@@ -28,9 +28,11 @@ every coherence order and every input.  A reads-from vector must have some
 such load read "init"; a prefix is dropped as soon as no later load can.
 The sources dropped per load:
 
-  * a store whose register-free address differs from the load's, unless
-    predictive store forwarding is on and the store is `po`-before the load
-    (a store-buffer pair);
+  * a store that the reads-from rule, `events.rf_rejection`, rejects at
+    the register-free addresses: at another address than the load's,
+    unless predictive store forwarding is on and it is `po`-before the
+    load (a store-buffer pair); or transient, unless the load is a later
+    transient load of its thread;
   * a source that closes a cycle of must-dependencies.  A node is the
     value or the address of an event.  Since `eval_expr` is strict in
     None, an event's value or address depends on the registers its
@@ -77,11 +79,11 @@ from .catlang import CatModel
 from .events import (
     CandidateExecution,
     Evaluator,
-    MissingOutcome,
     _walk_thread,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
     propagate_values,
+    rf_rejection,
     secret_sentinel,
 )
 from .masm import (
@@ -152,23 +154,20 @@ def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
 
 def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
     """All (outcomes, cp, committed, transient) assignments for the branches
-    this thread reaches, with the labels it runs committed and transient."""
+    this thread reaches, with the labels it runs committed and transient,
+    depth first over the first branch each walk reaches without an outcome:
+    not taken before taken, correct before mispredicted."""
     speculative = cfg.mode == "speculative"
-    cp_values = (True, False) if speculative else (True,)
-
-    def extend(outcomes, cps):
-        try:
-            committed, transient = _walk_thread(program, tid, outcomes, cps, speculative)
-        except MissingOutcome as miss:
-            for taken in (False, True):
-                for cp in cp_values:
-                    yield from extend(
-                        {**outcomes, miss.site: taken}, {**cps, miss.site: cp}
-                    )
-            return
-        yield outcomes, cps, committed, transient
-
-    yield from extend({}, {})
+    cp_values = (False, True) if speculative else (True,)  # pushed in reverse
+    stack = [({}, {})]
+    while stack:
+        outcomes, cps = stack.pop()
+        committed, transient, missing = _walk_thread(program, tid, outcomes, cps, speculative)
+        if missing is None:
+            yield outcomes, cps, committed, transient
+        else:
+            stack.extend(({**outcomes, missing: taken}, {**cps, missing: cp})
+                         for taken in (True, False) for cp in cp_values)
 
 
 def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
@@ -266,14 +265,11 @@ def _fixed_address(s: Load | Store, secret_addr: int, mask: int) -> int | None:
 
 
 def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
-    """The load's rf sources in the blind order, minus the stores whose
-    register-free address in `fixed` differs from the load's, unless they
-    forward to it from the store buffer under predictive forwarding."""
-    po, at = skeleton.structure.po, fixed[load]
+    """The load's rf sources in the blind order: "init", then the stores
+    that `rf_rejection` allows at the register-free addresses in `fixed`."""
     return ["init", *(
         store for store in skeleton.structure.stores
-        if at is None or fixed[store] in (None, at)
-        or (skeleton.psf and po[store] >> load & 1)
+        if rf_rejection(skeleton, store, load, fixed[store], fixed[load]) is None
     )]
 
 
@@ -320,7 +316,7 @@ def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
 def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: tuple):
     """Reads-from vectors over the skeleton's loads (in id order) in which
     some load of `may_read` reads init, in the blind lexicographic order,
-    minus every vector that the address rule of `_sources` or a
+    minus every vector that the reads-from rule of `_sources` or a
     must-dependency cycle dooms.  Iterative depth-first search; a prefix is
     dropped once no later load can still read the secret."""
     loads = skeleton.loads()

@@ -39,12 +39,12 @@ Conventions baked in here:
     the secret init and carries an out-of-band sentinel value (2^bits),
     distinct from every expressible store value;
   * registers start at 0 and follow program order within a thread;
-  * transient stores never enter the coherence order and can feed only
-    program-order-later transient loads of the same thread;
-  * under predictive store forwarding the per-load source choice is the
-    speculative reads-from (srf): a source with a different address is
-    legal only for a program store earlier in the same thread (store-buffer
-    forwarding); init events must match the load address exactly.
+  * transient stores never enter the coherence order;
+  * which store a load may read is stated once, in `rf_rejection`, for
+    value propagation and the engine's source search alike; under
+    predictive store forwarding the per-load source choice is the
+    speculative reads-from (srf), and a load that reads "init" reads the
+    init event of its own address.
 """
 
 from __future__ import annotations
@@ -214,14 +214,6 @@ class Inconsistent:
         return f"Inconsistent({self.reason!r})"
 
 
-class MissingOutcome(LookupError):
-    """A control-flow walk reached a branch with no outcome assigned."""
-
-    def __init__(self, site):
-        super().__init__(site)
-        self.site = site  # (thread, label)
-
-
 @dataclass(frozen=True)
 class Skeleton:
     """What one control vector fixes before any data is chosen.
@@ -330,12 +322,13 @@ def _fall_label(ins: Instruction, labels: frozenset) -> int | None:
 
 def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     """One control-flow unfolding of a thread: (committed labels, transient
-    labels).
+    labels, missing).
 
     `outcomes` and `cps` map (thread, label) of a conditional jump to its
     chosen direction and to whether it was predicted correctly (`cps` is
-    ignored in traditional mode, where every prediction is correct); a
-    branch without an outcome raises `MissingOutcome`.
+    ignored in traditional mode, where every prediction is correct).  The
+    walk stops at the first branch without an outcome, which it returns as
+    `missing`, a (thread, label) key; `missing` is None when none is reached.
     One walk fills the committed list until a mispredicted branch, then the
     transient list, which follows the direction the branch did not take
     until a fence, a correctly predicted branch, a cut jump edge, or the end
@@ -345,7 +338,7 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     committed: list[int] = []
     transient: list[int] = []
     if not program.threads[tid]:
-        return committed, transient
+        return committed, transient, None
     instrs = {i.label: i for i in program.threads[tid]}
     labels = frozenset(instrs)
     walk = committed
@@ -359,7 +352,7 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
         if isinstance(s, Beqz):
             key = (tid, label)
             if key not in outcomes:
-                raise MissingOutcome(key)
+                return committed, transient, key
             predicted = not speculative or cps.get(key, True)
             if predicted and walk is transient:
                 break  # no transient continuation after a correct prediction
@@ -372,7 +365,7 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
             label = s.target
         else:
             label = _fall_label(ins, labels)
-    return committed, transient
+    return committed, transient, None
 
 
 def _init_events(program: Program) -> list[Event]:
@@ -403,7 +396,8 @@ def build_events(
     the direction was predicted correctly (ignored in traditional mode).
     The committed/transient partition and the `Skeleton` are fully
     determined by these choices.  Every candidate built from the result
-    shares its `events` tuple and its `structure`.
+    shares its `events` tuple and its `structure`.  A reached branch without
+    an outcome raises `KeyError`.
     """
     events = _init_events(program)
     committed_ids = set(e.id for e in events)  # init events count as committed
@@ -412,9 +406,11 @@ def build_events(
     branches = []
 
     for tid in range(len(program.threads)):
-        com_labels, tr_labels = _walk_thread(
+        com_labels, tr_labels, missing = _walk_thread(
             program, tid, branch_outcomes, cp_assign, speculative
         )
+        if missing is not None:
+            raise KeyError(missing)
         instrs = {i.label: i for i in program.threads[tid]}
         first = len(events)
         walk = com_labels + tr_labels
@@ -662,6 +658,22 @@ class Evaluator:
         return None  # jumps, fences and skips have no value
 
 
+def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_addr):
+    """Why `load` may not read `store` in `x` at these addresses (None: not
+    known yet), or None if it may.  A load reads a store at its own address,
+    under predictive store forwarding also one `po`-before it (a store-buffer
+    alias); a transient store feeds only later transient loads of its thread."""
+    buffered = x.structure.po[store] >> load & 1
+    if None not in (store_addr, load_addr) and store_addr != load_addr:
+        if not x.psf:
+            return f"reads-from (e{store}, e{load}) joins different addresses"
+        if not buffered:
+            return f"alias forwarding (e{store}, e{load}) is not a store-buffer pair"
+    if store in x.transient and (load not in x.transient or not buffered):
+        return f"transient store e{store} can only feed a later transient load of its thread"
+    return None
+
+
 def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     """Resolve addresses and values, or report an inconsistency.
 
@@ -678,7 +690,6 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     valuation induces come from `data_rows`.
     """
     events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
-    po = x.structure.po
     for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
@@ -688,15 +699,16 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         addrs.append(dataflow.address(e.id))
         vals.append(dataflow.value(e.id))
 
-    def resolve_source(load: int) -> int | None:
-        choice = rf_choice.get(load)
-        if choice == "init":
-            return init_by_addr.get(addrs[load])
-        return choice
-
+    # A load without a source of its own leaves its value unresolved, and
+    # otherwise only a dependency cycle does.  An address reads only register
+    # values, so it resolves once they do.
+    for lid in x.structure.loads:
+        choice = rf_choice.get(lid)
+        if choice is None:
+            return _fail(x, f"load e{lid} has no reads-from source")
+        if choice == "init" and addrs[lid] is not None and addrs[lid] not in init_by_addr:
+            return _fail(x, f"load e{lid} reads undeclared address {addrs[lid]}")
     for e in x.instruction_events():
-        if e.kind in ("load", "store") and addrs[e.id] is None:
-            return _fail(x, f"unresolved address at e{e.id}")
         if e.kind in ("load", "store", "cond-jump", "local", "cond-local") and vals[e.id] is None:
             return _fail(x, f"unresolved value at e{e.id} (cyclic dataflow)")
 
@@ -704,35 +716,10 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
         if addrs[sid] not in init_by_addr:
             return _fail(x, f"store e{sid} hits undeclared address {addrs[sid]}")
 
-    # Check the legality of the reads-from choice.  A store-buffer pair is a
-    # store `po`-before the load: earlier in the load's thread.
     for lid in x.structure.loads:
-        sid = resolve_source(lid)
-        if sid is None:
-            if rf_choice.get(lid) == "init":
-                return _fail(x, f"load e{lid} reads undeclared address {addrs[lid]}")
-            return _fail(x, f"load e{lid} has no reads-from source")
-        buffered = po[sid] >> lid & 1  # never for an init event
-        if addrs[sid] != addrs[lid]:
-            if not x.psf:
-                return _fail(
-                    x, f"reads-from (e{sid}, e{lid}) joins different addresses"
-                )
-            # Alias-predicted forwarding: only a program store earlier in
-            # the same thread can supply a different address.
-            if not buffered:
-                return _fail(
-                    x,
-                    f"alias forwarding (e{sid}, e{lid}) is not a "
-                    f"store-buffer pair",
-                )
-        if sid in x.transient:
-            if lid not in x.transient or not buffered:
-                return _fail(
-                    x,
-                    f"transient store e{sid} can only feed a later transient "
-                    f"load of its thread",
-                )
+        sid = rf_choice[lid]
+        if sid != "init" and (reason := rf_rejection(x, sid, lid, addrs[sid], addrs[lid])):
+            return _fail(x, reason)
 
     # Transient stores never hit memory.
     for sid in x.co_order:

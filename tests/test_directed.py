@@ -166,10 +166,17 @@ def test_directed_search_edge_cases(body, mode, psf):
 def test_store_buffer_sources_come_from_po():
     """A store at another register-free address than the load's is offered
     only under predictive store forwarding, and only when it is `po`-before
-    the load: earlier in the load's thread."""
+    the load: earlier in the load's thread.  A transient store is offered
+    only to a transient load that it is `po`-before, at any psf setting: not
+    to a committed load of another thread, nor to a transient load earlier
+    in its thread."""
     program = unroll(parse_program(
         _EDGE_LAYOUT + "1: store B, 1\n2: load r0, A\n3: store B, 2\n"
         "thread 1:\n1: store B, 3\n"
+    ), 1)
+    transient = unroll(parse_program(
+        _EDGE_LAYOUT + "1: beqz r0, 5\n2: load r1, B\n3: store B, 3\n4: load r2, B\n"
+        "5: skip\nthread 1:\n1: load r3, B\n"
     ), 1)
     for psf in (False, True):
         skeleton = next(_skeletons(program, SpecConfig(mode="traditional", psf=psf)))
@@ -181,6 +188,45 @@ def test_store_buffer_sources_come_from_po():
         earlier = skeleton.structure.stores[0]
         offered = engine._sources(skeleton, load, fixed)
         assert offered == (["init", earlier] if psf else ["init"])
+
+        # taken but mispredicted: thread 0 runs labels 2-5 transiently
+        skeleton = build_events(transient, {(0, 1): True}, {(0, 1): False}, psf=psf)
+        fixed = {
+            e.id: engine._fixed_address(e.stmt, transient.secret_addr, 7)
+            for e in (*skeleton.loads(), *skeleton.stores())
+        }
+        (store,) = skeleton.structure.stores
+        before, after, other = skeleton.structure.loads
+        assert store in skeleton.transient and other in skeleton.committed
+        assert {before, after} <= skeleton.transient
+        assert engine._sources(skeleton, before, fixed) == ["init"]
+        assert engine._sources(skeleton, after, fixed) == ["init", store]
+        assert engine._sources(skeleton, other, fixed) == ["init"]
+
+
+def test_thread_vectors_need_no_recursion_per_branch():
+    # each branch jumps to its own fall-through, so the first vector decides
+    # all 1,200 of them
+    n = 1200
+    body = "".join(f"{label}: beqz r0, {label + 1}\n" for label in range(1, n + 1))
+    program = unroll(parse_program(
+        f"layout A[1]@0 secret@1\nthread 0:\n{body}{n + 1}: load r1, A\n"
+    ), 1)
+    vectors = engine._thread_vectors(program, 0, SpecConfig(mode="traditional"))
+    outcomes, _, committed, transient = next(vectors)
+    assert outcomes == {(0, label): False for label in range(1, n + 1)}
+    assert (committed, transient) == (list(range(1, n + 2)), [])
+
+
+def test_thread_vectors_run_depth_first_in_the_blind_order():
+    program = unroll(parse_program(
+        "layout A[1]@0 secret@1\nthread 0:\n1: beqz r0, 3\n2: skip\n3: load r1, A\n"
+    ), 1)
+    order = [
+        (outcomes[(0, 1)], cps[(0, 1)])
+        for outcomes, cps, _, _ in engine._thread_vectors(program, 0, SpecConfig())
+    ]
+    assert order == [(False, True), (False, False), (True, True), (True, False)]
 
 
 def corpus_expectations():

@@ -394,6 +394,47 @@ def test_must_dependency_cycle_across_threads_stays_unresolved():
     assert [dataflow.address(e) for e in range(3, 8)] == [0, None, 1, 1, 0]
 
 
+UNDECLARED = """\
+layout A[1]@0 secret@1 input in0@2 B[1]@3
+thread 0:
+1: load r0, 5
+2: load r1, B
+"""
+
+
+@pytest.mark.parametrize("rf_choice,reason", [
+    ({4: "init", 5: "init"}, "load e4 reads undeclared address 5"),
+    ({5: "init"}, "load e4 has no reads-from source"),
+])
+def test_load_without_a_source_says_why(rf_choice, reason):
+    p = unroll(parse_program(UNDECLARED), 1)
+    x = build_events(p, {}, {})
+    x.rf_choice = rf_choice
+    out = propagate_values(x, init_vals(p), 3)
+    assert out.reason == reason
+
+
+def test_load_reading_init_at_an_address_on_a_cycle_is_cyclic():
+    # e5 reads init at A + r1, and r1 comes round the cycle through e5's value
+    src = """\
+layout A[2]@0 x@2 y@3 secret@4
+thread 0:
+1: load r1, x
+2: load r2, A + r1
+3: store y, r2
+thread 1:
+1: load r3, y
+2: store x, r3
+"""
+    p = unroll(parse_program(src), 1)
+    x = build_events(p, {}, {})
+    load_x, load_a, store_y, load_y, store_x = (e.id for e in x.instruction_events())
+    x.rf_choice = {load_x: store_x, load_a: "init", load_y: store_y}
+    out = propagate_values(x, init_vals(p), 3)
+    assert Evaluator(x, init_vals(p), 3).address(load_a) is None
+    assert out.reason == f"unresolved value at e{load_x} (cyclic dataflow)"
+
+
 def test_zero_guard_breaks_a_cycle_of_the_program_text():
     # with a zero guard e4 keeps r2's old value, 0, and never reads r1
     p, x = cycle_candidate(0)
