@@ -35,6 +35,9 @@ control vector, every definition that names no data relation (rf, co, loc,
 srf, rfe): `win` and `ppo` in stl, `po-tso` in tso and tso-mcu.
 `BoundModel.check(x)` then takes from `events.data_rows` only the data rows
 the model reads and runs the remaining definitions and the assertions.
+`CompiledModel.monotone` holds when no data relation, and no definition
+that reads one, occurs under the right of a `\\`: then more `co` edges
+never let a candidate pass an assertion that it failed.
 The public `evaluate` and `check_assertions` convert Relations to rows and
 back at the boundary and run the same closures.
 """
@@ -144,6 +147,10 @@ class CatModel:
     assertions: tuple  # of (kind, term, source text), file order
 
     def base_names(self) -> frozenset:
+        return self._base_names
+
+    @functools.cached_property
+    def _base_names(self) -> frozenset:  # once per model: it walks every term
         terms = [t for _, t in self.definitions] + [t for _, t, _ in self.assertions]
         return frozenset(set().union(*map(_names, terms)) & set(BASE_RELATIONS))
 
@@ -321,8 +328,9 @@ def _names(term) -> set:
 
 
 def _negative_refs(term, positive=True) -> set:
-    """Names occurring in antitone positions (under the right of a `\\`)."""
-    if isinstance(term, TRef):
+    """The base relations and definitions a term names in antitone
+    positions (under the right of a `\\`)."""
+    if isinstance(term, (TBase, TRef)):
         return set() if positive else {term.name}
     if isinstance(term, TDiff):
         return _negative_refs(term.left, positive) | _negative_refs(term.right, not positive)
@@ -639,6 +647,7 @@ class CompiledModel(NamedTuple):
     static: tuple  # definition groups that read no data
     dynamic: tuple  # the other definition groups
     assertions: tuple  # (kind, source, closure env -> holds), file order
+    monotone: bool  # see the module docstring
 
     def bind(self, skeleton: Skeleton) -> "BoundModel":
         """Evaluate everything the skeleton fixes, once per control vector."""
@@ -688,6 +697,8 @@ def compile_model(model: CatModel, cfg=None) -> CompiledModel:
     def lower(group):
         return _recursive(group, terms), tuple((n, _lower(terms[n], cfg)) for n in group)
 
+    everything = (*terms.values(), *(term for _, term, _ in model.assertions))
+    negative = set().union(*map(_negative_refs, everything))  # under a `\`
     return CompiledModel(
         name=model.name,
         data=frozenset(model.base_names() & DATA_RELATIONS),
@@ -697,6 +708,7 @@ def compile_model(model: CatModel, cfg=None) -> CompiledModel:
             (kind, src, _test(_TESTS[kind], _lower(term, cfg)))
             for kind, term, src in model.assertions
         ),
+        monotone=dynamic.isdisjoint(negative),
     )
 
 

@@ -45,34 +45,47 @@ Values do not depend on the coherence order, so whether a candidate reads
 the secret is decided once per (reads-from vector, input vector) pair, by a
 goal test: `events.Evaluator` evaluates on demand only the addresses of
 the loads that read "init" and may read the secret, and only a pair where
-one of them is the secret's address is propagated.  The inputs whose
-candidate is then value-consistent and reads the secret are combined with
-the coherence orders.  The directed candidates are exactly the blind
+one of them is the secret's address is propagated.  `_pairs` yields, per
+reads-from vector, the pairs that are then value-consistent and read the
+secret.  Crossed with the coherence orders, they are exactly the blind
 product's value-consistent, secret-reading candidates whose skeleton fits
-the window, in the blind order: a subsequence of it.  They pass through the
-control-flow and window constraints and the model's assertions; the first
-surviving candidate becomes the witness, the same one the blind product
-would give.  When no violation exists the verdict is Safe, or Unknown if
-loops could not be fully unrolled.
+the window, in the blind order: a subsequence of it.
+
+Nor do the control-flow constraints and the srf-fence check read the
+coherence order: they are decided once per pair.  The model reads the
+order only through `co`, per address (`events.data_rows`), so the orders
+with one per-address projection, a class, share one verdict, and only the
+first order of each class in the blind order is offered.  Where a pair
+has more than one class and the model is monotone
+(`CompiledModel.monotone`), its floor is checked first: the candidate with
+the empty order, whose `co` only puts init before each committed store
+and so lies within every order's.  If it fails, so does every order.  The
+first offered candidate that the model accepts is the witness the blind
+product would give; without one the verdict is Safe, or Unknown if loops
+could not be fully unrolled.  `candidate_consistent` still runs the whole
+filter pipeline on one candidate, to replay a witness.
 
 The skeleton already follows the chosen outcomes and predictions, so the
 control-flow check reduces to one test per branch the walk passed through
 (its value agrees with the chosen outcome), and no fence can be transient:
-`_walk_thread` ends every transient run before one.  `check_fences`
-therefore runs on no candidate here.
+`_walk_thread` ends every transient run before one.  Every skeleton the
+search builds fits the window, so `check_window` and `check_fences` run on
+no candidate here.
 
-The model is compiled once per check and bound at the first candidate of
-each control vector (`catlang.compile_model`, `CompiledModel.bind`), so
-every definition in it that reads no data relation is evaluated once per
-vector, and a vector without candidates is never bound; each candidate then
-only builds the data rows the model reads (`events.data_rows`) and runs the
+The model is compiled once per check and bound at the first pair of each
+control vector (`catlang.compile_model`, `CompiledModel.bind`), so every
+definition in it that reads no data relation is evaluated once per
+vector, and a vector without pairs is never bound; each check then only
+builds the data rows the model reads (`events.data_rows`) and runs the
 rest.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import catlang
 from .catlang import CatModel
@@ -113,10 +126,11 @@ class EngineError(ValueError):
 class Verdict:
     """The outcome of `check_isolation`.
 
-    `generated` counts the candidates the directed search offered before the
-    verdict was reached: value-consistent candidates that read the secret,
-    of control vectors that fit the speculation window, not the blind
-    product.  `filtered` counts those that `candidate_consistent` rejected.
+    `generated` counts the candidates the directed search offered to the
+    model before the verdict was reached, not the blind product: the first
+    order of each coherence class of each secret-reading pair that passed
+    the checks before it (see the module docstring).  `filtered` counts
+    those that the model rejected.
     """
 
     outcome: str  # "safe" | "unsafe" | "unknown"
@@ -209,14 +223,6 @@ def _initial_values(program: Program, domain_bits: int) -> dict:
     return init_vals
 
 
-def _instance(skeleton, rf_choice, co_order, init_vals, inputs, domain_bits):
-    """The skeleton's candidate for these choices, value propagation
-    attempted."""
-    x = replace(skeleton, rf_choice=rf_choice, co_order=co_order, inputs=inputs)
-    propagate_values(x, {**init_vals, **inputs}, domain_bits)
-    return x
-
-
 def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits: int):
     """Yield every candidate execution of the k-unrolled program, value
     propagation already attempted, in deterministic lexicographic order."""
@@ -235,14 +241,11 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
                 for input_vector in itertools.product(domain, repeat=len(inputs)):
-                    yield _instance(
-                        skeleton,
-                        dict(zip(load_ids, rf_vector)),
-                        co_order,
-                        init_vals,
-                        dict(zip(inputs, input_vector)),
-                        domain_bits,
-                    )
+                    x = copy.copy(skeleton)
+                    x.rf_choice, x.co_order = dict(zip(load_ids, rf_vector)), co_order
+                    x.inputs = dict(zip(inputs, input_vector))
+                    propagate_values(x, {**init_vals, **x.inputs}, domain_bits)
+                    yield x
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +361,17 @@ def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: tuple):
             depth += 1
 
 
-def _search(skeleton: CandidateExecution, domain_bits: int):
-    """The skeleton's value-consistent candidates that read the secret, in
-    the blind order.  Whether a candidate reads the secret depends on its
-    reads-from choice and its values, not on the coherence order, so the
-    test runs once per (rf, inputs) pair.  It evaluates on demand only the
-    addresses of the loads that read init and may read the secret, and
-    propagates the pair only when one of them is the secret's."""
+def _pairs(skeleton: CandidateExecution, domain_bits: int):
+    """Per reads-from vector, in the blind order, the value-consistent
+    (rf, inputs) pairs that read the secret, inputs in the blind order, each
+    as its floor: the candidate with the empty coherence order.  Only a pair
+    whose goal test evaluates a secret address is propagated, on from the
+    goal test's evaluations."""
     program = skeleton.program
     secret, mask = program.secret_addr, (1 << domain_bits) - 1
     inputs = sorted(program.input_locations)
     init_vals = _initial_values(program, domain_bits)
     load_ids = skeleton.structure.loads
-    committed_stores = [s for s in skeleton.structure.stores if s in skeleton.committed]
     input_vectors = [
         dict(zip(inputs, v))
         for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
@@ -380,24 +381,42 @@ def _search(skeleton: CandidateExecution, domain_bits: int):
     fixed = {e.id: _fixed_address(e.stmt, secret, mask) for e in memory}
     # the loads that may read the secret when they read init
     may_read = tuple(load for load in load_ids if fixed[load] in (None, secret))
-    probe = replace(skeleton)  # the goal test's candidate, one rf vector at a time
+    probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
     for rf_vector in _rf_vectors(skeleton, fixed, may_read):
-        rf_choice = dict(zip(load_ids, rf_vector))
+        probe.rf_choice = rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in may_read if rf_choice[load] == "init"]
-        probe.rf_choice = rf_choice
         passing = []
         for chosen_inputs in input_vectors:
-            dataflow = Evaluator(probe, {**init_vals, **chosen_inputs}, domain_bits)
+            init = {**init_vals, **chosen_inputs}
+            dataflow = Evaluator(probe, init, domain_bits)
             if all(dataflow.address(load) != secret for load in readers):
                 continue
-            x = _instance(skeleton, rf_choice, (), init_vals, chosen_inputs, domain_bits)
+            x = copy.copy(probe)
+            x.inputs = chosen_inputs
+            propagate_values(x, init, domain_bits, dataflow=dataflow)
             if violating_load(x) is not None:
                 passing.append(x)
-        if not passing:
-            continue
-        for co_order in itertools.permutations(committed_stores):
-            for x in passing:
-                yield replace(x, co_order=co_order)
+        if passing:
+            yield passing
+
+
+@functools.lru_cache(maxsize=256)
+def _first_orders(stores: tuple, addrs: tuple) -> frozenset:
+    """The positions in `itertools.permutations(stores)` of the first order
+    of each coherence class, the orders with one per-address projection;
+    `addrs[i]` is the address of `stores[i]`."""
+    at = dict(zip(stores, addrs))
+    firsts: dict = {}  # per-address projection -> its first position
+    for position, order in enumerate(itertools.permutations(stores)):
+        firsts.setdefault(tuple(sorted(order, key=at.__getitem__)), position)
+    return frozenset(firsts.values())
+
+
+def _control_rejection(x: CandidateExecution, cfg: SpecConfig) -> str | None:
+    """The control-flow constraint a propagated candidate fails, if any."""
+    if cfg.mode == "traditional":
+        return None if check_traditional_cf(x) else "control flow"
+    return None if check_speculative_cf(x, cfg) else "speculative control flow"
 
 
 def candidate_consistent(
@@ -406,18 +425,13 @@ def candidate_consistent(
     """Run the full filter pipeline on a propagated candidate.
 
     Returns (consistent, reason): reason names the first failed filter.
-    `bound` is `catlang.compile_model(model, cfg).bind(x.structure)`, which
-    `check_isolation` computes once per control vector; it is computed here
-    when omitted.
+    `bound` is `catlang.compile_model(model, cfg).bind(x.structure)`; it is
+    computed here when omitted.
     """
     if x.valuation is None:
         return False, f"values: {x.inconsistency}"
-    if cfg.mode == "traditional":
-        if not check_traditional_cf(x):
-            return False, "control flow"
-    else:
-        if not check_speculative_cf(x, cfg):
-            return False, "speculative control flow"
+    if reason := _control_rejection(x, cfg):
+        return False, reason
     if not check_window(x, cfg.window):
         return False, "speculation window"
     if cfg.psf and not catlang.check_srf_fence(x):
@@ -463,20 +477,34 @@ def check_isolation(
          and _fixed_address(ins.stmt, secret, mask) in (None, secret)}
         for instrs in unrolled.threads
     ]
-    generated = 0
-    filtered = 0
+    generated = filtered = 0
     for skeleton in _skeletons(unrolled, cfg, leaky):
-        bound = None  # bound at the vector's first candidate
-        for x in _search(skeleton, domain_bits):
-            generated += 1
+        bound = None  # bound at the vector's first pair
+        stores = tuple(s for s in skeleton.structure.stores if s in skeleton.committed)
+        for passing in _pairs(skeleton, domain_bits):
             if bound is None:
                 bound = compiled.bind(skeleton.structure)
-            ok, _ = candidate_consistent(x, model, cfg, bound)
-            if not ok:
-                filtered += 1
-                continue
-            # every candidate reads the secret: the first consistent one
-            # is the witness
-            return Verdict("unsafe", x, generated, filtered)
+            offered = []  # (floor, the positions of the orders it is checked at)
+            for x in passing:
+                if _control_rejection(x, cfg) or (cfg.psf and not catlang.check_srf_fence(x)):
+                    continue
+                firsts = _first_orders(stores, tuple(x.valuation[s][0] for s in stores))
+                if compiled.monotone and len(firsts) > 1 and not bound.check(x)[0]:
+                    continue  # the floor fails, and so does every order
+                offered.append((x, firsts))
+            end = 1 + max((max(positions) for _, positions in offered), default=-1)
+            orders = itertools.islice(itertools.permutations(stores), end)
+            for position, order in enumerate(orders):
+                for x, positions in offered:
+                    if position not in positions:
+                        continue
+                    generated += 1
+                    y = copy.copy(x)
+                    y.co_order = order
+                    if bound.check(y)[0]:
+                        # every candidate reads the secret: the first
+                        # consistent one is the witness
+                        return Verdict("unsafe", y, generated, filtered)
+                    filtered += 1
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
     return Verdict(outcome, None, generated, filtered)

@@ -259,6 +259,11 @@ class CandidateExecution:
     valuation: tuple | None = None
     inconsistency: str | None = None
 
+    def __copy__(self):  # without `__init__`: the search makes one per candidate
+        x = object.__new__(CandidateExecution)
+        x.__dict__.update(self.__dict__)
+        return x
+
     @property
     def choices(self) -> dict:
         """The choice vector, for reproducibility and witness reports."""
@@ -674,7 +679,8 @@ def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_
     return None
 
 
-def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
+def propagate_values(x: CandidateExecution, init_vals: dict, bits: int, *,
+                     dataflow: Evaluator | None = None):
     """Resolve addresses and values, or report an inconsistency.
 
     `init_vals` gives the initial value of every declared address (the
@@ -687,13 +693,15 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     (addr, val) indexed by event id, and stores it in `x.valuation`; on
     failure `x.valuation` is None and the result an `Inconsistent` with the
     first reason found.  The events are not touched: the data relations the
-    valuation induces come from `data_rows`.
+    valuation induces come from `data_rows`.  A given `dataflow` is an
+    `Evaluator` of `x`'s events and rf choice over these `init_vals`.
     """
     events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
     for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
-    dataflow = Evaluator(x, init_vals, bits)
+    if dataflow is None:
+        dataflow = Evaluator(x, init_vals, bits)
     addrs, vals = [], []
     for e in events:  # in id order, so a thread's earlier events come first
         addrs.append(dataflow.address(e.id))
@@ -754,9 +762,10 @@ def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict
     load's address).  That pair is in `srf` under predictive store
     forwarding, and in `rf` when the addresses agree (always, without
     it); `rfe` is the part of `rf` from a store of another thread.  `co`
-    orders, per address, the init event first and then the committed
-    stores in the sequence of `co_order`.  `loc` joins memory events at
-    one address.
+    puts, per address, the init event before every committed store, and
+    orders those stores as `co_order` does.  With the empty `co_order`
+    this is the candidate's floor: the `co` every coherence order extends.
+    `loc` joins memory events at one address.
     """
     s, events, valuation = x.structure, x.events, x.valuation
     n = len(events)
@@ -783,8 +792,9 @@ def data_rows(x: CandidateExecution, needed: frozenset = DATA_RELATIONS) -> dict
             addr = valuation[sid][0]
             co[sid] = later.get(addr, 0)
             later[addr] = co[sid] | 1 << sid
-        for addr, stores in later.items():
-            co[s.init_by_addr[addr]] = stores
+        for sid in s.stores:
+            if sid in x.committed:
+                co[s.init_by_addr[valuation[sid][0]]] |= 1 << sid
         rows["co"] = co
     if "loc" in needed:
         memory = (*s.init_by_addr.values(), *s.loads, *s.stores)

@@ -23,6 +23,7 @@ from axcat.catlang import (
     DATA_RELATIONS,
     CatError,
     _groups,
+    _negative_refs,
     check_assertions,
     compile_model,
     evaluate,
@@ -211,6 +212,19 @@ def test_static_part_is_evaluated_once_per_skeleton():
     assert [name for _, group in stl.static for name, _ in group] == ["win", "ppo"]
     assert [name for _, group in stl.dynamic for name, _ in group] == ["com"]
     assert stl.data == {"rf", "co"}
+
+
+def test_monotone_models_name_no_data_under_a_difference():
+    assert _negative_refs(parse_cat("acyclic po \\ co\n").assertions[0][1]) == {"co"}
+    for name in ("inorder", "stl", "psf", "tso", "tso-mcu"):
+        assert compile_model(load_model(name), SpecConfig()).monotone, name
+    for text, monotone in (
+        ("acyclic po \\ co\n", False),
+        ("c = rf^-1;co\nacyclic po \\ c\n", False),
+        ("p = po \\ fence\nacyclic co | p\n", True),  # p reads no data
+        ("acyclic po \\ (po \\ rf)\n", True),  # rf is under two differences
+    ):
+        assert compile_model(parse_cat(text), SpecConfig()).monotone == monotone, text
 
 
 def test_compile_errors_match_evaluation_errors():

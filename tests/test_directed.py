@@ -1,5 +1,7 @@
 """The directed reads-from search against the blind enumeration."""
 
+import copy
+import itertools
 import random
 
 import pytest
@@ -18,8 +20,8 @@ from axcat import (
     unroll,
 )
 from axcat import engine
-from axcat.catlang import CompiledModel
-from axcat.engine import _search, _skeletons, candidate_consistent, violating_load
+from axcat.catlang import CompiledModel, compile_model, parse_cat
+from axcat.engine import _pairs, _skeletons, candidate_consistent, violating_load
 from axcat.events import _walk_thread, secret_sentinel
 from axcat.speculation import check_window
 from generator import random_program_source
@@ -38,9 +40,25 @@ ROTATION = (
 _MODELS = {name: load_model(name) for name in ("inorder", "stl", "psf", "tso")}
 
 
+def committed_stores(x):
+    return [s for s in x.structure.stores if s in x.committed]
+
+
+def with_order(x, order):
+    y = copy.copy(x)
+    y.co_order = order
+    return y
+
+
 def directed(program, cfg, k, bits):
+    """The directed search's (rf, inputs) pairs crossed with every coherence
+    order, in the blind order."""
     return [
-        x for skeleton in _skeletons(unroll(program, k), cfg) for x in _search(skeleton, bits)
+        with_order(x, order)
+        for skeleton in _skeletons(unroll(program, k), cfg)
+        for passing in _pairs(skeleton, bits)
+        for order in itertools.permutations(committed_stores(skeleton))
+        for x in passing
     ]
 
 
@@ -61,20 +79,42 @@ def signature(x):
     return (x.choices, x.valuation, x.rf, x.srf, x.co)
 
 
+def projection(x, order):
+    """The coherence order `order` of x's committed stores, per address."""
+    address = {s: x.valuation[s][0] for s in committed_stores(x)}
+    return {a: [s for s in order if address[s] == a] for a in address.values()}
+
+
+def first_of_class(x):
+    """Whether x's coherence order is the first permutation of its committed
+    stores with its per-address projection."""
+    want = projection(x, x.co_order)
+    orders = itertools.permutations(committed_stores(x))
+    return next(o for o in orders if projection(x, o) == want) == x.co_order
+
+
 def blind_verdict(program, model, cfg, k, bits):
     """What the blind enumeration decides, counted as the directed engine
-    counts: value-consistent candidates that read the secret, of skeletons
-    within the window."""
+    counts: of the value-consistent candidates that read the secret, of
+    skeletons within the window, the first order of each coherence class
+    that the model decides, with a monotone model not where the pair has
+    several classes and its floor (its committed stores unordered) fails."""
+    monotone = compile_model(model, cfg).monotone
     generated = filtered = 0
     for x in enumerate_candidates(program, cfg, k, bits):
-        if not reads_secret(x) or not check_window(x, cfg.window):
+        if not reads_secret(x) or not check_window(x, cfg.window) or not first_of_class(x):
             continue
+        ok, reason = candidate_consistent(x, model, cfg)
+        if not ok and not reason.startswith("assertion"):
+            continue  # control flow or srf across a fence
+        several = len(projection(x, ())) < len(committed_stores(x))
+        if not ok and monotone and several:
+            if not candidate_consistent(with_order(x, ()), model, cfg)[0]:
+                continue
         generated += 1
-        ok, _ = candidate_consistent(x, model, cfg)
-        if not ok:
-            filtered += 1
-        else:
+        if ok:
             return "unsafe", x.choices, generated, filtered
+        filtered += 1
     outcome = "unknown" if unroll(program, k).unroll_incomplete else "safe"
     return outcome, None, generated, filtered
 
@@ -267,14 +307,14 @@ def test_corpus_witness_matches_blind_enumeration(program, exp):
 
 def test_directed_candidates_share_their_skeleton():
     # few random programs read the secret: 3000 seeds give about 1200
-    # candidates
+    # (rf, inputs) pairs
     shared = 0
     for seed in range(3000):
         rng = random.Random(seed)
         program = parse_program(random_program_source(rng))
         cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
         for skeleton in _skeletons(unroll(program, 1 + seed % 2), cfg):
-            for x in _search(skeleton, 2):
+            for x in (x for passing in _pairs(skeleton, 2) for x in passing):
                 assert x.structure is skeleton.structure
                 assert x.events is skeleton.events
                 shared += 1
@@ -326,18 +366,76 @@ def test_program_that_cannot_address_the_secret_offers_no_candidate(monkeypatch)
     assert binds == []
 
 
-def test_generated_counts_the_secret_readers_before_the_witness():
-    program = parse_program((corpus_dir() / "stl-01.litmus").read_text())
-    model = _MODELS["stl"]
-    cfg = SpecConfig(mode="traditional", buffer=2)
-    v = check_isolation(program, model, cfg, 2, 3)
+# two stores to B before a load of B that reaches the secret when it reads 0
+_TWO_STORES = _EDGE_LAYOUT + (
+    "1: store B, 1\n2: store B, 2\n3: load r0, B\n4: load r1, A + (r0 == 0)\n"
+)
+
+
+def test_generated_counts_the_classes_offered_before_the_witness():
+    """Under inorder the load of B cannot read init after the stores: every
+    secret-reading pair fails at its floor and offers none of its two
+    orders.  stl lets the load pass the stores, and the first order of the
+    first pair is the witness."""
+    program = parse_program(_TWO_STORES)
+    cfg = SpecConfig(mode="traditional")
+    readers = sum(reads_secret(x) for x in enumerate_candidates(program, cfg, 1, 3))
+    assert readers == 16  # 8 inputs x 2 coherence orders
+    for model, want in (("inorder", ("safe", 0, 0)), ("stl", ("unsafe", 1, 0))):
+        got = verdict(program, _MODELS[model], cfg, 1, 3)
+        assert (got[0], got[2], got[3]) == want
+        assert got == blind_verdict(program, _MODELS[model], cfg, 1, 3)
+
+
+def test_a_model_with_co_under_a_difference_is_not_pruned_at_its_floor():
+    """The model asks every same-address store pair in po to be in co.  The
+    floor orders no two stores and fails; the first order passes."""
+    model = parse_cat("empty (po & loc & (W * W)) \\ co\n", "co-po")
+    program = parse_program(_TWO_STORES)
+    cfg = SpecConfig(mode="traditional")
+    assert not compile_model(model, cfg).monotone
+    v = check_isolation(program, model, cfg, 1, 3)
     assert v.outcome == "unsafe"
-    before = 0
-    for x in enumerate_candidates(program, cfg, 2, 3):
-        if x.choices == v.witness.choices:
-            break
-        before += reads_secret(x) and check_window(x, cfg.window)
-    assert v.generated == before + 1
+    assert not candidate_consistent(with_order(v.witness, ()), model, cfg)[0]
+    assert verdict(program, model, cfg, 1, 3) == blind_verdict(program, model, cfg, 1, 3)
+
+
+@pytest.mark.parametrize("mode", ["traditional", "speculative"])
+def test_a_failing_floor_fails_every_coherence_order(mode):
+    """Under the bundled (monotone) models, every (rf, inputs) pair whose
+    floor fails the model has every coherence order rejected."""
+    failing = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        program = unroll(parse_program(with_probe(random_program_source(rng))), 1 + seed % 2)
+        model = _MODELS[ROTATION[seed % len(ROTATION)][0]]
+        cfg = SpecConfig(mode=mode, psf="srf" in model.base_names())
+        compiled = compile_model(model, cfg)
+        assert compiled.monotone
+        for skeleton in _skeletons(program, cfg):
+            bound = compiled.bind(skeleton.structure)
+            for x in (x for passing in _pairs(skeleton, 2) for x in passing):
+                if bound.check(x)[0]:
+                    continue
+                failing += len(projection(x, ())) < len(committed_stores(x))
+                for order in itertools.permutations(committed_stores(x)):
+                    y = with_order(x, order)
+                    assert not candidate_consistent(y, model, cfg, bound)[0], y.choices
+    assert failing > 10
+
+
+@pytest.mark.parametrize(
+    "addrs", [(), (3,), (1, 2, 3), (5, 5, 5), (3, 4, 3, 4), (7, 6, 7, 7), (2, 2, 1, 2, 1)]
+)
+def test_each_coherence_class_has_one_first_order(addrs):
+    stores = tuple(20 + 3 * i for i in range(len(addrs)))
+    address = dict(zip(stores, addrs))
+    classes: dict = {}  # per-address projection -> its positions in the blind order
+    for position, order in enumerate(itertools.permutations(stores)):
+        key = tuple(tuple(s for s in order if address[s] == a) for a in sorted(set(addrs)))
+        classes.setdefault(key, []).append(position)
+    firsts = engine._first_orders(stores, addrs)
+    assert sorted(firsts) == sorted(positions[0] for positions in classes.values())
 
 
 def test_control_vectors_that_reach_no_secret_reader_are_not_built(monkeypatch):
