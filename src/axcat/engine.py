@@ -83,8 +83,9 @@ rest.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import catlang
@@ -400,18 +401,6 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
             yield passing
 
 
-@functools.lru_cache(maxsize=256)
-def _first_orders(stores: tuple, addrs: tuple) -> frozenset:
-    """The positions in `itertools.permutations(stores)` of the first order
-    of each coherence class, the orders with one per-address projection;
-    `addrs[i]` is the address of `stores[i]`."""
-    at = dict(zip(stores, addrs))
-    firsts: dict = {}  # per-address projection -> its first position
-    for position, order in enumerate(itertools.permutations(stores)):
-        firsts.setdefault(tuple(sorted(order, key=at.__getitem__)), position)
-    return frozenset(firsts.values())
-
-
 def _control_rejection(x: CandidateExecution, cfg: SpecConfig) -> str | None:
     """The control-flow constraint a propagated candidate fails, if any."""
     if cfg.mode == "traditional":
@@ -484,20 +473,22 @@ def check_isolation(
         for passing in _pairs(skeleton, domain_bits):
             if bound is None:
                 bound = compiled.bind(skeleton.structure)
-            offered = []  # (floor, the positions of the orders it is checked at)
+            offered = []  # (floor, its stores' addresses, the classes seen, their count)
             for x in passing:
                 if _control_rejection(x, cfg) or (cfg.psf and not catlang.check_srf_fence(x)):
                     continue
-                firsts = _first_orders(stores, tuple(x.valuation[s][0] for s in stores))
-                if compiled.monotone and len(firsts) > 1 and not bound.check(x)[0]:
+                at = {s: x.valuation[s][0] for s in stores}
+                classes = math.prod(map(math.factorial, Counter(at.values()).values()))
+                if compiled.monotone and classes > 1 and not bound.check(x)[0]:
                     continue  # the floor fails, and so does every order
-                offered.append((x, firsts))
-            end = 1 + max((max(positions) for _, positions in offered), default=-1)
-            orders = itertools.islice(itertools.permutations(stores), end)
-            for position, order in enumerate(orders):
-                for x, positions in offered:
-                    if position not in positions:
-                        continue
+                offered.append((x, at, set(), classes))
+            for order in itertools.permutations(stores):
+                for x, at, seen, classes in offered:
+                    # a stable sort by address: the per-address projection
+                    projection = tuple(sorted(order, key=at.__getitem__))
+                    if projection in seen:
+                        continue  # its class's first order was checked
+                    seen.add(projection)
                     generated += 1
                     y = copy.copy(x)
                     y.co_order = order
@@ -506,5 +497,9 @@ def check_isolation(
                         # consistent one is the witness
                         return Verdict("unsafe", y, generated, filtered)
                     filtered += 1
+                # a pair whose classes have all been checked needs no later order
+                offered = [o for o in offered if len(o[2]) < o[3]]
+                if not offered:
+                    break
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
     return Verdict(outcome, None, generated, filtered)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from axcat import (
     unroll,
 )
 from axcat import engine
-from axcat.catlang import CompiledModel, compile_model, parse_cat
+from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _skeletons, candidate_consistent, violating_load
 from axcat.events import _walk_thread, secret_sentinel
 from axcat.speculation import check_window
@@ -94,26 +95,28 @@ def first_of_class(x):
 
 
 def blind_verdict(program, model, cfg, k, bits):
-    """What the blind enumeration decides, counted as the directed engine
-    counts: of the value-consistent candidates that read the secret, of
-    skeletons within the window, the first order of each coherence class
-    that the model decides, with a monotone model not where the pair has
-    several classes and its floor (its committed stores unordered) fails."""
+    """What the blind enumeration decides: the first value-consistent
+    candidate that reads the secret, of skeletons within the window, that
+    `candidate_consistent` accepts.  It is counted as the directed engine
+    counts: the first order of each coherence class that the model decides,
+    with a monotone model not where the pair has several classes and its
+    floor (its committed stores unordered) fails."""
     monotone = compile_model(model, cfg).monotone
     generated = filtered = 0
     for x in enumerate_candidates(program, cfg, k, bits):
-        if not reads_secret(x) or not check_window(x, cfg.window) or not first_of_class(x):
+        if not reads_secret(x) or not check_window(x, cfg.window):
             continue
         ok, reason = candidate_consistent(x, model, cfg)
-        if not ok and not reason.startswith("assertion"):
-            continue  # control flow or srf across a fence
-        several = len(projection(x, ())) < len(committed_stores(x))
-        if not ok and monotone and several:
-            if not candidate_consistent(with_order(x, ()), model, cfg)[0]:
-                continue
-        generated += 1
         if ok:
-            return "unsafe", x.choices, generated, filtered
+            # decided before the class filter: a witness that is not its
+            # class's first order is one the engine never offers
+            return "unsafe", x.choices, generated + 1, filtered
+        if not first_of_class(x) or not reason.startswith("assertion"):
+            continue  # decided at its class's first order, or by control flow or srf
+        several = len(projection(x, ())) < len(committed_stores(x))
+        if monotone and several and not candidate_consistent(with_order(x, ()), model, cfg)[0]:
+            continue
+        generated += 1
         filtered += 1
     outcome = "unknown" if unroll(program, k).unroll_incomplete else "safe"
     return outcome, None, generated, filtered
@@ -424,18 +427,40 @@ def test_a_failing_floor_fails_every_coherence_order(mode):
     assert failing > 10
 
 
-@pytest.mark.parametrize(
-    "addrs", [(), (3,), (1, 2, 3), (5, 5, 5), (3, 4, 3, 4), (7, 6, 7, 7), (2, 2, 1, 2, 1)]
-)
-def test_each_coherence_class_has_one_first_order(addrs):
-    stores = tuple(20 + 3 * i for i in range(len(addrs)))
-    address = dict(zip(stores, addrs))
-    classes: dict = {}  # per-address projection -> its positions in the blind order
-    for position, order in enumerate(itertools.permutations(stores)):
-        key = tuple(tuple(s for s in order if address[s] == a) for a in sorted(set(addrs)))
-        classes.setdefault(key, []).append(position)
-    firsts = engine._first_orders(stores, addrs)
-    assert sorted(firsts) == sorted(positions[0] for positions in classes.values())
+def test_each_coherence_class_has_one_first_order(monkeypatch):
+    """Under a model that rejects every candidate and is not monotone, so
+    that no floor is checked, each (rf, inputs) pair is offered exactly the
+    first order of each of its per-address classes, in the blind order."""
+    model = parse_cat("empty po \\ co\n", "never")
+    offered = {}  # (skeleton, rf, inputs) -> (a candidate, the orders offered)
+    check = BoundModel.check
+
+    def record(self, x):
+        key = (id(x.structure), repr(x.rf_choice), repr(x.inputs))
+        offered.setdefault(key, (x, []))[1].append(x.co_order)
+        return check(self, x)
+
+    monkeypatch.setattr(BoundModel, "check", record)
+    # stores to B, A and B: two classes of three orders each
+    mixed = _EDGE_LAYOUT + (
+        "1: store B, 1\n2: store A, 2\n3: store B, 3\n4: load r0, B\n5: load r1, A + (r0 == 0)\n"
+    )
+    for mode in ("traditional", "speculative"):
+        v = check_isolation(parse_program(mixed), model, SpecConfig(mode=mode), 1, 2)
+        assert v.outcome == "safe"
+    for seed in range(200):
+        rng = random.Random(seed)
+        program = parse_program(with_probe(random_program_source(rng)))
+        cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
+        assert check_isolation(program, model, cfg, 1 + seed % 2, 2).outcome != "unsafe"
+    shapes = set()
+    for x, orders in offered.values():
+        stores = committed_stores(x)
+        firsts = [o for o in itertools.permutations(stores) if first_of_class(with_order(x, o))]
+        assert orders == firsts, x.choices
+        shapes.add((len(firsts), math.factorial(len(stores))))
+    # pairs with one class, with every order a class, and with neither
+    assert {n == 1 or n == total for n, total in shapes} == {True, False}
 
 
 def test_control_vectors_that_reach_no_secret_reader_are_not_built(monkeypatch):
