@@ -149,6 +149,13 @@ class CatModel:
     def base_names(self) -> frozenset:
         return self._base_names
 
+    def __hash__(self) -> int:  # `compile_model`'s cache hashes it per check
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:  # once per model: it walks every term
+        return hash((self.name, self.definitions, self.assertions))
+
     @functools.cached_property
     def _base_names(self) -> frozenset:  # once per model: it walks every term
         terms = [t for _, t in self.definitions] + [t for _, t, _ in self.assertions]

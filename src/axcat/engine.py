@@ -33,13 +33,14 @@ The sources dropped per load:
     unless predictive store forwarding is on and it is `po`-before the
     load (a store-buffer pair); or transient, unless the load is a later
     transient load of its thread;
-  * a source that closes a cycle of must-dependencies.  A node is the
-    value or the address of an event.  Since `eval_expr` is strict in
-    None, an event's value or address depends on the registers its
-    expression reads (a conditional assignment on its guard only), a load
-    reading init on its own address, and a load reading a store on that
-    store's value.  A cycle stays None at the least fixpoint that value
-    propagation computes.
+  * a source that closes a cycle of must-dependencies.  Since `eval_expr`
+    is strict in None, an expression waits for the last writers of the
+    registers it reads (a conditional assignment's value for its guard
+    only), and a load's value for its source: its own address when it
+    reads init, else the store's value.  `_waits` tables, once per
+    skeleton, the loads each address and store value waits for as a
+    bitset; a cycle through them stays None at the least fixpoint that
+    value propagation computes.
 
 Values do not depend on the coherence order, so whether a candidate reads
 the secret is decided once per (reads-from vector, input vector) pair, by a
@@ -252,15 +253,6 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
 # ---------------------------------------------------------------------------
 # Directed search
 
-# Must-dependency nodes: the address and the value of event `eid`.
-def _address(eid: int) -> int:
-    return 2 * eid
-
-
-def _value(eid: int) -> int:
-    return 2 * eid + 1
-
-
 def _fixed_address(s: Load | Store, secret_addr: int, mask: int) -> int | None:
     """The address of a load or store whose address reads no register."""
     if expr_registers(s.addr):
@@ -277,87 +269,77 @@ def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
     )]
 
 
-def _must_dependencies(skeleton: CandidateExecution) -> dict:
-    """Node -> the nodes that keep it unresolved while they are: the value
-    nodes of the last writers (the skeleton's `writers`) of the registers
-    that an assignment's expression, a conditional assignment's guard, a
-    load's address or a store's value reads."""
+# per statement type, the expression that a load's address or the others'
+# value must wait for: a conditional assignment's guard, not its expression
+_WAITING = {Load: "addr", Assign: "expr", CondAssign: "guard", Store: "value"}
+
+
+def _waits(skeleton: CandidateExecution) -> dict:
+    """Load or store id -> the loads, a bitset over event ids, that its
+    address (a load's) or its value (a store's) must wait for.  An
+    expression waits for what the last writers (the skeleton's `writers`)
+    of its registers wait for, and a load's value for the load itself."""
     events, writers = skeleton.events, skeleton.structure.writers
-    deps: dict[int, list[int]] = {}
+    value: dict[int, int] = {}  # register writer -> the loads its value waits for
+    waits: dict[int, int] = {}
     for eid in skeleton.structure.instructions:
         s = events[eid].stmt
-        if isinstance(s, Assign):
-            node, expr = _value(eid), s.expr
-        elif isinstance(s, CondAssign):
-            node, expr = _value(eid), s.guard
-        elif isinstance(s, Load):
-            node, expr = _address(eid), s.addr
-        elif isinstance(s, Store):
-            node, expr = _value(eid), s.value
-        else:
+        if type(s) not in _WAITING:
             continue
-        last = writers[eid]
-        deps[node] = [_value(last[r]) for r in expr_registers(expr) if r in last]
-    return deps
+        last, wait = writers[eid], 0
+        for r in expr_registers(getattr(s, _WAITING[type(s)])):
+            if r in last:
+                wait |= value[last[r]]
+        waits[eid] = wait
+        value[eid] = 1 << eid if isinstance(s, Load) else wait
+    return waits
 
 
-def _reaches(start: int, goal: int, deps: dict, rf_needs: dict) -> bool:
-    stack, seen = [start], {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        succ = list(deps.get(node, ()))
-        if node in rf_needs:
-            succ.append(rf_needs[node])
-        for nxt in succ:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: tuple):
-    """Reads-from vectors over the skeleton's loads (in id order) in which
-    some load of `may_read` reads init, in the blind lexicographic order,
-    minus every vector that the reads-from rule of `_sources` or a
-    must-dependency cycle dooms.  Iterative depth-first search; a prefix is
-    dropped once no later load can still read the secret."""
-    loads = skeleton.loads()
-    options = [_sources(skeleton, load.id, fixed) for load in loads]
-    # goal[i]: load i may read the secret when it reads init
-    goal = [load.id in may_read for load in loads]
-    # reachable[i]: some load at i or later may still read the secret
-    reachable = [False] * (len(loads) + 1)
-    for i in reversed(range(len(loads))):
-        reachable[i] = goal[i] or reachable[i + 1]
-    if not reachable[0]:
+def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: int):
+    """(reads-from vector, hit) for the vectors over the skeleton's loads
+    (in id order) in which some load of `may_read`, a bitset over event
+    ids, reads init, in the blind lexicographic order: `hit` is the bitset
+    of those loads.  Minus every vector that the reads-from rule of
+    `_sources` or a must-dependency cycle dooms: a choice needs what its
+    source waits for (`_waits`: the load's address for init, else the
+    store's value), and closes a cycle when that set, closed over the needs
+    of the loads chosen before, holds the load.  Iterative depth-first
+    search; a prefix is dropped once no later load can read the secret."""
+    loads = skeleton.structure.loads
+    if not may_read:
         return
-    deps = _must_dependencies(skeleton)
-    rf_needs: dict[int, int] = {}  # value node of a load -> node its source needs
+    options = [_sources(skeleton, load, fixed) for load in loads]
+    waits = _waits(skeleton)
+    needs: dict[int, int] = {}  # load chosen before the one at hand -> its needs
     chosen: list = [None] * len(loads)
     cursor = [0] * len(loads)
-    hit = [False] * (len(loads) + 1)  # hit[i]: the first i choices read it
+    hit = [0] * (len(loads) + 1)  # hit[i]: the loads that read it in the first i
     depth = 0
     while depth >= 0:
         load = loads[depth]
-        rf_needs.pop(_value(load.id), None)
         if cursor[depth] == len(options[depth]):
             cursor[depth] = 0
             depth -= 1
             continue
         source = options[depth][cursor[depth]]
         cursor[depth] += 1
-        hit[depth + 1] = hit[depth] or (goal[depth] and source == "init")
-        if not (hit[depth + 1] or reachable[depth + 1]):
+        hit[depth + 1] = hit[depth] | (may_read & 1 << load if source == "init" else 0)
+        if not (hit[depth + 1] or may_read >> load + 1):
             continue
-        needs = _address(load.id) if source == "init" else _value(source)
-        if _reaches(needs, _value(load.id), deps, rf_needs):
+        need = waits[load if source == "init" else source]
+        reached = todo = need  # closed over the needs of the loads chosen so far
+        while todo and not reached >> load & 1:
+            m = todo.bit_length() - 1
+            todo ^= 1 << m
+            if m < load:  # chosen, as every earlier load is
+                todo |= needs[m] & ~reached
+                reached |= needs[m]
+        if reached >> load & 1:
             continue
-        rf_needs[_value(load.id)] = needs
+        needs[load] = need
         chosen[depth] = source
         if depth + 1 == len(loads):
-            yield tuple(chosen)
+            yield tuple(chosen), hit[depth + 1]
         else:
             depth += 1
 
@@ -365,9 +347,10 @@ def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: tuple):
 def _pairs(skeleton: CandidateExecution, domain_bits: int):
     """Per reads-from vector, in the blind order, the value-consistent
     (rf, inputs) pairs that read the secret, inputs in the blind order, each
-    as its floor: the candidate with the empty coherence order.  Only a pair
-    whose goal test evaluates a secret address is propagated, on from the
-    goal test's evaluations."""
+    as its floor: the candidate with the empty coherence order.  The goal
+    test evaluates the addresses of the vector's `hit` loads, and only a
+    pair where one is the secret's is propagated, on from the goal test's
+    `Evaluator`: a pair it leaves consistent reads the secret."""
     program = skeleton.program
     secret, mask = program.secret_addr, (1 << domain_bits) - 1
     inputs = sorted(program.input_locations)
@@ -380,12 +363,12 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
     # the address of every load and store whose address reads no register
     memory = (*skeleton.loads(), *skeleton.stores())
     fixed = {e.id: _fixed_address(e.stmt, secret, mask) for e in memory}
-    # the loads that may read the secret when they read init
-    may_read = tuple(load for load in load_ids if fixed[load] in (None, secret))
+    # the loads that may read the secret when they read init, as a bitset
+    may_read = sum(1 << load for load in load_ids if fixed[load] in (None, secret))
     probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
-    for rf_vector in _rf_vectors(skeleton, fixed, may_read):
-        probe.rf_choice = rf_choice = dict(zip(load_ids, rf_vector))
-        readers = [load for load in may_read if rf_choice[load] == "init"]
+    for rf_vector, hit in _rf_vectors(skeleton, fixed, may_read):
+        probe.rf_choice = dict(zip(load_ids, rf_vector))
+        readers = [load for load in load_ids if hit >> load & 1]
         passing = []
         for chosen_inputs in input_vectors:
             init = {**init_vals, **chosen_inputs}
@@ -395,7 +378,7 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
             x = copy.copy(probe)
             x.inputs = chosen_inputs
             propagate_values(x, init, domain_bits, dataflow=dataflow)
-            if violating_load(x) is not None:
+            if x.valuation is not None:  # a reader reads init at the secret
                 passing.append(x)
         if passing:
             yield passing

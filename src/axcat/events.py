@@ -338,7 +338,8 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     transient list, which follows the direction the branch did not take
     until a fence, a correctly predicted branch, a cut jump edge, or the end
     of the path.  A mispredicted branch inside the transient run keeps it
-    going the wrong way.
+    going the wrong way.  A jump back, which only a program with a loop
+    takes, raises `ValueError`: the walk would not end.
     """
     committed: list[int] = []
     transient: list[int] = []
@@ -370,6 +371,9 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
             label = s.target
         else:
             label = _fall_label(ins, labels)
+        if label is not None and label <= ins.label:
+            raise ValueError(f"thread {tid} jumps back from label {ins.label} "
+                             f"to {label}: unroll it first")
     return committed, transient, None
 
 

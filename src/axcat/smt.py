@@ -505,6 +505,8 @@ class _Emitter:
         elif isinstance(term, TCross):
             rows = catlang.cross_rows(self.set_rows(term.left), self.set_rows(term.right))
         elif isinstance(term, TDiff):  # the right side may hold or not
+            if memo is not self.supports:
+                self.support(term.right, memo)  # to reject a closure there too
             rows = self.support(term.left, memo)
         elif type(term) in catlang._BINARY:
             left, right = self.support(term.left, memo), self.support(term.right, memo)

@@ -147,6 +147,15 @@ def test_custom_model_path(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_model_the_export_cannot_translate_is_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "recdiff.cat"
+    model.write_text("a = po | (a;po \\ rf^+)\nacyclic a\n")
+    argv = ["--program", corpus_file("pht-01"), "--model", str(model),
+            "--mode", "traditional", "--engine", "emit-smt"]
+    assert main(argv) == 3
+    assert "closure operators inside a recursive definition" in capsys.readouterr().err
+
+
 def test_huge_store_buffer_bound_is_fast(capsys):
     # win = [W];po;([W];po)^{<=w'-1};[R] takes O(log w') compositions
     verdicts = []

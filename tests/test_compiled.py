@@ -205,6 +205,16 @@ def test_definitions_are_grouped_in_dependency_order():
     assert _groups(model.definitions) == [("b", "d"), ("a",), ("c",)]
 
 
+@pytest.mark.parametrize("name", ["inorder", "stl", "psf", "tso", "tso-mcu"])
+def test_two_parses_of_a_model_share_one_compiled_model(name):
+    first, second = load_model(name), load_model(name)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert "_hash" in first.__dict__  # walked once, not on every check
+    cfg = SpecConfig()
+    assert compile_model(first, cfg) is compile_model(second, cfg)
+
+
 def test_static_part_is_evaluated_once_per_skeleton():
     # stl's win and ppo read no data: the bound model holds them, and a
     # candidate's check builds only the relations the model reads

@@ -247,6 +247,56 @@ def test_store_buffer_sources_come_from_po():
         assert engine._sources(skeleton, other, fixed) == ["init"]
 
 
+def rf_vectors(src):
+    """The skeleton structure of a branch-free program plus a thread that
+    reads `p`, and the (vector, hit) pairs that `_rf_vectors` yields on it
+    when every load may read the secret.  The probe reads init in every vector, so no
+    vector is dropped for want of a load that reads it."""
+    program = parse_program(src + f"thread {src.count('thread ')}:\n1: load r9, p\n")
+    skeleton = build_events(program, {}, {})
+    fixed = {
+        e.id: engine._fixed_address(e.stmt, program.secret_addr, 7)
+        for e in (*skeleton.loads(), *skeleton.stores())
+    }
+    may_read = sum(1 << load for load in skeleton.structure.loads)
+    return skeleton.structure, list(engine._rf_vectors(skeleton, fixed, may_read))
+
+
+def test_must_dependency_cycles_are_pruned():
+    """A source whose wait set, closed over the loads chosen before, holds
+    the load is never offered; every other source is, and `hit` holds the
+    loads that read init."""
+    # load buffering: each load would read the store of the other's value
+    structure, got = rf_vectors(
+        "layout x@0 y@1 p@2 secret@3\nthread 0:\n1: load r1, x\n2: store y, r1\n"
+        "thread 1:\n1: load r2, y\n2: store x, r2\n"
+    )
+    lx, ly, probe = structure.loads
+    sy, sx = structure.stores
+    assert got == [
+        (("init", "init", "init"), 1 << lx | 1 << ly | 1 << probe),
+        (("init", sy, "init"), 1 << lx | 1 << probe),  # ly waits for lx, which reads init
+        ((sx, "init", "init"), 1 << ly | 1 << probe),
+    ]
+    # a store of the load's own value, later in its thread
+    structure, got = rf_vectors(
+        "layout A@0 p@1 secret@2\nthread 0:\n1: load r1, A\n2: store A, r1\n"
+    )
+    load, probe = structure.loads
+    assert got == [(("init", "init"), 1 << load | 1 << probe)]
+    # the store's value waits for the conditional assignment's guard only
+    structure, got = rf_vectors(
+        "layout A@0 p@1 secret@2\nthread 0:\n1: load r0, A\n2: r1 <-(0?) r0\n"
+        "3: store A, r1\n"
+    )
+    load, probe = structure.loads
+    (store,) = structure.stores
+    assert got == [
+        (("init", "init"), 1 << load | 1 << probe),
+        ((store, "init"), 1 << probe),
+    ]
+
+
 def test_thread_vectors_need_no_recursion_per_branch():
     # each branch jumps to its own fall-through, so the first vector decides
     # all 1,200 of them

@@ -113,6 +113,17 @@ def test_build_empty_thread_gives_inits_only():
     assert [e.kind for e in x.events] == [INIT, SECRET_INIT, "skip"]
 
 
+def test_build_rejects_a_loop_instead_of_walking_it():
+    p = parse_program("layout A@0 secret@1\nthread 0:\n1: load r1, A\n2: jmp 1\n")
+    with pytest.raises(ValueError, match="unroll it first"):
+        build_events(p, {}, {})
+    assert len(build_events(unroll(p, 2), {}, {}).loads()) == 2
+    p = parse_program("layout A@0 secret@1\nthread 0:\n1: load r1, A\n2: beqz r1, 1\n")
+    with pytest.raises(ValueError, match="jumps back from label 2 to 1"):
+        build_events(p, {(0, 2): True}, {(0, 2): True})
+    assert len(build_events(p, {(0, 2): False}, {(0, 2): True}).loads()) == 1
+
+
 def test_events_are_frozen():
     x = build_events(fig2(), {(0, 3): False}, {(0, 3): True})
     init, load = x.init_events()[0], x.loads()[0]

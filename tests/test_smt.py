@@ -344,6 +344,14 @@ def test_closure_inside_recursion_rejected_by_export():
         emit_smt(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2)
 
 
+def test_closure_under_a_difference_inside_recursion_rejected_by_export():
+    src = ("layout A[2]@0 secret@2 input idx@3\nthread 0:\n"
+           "1: load r0, A\n2: store A, 1\n3: load r1, A\n")
+    model = parse_cat("a = po | (a;po \\ rf^+)\nacyclic a\n", "recdiff")
+    with pytest.raises(CatError, match="closure"):
+        emit_smt(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2)
+
+
 def test_closure_operator_emits_outside_recursion():
     src = "layout A[2]@0 secret@2 input idx@3\nthread 0:\n1: load r0, A\n2: store A, 1\n"
     model = parse_cat("t = po^+ | rf^*\nacyclic t \\ (E * E)\nempty t \\ t\n", "plus")
