@@ -770,7 +770,9 @@ def check_assertions(model: CatModel, bindings: dict, cfg=None):
 
 def check_srf_fence(x: CandidateExecution) -> bool:
     """Alias-predicted forwarding across a fence must agree on the address:
-    no load reads a store before a fence at another address."""
+    no load reads a store before a fence at another address.  The reads-from
+    rule, `events.rf_rejection`, states the same clause, so every candidate
+    that value propagation accepts passes; no engine path calls this."""
     if x.valuation is None:
         raise ValueError("srf fence check needs a completed valuation")
     fence, valuation = x.structure.fence, x.valuation

@@ -68,12 +68,14 @@ def run(spec: RunSpec):
             "w": spec.w,
             "w_prime": spec.buffer,
         }
-        if spec.engine == "emit-smt":
+        if spec.engine == "emit-smt" or spec.smt:
+            # exported before any verdict: a failed export prints none
             text = emit_smt(program, model, cfg, spec.k, spec.bits,
                             Path(spec.program).stem)
             if spec.smt:
                 Path(spec.smt).write_text(text)
-            else:
+        if spec.engine == "emit-smt":
+            if not spec.smt:
                 sys.stdout.write(text)
             record["outcome"] = "emitted"
             code = 0
@@ -93,11 +95,6 @@ def run(spec: RunSpec):
             )
             if spec.dot and verdict.witness is not None:
                 Path(spec.dot).write_text(emit_witness_dot(verdict.witness))
-            if spec.smt:
-                Path(spec.smt).write_text(
-                    emit_smt(program, model, cfg, spec.k, spec.bits,
-                             Path(spec.program).stem)
-                )
             code = OUTCOME_CODE[verdict.outcome]
         if spec.json_out:
             Path(spec.json_out).write_text(json.dumps(record, indent=2) + "\n")

@@ -10,29 +10,35 @@ lexicographically by their choice vector
     x reads-from source per load  x  coherence order  x  input values
 
 `enumerate_candidates` walks this blind product and is kept as the
-reference.  `check_isolation` searches it directed instead, deciding each
-fact that a control vector fixes once, where it is first fixed.  Only a
-candidate that reads the secret can be a witness, and only a load that
-reads "init" and whose address reads a register or is the secret's can
-read it.  A thread's labels increase along its walk, so its transient
-events follow its committed ones: the window is decided on the walks.  A
-vector with a transient walk as long as the window, or whose walks run no
-such load, gets no skeleton.  For every other vector the search builds the
-frozen events and their `Skeleton` (thread order, `po`, `fence`, `addr`,
-event classes, the register-writer table) once, shared by reference by
-every candidate of the vector, and a table of its register-free load and
-store addresses.  It then chooses reads-from sources depth first over the
-loads in id order, offering each load its sources in the blind order
-("init", then the stores) minus those that fail value propagation for
-every coherence order and every input.  A reads-from vector must have some
-such load read "init"; a prefix is dropped as soon as no later load can.
-The sources dropped per load:
+reference.  `check_isolation` searches it directed instead: each
+constraint is decided once, at the stage that first fixes its inputs.
+The window and the loads that may leak are decided on the thread walks,
+before any skeleton is built; the reads-from rule and must-dependency
+cycles in `_rf_vectors`, per source choice; the secret read and branch
+agreement in the goal test, per (reads-from, inputs) pair; the values in
+propagation; then the pair's floor, its coherence classes and the model,
+with no other filter in between.
+
+Only a load that reads "init" and whose address reads a register or is
+the secret's can read the secret.  A thread's labels increase along its
+walk, so its transient events follow its committed ones.  A vector with a
+transient walk as long as the window, or whose walks run no such load,
+gets no skeleton.  For every other vector the search builds the frozen
+events and their `Skeleton` (thread order, `po`, `fence`, `addr`, event
+classes, the register-writer table) once, shared by reference by every
+candidate of the vector, and a table of its register-free load and store
+addresses.  It then chooses reads-from sources depth first over the loads
+in id order, offering each load its sources in the blind order ("init",
+then the stores) minus those that fail value propagation for every
+coherence order and every input.  A reads-from vector must have some such
+load read "init"; a prefix is dropped as soon as no later load can.  The
+sources dropped per load:
 
   * a store that the reads-from rule, `events.rf_rejection`, rejects at
     the register-free addresses: at another address than the load's,
     unless predictive store forwarding is on and it is `po`-before the
-    load (a store-buffer pair); or transient, unless the load is a later
-    transient load of its thread;
+    load with no fence in between (a store-buffer pair); or transient,
+    unless the load is a later transient load of its thread;
   * a source that closes a cycle of must-dependencies.  Since `eval_expr`
     is strict in None, an expression waits for the last writers of the
     registers it reads (a conditional assignment's value for its guard
@@ -42,36 +48,32 @@ The sources dropped per load:
     bitset; a cycle through them stays None at the least fixpoint that
     value propagation computes.
 
-Values do not depend on the coherence order, so whether a candidate reads
-the secret is decided once per (reads-from vector, input vector) pair, by a
-goal test: `events.Evaluator` evaluates on demand only the addresses of
-the loads that read "init" and may read the secret, and only a pair where
-one of them is the secret's address is propagated.  `_pairs` yields, per
-reads-from vector, the pairs that are then value-consistent and read the
-secret.  Crossed with the coherence orders, they are exactly the blind
-product's value-consistent, secret-reading candidates whose skeleton fits
-the window, in the blind order: a subsequence of it.
+Values do not depend on the coherence order, so the goal test runs once
+per (reads-from vector, input vector) pair: `events.Evaluator` evaluates
+on demand the addresses of the loads that read "init" and may read the
+secret, and only if one is the secret's, the values of the skeleton's
+branches.  The walk already followed the chosen outcomes and predictions,
+and ends every transient run before a fence, so the control-flow
+constraints reduce to these values agreeing with the outcomes
+(`speculation._branches_agree`).  Only a pair that passes both is
+propagated, and `_pairs` yields those left value-consistent.  Crossed with
+the coherence orders, they are exactly the blind product's consistent,
+secret-reading candidates whose skeleton fits the window and whose
+branches agree, in the blind order: a subsequence of it.
 
-Nor do the control-flow constraints and the srf-fence check read the
-coherence order: they are decided once per pair.  The model reads the
-order only through `co`, per address (`events.data_rows`), so the orders
-with one per-address projection, a class, share one verdict, and only the
-first order of each class in the blind order is offered.  Where a pair
-has more than one class and the model is monotone
-(`CompiledModel.monotone`), its floor is checked first: the candidate with
-the empty order, whose `co` only puts init before each committed store
-and so lies within every order's.  If it fails, so does every order.  The
-first offered candidate that the model accepts is the witness the blind
-product would give; without one the verdict is Safe, or Unknown if loops
-could not be fully unrolled.  `candidate_consistent` still runs the whole
-filter pipeline on one candidate, to replay a witness.
-
-The skeleton already follows the chosen outcomes and predictions, so the
-control-flow check reduces to one test per branch the walk passed through
-(its value agrees with the chosen outcome), and no fence can be transient:
-`_walk_thread` ends every transient run before one.  Every skeleton the
-search builds fits the window, so `check_window` and `check_fences` run on
-no candidate here.
+The model reads the order only through `co`, per address
+(`events.data_rows`), so the orders with one per-address projection, a
+class, share one verdict, and only the first order of each class in the
+blind order is offered.  Where a pair has more than one class and the
+model is monotone (`CompiledModel.monotone`), its floor is checked first:
+the candidate with the empty order, whose `co` only puts init before each
+committed store and so lies within every order's.  If it fails, so does
+every order.  The first offered candidate that the model accepts is the
+witness the blind product would give; without one the verdict is Safe, or
+Unknown if loops could not be fully unrolled.  `candidate_consistent`
+runs the whole filter pipeline on one candidate, to replay a witness;
+`check_window`, `check_fences` and `catlang.check_srf_fence` run on no
+candidate here.
 
 The model is compiled once per check and bound at the first pair of each
 control vector (`catlang.compile_model`, `CompiledModel.bind`), so every
@@ -113,6 +115,7 @@ from .masm import (
 )
 from .speculation import (
     SpecConfig,
+    _branches_agree,
     check_fences,  # not called here; bench/tracer.py wraps engine.check_fences
     check_speculative_cf,
     check_traditional_cf,
@@ -130,9 +133,9 @@ class Verdict:
 
     `generated` counts the candidates the directed search offered to the
     model before the verdict was reached, not the blind product: the first
-    order of each coherence class of each secret-reading pair that passed
-    the checks before it (see the module docstring).  `filtered` counts
-    those that the model rejected.
+    order of each coherence class of each pair that `_pairs` yields, unless
+    its floor failed (see the module docstring).  `filtered` counts those
+    that the model rejected.
     """
 
     outcome: str  # "safe" | "unsafe" | "unknown"
@@ -346,16 +349,17 @@ def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: int):
 
 def _pairs(skeleton: CandidateExecution, domain_bits: int):
     """Per reads-from vector, in the blind order, the value-consistent
-    (rf, inputs) pairs that read the secret, inputs in the blind order, each
-    as its floor: the candidate with the empty coherence order.  The goal
-    test evaluates the addresses of the vector's `hit` loads, and only a
-    pair where one is the secret's is propagated, on from the goal test's
-    `Evaluator`: a pair it leaves consistent reads the secret."""
+    (rf, inputs) pairs that read the secret and whose branches agree with
+    their outcomes, inputs in the blind order, each as its floor: the
+    candidate with the empty coherence order.  The goal test evaluates the
+    addresses of the vector's `hit` loads, and only a pair where one is the
+    secret's and the branch values agree is propagated, on from the goal
+    test's `Evaluator`: a pair it leaves consistent reads the secret."""
     program = skeleton.program
     secret, mask = program.secret_addr, (1 << domain_bits) - 1
     inputs = sorted(program.input_locations)
     init_vals = _initial_values(program, domain_bits)
-    load_ids = skeleton.structure.loads
+    load_ids, branches = skeleton.structure.loads, skeleton.structure.branches
     input_vectors = [
         dict(zip(inputs, v))
         for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
@@ -373,7 +377,8 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
         for chosen_inputs in input_vectors:
             init = {**init_vals, **chosen_inputs}
             dataflow = Evaluator(probe, init, domain_bits)
-            if all(dataflow.address(load) != secret for load in readers):
+            if (all(dataflow.address(load) != secret for load in readers)
+                    or not _branches_agree(branches, dataflow.value)):
                 continue
             x = copy.copy(probe)
             x.inputs = chosen_inputs
@@ -382,13 +387,6 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
                 passing.append(x)
         if passing:
             yield passing
-
-
-def _control_rejection(x: CandidateExecution, cfg: SpecConfig) -> str | None:
-    """The control-flow constraint a propagated candidate fails, if any."""
-    if cfg.mode == "traditional":
-        return None if check_traditional_cf(x) else "control flow"
-    return None if check_speculative_cf(x, cfg) else "speculative control flow"
 
 
 def candidate_consistent(
@@ -402,12 +400,12 @@ def candidate_consistent(
     """
     if x.valuation is None:
         return False, f"values: {x.inconsistency}"
-    if reason := _control_rejection(x, cfg):
-        return False, reason
+    if cfg.mode == "traditional" and not check_traditional_cf(x):
+        return False, "control flow"
+    if cfg.mode == "speculative" and not check_speculative_cf(x, cfg):
+        return False, "speculative control flow"
     if not check_window(x, cfg.window):
         return False, "speculation window"
-    if cfg.psf and not catlang.check_srf_fence(x):
-        return False, "srf across fence"
     if bound is None:
         bound = catlang.compile_model(model, cfg).bind(x.structure)
     ok, violated = bound.check(x)
@@ -458,8 +456,6 @@ def check_isolation(
                 bound = compiled.bind(skeleton.structure)
             offered = []  # (floor, its stores' addresses, the classes seen, their count)
             for x in passing:
-                if _control_rejection(x, cfg) or (cfg.psf and not catlang.check_srf_fence(x)):
-                    continue
                 at = {s: x.valuation[s][0] for s in stores}
                 classes = math.prod(map(math.factorial, Counter(at.values()).values()))
                 if compiled.monotone and classes > 1 and not bound.check(x)[0]:

@@ -40,11 +40,11 @@ Conventions baked in here:
     distinct from every expressible store value;
   * registers start at 0 and follow program order within a thread;
   * transient stores never enter the coherence order;
-  * which store a load may read is stated once, in `rf_rejection`, for
-    value propagation and the engine's source search alike; under
-    predictive store forwarding the per-load source choice is the
-    speculative reads-from (srf), and a load that reads "init" reads the
-    init event of its own address.
+  * which store a load may read, the psf fence clause included, is stated
+    once, in `rf_rejection`, for value propagation and the engine's source
+    search alike; under predictive store forwarding the per-load source
+    choice is the speculative reads-from (srf), and a load that reads
+    "init" reads the init event of its own address.
 """
 
 from __future__ import annotations
@@ -432,15 +432,12 @@ def build_events(
                 # here or both directions reach the fall-through
                 if pos + 1 < len(walk) and ins.stmt.target != label + 1:
                     branches.append((len(events), branch_outcomes[(tid, label)]))
-            ev = _instruction_event(len(events), tid, ins, cp)
-            events.append(ev)
-            if label in tr_labels:
-                transient_ids.add(ev.id)
-            else:
-                committed_ids.add(ev.id)
-        threads.append(
-            tuple(sorted(range(first, len(events)), key=lambda i: events[i].label))
-        )
+            events.append(_instruction_event(len(events), tid, ins, cp))
+        # the walk's labels increase (`_walk_thread`), so ids are in label order
+        split = first + len(com_labels)
+        committed_ids.update(range(first, split))
+        transient_ids.update(range(split, len(events)))
+        threads.append(tuple(range(first, len(events))))
 
     return CandidateExecution(
         program=program,
@@ -670,14 +667,17 @@ class Evaluator:
 def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_addr):
     """Why `load` may not read `store` in `x` at these addresses (None: not
     known yet), or None if it may.  A load reads a store at its own address,
-    under predictive store forwarding also one `po`-before it (a store-buffer
-    alias); a transient store feeds only later transient loads of its thread."""
+    under predictive store forwarding also one `po`-before it with no fence
+    in between (a store-buffer alias); a transient store feeds only later
+    transient loads of its thread."""
     buffered = x.structure.po[store] >> load & 1
     if None not in (store_addr, load_addr) and store_addr != load_addr:
         if not x.psf:
             return f"reads-from (e{store}, e{load}) joins different addresses"
         if not buffered:
             return f"alias forwarding (e{store}, e{load}) is not a store-buffer pair"
+        if x.structure.fence[store] >> load & 1:
+            return f"alias forwarding (e{store}, e{load}) crosses a fence"
     if store in x.transient and (load not in x.transient or not buffered):
         return f"transient store e{store} can only feed a later transient load of its thread"
     return None

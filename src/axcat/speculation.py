@@ -10,7 +10,9 @@ by `build_events`, with a completed valuation.  The builder walks each
 thread along the chosen outcomes and predictions, so the path constraints
 hold by construction except for the data: the control-flow checks only
 test that each branch the walk passed through has a value that agrees with
-the outcome chosen for it (`Skeleton.branches`).
+the outcome chosen for it (`Skeleton.branches`).  That test,
+`_branches_agree`, takes any value lookup: the engine's goal test runs it
+on values computed on demand, and these checks only replay a witness.
 """
 
 from __future__ import annotations
@@ -36,14 +38,16 @@ class SpecConfig:
             raise ValueError("speculation window must be >= 1")
 
 
-def _branches_agree(x: CandidateExecution) -> bool:
-    return all((x.valuation[eid][1] == 0) == taken for eid, taken in x.structure.branches)
+def _branches_agree(branches, value) -> bool:
+    """Whether each of `branches`, (event id, taken) pairs, has a value
+    (`value(eid)`) that sends it the chosen way: zero when taken."""
+    return all((value(eid) == 0) == taken for eid, taken in branches)
 
 
 def check_traditional_cf(x: CandidateExecution) -> bool:
     """No transient events, and every branch on the walked path takes the
     direction its value dictates."""
-    return not x.transient and _branches_agree(x)
+    return not x.transient and _branches_agree(x.structure.branches, lambda e: x.valuation[e][1])
 
 
 def check_speculative_cf(x: CandidateExecution, cfg: SpecConfig) -> bool:
@@ -52,7 +56,7 @@ def check_speculative_cf(x: CandidateExecution, cfg: SpecConfig) -> bool:
     its transient run the other way."""
     if cfg.mode != "speculative":
         raise ValueError("speculative control flow check needs speculative mode")
-    return _branches_agree(x)
+    return _branches_agree(x.structure.branches, lambda e: x.valuation[e][1])
 
 
 def check_window(x: CandidateExecution, w: int) -> bool:

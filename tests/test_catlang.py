@@ -280,8 +280,15 @@ def test_srf_alias_without_fence_allowed():
 
 
 def test_srf_alias_across_fence_rejected():
+    """The reads-from rule rejects alias forwarding across a fence, so value
+    propagation fails; `check_srf_fence` states the rule on a valuation."""
     x = psf_candidate(idx=1, alias=True, with_fence=True)
-    assert x.valuation is not None
+    assert x.valuation is None
+    store, load = x.stores()[0].id, x.loads()[1].id
+    assert x.inconsistency == f"alias forwarding (e{store}, e{load}) crosses a fence"
+    # set by hand: the addresses of the same events when the load reads init
+    x.valuation = psf_candidate(idx=1, alias=False, with_fence=True).valuation
+    assert x.valuation[store][0] != x.valuation[load][0]
     assert not check_srf_fence(x)
 
 

@@ -156,6 +156,21 @@ def test_model_the_export_cannot_translate_is_a_usage_error(tmp_path, capsys):
     assert "closure operators inside a recursive definition" in capsys.readouterr().err
 
 
+def test_failed_export_prints_no_verdict(tmp_path, capsys):
+    """With --smt on the enumerate engine the export is built before the
+    verdict line is printed, so an export error leaves stdout empty."""
+    model = tmp_path / "recdiff.cat"
+    model.write_text("a = po | (a;po \\ rf^+)\nacyclic a\n")
+    argv = ["--program", corpus_file("pht-01"), "--model", str(model),
+            "--mode", "traditional", "--smt", str(tmp_path / "q.smt2"),
+            "--json", str(tmp_path / "q.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+    assert not (tmp_path / "q.smt2").exists() and not (tmp_path / "q.json").exists()
+
+
 def test_huge_store_buffer_bound_is_fast(capsys):
     # win = [W];po;([W];po)^{<=w'-1};[R] takes O(log w') compositions
     verdicts = []

@@ -23,8 +23,8 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _skeletons, candidate_consistent, violating_load
-from axcat.events import _walk_thread, secret_sentinel
-from axcat.speculation import check_window
+from axcat.events import Evaluator, _walk_thread, secret_sentinel
+from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
 
 # (model, mode, compare only candidates with every prediction correct);
@@ -68,8 +68,13 @@ def reads_secret(x):
 
 
 def blind(program, cfg, k, bits):
-    """The value-consistent blind candidates that read the secret."""
-    return [x for x in enumerate_candidates(program, cfg, k, bits) if reads_secret(x)]
+    """The value-consistent blind candidates that read the secret and whose
+    branch values agree with their outcomes."""
+    return [
+        x for x in enumerate_candidates(program, cfg, k, bits)
+        if reads_secret(x) and (check_traditional_cf(x) if cfg.mode == "traditional"
+                                else check_speculative_cf(x, cfg))
+    ]
 
 
 def predicted_correctly(x):
@@ -190,6 +195,8 @@ _EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
         "1: load r0, B\n2: load r1, A + r0\n3: store B, r1\n",
         # register-free addresses that differ, forwarded only under psf
         "1: store B, 1\n2: load r0, A\n3: store A, r0\n4: load r1, B\n",
+        # ... and never across a fence
+        "1: store B, 1\n2: fence\n3: load r0, A\n4: store A, r0\n5: load r1, B\n",
         # a transient store feeds only later transient loads of its thread
         "1: load r0, in0\n2: beqz r0, 5\n3: store B, 3\n4: load r1, B\n5: load r2, B\n",
         # an undeclared register-free address has no init source
@@ -209,13 +216,17 @@ def test_directed_search_edge_cases(body, mode, psf):
 def test_store_buffer_sources_come_from_po():
     """A store at another register-free address than the load's is offered
     only under predictive store forwarding, and only when it is `po`-before
-    the load: earlier in the load's thread.  A transient store is offered
+    the load, earlier in the load's thread, with no fence in between.  A
+    transient store is offered
     only to a transient load that it is `po`-before, at any psf setting: not
     to a committed load of another thread, nor to a transient load earlier
     in its thread."""
     program = unroll(parse_program(
         _EDGE_LAYOUT + "1: store B, 1\n2: load r0, A\n3: store B, 2\n"
         "thread 1:\n1: store B, 3\n"
+    ), 1)
+    fenced = unroll(parse_program(
+        _EDGE_LAYOUT + "1: store B, 1\n2: fence\n3: load r0, A\n"
     ), 1)
     transient = unroll(parse_program(
         _EDGE_LAYOUT + "1: beqz r0, 5\n2: load r1, B\n3: store B, 3\n4: load r2, B\n"
@@ -231,6 +242,14 @@ def test_store_buffer_sources_come_from_po():
         earlier = skeleton.structure.stores[0]
         offered = engine._sources(skeleton, load, fixed)
         assert offered == (["init", earlier] if psf else ["init"])
+
+        skeleton = next(_skeletons(fenced, SpecConfig(mode="traditional", psf=psf)))
+        fixed = {
+            e.id: engine._fixed_address(e.stmt, fenced.secret_addr, 7)
+            for e in (*skeleton.loads(), *skeleton.stores())
+        }
+        (load,) = skeleton.structure.loads
+        assert engine._sources(skeleton, load, fixed) == ["init"]
 
         # taken but mispredicted: thread 0 runs labels 2-5 transiently
         skeleton = build_events(transient, {(0, 1): True}, {(0, 1): False}, psf=psf)
@@ -359,10 +378,10 @@ def test_corpus_witness_matches_blind_enumeration(program, exp):
 
 
 def test_directed_candidates_share_their_skeleton():
-    # few random programs read the secret: 3000 seeds give about 1200
-    # (rf, inputs) pairs
+    # few random programs read the secret with agreeing branches: 4000
+    # seeds give about 1200 (rf, inputs) pairs
     shared = 0
-    for seed in range(3000):
+    for seed in range(4000):
         rng = random.Random(seed)
         program = parse_program(random_program_source(rng))
         cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
@@ -372,6 +391,26 @@ def test_directed_candidates_share_their_skeleton():
                 assert x.events is skeleton.events
                 shared += 1
     assert shared > 1000
+
+
+def test_only_pairs_with_agreeing_branches_are_propagated(monkeypatch):
+    """The goal test drops a pair whose branch values disagree with their
+    outcomes before value propagation: on the corpus in speculative mode,
+    every candidate that `_pairs` propagates has agreeing branches."""
+    agreement = []  # per branch of each propagated candidate: does it agree
+
+    def record(x, init_vals, bits, **kwargs):
+        values = Evaluator(x, init_vals, bits)
+        agreement.extend((values.value(eid) == 0) == taken for eid, taken in x.structure.branches)
+        return propagate_values(x, init_vals, bits, **kwargs)
+
+    monkeypatch.setattr(engine, "propagate_values", record)
+    for param in corpus_expectations():
+        program, exp = param.values
+        model, cfg, k, bits = corpus_settings(exp)
+        if cfg.mode == "speculative":
+            check_isolation(program, model, cfg, k, bits)
+    assert agreement and all(agreement)
 
 
 def test_corpus_witnesses_rebuild_to_the_same_base_relations():
