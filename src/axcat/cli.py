@@ -86,8 +86,18 @@ def run(spec: RunSpec):
             record.update(
                 outcome=verdict.outcome,
                 candidates=verdict.generated,
+                filtered=verdict.filtered,
                 elapsed_ms=elapsed_ms,
             )
+            if verdict.witness is not None:
+                # its choice vector; JSON keys are text, so a branch's
+                # outcome and prediction are [thread, label, value] triples
+                c = verdict.witness.choices
+                record["witness"] = {
+                    "outcomes": [[*key, v] for key, v in c["outcomes"].items()],
+                    "predictions": [[*key, v] for key, v in c["cp"].items()],
+                    "rf": c["rf"], "co": list(c["co"]), "inputs": c["inputs"],
+                }
             print(
                 f"{verdict.outcome.upper()} program={record['program']} "
                 f"model={model.name} mode={spec.mode} candidates={verdict.generated} "

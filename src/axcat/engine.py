@@ -75,12 +75,12 @@ runs the whole filter pipeline on one candidate, to replay a witness;
 `check_window`, `check_fences` and `catlang.check_srf_fence` run on no
 candidate here.
 
-The model is compiled once per check and bound at the first pair of each
-control vector (`catlang.compile_model`, `CompiledModel.bind`), so every
-definition in it that reads no data relation is evaluated once per
-vector, and a vector without pairs is never bound; each check then only
-builds the data rows the model reads (`events.data_rows`) and runs the
-rest.
+The model is compiled once per (model, cfg) and cached, and bound at the
+first pair of each control vector (`catlang.compile_model`,
+`CompiledModel.bind`), so every definition in it that reads no data
+relation is evaluated once per vector, and a vector without pairs is
+never bound; each check then only builds the data rows the model reads
+(`events.data_rows`) and runs the rest.
 """
 
 from __future__ import annotations
@@ -360,29 +360,31 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
     inputs = sorted(program.input_locations)
     init_vals = _initial_values(program, domain_bits)
     load_ids, branches = skeleton.structure.loads, skeleton.structure.branches
-    input_vectors = [
-        dict(zip(inputs, v))
-        for v in itertools.product(range(1 << domain_bits), repeat=len(inputs))
-    ]
+    input_vectors = list(itertools.product(range(1 << domain_bits), repeat=len(inputs)))
     # the address of every load and store whose address reads no register
     memory = (*skeleton.loads(), *skeleton.stores())
     fixed = {e.id: _fixed_address(e.stmt, secret, mask) for e in memory}
     # the loads that may read the secret when they read init, as a bitset
     may_read = sum(1 << load for load in load_ids if fixed[load] in (None, secret))
     probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
+    # the memo with every init cell filled, and the value cells of the inputs
+    template = Evaluator(probe, init_vals, domain_bits).memo
+    cells = [2 * skeleton.structure.init_by_addr[a] + 1 for a in inputs]
     for rf_vector, hit in _rf_vectors(skeleton, fixed, may_read):
         probe.rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in load_ids if hit >> load & 1]
         passing = []
-        for chosen_inputs in input_vectors:
-            init = {**init_vals, **chosen_inputs}
-            dataflow = Evaluator(probe, init, domain_bits)
+        for values in input_vectors:
+            memo = template[:]
+            for cell, value in zip(cells, values):
+                memo[cell] = value
+            dataflow = Evaluator(probe, None, domain_bits, memo)
             if (all(dataflow.address(load) != secret for load in readers)
                     or not _branches_agree(branches, dataflow.value)):
                 continue
             x = copy.copy(probe)
-            x.inputs = chosen_inputs
-            propagate_values(x, init, domain_bits, dataflow=dataflow)
+            x.inputs = dict(zip(inputs, values))
+            propagate_values(x, {**init_vals, **x.inputs}, domain_bits, dataflow=dataflow)
             if x.valuation is not None:  # a reader reads init at the secret
                 passing.append(x)
         if passing:

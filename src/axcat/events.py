@@ -377,12 +377,16 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     return committed, transient, None
 
 
-def _init_events(program: Program) -> list[Event]:
-    """One init event per declared address, in address order, from id 0."""
-    return [
-        Event(i, SECRET_INIT if a == program.secret_addr else INIT, addr=a)
-        for i, a in enumerate(program.declared_addresses())
-    ]
+def _init_events(program: Program) -> tuple[Event, ...]:
+    """One init event per declared address, in address order, from id 0;
+    built once per program, and shared by every skeleton of it."""
+    derived = program._derived
+    if "init events" not in derived:
+        derived["init events"] = tuple(
+            Event(i, SECRET_INIT if a == program.secret_addr else INIT, addr=a)
+            for i, a in enumerate(program.declared_addresses())
+        )
+    return derived["init events"]
 
 
 def _instruction_event(eid: int, tid: int, ins: Instruction, cp: bool | None = None) -> Event:
@@ -408,8 +412,8 @@ def build_events(
     shares its `events` tuple and its `structure`.  A reached branch without
     an outcome raises `KeyError`.
     """
-    events = _init_events(program)
-    committed_ids = set(e.id for e in events)  # init events count as committed
+    events = list(_init_events(program))
+    committed_ids = set(range(len(events)))  # init events count as committed
     transient_ids: set[int] = set()
     threads = []
     branches = []
@@ -456,7 +460,7 @@ def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
     executed, after the init events (ids in thread, then label order), and
     their skeleton: its relations and classes hold every pair and member
     that some execution can have."""
-    events = _init_events(program)
+    events = list(_init_events(program))
     threads = []
     for tid, instrs in enumerate(program.threads):
         first = len(events)
@@ -565,20 +569,27 @@ class Evaluator:
     to `_NESTED` deep; deeper, it is pushed on an explicit stack and the
     node that needs it is evaluated again once it is, so a long dependency
     chain does not exhaust the interpreter's recursion limit.  `init_vals`
-    must cover every declared address.
+    must cover every declared address, unless `memo` is given: the memo to
+    start from, instead of the one `init_vals` fills.  The engine fills the
+    init cells once per skeleton, in a template, and starts each goal test
+    from a copy with only the input cells rewritten; the init events
+    themselves are built once per program (`_init_events`).
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
                  "mask", "memo", "at", "missing", "depth")
 
-    def __init__(self, x: CandidateExecution, init_vals: dict, bits: int):
+    def __init__(self, x: CandidateExecution, init_vals: dict | None, bits: int,
+                 memo: list | None = None):
         self.events, self.rf_choice = x.events, x.rf_choice
         self.init_by_addr, self.writers = x.structure.init_by_addr, x.structure.writers
         self.secret_addr, self.mask = x.program.secret_addr, (1 << bits) - 1
         # node 2 * eid is the address of event eid, node 2 * eid + 1 its value
-        self.memo = memo = [_UNSET] * (2 * len(x.events))
-        for addr, eid in self.init_by_addr.items():
-            memo[2 * eid], memo[2 * eid + 1] = addr, init_vals[addr]
+        if memo is None:
+            memo = [_UNSET] * (2 * len(x.events))
+            for addr, eid in self.init_by_addr.items():
+                memo[2 * eid], memo[2 * eid + 1] = addr, init_vals[addr]
+        self.memo = memo
         self.at: dict = {}  # the writers of the registers of the node at hand
         self.missing = None  # an input of that node left for the stack
         self.depth = 0  # the nested evaluations under way

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 class ParseError(ValueError):
@@ -46,7 +47,44 @@ class ParseError(ValueError):
 
 
 class Expr:
-    pass
+    @cached_property
+    def _registers(self) -> frozenset[str]:  # once per node: see `expr_registers`
+        if isinstance(self, Reg):
+            return frozenset({self.name})
+        if isinstance(self, Unary):
+            return self.operand._registers
+        if isinstance(self, Binary):
+            return self.left._registers | self.right._registers
+        return frozenset()
+
+    @cached_property
+    def _compiled(self):  # once per node: the closure `eval_expr` calls
+        if isinstance(self, Const):
+            return lambda regs, secret, mask, value=self.value: value & mask
+        if isinstance(self, Secret):
+            return lambda regs, secret, mask: secret & mask
+        if isinstance(self, Reg):
+            return lambda regs, secret, mask, name=self.name: regs.get(name, 0)
+        if isinstance(self, Unary):
+            operand, op = self.operand._compiled, _UN_OPS[self.op]
+
+            def unary(regs, secret, mask):
+                v = operand(regs, secret, mask)
+                return None if v is None else op(v) & mask
+            return unary
+        if not isinstance(self, Binary):
+            raise TypeError(f"not an expression: {self!r}")
+        left, right = self.left._compiled, self.right._compiled
+        op, shift = _BIN_OPS[self.op], self.op == "<<"
+
+        def binary(regs, secret, mask):
+            a, b = left(regs, secret, mask), right(regs, secret, mask)
+            if a is None or b is None:
+                return None
+            if shift:  # a count of the width or more shifts every bit out
+                b = min(b, mask.bit_length())
+            return op(a, b) & mask
+        return binary
 
 
 @dataclass(frozen=True)
@@ -109,36 +147,15 @@ def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
     registers read 0; `regs` is a dict, or the demand-driven evaluator of
     value propagation (`events.Evaluator`), which evaluates a register's
     writer when the register is read.  A value of None means "unresolved"
-    and poisons the result.
+    and poisons the result.  Each node is compiled once into a closure
+    (`Expr._compiled`), which this calls.
     """
-    if isinstance(e, Const):
-        return e.value & mask
-    if isinstance(e, Secret):
-        return secret_addr & mask
-    if isinstance(e, Reg):
-        return regs.get(e.name, 0)
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, regs, secret_addr, mask)
-        return None if v is None else _UN_OPS[e.op](v) & mask
-    if isinstance(e, Binary):
-        a = eval_expr(e.left, regs, secret_addr, mask)
-        b = eval_expr(e.right, regs, secret_addr, mask)
-        if a is None or b is None:
-            return None
-        if e.op == "<<":  # a count of the width or more shifts every bit out
-            b = min(b, mask.bit_length())
-        return _BIN_OPS[e.op](a, b) & mask
-    raise TypeError(f"not an expression: {e!r}")
+    return e._compiled(regs, secret_addr, mask)
 
 
 def expr_registers(e: Expr) -> frozenset[str]:
-    if isinstance(e, Reg):
-        return frozenset({e.name})
-    if isinstance(e, Unary):
-        return expr_registers(e.operand)
-    if isinstance(e, Binary):
-        return expr_registers(e.left) | expr_registers(e.right)
-    return frozenset()
+    """The registers `e` reads, computed once per node and kept on it."""
+    return e._registers
 
 
 def expr_to_text(e: Expr) -> str:
@@ -279,6 +296,13 @@ class Program:
 
     def max_address(self) -> int:
         return max(self.declared_addresses())
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Tables derived from this program alone, filled on first use (the
+        unroll per bound, the init events).  Not a field: `==`, `hash` and
+        `repr` ignore it, and `dataclasses.replace` starts it empty."""
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +711,16 @@ def unroll(program: Program, k: int) -> Program:
 
     Every jump whose (iteration-aware) target would exceed the bound is cut;
     executions reaching a cut edge simply end there, and the result is
-    flagged as a potentially incomplete unrolling.
+    flagged as a potentially incomplete unrolling.  It is computed once per
+    (program, k) and kept on the program, so every query shares it.
     """
     if k < 1:
         raise ValueError("unroll bound must be >= 1")
-    new_threads = []
-    incomplete = program.unroll_incomplete
-    for instrs in program.threads:
-        unrolled, inc = _unroll_thread(instrs, k)
-        new_threads.append(unrolled)
-        incomplete = incomplete or inc
-    return replace(
-        program, threads=tuple(new_threads), unroll_incomplete=incomplete
-    )
+    derived = program._derived
+    if ("unroll", k) not in derived:
+        threads = [_unroll_thread(instrs, k) for instrs in program.threads]
+        derived["unroll", k] = replace(
+            program, threads=tuple(t for t, _ in threads),
+            unroll_incomplete=program.unroll_incomplete or any(inc for _, inc in threads),
+        )
+    return derived["unroll", k]

@@ -8,8 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from axcat import SpecConfig, check_isolation, corpus_dir, load_model, parse_program
+from axcat import (
+    SpecConfig,
+    build_events,
+    check_isolation,
+    corpus_dir,
+    load_model,
+    parse_program,
+    propagate_values,
+    unroll,
+)
 from axcat.cli import RunSpec, main, run, run_corpus
+from axcat.engine import candidate_consistent, violating_load
+from axcat.events import secret_sentinel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,7 +53,26 @@ def test_run_unsafe_exit_code_and_artifacts(tmp_path, capsys):
     blob = json.loads((tmp_path / "v.json").read_text())
     assert blob["outcome"] == "unsafe"
     assert blob["w_prime"] == 2
-    assert {"program", "model", "mode", "k", "w", "candidates", "elapsed_ms"} <= set(blob)
+    assert {"program", "model", "mode", "k", "w", "candidates", "filtered",
+            "elapsed_ms"} <= set(blob)
+    # the witness rebuilt from its choice vector passes the filter pipeline
+    # and reads the secret
+    choices = blob["witness"]
+    program = parse_program(Path(spec.program).read_text())
+    model = load_model("inorder")
+    cfg = SpecConfig(mode="speculative", window=8, buffer=2)
+    x = build_events(unroll(program, spec.k),
+                     {(t, label): taken for t, label, taken in choices["outcomes"]},
+                     {(t, label): ok for t, label, ok in choices["predictions"]})
+    x.rf_choice = {int(load): src for load, src in choices["rf"].items()}
+    x.co_order = tuple(choices["co"])
+    x.inputs = {int(a): v for a, v in choices["inputs"].items()}
+    init = {a: 0 for a in program.declared_addresses()}
+    init[program.secret_addr] = secret_sentinel(spec.bits)
+    propagate_values(x, {**init, **x.inputs}, spec.bits)
+    assert candidate_consistent(x, model, cfg) == (True, None)
+    assert violating_load(x) is not None
+    assert x.choices == check_isolation(program, model, cfg, spec.k, spec.bits).witness.choices
 
 
 def test_run_unknown_exit_code():

@@ -635,3 +635,71 @@ def test_vectors_beyond_the_window_are_not_built(monkeypatch):
     assert built and all(check_window(x, cfg.window) for x in built)
     outcome, _, generated, filtered = blind_verdict(program, _MODELS["inorder"], cfg, 2, 3)
     assert (got[0], got[2], got[3]) == (outcome, generated, filtered)
+
+
+def test_kept_tables_do_not_depend_on_earlier_checks():
+    """A program keeps its unroll and init events, and an expression its
+    register set, across checks.  Checking each parsed corpus program's
+    expectations in file order, then in reverse, with 3 and 4 bits
+    interleaved (so each runs under both; every corpus layout needs 3),
+    gives on every check what a freshly parsed program gives."""
+    checks = []
+    for path in sorted(corpus_dir().glob("*.litmus")):
+        text = path.read_text()
+        program = parse_program(text)
+        checks += [(text, program, exp) for exp in program.expectations]
+    for i, (text, program, exp) in enumerate(checks + checks[::-1]):
+        model, cfg, k, _ = corpus_settings(exp)
+        bits = 3 + i % 2
+        got = verdict(program, model, cfg, k, bits)
+        assert got == verdict(parse_program(text), model, cfg, k, bits), (exp, bits)
+
+
+def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
+    """Every goal test's `Evaluator`, started from a copy of its skeleton's
+    memo template, gives the address and the value of every event that a
+    fresh one over the pair's init values gives: the corpus, and generator
+    seeds 0-199 in both modes."""
+    started = []  # (rf choice, evaluator) per goal test, in `_pairs`' order
+
+    class Recording(Evaluator):
+        def __init__(self, x, init_vals, bits, memo=None):
+            super().__init__(x, init_vals, bits, memo)
+            if memo is not None:
+                started.append((x.rf_choice, self))
+
+    def compare(program, cfg, k, bits):
+        inputs = sorted(program.input_locations)
+        vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
+        init = {a: 0 for a in program.declared_addresses()}
+        init[program.secret_addr] = secret_sentinel(bits)
+        tested = 0
+        for skeleton in _skeletons(unroll(program, k), cfg):
+            started.clear()
+            for _ in _pairs(skeleton, bits):
+                pass
+            assert len(started) % len(vectors) == 0  # every input, per rf vector
+            for i, (rf_choice, dataflow) in enumerate(started):
+                assert rf_choice is started[i - i % len(vectors)][0]
+                x = copy.copy(skeleton)
+                x.rf_choice = rf_choice
+                inputs_at = dict(zip(inputs, vectors[i % len(vectors)]))
+                fresh = Evaluator(x, {**init, **inputs_at}, bits)
+                ids = range(len(x.events))
+                assert ([(dataflow.address(e), dataflow.value(e)) for e in ids]
+                        == [(fresh.address(e), fresh.value(e)) for e in ids])
+            tested += len(started)
+        return tested
+
+    monkeypatch.setattr(engine, "Evaluator", Recording)
+    tested = 0
+    for param in corpus_expectations():
+        program, exp = param.values
+        _, cfg, k, bits = corpus_settings(exp)
+        tested += compare(program, cfg, k, bits)
+    for seed in range(200):
+        program = parse_program(random_program_source(random.Random(seed)))
+        for mode in ("traditional", "speculative"):
+            cfg = SpecConfig(mode=mode, psf=seed % 2 == 1)
+            tested += compare(program, cfg, 1 + seed // 2 % 2, 2)
+    assert tested > 1000

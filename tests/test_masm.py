@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from axcat import masm
+from axcat.events import build_events
 from axcat.masm import (
     Assign,
     Beqz,
@@ -265,6 +268,43 @@ def test_unroll_idempotent_on_loop_free():
     once = unroll(p, 2)
     twice = unroll(once, 2)
     assert once == twice
+
+
+LOOP = """\
+layout X@0 secret@1
+thread 0:
+1: r1 <- r1 + 1
+2: beqz r2, 1
+"""
+
+
+def test_unroll_is_kept_per_program_and_bound():
+    for src, incomplete in ((FIG2, False), (LOOP, True)):
+        p = parse_program(src)
+        assert unroll(p, 1) is unroll(p, 1)
+        with pytest.raises(ValueError, match="unroll bound must be >= 1"):
+            unroll(p, 0)
+        one, two = unroll(p, 1), unroll(p, 2)
+        assert one is not two
+        # each bound's result is the one a fresh program gets
+        assert one == unroll(parse_program(src), 1)
+        assert two == unroll(parse_program(src), 2)
+        assert one.unroll_incomplete == two.unroll_incomplete == incomplete
+    assert len(unroll(p, 2).threads[0]) == 2 * len(unroll(p, 1).threads[0])
+
+
+def test_kept_tables_are_not_part_of_a_program():
+    p, fresh = parse_program(FIG2), parse_program(FIG2)
+    before = (hash(p), repr(p))
+    u = unroll(p, 2)
+    build_events(u, {(0, 3): True}, {(0, 3): True})  # keeps the init events
+    addr = p.threads[0][3].stmt.addr  # A + r1; keeps its register set and closure
+    assert masm.expr_registers(addr) == {"r1"} and masm.eval_expr(addr, {"r1": 1}, 4, 7) == 1
+    assert p == fresh and u == unroll(fresh, 2)
+    assert (hash(p), repr(p)) == before
+    assert p.threads[0][3].stmt == Load("r3", Binary("+", Const(0, "A"), Reg("r1")))
+    copy = replace(p)
+    assert copy == p and unroll(copy, 2) is not u and unroll(copy, 2) == u
 
 
 def test_unroll_indegree_invariant():
