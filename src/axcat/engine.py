@@ -23,11 +23,11 @@ Only a load that reads "init" and whose address reads a register or is
 the secret's can read the secret.  A thread's labels increase along its
 walk, so its transient events follow its committed ones.  A vector with a
 transient walk as long as the window, or whose walks run no such load,
-gets no skeleton.  For every other vector the search builds the frozen
-events and their `Skeleton` (thread order, `po`, `fence`, `addr`, event
-classes, the register-writer table) once, shared by reference by every
-candidate of the vector, and a table of its register-free load and store
-addresses.  It then chooses reads-from sources depth first over the loads
+gets no skeleton.  For every other vector the search builds, from the
+walks it already made, the frozen events and their `Skeleton` (thread
+order, `po`, `fence`, `addr`, event classes, the register-writer table)
+once, shared by reference by every candidate of the vector.  It then
+chooses reads-from sources depth first over the loads
 in id order, offering each load its sources in the blind order ("init",
 then the stores) minus those that fail value propagation for every
 coherence order and every input.  A reads-from vector must have some such
@@ -75,11 +75,17 @@ runs the whole filter pipeline on one candidate, to replay a witness;
 `check_window`, `check_fences` and `catlang.check_srf_fence` run on no
 candidate here.
 
-The model is compiled once per (model, cfg) and cached, and bound at the
-first pair of each control vector (`catlang.compile_model`,
-`CompiledModel.bind`), so every definition in it that reads no data
-relation is evaluated once per vector, and a vector without pairs is
-never bound; each check then only builds the data rows the model reads
+Each table is derived at the widest scope it depends on.  Per (model,
+cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
+kept on it: the unroll per bound (`masm.unroll`), the init events and the
+thread tables (`events._tables`).  Per check, as the domain width decides
+them (`_query`): the register-free load and store addresses, which pick
+the leaky loads and each skeleton's sources, the initial values and the
+input vectors.  Per control vector: the skeleton, its wait table, its
+goal-test memo template, and the model bound at its first pair
+(`CompiledModel.bind`), so every definition that reads no data relation is
+evaluated once per vector and a vector without pairs is never bound; each
+candidate then only builds the data rows the model reads
 (`events.data_rows`) and runs the rest.
 """
 
@@ -190,42 +196,36 @@ def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
 
 
 def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
-    """Every (outcomes, cps) choice of the program, in the blind order.
-    With `leaky`, a set of labels per thread, only the choices under which
-    every thread's transient walk, its one transient run, is shorter than
-    the window and some thread runs one of its labels."""
+    """Every (outcomes, cps, walks) choice of the program, in the blind
+    order, with `walks` each thread's (committed, transient) labels under
+    it.  With `leaky`, a set of labels per thread, only the choices under
+    which every thread's transient walk, its one transient run, is shorter
+    than the window and some thread runs one of its labels."""
     per_thread = [
-        [(o, c, leaky is None or not leaky[tid].isdisjoint(committed + transient))
+        [(o, c, (committed, transient),
+          leaky is None or not leaky[tid].isdisjoint(committed + transient))
          for o, c, committed, transient in _thread_vectors(program, tid, cfg)
          if leaky is None or len(transient) < cfg.window]
         for tid in range(len(program.threads))
     ]
     for combo in itertools.product(*per_thread):
-        if not any(hit for _, _, hit in combo):
+        if not any(hit for _, _, _, hit in combo):
             continue
         outcomes: dict = {}
         cps: dict = {}
-        for o, c, _ in combo:
+        for o, c, _, _ in combo:
             outcomes.update(o)
             cps.update(c)
-        yield outcomes, cps
+        yield outcomes, cps, tuple(walk for _, _, walk, _ in combo)
 
 
 def _skeletons(unrolled: Program, cfg: SpecConfig, leaky=None):
     """The event skeleton of every control vector that `_control_vectors`
-    yields, in the blind order."""
+    yields, in the blind order, built from the walks it made."""
     speculative = cfg.mode == "speculative"
-    for outcomes, cps in _control_vectors(unrolled, cfg, leaky):
-        yield build_events(
-            unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf
-        )
-
-
-def _initial_values(program: Program, domain_bits: int) -> dict:
-    """Non-input locations start at 0, the secret at its sentinel."""
-    init_vals = {a: 0 for a in program.declared_addresses()}
-    init_vals[program.secret_addr] = secret_sentinel(domain_bits)
-    return init_vals
+    for outcomes, cps, walks in _control_vectors(unrolled, cfg, leaky):
+        yield build_events(unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf,
+                           walks=walks)
 
 
 def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits: int):
@@ -233,9 +233,7 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
     propagation already attempted, in deterministic lexicographic order."""
     _check_domain(program, domain_bits)
     unrolled = unroll(program, k)
-    domain = range(1 << domain_bits)
-    inputs = sorted(program.input_locations)
-    init_vals = _initial_values(program, domain_bits)
+    query = _query(unrolled, domain_bits)
 
     for skeleton in _skeletons(unrolled, cfg):
         load_ids = skeleton.structure.loads
@@ -245,23 +243,42 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
 
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
-                for input_vector in itertools.product(domain, repeat=len(inputs)):
+                for input_vector in query.vectors:
                     x = copy.copy(skeleton)
                     x.rf_choice, x.co_order = dict(zip(load_ids, rf_vector)), co_order
-                    x.inputs = dict(zip(inputs, input_vector))
-                    propagate_values(x, {**init_vals, **x.inputs}, domain_bits)
+                    x.inputs = dict(zip(query.inputs, input_vector))
+                    propagate_values(x, {**query.init_vals, **x.inputs}, domain_bits)
                     yield x
+
+
+@dataclass(frozen=True)
+class _Query:
+    """What one check derives once and every skeleton of it reads.  It
+    depends on the domain width, so it lives only as long as the check."""
+
+    bits: int
+    inputs: list  # the input addresses, ascending
+    vectors: list  # every input vector, in the blind order
+    init_vals: dict  # non-input locations start at 0, the secret at its sentinel
+    fixed: list  # per thread: load or store label -> its register-free address, or None
+
+
+def _query(unrolled: Program, bits: int) -> _Query:
+    secret, mask = unrolled.secret_addr, (1 << bits) - 1
+    inputs = sorted(unrolled.input_locations)
+    init_vals = dict.fromkeys(unrolled.declared_addresses(), 0)
+    init_vals[secret] = secret_sentinel(bits)
+    fixed = [
+        {ins.label: None if expr_registers(a) else eval_expr(a, {}, secret, mask)
+         for ins in instrs if isinstance(ins.stmt, (Load, Store)) for a in [ins.stmt.addr]}
+        for instrs in unrolled.threads
+    ]
+    vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
+    return _Query(bits, inputs, vectors, init_vals, fixed)
 
 
 # ---------------------------------------------------------------------------
 # Directed search
-
-def _fixed_address(s: Load | Store, secret_addr: int, mask: int) -> int | None:
-    """The address of a load or store whose address reads no register."""
-    if expr_registers(s.addr):
-        return None
-    return eval_expr(s.addr, {}, secret_addr, mask)
-
 
 def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
     """The load's rf sources in the blind order: "init", then the stores
@@ -347,7 +364,7 @@ def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: int):
             depth += 1
 
 
-def _pairs(skeleton: CandidateExecution, domain_bits: int):
+def _pairs(skeleton: CandidateExecution, query: _Query):
     """Per reads-from vector, in the blind order, the value-consistent
     (rf, inputs) pairs that read the secret and whose branches agree with
     their outcomes, inputs in the blind order, each as its floor: the
@@ -355,26 +372,23 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
     addresses of the vector's `hit` loads, and only a pair where one is the
     secret's and the branch values agree is propagated, on from the goal
     test's `Evaluator`: a pair it leaves consistent reads the secret."""
-    program = skeleton.program
-    secret, mask = program.secret_addr, (1 << domain_bits) - 1
-    inputs = sorted(program.input_locations)
-    init_vals = _initial_values(program, domain_bits)
-    load_ids, branches = skeleton.structure.loads, skeleton.structure.branches
-    input_vectors = list(itertools.product(range(1 << domain_bits), repeat=len(inputs)))
+    secret, domain_bits, inputs = skeleton.program.secret_addr, query.bits, query.inputs
+    events, load_ids = skeleton.events, skeleton.structure.loads
+    branches = skeleton.structure.branches
     # the address of every load and store whose address reads no register
-    memory = (*skeleton.loads(), *skeleton.stores())
-    fixed = {e.id: _fixed_address(e.stmt, secret, mask) for e in memory}
+    fixed = {eid: query.fixed[events[eid].thread][events[eid].label]
+             for eid in (*load_ids, *skeleton.structure.stores)}
     # the loads that may read the secret when they read init, as a bitset
     may_read = sum(1 << load for load in load_ids if fixed[load] in (None, secret))
     probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
     # the memo with every init cell filled, and the value cells of the inputs
-    template = Evaluator(probe, init_vals, domain_bits).memo
+    template = Evaluator(probe, query.init_vals, domain_bits).memo
     cells = [2 * skeleton.structure.init_by_addr[a] + 1 for a in inputs]
     for rf_vector, hit in _rf_vectors(skeleton, fixed, may_read):
         probe.rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in load_ids if hit >> load & 1]
         passing = []
-        for values in input_vectors:
+        for values in query.vectors:
             memo = template[:]
             for cell, value in zip(cells, values):
                 memo[cell] = value
@@ -384,7 +398,7 @@ def _pairs(skeleton: CandidateExecution, domain_bits: int):
                 continue
             x = copy.copy(probe)
             x.inputs = dict(zip(inputs, values))
-            propagate_values(x, {**init_vals, **x.inputs}, domain_bits, dataflow=dataflow)
+            propagate_values(x, {**query.init_vals, **x.inputs}, domain_bits, dataflow=dataflow)
             if x.valuation is not None:  # a reader reads init at the secret
                 passing.append(x)
         if passing:
@@ -439,21 +453,20 @@ def check_isolation(
     _check_query(program, model, cfg, k, domain_bits)
     compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
-    secret, mask = program.secret_addr, (1 << domain_bits) - 1
+    query = _query(unrolled, domain_bits)
     # per thread, the labels of its loads that may read the secret: a
     # control vector that runs none of them, or whose skeleton would not fit
     # the window, has no candidate, and `_skeletons` does not build it
     leaky = [
         {ins.label for ins in instrs
-         if isinstance(ins.stmt, Load)
-         and _fixed_address(ins.stmt, secret, mask) in (None, secret)}
-        for instrs in unrolled.threads
+         if isinstance(ins.stmt, Load) and fixed[ins.label] in (None, unrolled.secret_addr)}
+        for instrs, fixed in zip(unrolled.threads, query.fixed)
     ]
     generated = filtered = 0
     for skeleton in _skeletons(unrolled, cfg, leaky):
         bound = None  # bound at the vector's first pair
         stores = tuple(s for s in skeleton.structure.stores if s in skeleton.committed)
-        for passing in _pairs(skeleton, domain_bits):
+        for passing in _pairs(skeleton, query):
             if bound is None:
                 bound = compiled.bind(skeleton.structure)
             offered = []  # (floor, its stores' addresses, the classes seen, their count)

@@ -9,21 +9,27 @@ fixes the events and a `Skeleton`: each thread's events in program order,
 the ids of the loads, stores, instruction events and init events, the
 `po`, `fence` and `addr` relations, the event classes, the branch
 outcomes the candidate's values must confirm, and the register-writer
-table (for each event, the last writer of each register).  `build_events`
-computes the events (frozen, in a tuple) and the skeleton once per control
-vector, and every candidate of the vector shares both by reference: a
-candidate is the skeleton plus its choices (`rf_choice`, `co_order`,
-`inputs`) plus the valuation that `propagate_values` derives from them,
-the one place that holds an instruction event's address and value.  The
-valuation is the least fixpoint of the candidate's dataflow, which
-`Evaluator` computes on demand over the writer table; evaluating only some
-addresses with it is how the search decides cheaply whether a candidate
-can read the secret at all.  `static_skeleton` builds the same events and
-skeleton for every instruction instance of a program at once, as if all
-executed; the solver export reads its events, `po`, `fence`, `addr` and
-classes from it.  Whether a candidate represents a behavior the hardware
-model allows is decided elsewhere; this module only builds candidates and
-computes the relations and the valuation they induce.
+table (for each event, the last writer of each register).
+
+What depends on the program alone is built once per (unrolled) program and
+kept on it (`_tables`): the init events, shared by every skeleton, and per
+thread its label table and static address dependencies.  What depends on
+the control vector is built once per vector: `build_events` makes the
+events (frozen, in a tuple) and the skeleton in one pass over each
+thread's walk, which the engine hands it from its own search, and every
+candidate of the vector shares both by reference.  A candidate is the
+skeleton plus its choices (`rf_choice`, `co_order`, `inputs`) plus the
+valuation that `propagate_values` derives from them, the one place that
+holds an instruction event's address and value.  The valuation is the
+least fixpoint of the candidate's dataflow, which `Evaluator` computes on
+demand over the writer table; evaluating only some addresses with it is
+how the search decides cheaply whether a candidate can read the secret at
+all.  `static_skeleton` runs the same builder on every instruction of a
+program at once, as if all executed; the solver export reads its events,
+`po`, `fence`, `addr` and classes from it.  Whether a candidate represents
+a behavior the hardware model allows is decided elsewhere; this module
+only builds candidates and computes the relations and the valuation they
+induce.
 
 Relations are bitset rows: a relation over the events 0..n-1 is n ints,
 and bit j of row i is the pair (i, j).  The skeleton holds `po`, `fence`
@@ -319,10 +325,45 @@ class CandidateExecution:
 # Building the event skeleton
 
 
-def _fall_label(ins: Instruction, labels: frozenset) -> int | None:
+def _fall_label(ins: Instruction, steps: dict) -> int | None:
     if isinstance(ins.stmt, Jmp) or not ins.falls_through:
         return None
-    return ins.label + 1 if ins.label + 1 in labels else None
+    return ins.label + 1 if ins.label + 1 in steps else None
+
+
+def _tables(program: Program) -> tuple:
+    """What every skeleton of the loop-free `program` takes from the program
+    alone, built once and kept in `program._derived`: (init events, their
+    `init_by_addr`, their ids, steps).  The init events are one per declared
+    address, in address order, from id 0; their ids are the init members of
+    the classes E, M and W.  `steps` holds per thread, label ->
+    (instruction, event kind, register written, iteration, feeds), where
+    `feeds` are the labels of the earlier loads whose register the address
+    of this load or store reads with no textual rewrite of it in between:
+    the static address dependencies, kept by their later label so that one
+    forward pass sets each executed pair of `addr` at its second event."""
+    derived = program._derived
+    if "skeleton tables" not in derived:
+        init = tuple(Event(i, SECRET_INIT if a == program.secret_addr else INIT, addr=a)
+                     for i, a in enumerate(program.declared_addresses()))
+        steps = []
+        for instrs in program.threads:
+            steps.append({})
+            loaded: dict[str, int] = {}  # register -> the load that wrote it, if nothing since
+            for ins in instrs:
+                s, reg = ins.stmt, stmt_target_reg(ins.stmt)
+                feeds = ()
+                if isinstance(s, (Load, Store)):
+                    feeds = tuple(loaded[r] for r in expr_registers(s.addr) if r in loaded)
+                if isinstance(s, Load):
+                    loaded[reg] = ins.label
+                elif reg is not None:
+                    loaded.pop(reg, None)
+                it = ins.provenance[1] if ins.provenance else 1
+                steps[-1][ins.label] = (ins, KIND_BY_STMT[type(s)], reg, it, feeds)
+        derived["skeleton tables"] = (init, MappingProxyType({e.addr: e.id for e in init}),
+                                      frozenset(range(len(init))), tuple(steps))
+    return derived["skeleton tables"]
 
 
 def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
@@ -343,14 +384,11 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     """
     committed: list[int] = []
     transient: list[int] = []
-    if not program.threads[tid]:
-        return committed, transient, None
-    instrs = {i.label: i for i in program.threads[tid]}
-    labels = frozenset(instrs)
+    steps = _tables(program)[3][tid]
     walk = committed
-    label: int | None = program.threads[tid][0].label
+    label = next(iter(steps), None)
     while label is not None:
-        ins = instrs[label]
+        ins = steps[label][0]
         s = ins.stmt
         if isinstance(s, Fence) and walk is transient:
             break  # fences stall speculation and never execute transiently
@@ -366,32 +404,15 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
                 walk = transient
             # a misprediction runs the direction opposite to the outcome
             taken = outcomes[key] == predicted
-            label = s.target if taken else _fall_label(ins, labels)
+            label = s.target if taken else _fall_label(ins, steps)
         elif isinstance(s, Jmp):
             label = s.target
         else:
-            label = _fall_label(ins, labels)
+            label = _fall_label(ins, steps)
         if label is not None and label <= ins.label:
             raise ValueError(f"thread {tid} jumps back from label {ins.label} "
                              f"to {label}: unroll it first")
     return committed, transient, None
-
-
-def _init_events(program: Program) -> tuple[Event, ...]:
-    """One init event per declared address, in address order, from id 0;
-    built once per program, and shared by every skeleton of it."""
-    derived = program._derived
-    if "init events" not in derived:
-        derived["init events"] = tuple(
-            Event(i, SECRET_INIT if a == program.secret_addr else INIT, addr=a)
-            for i, a in enumerate(program.declared_addresses())
-        )
-    return derived["init events"]
-
-
-def _instruction_event(eid: int, tid: int, ins: Instruction, cp: bool | None = None) -> Event:
-    it = ins.provenance[1] if ins.provenance else 1
-    return Event(eid, KIND_BY_STMT[type(ins.stmt)], (ins.label, it, tid), ins.stmt, cp=cp)
 
 
 def build_events(
@@ -400,6 +421,7 @@ def build_events(
     cp_assign: dict,
     speculative: bool = True,
     psf: bool = False,
+    walks: tuple | None = None,
 ) -> CandidateExecution:
     """Materialize the event skeleton for one choice of branch outcomes and
     prediction correctness.
@@ -410,129 +432,95 @@ def build_events(
     The committed/transient partition and the `Skeleton` are fully
     determined by these choices.  Every candidate built from the result
     shares its `events` tuple and its `structure`.  A reached branch without
-    an outcome raises `KeyError`.
+    an outcome raises `KeyError`.  `walks`, when given, is each thread's
+    committed and transient labels under these choices, as `_walk_thread`
+    gives them; the threads are then not walked again.
     """
-    events = list(_init_events(program))
-    committed_ids = set(range(len(events)))  # init events count as committed
-    transient_ids: set[int] = set()
-    threads = []
-    branches = []
-
-    for tid in range(len(program.threads)):
-        com_labels, tr_labels, missing = _walk_thread(
-            program, tid, branch_outcomes, cp_assign, speculative
-        )
-        if missing is not None:
-            raise KeyError(missing)
-        instrs = {i.label: i for i in program.threads[tid]}
-        first = len(events)
-        walk = com_labels + tr_labels
-        for pos, label in enumerate(walk):
-            ins = instrs[label]
-            cp = None
-            if isinstance(ins.stmt, Beqz):
-                cp = not speculative or cp_assign.get((tid, label), True)
-                # its outcome decides the next event, unless the walk ends
-                # here or both directions reach the fall-through
-                if pos + 1 < len(walk) and ins.stmt.target != label + 1:
-                    branches.append((len(events), branch_outcomes[(tid, label)]))
-            events.append(_instruction_event(len(events), tid, ins, cp))
-        # the walk's labels increase (`_walk_thread`), so ids are in label order
-        split = first + len(com_labels)
-        committed_ids.update(range(first, split))
-        transient_ids.update(range(split, len(events)))
-        threads.append(tuple(range(first, len(events))))
-
-    return CandidateExecution(
-        program=program,
-        events=tuple(events),
-        committed=frozenset(committed_ids),
-        transient=frozenset(transient_ids),
-        structure=_skeleton(
-            program, events, tuple(threads), tuple(branches), branch_outcomes, cp_assign
-        ),
-        psf=psf,
-    )
+    if walks is None:
+        walks = [_walk_thread(program, tid, branch_outcomes, cp_assign, speculative)
+                 for tid in range(len(program.threads))]
+        for _, _, missing in walks:
+            if missing is not None:
+                raise KeyError(missing)
+        walks = [(committed, transient) for committed, transient, _ in walks]
+    return _build(program, walks, branch_outcomes, cp_assign, speculative, psf)
 
 
 def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
     """The events of every instruction of the loop-free `program` as if all
     executed, after the init events (ids in thread, then label order), and
     their skeleton: its relations and classes hold every pair and member
-    that some execution can have."""
-    events = list(_init_events(program))
-    threads = []
-    for tid, instrs in enumerate(program.threads):
-        first = len(events)
-        events.extend(_instruction_event(first + i, tid, ins) for i, ins in enumerate(instrs))
-        threads.append(tuple(range(first, len(events))))
-    return tuple(events), _skeleton(program, events, tuple(threads), (), {}, {})
+    that some execution can have.  No branch has an outcome: none is in
+    `branches`, and no event has a prediction."""
+    walks = [(tuple(steps), ()) for steps in _tables(program)[3]]
+    x = _build(program, walks, {}, {}, True, False)
+    return x.events, x.structure
 
 
-def _skeleton(
-    program: Program, events: list[Event], threads: tuple, branches: tuple,
-    outcomes: dict, predictions: dict,
-) -> Skeleton:
-    n = len(events)
+def _build(program: Program, walks, outcomes: dict, predictions: dict,
+           speculative: bool, psf: bool) -> CandidateExecution:
+    """The candidate with no data chosen whose threads run `walks`, per
+    thread its committed labels, then its transient labels: one pass per
+    thread over its walk, the labels increasing, fills the events and every
+    table of their skeleton.  A branch without an outcome decides nothing."""
+    init, init_by_addr, init_ids, thread_steps = _tables(program)
+    events = list(init)
+    n = len(events) + sum(len(c) + len(t) for c, t in walks)
     po, fence, addr = [0] * n, [0] * n, [0] * n
     writers: list = [{}] * n
-    for tid, ids in enumerate(threads):
+    loads, stores, threads, branches = [], [], [], []
+    committed, transient = [init_ids], []
+    for tid, (com, tr) in enumerate(walks):
+        steps = thread_steps[tid]
+        first = len(events)
+        split, end = first + len(com), first + len(com) + len(tr)
+        tail = 1 << end  # po[i], the events after i, is tail - (2 << i)
         # the register-writer table as each event sees it; a write copies
         # it, so the events between two writes share one
         last: dict[str, int] = {}
-        for i in ids:
-            writers[i] = last
-            reg = stmt_target_reg(events[i].stmt)
+        at: dict[int, int] = {}  # label -> id of the thread's loads so far
+        unfenced = first  # the events from here on have no fence after them yet
+        for eid, label in enumerate((*com, *tr), first):
+            ins, kind, reg, it, feeds = steps[label]
+            cp = None
+            if kind == "cond-jump" and (key := (tid, label)) in outcomes:
+                cp = not speculative or predictions.get(key, True)
+                # its outcome decides the next event, unless the walk ends
+                # here or both directions reach the fall-through
+                if eid + 1 < end and ins.stmt.target != label + 1:
+                    branches.append((eid, outcomes[key]))
+            events.append(Event(eid, kind, (label, it, tid), ins.stmt, cp=cp))
+            writers[eid] = last
             if reg is not None:
-                last = {**last, reg: i}
+                last = {**last, reg: eid}
+            po[eid] = tail - (2 << eid)
+            if kind == "fence":
+                fence[unfenced:eid] = [po[eid]] * (eid - unfenced)
+                unfenced = eid
+            elif kind == "load":
+                loads.append(eid)
+                at[label] = eid
+            elif kind == "store":
+                stores.append(eid)
+            for load in feeds:
+                if load in at:
+                    addr[at[load]] |= 1 << eid
+        committed.append(range(first, split))
+        transient.append(range(split, end))
+        threads.append(tuple(range(first, end)))
 
-        # po and fence in one backward pass: `later` holds the events after
-        # the one at hand, `fenced` those after a fence that follows it
-        later = fenced = 0
-        for i in reversed(ids):
-            po[i], fence[i] = later, fenced
-            if events[i].kind == "fence":
-                fenced = later
-            later |= 1 << i
-
-        # Address dependency: a load feeds the address of a later memory
-        # access through a register that no instruction in between
-        # (textually) rewrites; each load scans up to the first rewrite.
-        text = program.threads[tid]
-        at = {events[i].label: i for i in ids}
-        for pos, ins in enumerate(text):
-            load = at.get(ins.label)
-            if load is None or events[load].kind != "load":
-                continue
-            reg = ins.stmt.reg
-            for nxt in text[pos + 1:]:
-                b = at.get(nxt.label)
-                if (b is not None and events[b].kind in ("load", "store")
-                        and reg in expr_registers(nxt.stmt.addr)):
-                    addr[load] |= 1 << b
-                if stmt_target_reg(nxt.stmt) == reg:
-                    break
-
-    return Skeleton(
-        threads=threads,
-        branches=branches,
-        instructions=tuple(e.id for e in events if not e.is_init()),
-        loads=tuple(e.id for e in events if e.kind == "load"),
-        stores=tuple(e.id for e in events if e.kind == "store"),
-        init_by_addr=MappingProxyType({e.addr: e.id for e in events if e.is_init()}),
-        po=tuple(po),
-        fence=tuple(fence),
-        addr=tuple(addr),
-        sets=MappingProxyType({
-            "E": frozenset(e.id for e in events),
-            "M": frozenset(e.id for e in events if e.kind in MEMORY_KINDS),
-            "W": frozenset(e.id for e in events if e.kind in WRITE_KINDS),
-            "R": frozenset(e.id for e in events if e.kind == "load"),
-        }),
+    structure = Skeleton(
+        threads=tuple(threads), branches=tuple(branches),
+        instructions=tuple(range(len(init), n)), loads=tuple(loads), stores=tuple(stores),
+        init_by_addr=init_by_addr, po=tuple(po), fence=tuple(fence), addr=tuple(addr),
+        sets=MappingProxyType({"E": frozenset(range(n)), "M": init_ids.union(loads, stores),
+                               "W": init_ids.union(stores), "R": frozenset(loads)}),
         outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
         predictions=MappingProxyType(dict(sorted(predictions.items()))),
         writers=tuple(writers),
     )
+    return CandidateExecution(program, tuple(events), frozenset().union(*committed),
+                              frozenset().union(*transient), structure, psf)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +560,7 @@ class Evaluator:
     must cover every declared address, unless `memo` is given: the memo to
     start from, instead of the one `init_vals` fills.  The engine fills the
     init cells once per skeleton, in a template, and starts each goal test
-    from a copy with only the input cells rewritten; the init events
-    themselves are built once per program (`_init_events`).
+    from a copy with only the input cells rewritten.
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",

@@ -1,13 +1,16 @@
 """The directed reads-from search against the blind enumeration."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 
 from axcat import (
+    Program,
     SpecConfig,
     base_relations,
     build_events,
@@ -22,7 +25,7 @@ from axcat import (
 )
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
-from axcat.engine import _pairs, _skeletons, candidate_consistent, violating_load
+from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
 from axcat.events import Evaluator, _walk_thread, secret_sentinel
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
@@ -54,10 +57,12 @@ def with_order(x, order):
 def directed(program, cfg, k, bits):
     """The directed search's (rf, inputs) pairs crossed with every coherence
     order, in the blind order."""
+    unrolled = unroll(program, k)
+    query = _query(unrolled, bits)
     return [
         with_order(x, order)
-        for skeleton in _skeletons(unroll(program, k), cfg)
-        for passing in _pairs(skeleton, bits)
+        for skeleton in _skeletons(unrolled, cfg)
+        for passing in _pairs(skeleton, query)
         for order in itertools.permutations(committed_stores(skeleton))
         for x in passing
     ]
@@ -182,6 +187,12 @@ def test_directed_search_with_a_secret_probe(base):
     assert not mismatches, mismatches
 
 
+def fixed_addresses(skeleton):
+    """Load or store id -> its register-free address at 3 bits, or None."""
+    fixed = _query(skeleton.program, 3).fixed
+    return {e.id: fixed[e.thread][e.label] for e in (*skeleton.loads(), *skeleton.stores())}
+
+
 _EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
 
 
@@ -234,29 +245,20 @@ def test_store_buffer_sources_come_from_po():
     ), 1)
     for psf in (False, True):
         skeleton = next(_skeletons(program, SpecConfig(mode="traditional", psf=psf)))
-        fixed = {
-            e.id: engine._fixed_address(e.stmt, program.secret_addr, 7)
-            for e in (*skeleton.loads(), *skeleton.stores())
-        }
+        fixed = fixed_addresses(skeleton)
         (load,) = skeleton.structure.loads
         earlier = skeleton.structure.stores[0]
         offered = engine._sources(skeleton, load, fixed)
         assert offered == (["init", earlier] if psf else ["init"])
 
         skeleton = next(_skeletons(fenced, SpecConfig(mode="traditional", psf=psf)))
-        fixed = {
-            e.id: engine._fixed_address(e.stmt, fenced.secret_addr, 7)
-            for e in (*skeleton.loads(), *skeleton.stores())
-        }
+        fixed = fixed_addresses(skeleton)
         (load,) = skeleton.structure.loads
         assert engine._sources(skeleton, load, fixed) == ["init"]
 
         # taken but mispredicted: thread 0 runs labels 2-5 transiently
         skeleton = build_events(transient, {(0, 1): True}, {(0, 1): False}, psf=psf)
-        fixed = {
-            e.id: engine._fixed_address(e.stmt, transient.secret_addr, 7)
-            for e in (*skeleton.loads(), *skeleton.stores())
-        }
+        fixed = fixed_addresses(skeleton)
         (store,) = skeleton.structure.stores
         before, after, other = skeleton.structure.loads
         assert store in skeleton.transient and other in skeleton.committed
@@ -273,10 +275,7 @@ def rf_vectors(src):
     vector is dropped for want of a load that reads it."""
     program = parse_program(src + f"thread {src.count('thread ')}:\n1: load r9, p\n")
     skeleton = build_events(program, {}, {})
-    fixed = {
-        e.id: engine._fixed_address(e.stmt, program.secret_addr, 7)
-        for e in (*skeleton.loads(), *skeleton.stores())
-    }
+    fixed = fixed_addresses(skeleton)
     may_read = sum(1 << load for load in skeleton.structure.loads)
     return skeleton.structure, list(engine._rf_vectors(skeleton, fixed, may_read))
 
@@ -385,8 +384,10 @@ def test_directed_candidates_share_their_skeleton():
         rng = random.Random(seed)
         program = parse_program(random_program_source(rng))
         cfg = SpecConfig(mode=rng.choice(("traditional", "speculative")))
-        for skeleton in _skeletons(unroll(program, 1 + seed % 2), cfg):
-            for x in (x for passing in _pairs(skeleton, 2) for x in passing):
+        unrolled = unroll(program, 1 + seed % 2)
+        query = _query(unrolled, 2)
+        for skeleton in _skeletons(unrolled, cfg):
+            for x in (x for passing in _pairs(skeleton, query) for x in passing):
                 assert x.structure is skeleton.structure
                 assert x.events is skeleton.events
                 shared += 1
@@ -504,9 +505,10 @@ def test_a_failing_floor_fails_every_coherence_order(mode):
         cfg = SpecConfig(mode=mode, psf="srf" in model.base_names())
         compiled = compile_model(model, cfg)
         assert compiled.monotone
+        query = _query(program, 2)
         for skeleton in _skeletons(program, cfg):
             bound = compiled.bind(skeleton.structure)
-            for x in (x for passing in _pairs(skeleton, 2) for x in passing):
+            for x in (x for passing in _pairs(skeleton, query) for x in passing):
                 if bound.check(x)[0]:
                     continue
                 failing += len(projection(x, ())) < len(committed_stores(x))
@@ -590,7 +592,7 @@ def window_mismatches(program, k):
     unrolled = unroll(program, k)
     for mode in ("traditional", "speculative"):
         speculative = mode == "speculative"
-        for outcomes, cps in engine._control_vectors(unrolled, SpecConfig(mode=mode)):
+        for outcomes, cps, _ in engine._control_vectors(unrolled, SpecConfig(mode=mode)):
             x = build_events(unrolled, outcomes, cps, speculative=speculative)
             runs = [
                 len(_walk_thread(unrolled, tid, outcomes, cps, speculative)[1])
@@ -638,21 +640,74 @@ def test_vectors_beyond_the_window_are_not_built(monkeypatch):
 
 
 def test_kept_tables_do_not_depend_on_earlier_checks():
-    """A program keeps its unroll and init events, and an expression its
-    register set, across checks.  Checking each parsed corpus program's
-    expectations in file order, then in reverse, with 3 and 4 bits
-    interleaved (so each runs under both; every corpus layout needs 3),
-    gives on every check what a freshly parsed program gives."""
+    """A program keeps its unroll, init events and thread tables, and an
+    expression its register set, across checks.  Checking each parsed
+    corpus program's expectations in file order, then in reverse, with 3
+    and 4 bits and both modes interleaved (each runs under both bits and
+    both modes; every corpus layout needs 3 bits), gives on every check what
+    a freshly parsed program gives."""
     checks = []
     for path in sorted(corpus_dir().glob("*.litmus")):
         text = path.read_text()
         program = parse_program(text)
-        checks += [(text, program, exp) for exp in program.expectations]
-    for i, (text, program, exp) in enumerate(checks + checks[::-1]):
+        checks += [(text, program, exp, 3 + len(checks) % 2) for exp in program.expectations]
+    checks += [(text, program, exp, 7 - bits) for text, program, exp, bits in checks[::-1]]
+    for text, program, exp, bits in checks:
         model, cfg, k, _ = corpus_settings(exp)
-        bits = 3 + i % 2
+        cfg = dataclasses.replace(cfg, mode=("speculative", "traditional")[bits - 3])
         got = verdict(program, model, cfg, k, bits)
-        assert got == verdict(parse_program(text), model, cfg, k, bits), (exp, bits)
+        assert got == verdict(parse_program(text), model, cfg, k, bits), (exp, cfg, bits)
+
+
+def branch_family(b):
+    """b copies of a fenced bounds-check gadget in one thread, each branch
+    jumping to the next copy."""
+    copies = "".join(
+        f"{6 * i + 1}: load r1, idx\n{6 * i + 2}: r2 <- r1 < 4\n"
+        f"{6 * i + 3}: beqz r2, {6 * i + 7}\n{6 * i + 4}: fence\n"
+        f"{6 * i + 5}: load r3, A + r1\n{6 * i + 6}: load r4, B + r3\n"
+        for i in range(b)
+    )
+    return (f"layout A[4]@0 secret@4 input idx@5 B[1]@6\nthread 0:\n{copies}"
+            f"{6 * b + 1}: skip\n")
+
+
+def kept(obj) -> int:
+    """The entries of the tables `obj` holds, counted through every
+    container, record and kept program."""
+    if isinstance(obj, Program):
+        return kept(obj._derived)
+    if isinstance(obj, (dict, MappingProxyType)):
+        return len(obj) + sum(kept(key) + kept(value) for key, value in obj.items())
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return len(obj) + sum(map(kept, obj))
+    if dataclasses.is_dataclass(obj):
+        return sum(kept(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return 0
+
+
+def test_kept_tables_stay_bounded():
+    """What a program keeps depends on it alone: after a check of the
+    fenced branch family at b=6, checks under the other mode, at w=2 and
+    with 4 bits neither add a table nor grow one, and a freshly parsed
+    copy keeps as much after its first check under any of them."""
+    source, model = branch_family(6), _MODELS["inorder"]
+
+    def tables(program):
+        return {key: kept(table) for key, table in program._derived.items()}
+
+    program = parse_program(source)
+    check_isolation(program, model, SpecConfig(mode="speculative", window=8), 2, 3)
+    first = tables(program)
+    assert set(first) == {("unroll", 2)} and first["unroll", 2] > 100
+    for cfg, bits in ((SpecConfig(mode="traditional", window=8), 3),
+                      (SpecConfig(mode="speculative", window=2), 3),
+                      (SpecConfig(mode="speculative", window=8), 4)):
+        assert check_isolation(program, model, cfg, 2, bits).outcome == "safe"
+        assert tables(program) == first
+        fresh = parse_program(source)
+        check_isolation(fresh, model, cfg, 2, bits)
+        assert tables(fresh) == first
 
 
 def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
@@ -674,9 +729,11 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
         init = {a: 0 for a in program.declared_addresses()}
         init[program.secret_addr] = secret_sentinel(bits)
         tested = 0
-        for skeleton in _skeletons(unroll(program, k), cfg):
+        unrolled = unroll(program, k)
+        query = _query(unrolled, bits)
+        for skeleton in _skeletons(unrolled, cfg):
             started.clear()
-            for _ in _pairs(skeleton, bits):
+            for _ in _pairs(skeleton, query):
                 pass
             assert len(started) % len(vectors) == 0  # every input, per rf vector
             for i, (rf_choice, dataflow) in enumerate(started):

@@ -14,7 +14,14 @@ CHANGES.md which output changed and why.
 import hashlib
 import random
 
-from axcat import SpecConfig, check_isolation, corpus_dir, emit_witness_dot, load_model, parse_program
+from axcat import (
+    SpecConfig,
+    check_isolation,
+    corpus_dir,
+    emit_witness_dot,
+    load_model,
+    parse_program,
+)
 from generator import random_program_source
 from test_directed import ROTATION, corpus_settings
 

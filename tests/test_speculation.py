@@ -116,7 +116,7 @@ def test_speculative_rejects_transients_without_misprediction():
     built = 0
     for seed in range(300):
         program = unroll(parse_program(random_program_source(random.Random(seed))), 2)
-        for outcomes, cps in _control_vectors(program, SpecConfig()):
+        for outcomes, cps, _ in _control_vectors(program, SpecConfig()):
             if all(cps.values()):
                 assert not build_events(program, outcomes, cps).transient
                 built += 1
