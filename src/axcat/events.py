@@ -352,9 +352,8 @@ def _tables(program: Program) -> tuple:
             loaded: dict[str, int] = {}  # register -> the load that wrote it, if nothing since
             for ins in instrs:
                 s, reg = ins.stmt, stmt_target_reg(ins.stmt)
-                feeds = ()
-                if isinstance(s, (Load, Store)):
-                    feeds = tuple(loaded[r] for r in expr_registers(s.addr) if r in loaded)
+                reads = expr_registers(s.addr) if isinstance(s, (Load, Store)) else ()
+                feeds = tuple(loaded[r] for r in reads if r in loaded)
                 if isinstance(s, Load):
                     loaded[reg] = ins.label
                 elif reg is not None:
@@ -384,7 +383,8 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
     """
     committed: list[int] = []
     transient: list[int] = []
-    steps = _tables(program)[3][tid]
+    *_, thread_steps = _tables(program)
+    steps = thread_steps[tid]
     walk = committed
     label = next(iter(steps), None)
     while label is not None:
@@ -452,7 +452,7 @@ def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
     their skeleton: its relations and classes hold every pair and member
     that some execution can have.  No branch has an outcome: none is in
     `branches`, and no event has a prediction."""
-    walks = [(tuple(steps), ()) for steps in _tables(program)[3]]
+    walks = [([ins.label for ins in instrs], ()) for instrs in program.threads]
     x = _build(program, walks, {}, {}, True, False)
     return x.events, x.structure
 

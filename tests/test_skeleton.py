@@ -59,17 +59,20 @@ def mismatches(program, events, s, committed=None):
         earlier = () if e.is_init() else threads[e.thread][:threads[e.thread].index(e.id)]
         writers.append({stmt_target_reg(events[w].stmt): w for w in earlier
                         if stmt_target_reg(events[w].stmt) is not None})
-    kinds = {name: {e.id for e in events if test(e.kind)} for name, test in (
-        ("E", lambda kind: True), ("M", MEMORY_KINDS.__contains__),
-        ("W", WRITE_KINDS.__contains__), ("R", "load".__eq__))}
+    sets = {
+        "E": set(range(n)),
+        "M": {e.id for e in events if e.kind in MEMORY_KINDS},
+        "W": {e.id for e in events if e.kind in WRITE_KINDS},
+        "R": {e.id for e in events if e.kind == "load"},
+    }
     want = {
         "threads": threads,
         "po": po,
         "fence": {(a, b) for a, f in po if f in fences for b in range(n) if (f, b) in po},
         "addr": address_dependencies(program, events, threads),
         "writers": tuple(writers),
-        "sets": kinds,
-        "loads": tuple(sorted(kinds["R"])),
+        "sets": sets,
+        "loads": tuple(e.id for e in events if e.kind == "load"),
         "stores": tuple(e.id for e in events if e.kind == "store"),
         "instructions": tuple(e.id for e in events if not e.is_init()),
         "init_by_addr": {e.addr: e.id for e in events if e.is_init()},
