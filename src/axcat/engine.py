@@ -80,13 +80,13 @@ cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
 kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the register-free load and store addresses, which pick
-the leaky loads and each skeleton's sources, the initial values and the
-input vectors.  Per control vector: the skeleton, its wait table, its
-goal-test memo template, and the model bound at its first pair
-(`CompiledModel.bind`), so every definition that reads no data relation is
-evaluated once per vector and a vector without pairs is never bound; each
-candidate then only builds the data rows the model reads
-(`events.data_rows`) and runs the rest.
+the leaky loads and each skeleton's sources, the initial values, and at
+the first goal test the input vectors.  Per control vector: the
+skeleton, its wait table, its goal-test memo template, and the model
+bound at its first pair (`CompiledModel.bind`), so every definition that
+reads no data relation is evaluated once per vector and a vector without
+pairs is never bound; each candidate then only builds the data rows the
+model reads (`events.data_rows`) and runs the rest.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import catlang
 from .catlang import CatModel
@@ -233,8 +234,7 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
     propagation already attempted, in deterministic lexicographic order."""
     _check_domain(program, domain_bits)
     unrolled = unroll(program, k)
-    query = _query(unrolled, domain_bits)
-
+    query, domain = _query(unrolled, domain_bits), range(1 << domain_bits)
     for skeleton in _skeletons(unrolled, cfg):
         load_ids = skeleton.structure.loads
         store_ids = skeleton.structure.stores
@@ -243,7 +243,7 @@ def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits:
 
         for rf_vector in itertools.product(source_options, repeat=len(load_ids)):
             for co_order in itertools.permutations(committed_stores):
-                for input_vector in query.vectors:
+                for input_vector in itertools.product(domain, repeat=len(query.inputs)):
                     x = copy.copy(skeleton)
                     x.rf_choice, x.co_order = dict(zip(load_ids, rf_vector)), co_order
                     x.inputs = dict(zip(query.inputs, input_vector))
@@ -258,23 +258,23 @@ class _Query:
 
     bits: int
     inputs: list  # the input addresses, ascending
-    vectors: list  # every input vector, in the blind order
     init_vals: dict  # non-input locations start at 0, the secret at its sentinel
     fixed: list  # per thread: load or store label -> its register-free address, or None
+
+    @cached_property  # at the first goal test, so a check that makes none holds no list
+    def vectors(self) -> list:  # every input vector, in the blind order
+        return list(itertools.product(range(1 << self.bits), repeat=len(self.inputs)))
 
 
 def _query(unrolled: Program, bits: int) -> _Query:
     secret, mask = unrolled.secret_addr, (1 << bits) - 1
-    inputs = sorted(unrolled.input_locations)
-    init_vals = dict.fromkeys(unrolled.declared_addresses(), 0)
-    init_vals[secret] = secret_sentinel(bits)
+    init_vals = {**dict.fromkeys(unrolled.declared_addresses(), 0), secret: secret_sentinel(bits)}
     fixed = [
         {ins.label: None if expr_registers(a) else eval_expr(a, {}, secret, mask)
          for ins in instrs if isinstance(ins.stmt, (Load, Store)) for a in [ins.stmt.addr]}
         for instrs in unrolled.threads
     ]
-    vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
-    return _Query(bits, inputs, vectors, init_vals, fixed)
+    return _Query(bits, sorted(unrolled.input_locations), init_vals, fixed)
 
 
 # ---------------------------------------------------------------------------

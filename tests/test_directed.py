@@ -639,24 +639,49 @@ def test_vectors_beyond_the_window_are_not_built(monkeypatch):
     assert (got[0], got[2], got[3]) == (outcome, generated, filtered)
 
 
+# a program whose verdict or witness at 3 bits differs from the one at 4 in
+# each mode: only an idx above 7, which needs 4 bits, reaches the load at
+# label 4 without a misprediction
+WIDTH_DEPENDENT = """layout A[4]@0 secret@4 input idx@5
+thread 0:
+1: load r1, idx
+2: r2 <- 7 < r1
+3: beqz r2, 5
+4: load r3, r1 - 4
+5: skip
+expect safe model=inorder mode=traditional
+"""
+
+
 def test_kept_tables_do_not_depend_on_earlier_checks():
     """A program keeps its unroll, init events and thread tables, and an
     expression its register set, across checks.  Checking each parsed
-    corpus program's expectations in file order, then in reverse, with 3
-    and 4 bits and both modes interleaved (each runs under both bits and
-    both modes; every corpus layout needs 3 bits), gives on every check what
-    a freshly parsed program gives."""
+    program's expectations under all four pairs of mode (speculative,
+    traditional) and bits (3, 4), each expectation's four in turn and the
+    expectations in file order, then the whole sequence in reverse, gives
+    on every check what a freshly parsed program gives.  The programs are
+    the corpus (every layout needs 3 bits; none of its verdicts depends on
+    the width) and `WIDTH_DEPENDENT`."""
+    texts = [path.read_text() for path in sorted(corpus_dir().glob("*.litmus"))]
     checks = []
-    for path in sorted(corpus_dir().glob("*.litmus")):
-        text = path.read_text()
+    for text in [*texts, WIDTH_DEPENDENT]:
         program = parse_program(text)
-        checks += [(text, program, exp, 3 + len(checks) % 2) for exp in program.expectations]
-    checks += [(text, program, exp, 7 - bits) for text, program, exp, bits in checks[::-1]]
-    for text, program, exp, bits in checks:
+        checks += [(text, program, exp, mode, bits) for exp in program.expectations
+                   for mode, bits in itertools.product(("speculative", "traditional"), (3, 4))]
+    for text, program, exp, mode, bits in checks + checks[::-1]:
         model, cfg, k, _ = corpus_settings(exp)
-        cfg = dataclasses.replace(cfg, mode=("speculative", "traditional")[bits - 3])
+        cfg = dataclasses.replace(cfg, mode=mode)
         got = verdict(program, model, cfg, k, bits)
         assert got == verdict(parse_program(text), model, cfg, k, bits), (exp, cfg, bits)
+
+
+def test_the_width_dependent_program_depends_on_the_width():
+    exp = parse_program(WIDTH_DEPENDENT).expectations[0]
+    model, cfg, k, _ = corpus_settings(exp)
+    for mode in ("speculative", "traditional"):
+        cfg = dataclasses.replace(cfg, mode=mode)
+        program = parse_program(WIDTH_DEPENDENT)
+        assert verdict(program, model, cfg, k, 3) != verdict(program, model, cfg, k, 4), mode
 
 
 def branch_family(b):
