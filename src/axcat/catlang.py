@@ -470,17 +470,18 @@ def cross_rows(left: list, right: list) -> list:
     return [mask if row else 0 for row in left]
 
 
-def power_rows(a: list, k: int) -> list:
+def power_rows(a, k: int, compose=compose_rows):
     """a^{<=k}, the (k+1)-th power of `a`, by repeated squaring: O(log k)
-    compositions."""
+    calls of `compose`, which composes two powers (the solver export passes
+    its own, over formulas)."""
     result, square, e = None, a, k + 1
     while True:
         if e & 1:
-            result = square if result is None else compose_rows(result, square)
+            result = square if result is None else compose(result, square)
         e >>= 1
         if not e:
             return result
-        square = compose_rows(square, square)
+        square = compose(square, square)
 
 
 def is_acyclic_rows(a: list) -> bool:

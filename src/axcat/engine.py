@@ -20,19 +20,20 @@ propagation; then the pair's floor, its coherence classes and the model,
 with no other filter in between.
 
 Only a load that reads "init" and whose address reads a register or is
-the secret's can read the secret.  A thread's labels increase along its
-walk, so its transient events follow its committed ones.  A vector with a
-transient walk as long as the window, or whose walks run no such load,
-gets no skeleton.  For every other vector the search builds, from the
-walks it already made, the frozen events and their `Skeleton` (thread
-order, `po`, `fence`, `addr`, event classes, the register-writer table)
-once, shared by reference by every candidate of the vector.  It then
-chooses reads-from sources depth first over the loads
-in id order, offering each load its sources in the blind order ("init",
-then the stores) minus those that fail value propagation for every
-coherence order and every input.  A reads-from vector must have some such
-load read "init"; a prefix is dropped as soon as no later load can.  The
-sources dropped per load:
+the secret's can read the secret: `_query` picks these leaky loads
+once, and the control vectors and the reads-from search both read them.
+A thread's labels increase along its walk, so its transient events
+follow its committed ones.  A vector with a transient walk as long as
+the window, or whose walks run no such load, gets no skeleton.  For
+every other vector the search builds, from the walks it already made,
+the frozen events and their `Skeleton` (thread order, `po`, `fence`,
+`addr`, event classes, the register-writer table) once, shared by
+reference by every candidate of the vector.  It then chooses reads-from
+sources depth first over the loads in id order, offering each load its
+sources in the blind order ("init", then the stores) minus those that
+fail value propagation for every coherence order and every input.  A
+reads-from vector must have some such load read "init"; a prefix is
+dropped as soon as no later load can.  The sources dropped per load:
 
   * a store that the reads-from rule, `events.rf_rejection`, rejects at
     the register-free addresses: at another address than the load's,
@@ -80,13 +81,13 @@ cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
 kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the register-free load and store addresses, which pick
-the leaky loads and each skeleton's sources, the initial values, and at
-the first goal test the input vectors.  Per control vector: the
-skeleton, its wait table, its goal-test memo template, and the model
-bound at its first pair (`CompiledModel.bind`), so every definition that
-reads no data relation is evaluated once per vector and a vector without
-pairs is never bound; each candidate then only builds the data rows the
-model reads (`events.data_rows`) and runs the rest.
+the leaky loads and each skeleton's sources, and the initial values; the
+input vectors are iterated afresh per reads-from vector, never kept.  Per
+control vector: the skeleton, its wait table, its goal-test memo template,
+and the model bound at its first pair (`CompiledModel.bind`), so every
+definition that reads no data relation is evaluated once per vector and a
+vector without pairs is never bound; each candidate then only builds the
+data rows the model reads (`events.data_rows`) and runs the rest.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import catlang
 from .catlang import CatModel
@@ -141,14 +141,18 @@ class Verdict:
     `generated` counts the candidates the directed search offered to the
     model before the verdict was reached, not the blind product: the first
     order of each coherence class of each pair that `_pairs` yields, unless
-    its floor failed (see the module docstring).  `filtered` counts those
-    that the model rejected.
+    its floor failed (see the module docstring).
     """
 
     outcome: str  # "safe" | "unsafe" | "unknown"
     witness: CandidateExecution | None
     generated: int
-    filtered: int
+
+    @property
+    def filtered(self) -> int:
+        """The offered candidates that the model rejected: all but the
+        witness, the first one it accepts."""
+        return self.generated - (self.witness is not None)
 
 
 def _check_domain(program: Program, domain_bits: int):
@@ -260,10 +264,7 @@ class _Query:
     inputs: list  # the input addresses, ascending
     init_vals: dict  # non-input locations start at 0, the secret at its sentinel
     fixed: list  # per thread: load or store label -> its register-free address, or None
-
-    @cached_property  # at the first goal test, so a check that makes none holds no list
-    def vectors(self) -> list:  # every input vector, in the blind order
-        return list(itertools.product(range(1 << self.bits), repeat=len(self.inputs)))
+    leaky: list  # per thread: the labels of its loads that may read the secret
 
 
 def _query(unrolled: Program, bits: int) -> _Query:
@@ -274,7 +275,12 @@ def _query(unrolled: Program, bits: int) -> _Query:
          for ins in instrs if isinstance(ins.stmt, (Load, Store)) for a in [ins.stmt.addr]}
         for instrs in unrolled.threads
     ]
-    return _Query(bits, sorted(unrolled.input_locations), init_vals, fixed)
+    # a load may read the secret when it reads init and its register-free
+    # address is unknown or the secret's
+    leaky = [{ins.label for ins in instrs if isinstance(ins.stmt, Load)
+              and addrs[ins.label] in (None, secret)}
+             for instrs, addrs in zip(unrolled.threads, fixed)]
+    return _Query(bits, sorted(unrolled.input_locations), init_vals, fixed, leaky)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +384,9 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     # the address of every load and store whose address reads no register
     fixed = {eid: query.fixed[events[eid].thread][events[eid].label]
              for eid in (*load_ids, *skeleton.structure.stores)}
-    # the loads that may read the secret when they read init, as a bitset
-    may_read = sum(1 << load for load in load_ids if fixed[load] in (None, secret))
+    # the leaky loads, as a bitset
+    may_read = sum(1 << load for load in load_ids
+                   if events[load].label in query.leaky[events[load].thread])
     probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
     # the memo with every init cell filled, and the value cells of the inputs
     template = Evaluator(probe, query.init_vals, domain_bits).memo
@@ -388,7 +395,7 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
         probe.rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in load_ids if hit >> load & 1]
         passing = []
-        for values in query.vectors:
+        for values in itertools.product(range(1 << domain_bits), repeat=len(inputs)):
             memo = template[:]
             for cell, value in zip(cells, values):
                 memo[cell] = value
@@ -405,14 +412,10 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
             yield passing
 
 
-def candidate_consistent(
-    x: CandidateExecution, model: CatModel, cfg: SpecConfig, bound=None
-):
+def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):
     """Run the full filter pipeline on a propagated candidate.
 
     Returns (consistent, reason): reason names the first failed filter.
-    `bound` is `catlang.compile_model(model, cfg).bind(x.structure)`; it is
-    computed here when omitted.
     """
     if x.valuation is None:
         return False, f"values: {x.inconsistency}"
@@ -422,9 +425,7 @@ def candidate_consistent(
         return False, "speculative control flow"
     if not check_window(x, cfg.window):
         return False, "speculation window"
-    if bound is None:
-        bound = catlang.compile_model(model, cfg).bind(x.structure)
-    ok, violated = bound.check(x)
+    ok, violated = catlang.compile_model(model, cfg).bind(x.structure).check(x)
     if not ok:
         return False, f"assertion {violated[0]} {violated[1]}"
     return True, None
@@ -454,16 +455,10 @@ def check_isolation(
     compiled = catlang.compile_model(model, cfg)
     unrolled = unroll(program, k)
     query = _query(unrolled, domain_bits)
-    # per thread, the labels of its loads that may read the secret: a
-    # control vector that runs none of them, or whose skeleton would not fit
-    # the window, has no candidate, and `_skeletons` does not build it
-    leaky = [
-        {ins.label for ins in instrs
-         if isinstance(ins.stmt, Load) and fixed[ins.label] in (None, unrolled.secret_addr)}
-        for instrs, fixed in zip(unrolled.threads, query.fixed)
-    ]
-    generated = filtered = 0
-    for skeleton in _skeletons(unrolled, cfg, leaky):
+    generated = 0
+    # a control vector that runs no leaky load, or whose skeleton would not
+    # fit the window, has no candidate, and `_skeletons` does not build it
+    for skeleton in _skeletons(unrolled, cfg, query.leaky):
         bound = None  # bound at the vector's first pair
         stores = tuple(s for s in skeleton.structure.stores if s in skeleton.committed)
         for passing in _pairs(skeleton, query):
@@ -489,11 +484,10 @@ def check_isolation(
                     if bound.check(y)[0]:
                         # every candidate reads the secret: the first
                         # consistent one is the witness
-                        return Verdict("unsafe", y, generated, filtered)
-                    filtered += 1
+                        return Verdict("unsafe", y, generated)
                 # a pair whose classes have all been checked needs no later order
                 offered = [o for o in offered if len(o[2]) < o[3]]
                 if not offered:
                     break
     outcome = "unknown" if unrolled.unroll_incomplete else "safe"
-    return Verdict(outcome, None, generated, filtered)
+    return Verdict(outcome, None, generated)

@@ -9,7 +9,10 @@ fixes the events and a `Skeleton`: each thread's events in program order,
 the ids of the loads, stores, instruction events and init events, the
 `po`, `fence` and `addr` relations, the event classes, the branch
 outcomes the candidate's values must confirm, and the register-writer
-table (for each event, the last writer of each register).
+table (for each event, the last writer of each register).  An event holds
+its id, kind, label, thread and statement, an init event its address;
+whether a branch was predicted correctly is only in the skeleton's
+`predictions`.
 
 What depends on the program alone is built once per (unrolled) program and
 kept on it (`_tables`): the init events, shared by every skeleton, and per
@@ -63,7 +66,6 @@ from .masm import (
     Beqz,
     CondAssign,
     Fence,
-    Instruction,
     Jmp,
     Load,
     Program,
@@ -72,6 +74,7 @@ from .masm import (
     Stmt,
     eval_expr,
     expr_registers,
+    fall_label,
     stmt_target_reg,
 )
 
@@ -193,18 +196,10 @@ class Event:
 
     id: int
     kind: str
-    origin: tuple[int, int, int] | None = None  # (label, iteration, thread)
+    label: int | None = None  # an instruction event's label and thread
+    thread: int | None = None
     stmt: Stmt | None = None
     addr: int | None = None  # an init event's layout address; None otherwise
-    cp: bool | None = None
-
-    @property
-    def label(self) -> int:
-        return self.origin[0]
-
-    @property
-    def thread(self) -> int:
-        return self.origin[2]
 
     def is_init(self) -> bool:
         return self.kind in (INIT, SECRET_INIT)
@@ -325,19 +320,13 @@ class CandidateExecution:
 # Building the event skeleton
 
 
-def _fall_label(ins: Instruction, steps: dict) -> int | None:
-    if isinstance(ins.stmt, Jmp) or not ins.falls_through:
-        return None
-    return ins.label + 1 if ins.label + 1 in steps else None
-
-
 def _tables(program: Program) -> tuple:
     """What every skeleton of the loop-free `program` takes from the program
     alone, built once and kept in `program._derived`: (init events, their
     `init_by_addr`, their ids, steps).  The init events are one per declared
     address, in address order, from id 0; their ids are the init members of
     the classes E, M and W.  `steps` holds per thread, label ->
-    (instruction, event kind, register written, iteration, feeds), where
+    (instruction, event kind, register written, feeds), where
     `feeds` are the labels of the earlier loads whose register the address
     of this load or store reads with no textual rewrite of it in between:
     the static address dependencies, kept by their later label so that one
@@ -358,8 +347,7 @@ def _tables(program: Program) -> tuple:
                     loaded[reg] = ins.label
                 elif reg is not None:
                     loaded.pop(reg, None)
-                it = ins.provenance[1] if ins.provenance else 1
-                steps[-1][ins.label] = (ins, KIND_BY_STMT[type(s)], reg, it, feeds)
+                steps[-1][ins.label] = (ins, KIND_BY_STMT[type(s)], reg, feeds)
         derived["skeleton tables"] = (init, MappingProxyType({e.addr: e.id for e in init}),
                                       frozenset(range(len(init))), tuple(steps))
     return derived["skeleton tables"]
@@ -404,11 +392,11 @@ def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
                 walk = transient
             # a misprediction runs the direction opposite to the outcome
             taken = outcomes[key] == predicted
-            label = s.target if taken else _fall_label(ins, steps)
+            label = s.target if taken else fall_label(ins, steps)
         elif isinstance(s, Jmp):
             label = s.target
         else:
-            label = _fall_label(ins, steps)
+            label = fall_label(ins, steps)
         if label is not None and label <= ins.label:
             raise ValueError(f"thread {tid} jumps back from label {ins.label} "
                              f"to {label}: unroll it first")
@@ -443,7 +431,7 @@ def build_events(
             if missing is not None:
                 raise KeyError(missing)
         walks = [(committed, transient) for committed, transient, _ in walks]
-    return _build(program, walks, branch_outcomes, cp_assign, speculative, psf)
+    return _build(program, walks, branch_outcomes, cp_assign, psf)
 
 
 def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
@@ -453,12 +441,12 @@ def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
     that some execution can have.  No branch has an outcome: none is in
     `branches`, and no event has a prediction."""
     walks = [([ins.label for ins in instrs], ()) for instrs in program.threads]
-    x = _build(program, walks, {}, {}, True, False)
+    x = _build(program, walks, {}, {}, False)
     return x.events, x.structure
 
 
 def _build(program: Program, walks, outcomes: dict, predictions: dict,
-           speculative: bool, psf: bool) -> CandidateExecution:
+           psf: bool) -> CandidateExecution:
     """The candidate with no data chosen whose threads run `walks`, per
     thread its committed labels, then its transient labels: one pass per
     thread over its walk, the labels increasing, fills the events and every
@@ -481,15 +469,13 @@ def _build(program: Program, walks, outcomes: dict, predictions: dict,
         at: dict[int, int] = {}  # label -> id of the thread's loads so far
         unfenced = first  # the events from here on have no fence after them yet
         for eid, label in enumerate((*com, *tr), first):
-            ins, kind, reg, it, feeds = steps[label]
-            cp = None
+            ins, kind, reg, feeds = steps[label]
             if kind == "cond-jump" and (key := (tid, label)) in outcomes:
-                cp = not speculative or predictions.get(key, True)
                 # its outcome decides the next event, unless the walk ends
                 # here or both directions reach the fall-through
                 if eid + 1 < end and ins.stmt.target != label + 1:
                     branches.append((eid, outcomes[key]))
-            events.append(Event(eid, kind, (label, it, tid), ins.stmt, cp=cp))
+            events.append(Event(eid, kind, label, tid, ins.stmt))
             writers[eid] = last
             if reg is not None:
                 last = {**last, reg: eid}

@@ -624,20 +624,25 @@ def parse_program(text: str) -> Program:
 # Static predecessors and unrolling
 
 
+def fall_label(ins: Instruction, labels) -> int | None:
+    """The label `ins` falls through to: the next one, if `labels` holds it,
+    unless `ins` is a direct jump or unrolling cut its fall-through."""
+    if isinstance(ins.stmt, Jmp) or not ins.falls_through:
+        return None
+    return ins.label + 1 if ins.label + 1 in labels else None
+
+
 def pred(program: Program, label: int, thread: int = 0) -> frozenset[int]:
-    """Static predecessors of `label`: the textual predecessor unless it is a
-    direct jump (or its fall-through was cut by unrolling), plus every jump
-    targeting `label`."""
-    instrs = program.threads[thread]
-    if label not in {i.label for i in instrs}:
+    """Static predecessors of `label`: the textual predecessor if it falls
+    through to `label`, plus every jump targeting `label`."""
+    by_label = {i.label: i for i in program.threads[thread]}
+    if label not in by_label:
         raise KeyError(f"thread {thread} has no label {label}")
-    out = set()
-    for ins in instrs:
-        s = ins.stmt
-        if ins.label + 1 == label and not isinstance(s, Jmp) and ins.falls_through:
-            out.add(ins.label)
-        if isinstance(s, (Jmp, Beqz)) and s.target == label:
-            out.add(ins.label)
+    before = by_label.get(label - 1)
+    out = {i.label for i in by_label.values()
+           if isinstance(i.stmt, (Jmp, Beqz)) and i.stmt.target == label}
+    if before is not None and fall_label(before, by_label) == label:
+        out.add(before.label)
     return frozenset(out)
 
 
@@ -657,8 +662,9 @@ def _unroll_thread(instrs, k: int):
         l, i = queue.pop()
         ins = by_label[l]
         s = ins.stmt
-        if not isinstance(s, Jmp) and ins.falls_through and (l + 1) in by_label:
-            nxt = (l + 1, i)
+        fall = fall_label(ins, by_label)
+        if fall is not None:
+            nxt = (fall, i)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -689,18 +695,13 @@ def _unroll_thread(instrs, k: int):
             tgt = jump_target.get(inst)
             tgt_label = new_label[tgt] if tgt is not None else None
             s = replace(s, target=tgt_label)
-        falls = (
-            not isinstance(s, Jmp)
-            and ins.falls_through
-            and (l + 1) in by_label
-        )
         out.append(
             Instruction(
                 label=new_label[inst],
                 stmt=s,
                 thread=ins.thread,
                 provenance=ins.provenance if ins.provenance is not None else (l, i),
-                falls_through=falls,
+                falls_through=fall_label(ins, by_label) is not None,
             )
         )
     return tuple(out), incomplete

@@ -609,20 +609,10 @@ class _Emitter:
             else:
                 out = cur[0]
         elif isinstance(term, TBounded):
-            # the (k+1)-th power by repeated squaring, as catlang.power_rows
-            def compose(left, right):
-                return self._defer(self._sparse_compose(left, right), "b")
-
             k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
-            power, square, e = None, self._defer(self.family(term.term), "b"), k + 1
-            while True:
-                if e & 1:
-                    power = square if power is None else compose(power, square)
-                e >>= 1
-                if not e:
-                    break
-                square = compose(square, square)
-            out = power[0]
+            out = catlang.power_rows(
+                self._defer(self.family(term.term), "b"), k,
+                lambda left, right: self._defer(self._sparse_compose(left, right), "b"))[0]
         else:
             raise TypeError(f"not a term: {term!r}")
         return out

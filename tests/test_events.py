@@ -132,7 +132,7 @@ def test_events_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         load.addr = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        load.cp = False
+        load.label = 1
 
 
 def test_candidates_of_one_skeleton_keep_their_own_valuation():

@@ -23,6 +23,12 @@ A sample of the renamed and of the reversed programs is also decided by the
 brute-force reference, so the properties are not checked on a wrong engine
 alone.
 
+Raising the unroll bound k never turns UNSAFE into anything else: checked at
+k = 1..3 on generator programs with one backward `beqz` appended, in both
+modes, at a window of 2, 4 or 8, and on the corpus loops `pht-05` and
+`pht-05-fence`.  A pinned loop whose second iteration reads the secret is
+UNSAFE only from k = 2, on the engine and on the reference alike.
+
 Inserting a `fence` is not such a property: a pinned pair shows a fence
 that turns SAFE into UNSAFE, because the window drops a transient run that
 reaches w whole rather than cutting it at w.
@@ -47,6 +53,7 @@ from reference import brute_force_isolation
 from test_directed import corpus_settings
 
 SEEDS = 300
+LOOP_SEEDS = 100
 REFERENCE_SEEDS = 60
 REVERSED_REFERENCE_PROGRAMS = 15
 WINDOWS = (1, 2, 3, 4)
@@ -117,6 +124,22 @@ def check_properties(src: str, renamed: str, model, cfg: SpecConfig, k: int, bit
     # a search that found no witness counted every directed candidate
     exhausted = [generated for o, generated, _ in got if o != "unsafe"]
     assert exhausted == sorted(exhausted), (model.name, cfg, got)
+    return outcomes
+
+
+def with_backward_branch(src: str, rng: random.Random) -> str:
+    """The program with a `beqz` back to an earlier label of its last thread
+    appended to that thread: a loop."""
+    last = int(re.findall(r"^(\d+):", src, re.M)[-1])
+    return src + f"{last + 1}: beqz {rng.choice(('r0', 'r1', 'r2'))}, {rng.randint(1, last)}\n"
+
+
+def k_sweep(program, model, cfg: SpecConfig, bits: int) -> list:
+    """The outcome at each unroll bound k = 1..3; asserts that none after the
+    first UNSAFE is another."""
+    outcomes = [check_isolation(program, model, cfg, k, bits).outcome for k in (1, 2, 3)]
+    first = outcomes.index("unsafe") if "unsafe" in outcomes else len(outcomes)
+    assert outcomes[first:] == ["unsafe"] * (len(outcomes) - first), (model.name, cfg, outcomes)
     return outcomes
 
 
@@ -230,3 +253,38 @@ def test_renamed_programs_agree_with_the_reference():
             assert got.outcome == want, (seed, mode, w, renamed)
             unsafe += want == "unsafe"
     assert unsafe >= 3, unsafe
+
+
+def test_raising_k_never_loses_an_unsafe():
+    unsafe = gained = 0
+    for seed in range(LOOP_SEEDS):
+        rng = random.Random(seed)
+        program = parse_program(with_backward_branch(random_program_source(rng), rng))
+        model = _MODELS[BUNDLED_MODELS[seed % len(BUNDLED_MODELS)]]
+        for mode in ("traditional", "speculative"):
+            cfg = SpecConfig(mode=mode, window=(2, 4, 8)[seed % 3],
+                             psf="srf" in model.base_names())
+            outcomes = k_sweep(program, model, cfg, BITS)
+            unsafe += outcomes[0] == "unsafe"
+            gained += outcomes[0] != "unsafe" and outcomes[-1] == "unsafe"
+    assert unsafe >= 5 and gained >= 3, (unsafe, gained)
+    for name in ("pht-05", "pht-05-fence"):
+        program = parse_program((corpus_dir() / f"{name}.litmus").read_text())
+        for exp in program.expectations:
+            model, cfg, _, bits = corpus_settings(exp)
+            for mode, w in itertools.product(("traditional", "speculative"), (2, 4, 8)):
+                k_sweep(program, model, replace(cfg, mode=mode, window=w), bits)
+
+
+def test_a_second_loop_iteration_can_turn_unknown_into_unsafe():
+    # the load reads A, then the secret at A + 1 in the second iteration
+    program = parse_program(
+        "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
+        "1: load r1, A + r0\n2: r0 <- r0 + 1\n3: beqz r2, 1\n"
+    )
+    model = _MODELS["inorder"]
+    for mode in ("traditional", "speculative"):
+        cfg = SpecConfig(mode=mode, window=2)
+        assert k_sweep(program, model, cfg, BITS) == ["unknown", "unsafe", "unsafe"]
+        assert [brute_force_isolation(unroll(program, k), model, mode, 2, 2, BITS)
+                for k in (1, 2)] == ["safe", "unsafe"]

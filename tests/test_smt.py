@@ -116,7 +116,8 @@ def witness_assignment(x, model, cfg, bits, script: Script):
                 asg[f"com_{nm}"] = e is not None and e.id in x.committed
                 asg[f"trans_{nm}"] = e is not None and e.id in x.transient
                 if f"cp_{nm}" in script.widths:
-                    asg[f"cp_{nm}"] = bool(e.cp) if e is not None else True
+                    asg[f"cp_{nm}"] = (x.structure.predictions.get((tid, ins.label), True)
+                                       if e is not None else True)
             addr, val = x.valuation[e.id] if e is not None else (None, None)
             if addr is not None and f"addr_{nm}" in script.widths:
                 asg[f"addr_{nm}"] = (addr, vw)

@@ -166,7 +166,7 @@ def reference_events(x):
             "label": e.label,
             "transient": e.id in x.transient,
             "val": x.valuation[e.id][1],
-            "cp": e.cp,
+            "cp": x.structure.predictions.get((e.thread, e.label)),
         }
         for e in x.instruction_events()
     ]
