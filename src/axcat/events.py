@@ -29,10 +29,11 @@ demand over the writer table; evaluating only some addresses with it is
 how the search decides cheaply whether a candidate can read the secret at
 all.  `static_skeleton` runs the same builder on every instruction of a
 program at once, as if all executed; the solver export reads its events,
-`po`, `fence`, `addr` and classes from it.  Whether a candidate represents
-a behavior the hardware model allows is decided elsewhere; this module
-only builds candidates and computes the relations and the valuation they
-induce.
+`po`, `fence`, `addr` and classes from it, and from `value_sets` over it
+the addresses each event may take in any candidate.  Whether a candidate
+represents a behavior the hardware model allows is decided elsewhere; this
+module only builds candidates and computes the relations and the valuation
+they induce.
 
 Relations are bitset rows: a relation over the events 0..n-1 is n ints,
 and bit j of row i is the pair (i, j).  The skeleton holds `po`, `fence`
@@ -73,6 +74,7 @@ from .masm import (
     Store,
     Stmt,
     eval_expr,
+    eval_set,
     expr_registers,
     fall_label,
     stmt_target_reg,
@@ -443,6 +445,49 @@ def static_skeleton(program: Program) -> tuple[tuple[Event, ...], Skeleton]:
     walks = [([ins.label for ins in instrs], ()) for instrs in program.threads]
     x = _build(program, walks, {}, {}, False)
     return x.events, x.structure
+
+
+def value_sets(program: Program, events, skeleton: Skeleton, bits: int) -> tuple[tuple, tuple]:
+    """(addresses, values): per event of a static skeleton, the bitmask over
+    0..2^bits (the top bit: the secret's sentinel) of the addresses and of
+    the values it may take in any value-consistent candidate: the least
+    fixpoint of the dataflow where a register holds 0 or the value of any
+    earlier writer of its thread, and a load the initial value at any of
+    its addresses or any store's value (not only a store's whose address
+    set meets its own: the value read may make the store's address)."""
+    mask, secret, init_by_addr = (1 << bits) - 1, program.secret_addr, skeleton.init_by_addr
+    addrs, vals, stored = [0] * len(events), [0] * len(events), 0
+    for a, i in init_by_addr.items():
+        addrs[i] = 1 << a
+        vals[i] = (1 << secret_sentinel(bits) if a == secret
+                   else (2 << mask) - 1 if a in program.input_locations else 1)
+    while True:
+        for ids in skeleton.threads:
+            regs: dict[str, int] = {}
+            for i in ids:
+                s = events[i].stmt
+                if isinstance(s, (Load, Store)):
+                    addrs[i] = eval_set(s.addr, regs, secret, mask)
+                if isinstance(s, Load):
+                    vals[i] = stored
+                    for a, w in init_by_addr.items():
+                        if addrs[i] >> a & 1:
+                            vals[i] |= vals[w]
+                elif isinstance(s, CondAssign):
+                    guard = eval_set(s.guard, regs, secret, mask)
+                    vals[i] = ((regs.get(s.reg, 1) if guard & 1 else 0)
+                               | (eval_set(s.expr, regs, secret, mask) if guard > 1 else 0))
+                elif isinstance(s, (Assign, Store)):
+                    vals[i] = eval_set(s.expr if isinstance(s, Assign) else s.value,
+                                       regs, secret, mask)
+                if (reg := stmt_target_reg(s)) is not None:
+                    regs[reg] = regs.get(reg, 1) | vals[i]
+        grown = stored
+        for w in skeleton.stores:
+            grown |= vals[w]
+        if grown == stored:
+            return tuple(addrs), tuple(vals)
+        stored = grown
 
 
 def _build(program: Program, walks, outcomes: dict, predictions: dict,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 
 class ParseError(ValueError):
@@ -151,6 +152,31 @@ def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
     (`Expr._compiled`), which this calls.
     """
     return e._compiled(regs, secret_addr, mask)
+
+
+def eval_set(e: Expr, regs: dict, secret_addr: int, mask: int) -> int:
+    """The values `e` may take, as a bitmask (bit v: value v), when register
+    r may take those of the bitmask `regs.get(r, 1)`: every operation is
+    applied to every pair of operand values as `eval_expr` applies it."""
+    if isinstance(e, Reg):
+        return regs.get(e.name, 1)
+    if isinstance(e, (Const, Secret)):
+        return 1 << eval_expr(e, regs, secret_addr, mask)
+    if isinstance(e, Unary):
+        op, args = _UN_OPS[e.op], [(a,) for a in _members(eval_set(e.operand, regs, secret_addr, mask))]
+    else:
+        op, rights = _BIN_OPS[e.op], _members(eval_set(e.right, regs, secret_addr, mask))
+        if e.op == "<<":  # clamped as `eval_expr` clamps it
+            rights = {min(b, mask.bit_length()) for b in rights}
+        args = [(a, b) for a in _members(eval_set(e.left, regs, secret_addr, mask)) for b in rights]
+    out = 0
+    for a in args:
+        out |= 1 << (op(*a) & mask)
+    return out
+
+
+def _members(values: int) -> list[int]:
+    return [v for v in range(values.bit_length()) if values >> v & 1]
 
 
 def expr_registers(e: Expr) -> frozenset[str]:
@@ -632,18 +658,28 @@ def fall_label(ins: Instruction, labels) -> int | None:
     return ins.label + 1 if ins.label + 1 in labels else None
 
 
+def predecessors(program: Program) -> tuple:
+    """Per thread, label -> its static predecessors: the instruction before
+    it if that falls through to it, and every jump to it.  Built in one pass
+    per thread and kept in `program._derived`."""
+    if "predecessors" not in program._derived:
+        tables = []
+        for instrs in program.threads:
+            preds: dict[int, set] = {ins.label: set() for ins in instrs}
+            for ins in instrs:
+                for succ in {fall_label(ins, preds), getattr(ins.stmt, "target", None)} & preds.keys():
+                    preds[succ].add(ins.label)
+            tables.append(MappingProxyType({l: frozenset(p) for l, p in preds.items()}))
+        program._derived["predecessors"] = tuple(tables)
+    return program._derived["predecessors"]
+
+
 def pred(program: Program, label: int, thread: int = 0) -> frozenset[int]:
-    """Static predecessors of `label`: the textual predecessor if it falls
-    through to `label`, plus every jump targeting `label`."""
-    by_label = {i.label: i for i in program.threads[thread]}
-    if label not in by_label:
+    """Static predecessors of `label` in `thread`, from `predecessors`."""
+    preds = predecessors(program)[thread]
+    if label not in preds:
         raise KeyError(f"thread {thread} has no label {label}")
-    before = by_label.get(label - 1)
-    out = {i.label for i in by_label.values()
-           if isinstance(i.stmt, (Jmp, Beqz)) and i.stmt.target == label}
-    if before is not None and fall_label(before, by_label) == label:
-        out.add(before.label)
-    return frozenset(out)
+    return preds[label]
 
 
 def _unroll_thread(instrs, k: int):

@@ -9,10 +9,11 @@ the secret init event.  The encoding mirrors the enumeration semantics:
     transient runs stop at fences and correctly predicted branches;
   * values as bitvectors one bit wider than the domain, masked after
     every operation, so the secret sentinel (2^bits) stays out of band;
-  * reads-from selector booleans per (write, load) pair carrying value
-    flow, address agreement (or the store-buffer alias rule under
-    predictive forwarding), and transient-store visibility;
-  * coherence as per-store ranks over committed stores per address;
+  * reads-from selector booleans per (write, load) pair of the reads-from
+    support, carrying value flow, address agreement (or the store-buffer
+    alias rule under predictive forwarding), and transient-store visibility;
+  * coherence as per-store ranks over committed stores per address, kept
+    apart for the store pairs whose address sets meet;
   * derived relations as pair booleans, with derivation ranks on
     recursive groups so the solution is the least fixpoint, and
     order-variable encodings for acyclicity assertions.
@@ -21,8 +22,11 @@ The events and their skeleton come from `events.static_skeleton`: every
 instruction instance of the unrolled program, as if all executed.  Every
 term has a static support: bitset rows of the pairs at which its formula
 may be other than FALSE.  A base relation's support is the skeleton's `po`,
-`fence` or `addr` rows, or a product of its event classes (W x R for `rf`,
-W x stores for `co`, M x M for `loc`); a derived term's is computed from
+`fence` or `addr` rows, or the pairs of its event classes (W x R for `rf`
+and `srf`, stores x other threads' loads for `rfe`, W x stores for `co`,
+M x M for `loc`) whose address sets meet, by `events.value_sets` computed
+once per export; `srf` also keeps the store-buffer pairs of a store and a
+later load of its thread.  A derived term's support is computed from
 those with `catlang`'s row operations.  Only support pairs are declared,
 asserted and composed over, and a derived pair that comes out TRUE or FALSE
 is folded to the constant.
@@ -52,7 +56,7 @@ from .catlang import (
     TUnion,
 )
 from .engine import _check_query
-from .events import SECRET_INIT, Event, secret_sentinel, static_skeleton
+from .events import SECRET_INIT, Event, secret_sentinel, static_skeleton, value_sets
 from .masm import (
     Assign,
     Beqz,
@@ -66,7 +70,7 @@ from .masm import (
     Secret,
     Store,
     Unary,
-    pred as static_pred,
+    predecessors,
     stmt_target_reg,
     unroll,
 )
@@ -151,6 +155,11 @@ class _Emitter:
         self.stores = [events[i] for i in sk.stores]
         self.writes = self.inits + self.stores
         self.n = len(events)
+        # per event, the memory events whose address sets meet its own
+        addrs, memory = value_sets(self.program, events, sk, bits)[0], sorted(sk.sets["M"])
+        self.meet = [sum(1 << j for j in memory if addrs[i] & addrs[j]) for i in range(self.n)]
+        # the (write, load) pairs with a reads-from selector
+        self.sources = self.base_rows("srf" if cfg.psf else "rf")
 
     # -- small term helpers --------------------------------------------------
 
@@ -285,6 +294,7 @@ class _Emitter:
     def emit_control_flow(self):
         self.say("control flow: committed events follow the correct path,")
         self.say("transient events follow a mispredicted branch's wrong path")
+        preds = predecessors(self.program)
         for e in self.instances:
             if e.id == self.skeleton.threads[e.thread][0]:
                 self.assert_(self.com(e))
@@ -293,7 +303,7 @@ class _Emitter:
                 continue
             com_cases = []
             trans_cases = []
-            for lp in sorted(static_pred(self.program, e.label, e.thread)):
+            for lp in sorted(preds[e.thread][e.label]):
                 p = self.by_site[(e.thread, lp)]
                 ps = p.stmt
                 if isinstance(ps, Beqz):
@@ -352,6 +362,8 @@ class _Emitter:
         for r in self.loads:
             selectors = []
             for w in self.writes:
+                if not self.sources[w.id] >> r.id & 1:
+                    continue
                 v = self.rf_sel(w, r)
                 self.declare(v, "Bool")
                 selectors.append(v)
@@ -384,11 +396,10 @@ class _Emitter:
             self.declare(self.corank(s), f"(_ BitVec {rw})")
         for i, a in enumerate(self.stores):
             for b in self.stores[i + 1:]:
-                self.assert_(
-                    f"(=> (and {self.com(a)} {self.com(b)} "
-                    f"(= {self.addr(a)} {self.addr(b)})) "
-                    f"(distinct {self.corank(a)} {self.corank(b)}))"
-                )
+                if self.meet[a.id] >> b.id & 1:
+                    self.assert_(f"(=> (and {self.com(a)} {self.com(b)} "
+                                 f"(= {self.addr(a)} {self.addr(b)})) "
+                                 f"(distinct {self.corank(a)} {self.corank(b)}))")
 
     def corank(self, store: Event) -> str:
         return f"corank_{self.names[store.id]}"
@@ -451,24 +462,39 @@ class _Emitter:
 
     def base_rows(self, name: str) -> list:
         """The static support of base relation `name`: the skeleton's rows
-        for po, fence and addr; for the data relations, the pairs of event
-        classes they join."""
+        for po, fence and addr; for the data relations, the pairs of the
+        event classes they join whose address sets meet, and for srf also
+        the store-buffer pairs of a store and a later load of its thread."""
         sk = self.skeleton
         if name in ("po", "fence", "addr"):
             return list(getattr(sk, name))
-        if name == "rfe":  # stores to loads of other threads
-            loads, rows = sum(1 << i for i in sk.loads), [0] * self.n
-            own = [sum(1 << i for i in ids) for ids in sk.threads]
-            for i in sk.stores:
-                rows[i] = loads & ~own[self.events[i].thread]
-            return rows
         if name == "srf" and not self.cfg.psf:
             return [0] * self.n
-        if name in ("rf", "srf"):
-            return catlang.cross_rows(self.set_rows("W"), self.set_rows("R"))
+        if name == "loc":
+            return self.meeting(sk.sets["M"], sk.sets["M"])
         if name == "co":  # writes to stores
-            return catlang.cross_rows(self.set_rows("W"), self.member_rows(sk.stores))
-        return catlang.cross_rows(self.set_rows("M"), self.set_rows("M"))  # loc
+            return self.meeting(sk.sets["W"], sk.stores)
+        if name == "rfe":  # stores to loads of other threads
+            rows = self.meeting(sk.stores, sk.loads)
+            for ids in sk.threads:
+                own = sum(1 << i for i in ids)
+                for i in ids:
+                    rows[i] &= ~own
+            return rows
+        rows = self.meeting(sk.sets["W"], sk.loads)  # writes to loads
+        if name == "srf":  # the store buffer forwards across addresses
+            loads = sum(1 << i for i in sk.loads)
+            for i in sk.stores:
+                rows[i] |= sk.po[i] & loads
+        return rows
+
+    def meeting(self, left, right) -> list:
+        """The rows of the pairs of `left` x `right`, two sets of event ids,
+        whose address sets meet."""
+        right, rows = sum(1 << i for i in right), [0] * self.n
+        for i in left:
+            rows[i] = self.meet[i] & right
+        return rows
 
     def base(self, name: str):
         """(table, rows) of base relation `name`: its formula at each pair
@@ -478,13 +504,10 @@ class _Emitter:
             self.bases[name] = {(x.id, y.id): term(x, y) for x, y in self.pairs(rows)}, rows
         return self.bases[name]
 
-    def member_rows(self, ids) -> list:
-        """The rows of [X] for the event set X of `ids`."""
-        ids = frozenset(ids)
-        return [(i in ids) << i for i in range(self.n)]
-
     def set_rows(self, name: str) -> list:
-        return self.member_rows(self.skeleton.sets[name])
+        """The rows of [X] for the event class X named `name`."""
+        ids = self.skeleton.sets[name]
+        return [(i in ids) << i for i in range(self.n)]
 
     def support(self, term, memo=None) -> list:
         """Rows of the pairs at which the formula of `term` may be other than
@@ -713,9 +736,9 @@ class _Emitter:
     def emit_goal(self):
         self.say("isolation goal: some load reads the secret init event")
         secret = self.events[self.skeleton.init_by_addr[self.program.secret_addr]]
-        self.lines.append(
-            f"(assert {_ors([self.rf_sel(secret, r) for r in self.loads])})"
-        )
+        reads = [self.rf_sel(secret, r) for r in self.loads
+                 if self.sources[secret.id] >> r.id & 1]
+        self.lines.append(f"(assert {_ors(reads)})")
 
     def render(self) -> str:
         head = [

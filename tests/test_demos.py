@@ -18,7 +18,7 @@ GOLDEN = {
     "03_spectre_pht": "1c67d3138723e82ad48348542091dff4a698abe1b21f359682334f495bede53f",
     "04_store_forwarding": "81928f91a8447d79abab25a7d4bf62bfcd205c1dbeccebd5d97b76aeb030a568",
     "05_machine_clear": "acff1b36282c8bc72015e8c96c4ff365c3e97543435f1e7ac13c8496aa6c8b73",
-    "06_custom_model": "6d04eeed2756e1a75c833f7a68243e09aa0275be89b7d4b99c9ad5c3a5095aa3",
+    "06_custom_model": "cea38aea1ec97ad351c5247c89945c5983909256f8165d0947a72b25c5a0d675",
 }
 
 

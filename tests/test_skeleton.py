@@ -7,12 +7,22 @@ address of every later executed load or store that reads its register, up
 to and including the first instruction that rewrites it), `writers` gives
 each event the last earlier writer of every register in its thread, and
 an event is transient when an earlier branch of its thread was
-mispredicted.
+mispredicted.  The static value sets must hold the addresses and values of
+every value-consistent blind candidate.
 """
 
 import random
 
-from axcat import SpecConfig, build_events, corpus_dir, parse_program, unroll
+import pytest
+
+from axcat import (
+    SpecConfig,
+    build_events,
+    corpus_dir,
+    enumerate_candidates,
+    parse_program,
+    unroll,
+)
 from axcat.engine import _skeletons
 from axcat.events import (
     MEMORY_KINDS,
@@ -20,9 +30,11 @@ from axcat.events import (
     _walk_thread,
     relation_of,
     static_skeleton,
+    value_sets,
 )
 from axcat.masm import expr_registers, stmt_target_reg
 from generator import random_program_source
+from test_directed import corpus_settings
 
 
 def address_dependencies(program, events, threads):
@@ -156,3 +168,45 @@ def test_static_skeletons_match_the_definitions():
         ], name
         assert not mismatches(program, events, s), (name, mismatches(program, events, s))
         assert s.branches == () and not s.outcomes and not s.predictions
+
+
+def check_value_sets(program, cfg, k, bits):
+    """Every value-consistent blind candidate's load and store addresses,
+    and its load, store and assignment values, against the static value
+    sets of the k-unrolled program; returns the number checked."""
+    unrolled = unroll(program, k)
+    events, s = static_skeleton(unrolled)
+    addrs, vals = value_sets(unrolled, events, s, bits)
+    static = {(e.thread, e.label): e.id for e in events if not e.is_init()}
+    checked = 0
+    for x in enumerate_candidates(program, cfg, k, bits):
+        if x.valuation is None:
+            continue
+        for e in x.instruction_events():
+            i, (addr, val) = static[e.thread, e.label], x.valuation[e.id]
+            if e.kind in ("load", "store"):
+                assert addrs[i] >> addr & 1, (e, addr, bin(addrs[i]), x.choices)
+            if e.kind in ("load", "store", "local", "cond-local"):
+                assert vals[i] >> val & 1, (e, val, bin(vals[i]), x.choices)
+        checked += 1
+    return checked
+
+
+def test_corpus_value_sets_hold_every_candidate():
+    checked = 0
+    for path in sorted(corpus_dir().glob("*.litmus")):
+        program = parse_program(path.read_text())
+        for exp in program.expectations:
+            _, cfg, k, bits = corpus_settings(exp)
+            checked += check_value_sets(program, cfg, k, bits)
+    assert checked > 700, checked
+
+
+@pytest.mark.parametrize("psf", [False, True], ids=["rf", "psf"])
+def test_generator_value_sets_hold_every_candidate(psf):
+    checked = 0
+    for seed in range(300):
+        program = parse_program(random_program_source(random.Random(seed)))
+        for mode in ("traditional", "speculative"):
+            checked += check_value_sets(program, SpecConfig(mode=mode, psf=psf), 1, 2)
+    assert checked > 6000, checked

@@ -34,6 +34,7 @@ from axcat.catlang import (
     _recursive,
 )
 from axcat.engine import EngineError, candidate_consistent
+from axcat.masm import Beqz, Fence, Jmp, fall_label
 from axcat.smt import FALSE, TRUE, _ands, _Emitter, _ors
 from generator import random_program_source
 from reference import _naive_term
@@ -363,8 +364,8 @@ def test_closure_operator_emits_outside_recursion():
 # sha256 of the export over every corpus expectation (its own settings, then
 # buffer 1, 3 and 4), and over 60 generator programs under five models in
 # both modes.  A change to the emitted bytes must update these on purpose.
-CORPUS_SHA256 = "2c3c909bc449c82ef561b20bb78a21982ecd74cde39bd4ddae6219780132b9d6"
-GENERATOR_SHA256 = "ab8712fb0b063245744e34cf7a63a3174a3b521dc7bb7b9383a7134ab131ed36"
+CORPUS_SHA256 = "7cf13950fc3ac8b9368f03a6009d3cc545a9c6a42acdd7d75a68b5629060424a"
+GENERATOR_SHA256 = "06e9c210d587cd437ce8ccee26ff2b100c49f1bde97ca7fe859429426577e949"
 
 
 def corpus_export_sha256():
@@ -531,11 +532,55 @@ def _without_goal(text: str) -> str:
     return "\n".join(lines[:-3] + lines[-2:]) + "\n"
 
 
+def stops_at_a_fence(x) -> bool:
+    """Whether a transient run of `x` ends because the next instruction on
+    its path is a fence."""
+    s, program = x.structure, x.program
+    for tid, ids in enumerate(s.threads):
+        if not ids or all(p for (t, _), p in s.predictions.items() if t == tid):
+            continue  # no transient run
+        ins = program.instruction(tid, x.events[ids[-1]].label)
+        labels = {i.label for i in program.threads[tid]}
+        nxt = ins.stmt.target if isinstance(ins.stmt, Jmp) else fall_label(ins, labels)
+        if isinstance(ins.stmt, Beqz):
+            predicted = s.predictions[tid, ins.label]
+            if predicted:
+                continue  # a correct prediction ends the run
+            if s.outcomes[tid, ins.label] == predicted:
+                nxt = ins.stmt.target
+        if nxt is not None and isinstance(program.instruction(tid, nxt).stmt, Fence):
+            return True
+    return False
+
+
+def check_accepted(script, x, model, cfg, bits):
+    """A candidate the model accepts satisfies `script`, an export without
+    its goal, unless a transient run of it stops at a fence: the export's
+    control-flow clauses make that fence transient, and then forbid it."""
+    ok, failures = script.check(witness_assignment(x, model, cfg, bits, script))
+    assert ok != stops_at_a_fence(x), (model.name, cfg, x.choices, failures)
+
+
+def test_accepted_corpus_candidates_satisfy_the_export_without_its_goal():
+    accepted = 0
+    for name, program, model, cfg, k, bits, _ in corpus_cases():
+        xs = [x for x in enumerate_candidates(program, cfg, k, bits) if x.valuation is not None]
+        for buffer in (1, 2, 3):
+            c = replace(cfg, buffer=buffer)
+            script = Script(_without_goal(emit_smt(program, model, c, k, bits, name)))
+            for x in xs:
+                if candidate_consistent(x, model, c)[0]:
+                    check_accepted(script, x, model, c, bits)
+                    accepted += 1
+    assert accepted >= 1000, accepted
+
+
 @pytest.mark.parametrize("seeds", [range(0, 30), range(30, 60)], ids=["0-29", "30-59"])
 def test_generator_witnesses_and_model_rejections_match_the_export(seeds):
-    # every unsafe witness satisfies the script, and every candidate that
-    # only the model's assertions reject refutes the script without its goal
-    witnesses = refuted = 0
+    # every unsafe witness satisfies the script; without its goal, every
+    # candidate the model accepts satisfies it (see `check_accepted`) and
+    # every candidate that only the model's assertions reject refutes it
+    witnesses = refuted = accepted = 0
     for program, model, cfg in generator_queries(seeds):
         text = emit_smt(program, model, cfg, 1, 2, "g")
         verdict = check_isolation(program, model, cfg, 1, 2)
@@ -548,9 +593,12 @@ def test_generator_witnesses_and_model_rejections_match_the_export(seeds):
         script = Script(_without_goal(text))
         for x in enumerate_candidates(program, cfg, 1, 2):
             ok, reason = candidate_consistent(x, model, cfg)
+            if ok:
+                check_accepted(script, x, model, cfg, 2)
+                accepted += 1
             if ok or not reason.startswith("assertion "):
                 continue
             ok, failures = script.check(witness_assignment(x, model, cfg, 2, script))
             assert not ok and failures[0][0] != "unbound", (model.name, reason, failures)
             refuted += 1
-    assert witnesses >= 10 and refuted >= 150, (witnesses, refuted)
+    assert witnesses >= 10 and refuted >= 150 and accepted >= 2000, (witnesses, refuted, accepted)
