@@ -15,9 +15,9 @@ constraint is decided once, at the stage that first fixes its inputs.
 The window and the loads that may leak are decided on the thread walks,
 before any skeleton is built; the reads-from rule and must-dependency
 cycles in `_rf_vectors`, per source choice; the secret read and branch
-agreement in the goal test, per (reads-from, inputs) pair; the values in
-propagation; then the pair's floor, its coherence classes and the model,
-with no other filter in between.
+agreement in the goal test, per reads-from vector and input lane; the
+values in propagation; then the pair's floor, its coherence classes and
+the model, with no other filter in between.
 
 Only a load that reads "init" and whose address reads a register or is
 the secret's can read the secret: `_query` picks these leaky loads
@@ -49,18 +49,19 @@ dropped as soon as no later load can.  The sources dropped per load:
     bitset; a cycle through them stays None at the least fixpoint that
     value propagation computes.
 
-Values do not depend on the coherence order, so the goal test runs once
-per (reads-from vector, input vector) pair: `events.Evaluator` evaluates
+Values do not depend on the coherence order, so one goal test, an
+`events.Evaluator` whose lanes are the last input's values (the other
+inputs iterated outside it), runs per reads-from vector.  It evaluates
 on demand the addresses of the loads that read "init" and may read the
-secret, and only if one is the secret's, the values of the skeleton's
-branches.  The walk already followed the chosen outcomes and predictions,
-and ends every transient run before a fence, so the control-flow
-constraints reduce to these values agreeing with the outcomes
-(`speculation._branches_agree`).  Only a pair that passes both is
-propagated, and `_pairs` yields those left value-consistent.  Crossed with
-the coherence orders, they are exactly the blind product's consistent,
-secret-reading candidates whose skeleton fits the window and whose
-branches agree, in the blind order: a subsequence of it.
+secret, and in a lane where one is the secret's, the skeleton's
+branches.  The walk already followed the chosen outcomes and
+predictions, and ends every transient run before a fence, so the
+control-flow constraints reduce to these values agreeing with the
+outcomes (`speculation._branches_agree`).  Only a pair that passes both
+is propagated, and `_pairs` yields those left value-consistent.  Crossed
+with the coherence orders, they are exactly the blind product's
+consistent, secret-reading candidates whose skeleton fits the window and
+whose branches agree, in the blind order: a subsequence of it.
 
 The model reads the order only through `co`, per address
 (`events.data_rows`), so the orders with one per-address projection, a
@@ -81,13 +82,13 @@ cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
 kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the register-free load and store addresses, which pick
-the leaky loads and each skeleton's sources, and the initial values; the
-input vectors are iterated afresh per reads-from vector, never kept.  Per
-control vector: the skeleton, its wait table, its goal-test memo template,
-and the model bound at its first pair (`CompiledModel.bind`), so every
-definition that reads no data relation is evaluated once per vector and a
-vector without pairs is never bound; each candidate then only builds the
-data rows the model reads (`events.data_rows`) and runs the rest.
+the leaky loads and each skeleton's sources, and the initial values; no
+input vector is kept.  Per control vector: the skeleton, its wait table,
+its goal-test memo template, and the model bound at its first pair
+(`CompiledModel.bind`), so every definition that reads no data relation
+is evaluated once per vector and a vector without pairs is never bound;
+each candidate then only builds the data rows the model reads
+(`events.data_rows`) and runs the rest.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ from .catlang import CatModel
 from .events import (
     CandidateExecution,
     Evaluator,
+    MixedGuard,
     _walk_thread,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
@@ -377,8 +379,10 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     candidate with the empty coherence order.  The goal test evaluates the
     addresses of the vector's `hit` loads, and only a pair where one is the
     secret's and the branch values agree is propagated, on from the goal
-    test's `Evaluator`: a pair it leaves consistent reads the secret."""
-    secret, domain_bits, inputs = skeleton.program.secret_addr, query.bits, query.inputs
+    test's `Evaluator`: a pair it leaves consistent reads the secret.  Its
+    lanes are the last input's values, the other inputs iterated outside;
+    after a `MixedGuard` each remaining lane runs alone."""
+    secret, bits, inputs = skeleton.program.secret_addr, query.bits, query.inputs
     events, load_ids = skeleton.events, skeleton.structure.loads
     branches = skeleton.structure.branches
     # the address of every load and store whose address reads no register
@@ -388,26 +392,37 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     may_read = sum(1 << load for load in load_ids
                    if events[load].label in query.leaky[events[load].thread])
     probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
+    domain = range(1 << bits)
+    lanes = tuple(domain) if inputs else (None,)  # the last input's value per lane
+    last = (lanes if len(lanes) > 1 else lanes[0],)  # their cell: plain for one lane
     # the memo with every init cell filled, and the value cells of the inputs
-    template = Evaluator(probe, query.init_vals, domain_bits).memo
+    template = Evaluator(probe, query.init_vals, bits).memo
     cells = [2 * skeleton.structure.init_by_addr[a] + 1 for a in inputs]
     for rf_vector, hit in _rf_vectors(skeleton, fixed, may_read):
         probe.rf_choice = dict(zip(load_ids, rf_vector))
         readers = [load for load in load_ids if hit >> load & 1]
         passing = []
-        for values in itertools.product(range(1 << domain_bits), repeat=len(inputs)):
-            memo = template[:]
-            for cell, value in zip(cells, values):
-                memo[cell] = value
-            dataflow = Evaluator(probe, None, domain_bits, memo)
-            if (all(dataflow.address(load) != secret for load in readers)
-                    or not _branches_agree(branches, dataflow.value)):
-                continue
-            x = copy.copy(probe)
-            x.inputs = dict(zip(inputs, values))
-            propagate_values(x, {**query.init_vals, **x.inputs}, domain_bits, dataflow=dataflow)
-            if x.valuation is not None:  # a reader reads init at the secret
-                passing.append(x)
+        for head in itertools.product(domain, repeat=max(len(inputs) - 1, 0)):
+            evaluations = [lanes]  # and one per lane left after a `MixedGuard`
+            for block in evaluations:
+                memo = template[:]
+                for cell, value in zip(cells, head + (last if block is lanes else block)):
+                    memo[cell] = value
+                dataflow = Evaluator(probe, None, bits, memo)
+                try:
+                    for lane in range(len(block)):
+                        if (all(dataflow.address(load, lane) != secret for load in readers)
+                                or not _branches_agree(branches,
+                                                       lambda e: dataflow.value(e, lane))):
+                            continue
+                        x = copy.copy(probe)
+                        x.inputs = dict(zip(inputs, (*head, block[lane])))
+                        propagate_values(x, {**query.init_vals, **x.inputs}, bits,
+                                         dataflow=dataflow, lane=lane if len(block) > 1 else None)
+                        if x.valuation is not None:  # a reader reads init at the secret
+                            passing.append(x)
+                except MixedGuard:
+                    evaluations += [(value,) for value in block[lane:]]
         if passing:
             yield passing
 

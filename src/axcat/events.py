@@ -569,6 +569,10 @@ _UNSET = object()  # not evaluated yet
 _NESTED = 16
 
 
+class MixedGuard(Exception):
+    """A guard splits an `Evaluator`'s lanes (see there)."""
+
+
 class Evaluator:
     """Demand-driven evaluation of a candidate's dataflow: `value(eid)` and
     `address(eid)` are the value and the address of event `eid` at the
@@ -589,9 +593,14 @@ class Evaluator:
     node that needs it is evaluated again once it is, so a long dependency
     chain does not exhaust the interpreter's recursion limit.  `init_vals`
     must cover every declared address, unless `memo` is given: the memo to
-    start from, instead of the one `init_vals` fills.  The engine fills the
-    init cells once per skeleton, in a template, and starts each goal test
-    from a copy with only the input cells rewritten.
+    start from, instead of the one `init_vals` fills.  An init value may be
+    a tuple of one value per lane, each lane an input vector: a memo cell
+    holds a plain value where it reads no tuple, else a tuple, and
+    `value(eid, lane)` and `address(eid, lane)` give one lane's.  For one
+    rf choice the lanes read the same nodes but at a conditional
+    assignment, so a node reads None on its own cycle in all lanes exactly
+    when it would in each alone; a guard that is not zero in all lanes or
+    in none raises `MixedGuard`, which voids the evaluation.
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
@@ -612,11 +621,22 @@ class Evaluator:
         self.missing = None  # an input of that node left for the stack
         self.depth = 0  # the nested evaluations under way
 
-    def value(self, eid: int):
-        return self._demand(2 * eid + 1)
+    def value(self, eid: int, lane: int = 0):
+        cell = self._demand(2 * eid + 1)
+        return cell[lane] if type(cell) is tuple else cell
 
-    def address(self, eid: int):
-        return self._demand(2 * eid)
+    def address(self, eid: int, lane: int = 0):
+        cell = self._demand(2 * eid)
+        return cell[lane] if type(cell) is tuple else cell
+
+    def nodes(self, lane: int | None = None) -> list:
+        """Every node's value, demanded in node order (each event's address,
+        then its value, in id order): the lane's, or with no lane the cells."""
+        memo = self.memo
+        for node in range(len(memo)):  # `_demand` fills later nodes too
+            if memo[node] is _UNSET:
+                self._demand(node)
+        return memo if lane is None else [c[lane] if type(c) is tuple else c for c in memo]
 
     def _demand(self, node: int):
         """The node's value: the node, and every input pushed for it, are
@@ -675,7 +695,10 @@ class Evaluator:
         if kind is Load:
             choice = self.rf_choice.get(eid)
             if choice == "init":
-                choice = self.init_by_addr.get(self._input(node - 1))
+                if type(addr := self._input(node - 1)) is tuple:  # each lane its own init cell
+                    return tuple([None if c is None else self.value(c, i)
+                                  for i, c in enumerate(map(self.init_by_addr.get, addr))])
+                choice = self.init_by_addr.get(addr)
             return None if choice is None else self._input(2 * choice + 1)
         if kind is Assign:
             return eval_expr(s.expr, self, self.secret_addr, self.mask)
@@ -685,6 +708,10 @@ class Evaluator:
             guard = eval_expr(s.guard, self, self.secret_addr, self.mask)
             if guard is None or self.missing is not None:
                 return None
+            if type(guard) is tuple:  # every lane must read the same node
+                if not all(guard) and guard.count(0) < len(guard):
+                    raise MixedGuard(f"the guard of e{eid} is not zero in all lanes or none")
+                guard = guard[0]
             if guard != 0:
                 return eval_expr(s.expr, self, self.secret_addr, self.mask)
             return self.get(s.reg, 0)  # the register keeps its old value
@@ -713,7 +740,7 @@ def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_
 
 
 def propagate_values(x: CandidateExecution, init_vals: dict, bits: int, *,
-                     dataflow: Evaluator | None = None):
+                     dataflow: Evaluator | None = None, lane: int | None = None):
     """Resolve addresses and values, or report an inconsistency.
 
     `init_vals` gives the initial value of every declared address (the
@@ -727,18 +754,17 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int, *,
     failure `x.valuation` is None and the result an `Inconsistent` with the
     first reason found.  The events are not touched: the data relations the
     valuation induces come from `data_rows`.  A given `dataflow` is an
-    `Evaluator` of `x`'s events and rf choice over these `init_vals`.
+    `Evaluator` of `x`'s events and rf choice whose `lane` (None: its only
+    one) has these `init_vals`.
     """
-    events, init_by_addr, rf_choice = x.events, x.structure.init_by_addr, x.rf_choice
+    init_by_addr, rf_choice = x.structure.init_by_addr, x.rf_choice
     for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
     if dataflow is None:
         dataflow = Evaluator(x, init_vals, bits)
-    addrs, vals = [], []
-    for e in events:  # in id order, so a thread's earlier events come first
-        addrs.append(dataflow.address(e.id))
-        vals.append(dataflow.value(e.id))
+    nodes = dataflow.nodes(lane)  # in id order, so a thread's earlier events come first
+    addrs, vals = nodes[0::2], nodes[1::2]
 
     # A load without a source of its own leaves its value unresolved, and
     # otherwise only a dependency cycle does.  An address reads only register

@@ -33,6 +33,8 @@ program is flagged as a potentially incomplete unrolling, which downgrades
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -71,6 +73,8 @@ class Expr:
 
             def unary(regs, secret, mask):
                 v = operand(regs, secret, mask)
+                if type(v) is tuple:  # one value per lane: see `eval_expr`
+                    return tuple([None if a is None else op(a) & mask for a in v])
                 return None if v is None else op(v) & mask
             return unary
         if not isinstance(self, Binary):
@@ -80,8 +84,14 @@ class Expr:
 
         def binary(regs, secret, mask):
             a, b = left(regs, secret, mask), right(regs, secret, mask)
-            if a is None or b is None:
-                return None
+            if type(a) is not int or type(b) is not int:  # None, or one value per lane
+                if a is None or b is None:
+                    return None
+                if type(a) is tuple or type(b) is tuple:  # a plain value is the same in every lane
+                    lanes = zip(*[v if type(v) is tuple else itertools.repeat(v) for v in (a, b)])
+                    return tuple([None if x is None or y is None
+                                  else op(x, min(y, mask.bit_length()) if shift else y) & mask
+                                  for x, y in lanes])
             if shift:  # a count of the width or more shifts every bit out
                 b = min(b, mask.bit_length())
             return op(a, b) & mask
@@ -117,28 +127,12 @@ class Binary(Expr):
     right: Expr
 
 
-_BIN_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-}
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_,
+            "|": operator.or_, "^": operator.xor, "<<": operator.lshift, ">>": operator.rshift,
+            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}  # a bool is 0 or 1 under the mask
 
-_UN_OPS = {
-    "-": lambda a: -a,
-    "~": lambda a: ~a,
-    "!": lambda a: int(a == 0),
-}
+_UN_OPS = {"-": operator.neg, "~": operator.invert, "!": operator.not_}
 
 
 def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
@@ -148,8 +142,9 @@ def eval_expr(e: Expr, regs, secret_addr: int, mask: int):
     registers read 0; `regs` is a dict, or the demand-driven evaluator of
     value propagation (`events.Evaluator`), which evaluates a register's
     writer when the register is read.  A value of None means "unresolved"
-    and poisons the result.  Each node is compiled once into a closure
-    (`Expr._compiled`), which this calls.
+    and poisons the result, lane by lane where a register holds a tuple of
+    one value per lane: then so does the result.  Each node is compiled
+    once into a closure (`Expr._compiled`), which this calls.
     """
     return e._compiled(regs, secret_addr, mask)
 

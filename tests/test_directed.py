@@ -26,7 +26,7 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
-from axcat.events import Evaluator, _walk_thread, secret_sentinel
+from axcat.events import Evaluator, MixedGuard, _walk_thread, secret_sentinel
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
 
@@ -736,52 +736,85 @@ def test_kept_tables_stay_bounded():
 
 
 def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
-    """Every goal test's `Evaluator`, started from a copy of its skeleton's
-    memo template, gives the address and the value of every event that a
-    fresh one over the pair's init values gives: the corpus, and generator
-    seeds 0-199 in both modes."""
-    started = []  # (rf choice, evaluator) per goal test, in `_pairs`' order
+    """Every lane of every goal test's `Evaluator`, started from a copy of
+    its skeleton's memo template, gives the address and the value of every
+    event that a fresh one-lane `Evaluator` over the lane's input vector
+    gives: the corpus, and generator seeds 0-199 in both modes.  An
+    evaluation voided by a `MixedGuard` is not compared; its remaining
+    lanes have evaluations of their own.  On the corpus, whose programs
+    have at most one input and no conditional assignment, each reads-from
+    vector has one goal test, and it covers every value of the input."""
+    started = []  # per goal test, in `_pairs`' order: rf choice, evaluator, input cells
 
     class Recording(Evaluator):
         def __init__(self, x, init_vals, bits, memo=None):
             super().__init__(x, init_vals, bits, memo)
+            self.void = False
             if memo is not None:
-                started.append((x.rf_choice, self))
+                cells = [memo[2 * x.structure.init_by_addr[a] + 1]
+                         for a in sorted(x.program.input_locations)]
+                started.append((x.rf_choice, self, cells))
+
+        def _demand(self, node):
+            try:
+                return super()._demand(node)
+            except MixedGuard:
+                self.void = True
+                raise
 
     def compare(program, cfg, k, bits):
         inputs = sorted(program.input_locations)
-        vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
         init = {a: 0 for a in program.declared_addresses()}
         init[program.secret_addr] = secret_sentinel(bits)
-        tested = 0
+        tested = voided = goal_tests = 0
         unrolled = unroll(program, k)
         query = _query(unrolled, bits)
         for skeleton in _skeletons(unrolled, cfg):
             started.clear()
             for _ in _pairs(skeleton, query):
                 pass
-            assert len(started) % len(vectors) == 0  # every input, per rf vector
-            for i, (rf_choice, dataflow) in enumerate(started):
-                assert rf_choice is started[i - i % len(vectors)][0]
+            goal_tests += len(started)
+            covered = {}  # rf choice -> the input vectors of its evaluations
+            for rf_choice, dataflow, cells in started:
+                width = max((len(c) for c in cells if type(c) is tuple), default=1)
+                vectors = [tuple(c[lane] if type(c) is tuple else c for c in cells)
+                           for lane in range(width)]
                 x = copy.copy(skeleton)
                 x.rf_choice = rf_choice
-                inputs_at = dict(zip(inputs, vectors[i % len(vectors)]))
-                fresh = Evaluator(x, {**init, **inputs_at}, bits)
                 ids = range(len(x.events))
-                assert ([(dataflow.address(e), dataflow.value(e)) for e in ids]
-                        == [(fresh.address(e), fresh.value(e)) for e in ids])
-            tested += len(started)
-        return tested
+                for lane, vector in enumerate(vectors):
+                    fresh = Evaluator(x, {**init, **dict(zip(inputs, vector))}, bits)
+                    try:
+                        got = [(dataflow.address(e, lane), dataflow.value(e, lane)) for e in ids]
+                    except MixedGuard:
+                        dataflow.void = True
+                    if dataflow.void:
+                        voided += 1
+                        break
+                    assert got == [(fresh.address(e), fresh.value(e)) for e in ids]
+                    covered.setdefault(tuple(sorted(rf_choice.items())), []).append(vector)
+                    tested += 1
+            if not voided:  # every input vector once per rf vector, in the blind order
+                every = list(itertools.product(range(1 << bits), repeat=len(inputs)))
+                assert all(vectors == every for vectors in covered.values())
+        return tested, voided, goal_tests
 
     monkeypatch.setattr(engine, "Evaluator", Recording)
-    tested = 0
+    corpus_lanes = 0
     for param in corpus_expectations():
         program, exp = param.values
         _, cfg, k, bits = corpus_settings(exp)
-        tested += compare(program, cfg, k, bits)
+        tested, voided, goal_tests = compare(program, cfg, k, bits)
+        assert not voided and len(program.input_locations) <= 1
+        assert tested == goal_tests << bits * len(program.input_locations)
+        corpus_lanes += tested
+    assert corpus_lanes > 300
+    tested = voided = 0
     for seed in range(200):
         program = parse_program(random_program_source(random.Random(seed)))
         for mode in ("traditional", "speculative"):
             cfg = SpecConfig(mode=mode, psf=seed % 2 == 1)
-            tested += compare(program, cfg, 1 + seed // 2 % 2, 2)
-    assert tested > 1000
+            lanes, voids, _ = compare(program, cfg, 1 + seed // 2 % 2, 2)
+            tested += lanes
+            voided += voids
+    assert tested > 1000 and voided < tested / 100

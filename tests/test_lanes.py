@@ -1,0 +1,200 @@
+"""Goal tests over input lanes: one `Evaluator` takes the last input's
+values as its lanes.
+
+Lane by lane, the compiled expressions must give what each lane gives
+alone; a guard that splits the lanes must send them to one evaluation
+each; and with two inputs the lanes are the last one's values, the first
+iterated outside, in the blind order.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axcat import SpecConfig, engine, load_model, parse_program, unroll
+from axcat.events import Evaluator, MixedGuard
+from axcat.masm import _BIN_OPS, _UN_OPS, Binary, Const, Reg, Secret, Unary, eval_expr, eval_set
+from reference import brute_force_isolation
+from test_directed import blind, blind_verdict, directed, signature, verdict
+
+REGS = ("r0", "r1", "r2")
+
+
+def lane(value, i):
+    return value[i] if type(value) is tuple else value
+
+
+def alone(regs, i):
+    """Lane i's registers, each a plain value."""
+    return {r: lane(v, i) for r, v in regs.items()}
+
+
+def expressions():
+    leaves = st.one_of(st.builds(Const, st.integers(0, 70)), st.just(Secret()),
+                       st.builds(Reg, st.sampled_from(REGS)))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(sorted(_UN_OPS)), sub),
+        st.builds(Binary, st.sampled_from(sorted(_BIN_OPS)), sub, sub),
+    ), max_leaves=10)
+
+
+def reads(e) -> set:
+    if isinstance(e, Reg):
+        return {e.name}
+    subs = [sub for sub in vars(e).values() if isinstance(sub, (Reg, Unary, Binary))]
+    return set().union(*map(reads, subs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=expressions(), bits=st.integers(0, 4), width=st.integers(1, 5), data=st.data())
+def test_each_lane_evaluates_as_it_would_alone(e, bits, width, data):
+    """Lane i of the compiled closure over lane registers equals
+    `eval_expr` over lane i's registers: every operator, shift counts of
+    the width and more, the secret's sentinel 2^bits as an operand, and
+    None in some lanes.  The result is a tuple only if the expression
+    reads one.  `eval_set` over singleton sets still agrees with
+    `eval_expr` wherever no lane is None."""
+    mask, sentinel = (1 << bits) - 1, 1 << bits
+    value = st.one_of(st.none(), st.just(sentinel), st.integers(0, sentinel))
+    regs = {r: data.draw(st.one_of(value, st.tuples(*[value] * width))) for r in REGS}
+    secret = data.draw(st.integers(0, mask))
+    got = eval_expr(e, regs, secret, mask)
+    if type(got) is tuple:
+        assert len(got) == width and any(type(regs[r]) is tuple for r in reads(e))
+    for i in range(width):
+        want = eval_expr(e, alone(regs, i), secret, mask)
+        assert lane(got, i) == want
+        if None not in alone(regs, i).values():
+            singletons = {r: 1 << v for r, v in alone(regs, i).items()}
+            assert eval_set(e, singletons, secret, mask) == 1 << want
+
+
+@pytest.mark.parametrize("op", sorted(_BIN_OPS) + [f"unary {op}" for op in sorted(_UN_OPS)])
+def test_every_operator_over_every_pair_of_lanes(op):
+    """Each operator over lanes that pair every two of None, 0, 1, the
+    largest value, the sentinel and a shift count past the width, at 3
+    bits: lane i is the operator on lane i's operands."""
+    bits = 3
+    mask, values = (1 << bits) - 1, (None, 0, 1, 5, 7, 1 << bits)
+    pairs = list(itertools.product(values, repeat=2))
+    regs = {"r0": tuple(a for a, _ in pairs), "r1": tuple(b for _, b in pairs)}
+    e = Unary(op[-1], Reg("r0")) if op.startswith("unary") else Binary(op, Reg("r0"), Reg("r1"))
+    got = eval_expr(e, regs, 4, mask)
+    assert [lane(got, i) for i in range(len(pairs))] == [
+        eval_expr(e, alone(regs, i), 4, mask) for i in range(len(pairs))]
+
+
+# Conditional assignments whose guard reads the input, so that their lanes
+# part: per program, the source and the first idx that reads the secret.
+# The programs read the secret only where the guard is zero: idx >= 2, or
+# in "first" idx < 2, the lanes at hand when the guard is met.  In "cycle"
+# the expression, read where idx < 2, closes a dependency cycle through
+# the other thread; where the guard is zero it is not read.  Evaluated for
+# every lane at once, the cycle would leave the stores' values None in
+# those lanes too.
+SPLIT = {
+    "guard": ("""layout B@0 secret@1 input idx@2 C@3
+thread 0:
+1: load r1, idx
+2: r2 <- secret
+3: r2 <-(r1 < 2?) B
+4: load r3, r2
+""", 2),
+    "first": ("""layout B@0 secret@1 input idx@2 C@3
+thread 0:
+1: load r1, idx
+2: r2 <- secret
+3: r2 <-(r1 > 1?) B
+4: load r3, r2
+""", 0),
+    "cycle": ("""layout B@0 secret@1 input idx@2 C@3
+thread 0:
+1: load r1, idx
+2: r2 <- secret
+3: load r5, B
+4: r2 <-(r1 < 2?) r5
+5: store C, r2
+6: load r3, r2
+thread 1:
+1: load r6, C
+2: store B, r6
+""", 2),
+}
+
+
+def recording(monkeypatch):
+    """Patch the engine's `Evaluator`; returns the list of those whose
+    evaluation a `MixedGuard` voided."""
+    voided = []
+
+    class Recording(Evaluator):
+        def _demand(self, node):
+            try:
+                return super()._demand(node)
+            except MixedGuard:
+                if self not in voided:
+                    voided.append(self)
+                raise
+
+    monkeypatch.setattr(engine, "Evaluator", Recording)
+    return voided
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT))
+@pytest.mark.parametrize("mode", ("traditional", "speculative"))
+@pytest.mark.parametrize("model_name", ("inorder", "stl", "tso"))
+def test_a_guard_that_splits_the_lanes_runs_them_one_at_a_time(monkeypatch, name, mode, model_name):
+    """The fallback runs, and the verdict, witness and counts are the blind
+    enumeration's, the verdict the reference's; the witness's idx is the
+    first where the guard is zero, and its candidates the blind ones."""
+    voided = recording(monkeypatch)
+    source, first = SPLIT[name]
+    program, model, cfg = parse_program(source), load_model(model_name), SpecConfig(mode=mode)
+    got = verdict(program, model, cfg, 1, 2)
+    assert voided  # the fallback ran
+    assert got == blind_verdict(program, model, cfg, 1, 2)
+    assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
+                                           cfg.buffer, 2)
+    assert got[0] == "unsafe" and got[1]["inputs"] == {2: first}
+    assert ([signature(x) for x in directed(program, cfg, 1, 2)]
+            == [signature(x) for x in blind(program, cfg, 1, 2)])
+
+
+TWO_INPUTS = """layout A@0 secret@1 input x@2 input y@3
+thread 0:
+1: load r1, x
+2: load r2, y
+3: r3 <- (r1 == 2) & (r2 == 3)
+4: load r4, r3
+"""
+
+
+@pytest.mark.parametrize("mode", ("traditional", "speculative"))
+def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
+    """With two inputs at 2 bits only x = 2, y = 3 reads the secret.  Each
+    goal test holds x plain and y's four values as lanes; the verdict,
+    witness inputs and `generated` are those of the first consistent
+    secret reader of the blind enumeration, and the verdict the
+    reference's."""
+    cells = []  # per goal test, the input cells it starts from
+
+    class Recording(Evaluator):
+        def __init__(self, x, init_vals, bits, memo=None):
+            super().__init__(x, init_vals, bits, memo)
+            if memo is not None:
+                cells.append([memo[2 * x.structure.init_by_addr[a] + 1] for a in (2, 3)])
+
+    monkeypatch.setattr(engine, "Evaluator", Recording)
+    program, model, cfg = parse_program(TWO_INPUTS), load_model("inorder"), SpecConfig(mode=mode)
+    got = verdict(program, model, cfg, 1, 2)
+    assert got[0] == "unsafe" and got[1]["inputs"] == {2: 2, 3: 3}
+    assert got == blind_verdict(program, model, cfg, 1, 2)
+    assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
+                                           cfg.buffer, 2)
+    # up to the witness: x = 0, 1, 2 as the head of one rf vector's goal tests
+    assert cells and all(type(x) is int and y == (0, 1, 2, 3) for x, y in cells)
+    assert [x for x, _ in cells[:3]] == [0, 1, 2]
+    assert ([signature(x) for x in directed(program, cfg, 1, 2)]
+            == [signature(x) for x in blind(program, cfg, 1, 2)])
