@@ -13,9 +13,9 @@ lexicographically by their choice vector
 reference.  `check_isolation` searches it directed instead: each
 constraint is decided once, at the stage that first fixes its inputs.
 The window and the loads that may leak are decided on the thread walks,
-before any skeleton is built; the reads-from rule and must-dependency
-cycles in `_rf_vectors`, per source choice; the secret read and branch
-agreement in the goal test, per reads-from vector and input lane; the
+before any skeleton is built; the reads-from rule, must-dependency
+cycles, branch agreement and the secret read in `_rf_vectors`, at the
+shortest prefix of source choices that fixes them, per input lane; the
 values in propagation; then the pair's floor, its coherence classes and
 the model, with no other filter in between.
 
@@ -28,40 +28,51 @@ the window, or whose walks run no such load, gets no skeleton.  For
 every other vector the search builds, from the walks it already made,
 the frozen events and their `Skeleton` (thread order, `po`, `fence`,
 `addr`, event classes, the register-writer table) once, shared by
-reference by every candidate of the vector.  It then chooses reads-from
-sources depth first over the loads in id order, offering each load its
-sources in the blind order ("init", then the stores) minus those that
-fail value propagation for every coherence order and every input.  A
-reads-from vector must have some such load read "init"; a prefix is
-dropped as soon as no later load can.  The sources dropped per load:
+reference by every candidate of the vector.
+
+Values do not depend on the coherence order, so the reads-from search
+carries one `events.Evaluator` whose lanes are the last input's values
+(the other inputs, the head, iterated outside it, one search each), and
+a bitset of the lanes still live.  It chooses sources depth first over
+the loads in id order, offering each load its sources in the blind
+order ("init", then the stores), each prefix with its own memo, grown
+from its parent's.  `_waits` tables once per skeleton, as bitsets, the
+loads that each address, store value and branch value must wait for
+(`eval_expr` is strict in None, so an expression waits for the last
+writers of its registers, a conditional assignment's value for its guard
+only, and a load's value for its source: its own address when it reads
+init, else the store's value) and may read (a conditional assignment's
+expression and old value too).  What a prefix drops:
 
   * a store that the reads-from rule, `events.rf_rejection`, rejects at
-    the register-free addresses: at another address than the load's,
-    unless predictive store forwarding is on and it is `po`-before the
-    load with no fence in between (a store-buffer pair); or transient,
-    unless the load is a later transient load of its thread;
-  * a source that closes a cycle of must-dependencies.  Since `eval_expr`
-    is strict in None, an expression waits for the last writers of the
-    registers it reads (a conditional assignment's value for its guard
-    only), and a load's value for its source: its own address when it
-    reads init, else the store's value.  `_waits` tables, once per
-    skeleton, the loads each address and store value waits for as a
-    bitset; a cycle through them stays None at the least fixpoint that
-    value propagation computes.
+    the addresses that read no load, once per skeleton: at another
+    address than the load's, unless predictive store forwarding is on
+    and it is `po`-before the load with no fence in between (a
+    store-buffer pair); or transient, unless the load is a later
+    transient load of its thread;
+  * a source that closes a cycle of must-dependencies, which stays None
+    at the least fixpoint that value propagation computes;
+  * the lanes in which a lane check fails, once every load whose value
+    it may read has its source, and whose values, closed over their
+    sources, read only such loads: a store at another address than the
+    load's, by the same rule, or a branch value that disagrees with its
+    outcome.  The walk already followed the chosen outcomes and
+    predictions, and ends every transient run before a fence, so the
+    control-flow constraints reduce to that agreement
+    (`speculation.agrees`);
+  * a prefix with no live lane that has, or may still get, a leaky load
+    that reads "init" at the secret's address.
 
-Values do not depend on the coherence order, so one goal test, an
-`events.Evaluator` whose lanes are the last input's values (the other
-inputs iterated outside it), runs per reads-from vector.  It evaluates
-on demand the addresses of the loads that read "init" and may read the
-secret, and in a lane where one is the secret's, the skeleton's
-branches.  The walk already followed the chosen outcomes and
-predictions, and ends every transient run before a fence, so the
-control-flow constraints reduce to these values agreeing with the
-outcomes (`speculation._branches_agree`).  Only a pair that passes both
-is propagated, and `_pairs` yields those left value-consistent.  Crossed
-with the coherence orders, they are exactly the blind product's
-consistent, secret-reading candidates whose skeleton fits the window and
-whose branches agree, in the blind order: a subsequence of it.
+A check that meets a conditional assignment whose guard splits the
+lanes (`events.MixedGuard`) is left to the goal test at the last load.
+The vectors left are the goal tests: their live lanes that read the
+secret are propagated, on from the vector's memo once every node of it
+is evaluated, or each alone from the input values where that meets a
+`MixedGuard`, and `_pairs` yields those left value-consistent.  Choices
+are only dropped, never reordered, so crossed with the coherence orders
+the pairs are exactly the blind product's consistent, secret-reading
+candidates whose skeleton fits the window and whose branches agree, in
+the blind order: a subsequence of it.
 
 The model reads the order only through `co`, per address
 (`events.data_rows`), so the orders with one per-address projection, a
@@ -81,10 +92,10 @@ Each table is derived at the widest scope it depends on.  Per (model,
 cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
 kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
-them (`_query`): the register-free load and store addresses, which pick
-the leaky loads and each skeleton's sources, and the initial values; no
-input vector is kept.  Per control vector: the skeleton, its wait table,
-its goal-test memo template, and the model bound at its first pair
+them (`_query`): the leaky loads and the initial values; no input vector
+is kept.  Per control vector: the skeleton, its wait tables, the
+addresses that read no load, each load's sources, the search's memo
+template per head, and the model bound at its first pair
 (`CompiledModel.bind`), so every definition that reads no data relation
 is evaluated once per vector and a vector without pairs is never bound;
 each candidate then only builds the data rows the model reads
@@ -94,6 +105,7 @@ each candidate then only builds the data rows the model reads
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -114,6 +126,7 @@ from .events import (
 )
 from .masm import (
     Assign,
+    Beqz,
     CondAssign,
     Load,
     Program,
@@ -124,7 +137,7 @@ from .masm import (
 )
 from .speculation import (
     SpecConfig,
-    _branches_agree,
+    agrees,
     check_fences,  # not called here; bench/tracer.py wraps engine.check_fences
     check_speculative_cf,
     check_traditional_cf,
@@ -265,96 +278,212 @@ class _Query:
     bits: int
     inputs: list  # the input addresses, ascending
     init_vals: dict  # non-input locations start at 0, the secret at its sentinel
-    fixed: list  # per thread: load or store label -> its register-free address, or None
     leaky: list  # per thread: the labels of its loads that may read the secret
 
 
 def _query(unrolled: Program, bits: int) -> _Query:
     secret, mask = unrolled.secret_addr, (1 << bits) - 1
     init_vals = {**dict.fromkeys(unrolled.declared_addresses(), 0), secret: secret_sentinel(bits)}
-    fixed = [
-        {ins.label: None if expr_registers(a) else eval_expr(a, {}, secret, mask)
-         for ins in instrs if isinstance(ins.stmt, (Load, Store)) for a in [ins.stmt.addr]}
-        for instrs in unrolled.threads
-    ]
-    # a load may read the secret when it reads init and its register-free
-    # address is unknown or the secret's
+    # a load may read the secret when it reads init and its address reads a
+    # register or is the secret's
     leaky = [{ins.label for ins in instrs if isinstance(ins.stmt, Load)
-              and addrs[ins.label] in (None, secret)}
-             for instrs, addrs in zip(unrolled.threads, fixed)]
-    return _Query(bits, sorted(unrolled.input_locations), init_vals, fixed, leaky)
+              and (expr_registers(a := ins.stmt.addr) or eval_expr(a, {}, secret, mask) == secret)}
+             for instrs in unrolled.threads]
+    return _Query(bits, sorted(unrolled.input_locations), init_vals, leaky)
 
 
 # ---------------------------------------------------------------------------
 # Directed search
-
-def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
-    """The load's rf sources in the blind order: "init", then the stores
-    that `rf_rejection` allows at the register-free addresses in `fixed`."""
-    return ["init", *(
-        store for store in skeleton.structure.stores
-        if rf_rejection(skeleton, store, load, fixed[store], fixed[load]) is None
-    )]
-
 
 # per statement type, the expression that a load's address or the others'
 # value must wait for: a conditional assignment's guard, not its expression
 _WAITING = {Load: "addr", Assign: "expr", CondAssign: "guard", Store: "value"}
 
 
-def _waits(skeleton: CandidateExecution) -> dict:
-    """Load or store id -> the loads, a bitset over event ids, that its
-    address (a load's) or its value (a store's) must wait for.  An
-    expression waits for what the last writers (the skeleton's `writers`)
-    of its registers wait for, and a load's value for the load itself."""
+def _over(regs, last: dict, value: dict) -> tuple[int, int]:
+    """(must, may) of an expression over `regs`: the union of those of the
+    registers' last writers in `last` (a register without one reads 0)."""
+    wait = reach = 0
+    for r in regs:
+        if r in last:
+            w, m = value[last[r]]
+            wait |= w
+            reach |= m
+    return wait, reach
+
+
+def _waits(skeleton: CandidateExecution) -> tuple[dict, dict]:
+    """(must, may), bitsets of loads over event ids.  `must`: load or store
+    id -> the loads that its address (a load's) or its value (a store's)
+    must wait for.  An expression waits for what the last writers (the
+    skeleton's `writers`) of its registers wait for, and a load's value for
+    the load itself.  `may`: node (as in `Evaluator`) -> the loads whose
+    values its evaluation may read, for the address of every load and
+    store and the value of every store and branch; as `must`, but a
+    conditional assignment may read its expression and the register's old
+    value too."""
     events, writers = skeleton.events, skeleton.structure.writers
-    value: dict[int, int] = {}  # register writer -> the loads its value waits for
-    waits: dict[int, int] = {}
+    value: dict[int, tuple] = {}  # register writer -> (must, may) of its value
+    must: dict[int, int] = {}
+    may: dict[int, int] = {}
     for eid in skeleton.structure.instructions:
         s = events[eid].stmt
-        if type(s) not in _WAITING:
+        kind, last = type(s), writers[eid]
+        if kind is Beqz:
+            may[2 * eid + 1] = _over((s.reg,), last, value)[1]
+        if kind not in _WAITING:
             continue
-        last, wait = writers[eid], 0
-        for r in expr_registers(getattr(s, _WAITING[type(s)])):
-            if r in last:
-                wait |= value[last[r]]
-        waits[eid] = wait
-        value[eid] = 1 << eid if isinstance(s, Load) else wait
-    return waits
+        wait, reach = _over(expr_registers(getattr(s, _WAITING[kind])), last, value)
+        if kind is Load:
+            must[eid], may[2 * eid] = wait, reach
+            value[eid] = (1 << eid, 1 << eid)
+        elif kind is Store:
+            must[eid], may[2 * eid + 1] = wait, reach
+            may[2 * eid] = _over(expr_registers(s.addr), last, value)[1]
+        elif kind is Assign:
+            value[eid] = wait, reach
+        else:
+            value[eid] = wait, reach | _over(expr_registers(s.expr) | {s.reg}, last, value)[1]
+    return must, may
 
 
-def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: int):
-    """(reads-from vector, hit) for the vectors over the skeleton's loads
-    (in id order) in which some load of `may_read`, a bitset over event
-    ids, reads init, in the blind lexicographic order: `hit` is the bitset
-    of those loads.  Minus every vector that the reads-from rule of
-    `_sources` or a must-dependency cycle dooms: a choice needs what its
-    source waits for (`_waits`: the load's address for init, else the
-    store's value), and closes a cycle when that set, closed over the needs
-    of the loads chosen before, holds the load.  Iterative depth-first
-    search; a prefix is dropped once no later load can read the secret."""
-    loads = skeleton.structure.loads
+def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
+    """The load's rf sources in the blind order: "init", then the stores
+    that `rf_rejection` allows at the addresses in `fixed` (None: not known
+    before the search)."""
+    return ["init", *(
+        store for store in skeleton.structure.stores
+        if rf_rejection(skeleton, store, load, fixed[store], fixed[load]) is None
+    )]
+
+
+# the kinds of a lane check: (requirement, kind, a, b)
+_RF, _SECRET, _BRANCH = range(3)
+
+
+def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen: int,
+            full: int):
+    """Decide `checks` on the cells of `dataflow`, whose lanes `full` holds
+    as a bitset: (live, seen, undecided).  An rf check (load a reads store
+    b) keeps in `live` the lanes where `rf_rejection` allows it at their
+    addresses, a branch check (event a, taken b) the lanes where its value
+    sends it that way; a secret check (load a reads init) adds to `seen`
+    the lanes where its address is the secret's.  A check whose evaluation
+    meets a `MixedGuard` is left undecided, with a requirement that no
+    prefix meets."""
+    secret = x.program.secret_addr
+    undecided = ()
+    for check in checks:
+        _, kind, a, b = check
+        try:
+            if kind == _SECRET:
+                cell = dataflow.cell(2 * a)
+                if type(cell) is not tuple:
+                    seen |= full if cell == secret else 0
+                else:
+                    for lane, at in enumerate(cell):
+                        if at == secret:
+                            seen |= 1 << lane
+                continue
+            if kind == _BRANCH:
+                cell = dataflow.cell(2 * a + 1)
+                if type(cell) is not tuple:
+                    live &= full if agrees(cell, b) else 0
+                else:
+                    for lane, value in enumerate(cell):
+                        if not agrees(value, b):
+                            live &= ~(1 << lane)
+                continue
+            to, at = dataflow.cell(2 * b), dataflow.cell(2 * a)
+            if type(to) is not tuple and type(at) is not tuple:
+                live &= full if to == at or rf_rejection(x, b, a, to, at) is None else 0
+            else:  # where the addresses differ, the rule says the same in every lane
+                width, alias = full.bit_length(), None
+                tos = to if type(to) is tuple else (to,) * width
+                ats = at if type(at) is tuple else (at,) * width
+                for lane, (t, l) in enumerate(zip(tos, ats)):
+                    if t != l and t is not None and l is not None:
+                        if alias is None:
+                            alias = rf_rejection(x, b, a, t, l) is None
+                        if not alias:
+                            live &= ~(1 << lane)
+        except MixedGuard:
+            undecided += ((-1, kind, a, b),)
+    return live, seen, undecided
+
+
+def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int, full: int):
+    """(reads-from vector, memo, live, seen, undecided) per vector over the
+    skeleton's loads (in id order) in which some live lane reads the secret
+    or a check is left undecided, in the blind lexicographic order (see
+    the module docstring).  `dataflow` evaluates the skeleton with its
+    `rf_choice` the prefix at hand, and its lanes make up `full`, a
+    bitset; `may_read` is the bitset of the leaky loads.
+
+    A choice whose source's must-wait set (`_waits`), closed over the
+    needs of the loads chosen before, holds the load closes a cycle and is
+    dropped.  A chosen load is settled once every load that its value may
+    read is settled; a lane check is decided once every load that its
+    nodes may read is, for its nodes then hold what they hold in every
+    vector with this prefix.  A check ready before a load's choice is
+    decided in the prefix's own memo, shared by the load's choices; one
+    that the choice makes ready, in a copy.  At the last load every check
+    left is decided, in the memo yielded, which the goal test continues."""
+    structure = skeleton.structure
+    loads, n = structure.loads, len(structure.loads)
+    waits, may = _waits(skeleton)
+    # the address of every load and store that reads no load, the same in
+    # every lane: a leaky load with one reads the secret in every lane or none
+    fixed = {eid: None if may[2 * eid] else dataflow.address(eid)
+             for eid in (*loads, *structure.stores)}
+    may_read &= ~sum(1 << load for load in loads
+                     if fixed[load] not in (None, skeleton.program.secret_addr))
+    checks = []
+    for eid, taken in structure.branches:
+        if may[2 * eid + 1]:
+            checks.append((may[2 * eid + 1], _BRANCH, eid, taken))
+        elif not agrees(dataflow.value(eid), taken):
+            return  # a branch disagrees in every lane
     if not may_read:
         return
-    options = [_sources(skeleton, load, fixed) for load in loads]
-    waits = _waits(skeleton)
+    # per load, its sources: (source, its must-wait set, the loads the
+    # load's value then may read, its lane check or None)
+    options = [
+        [(source, waits[load], may[2 * load],
+          (may[2 * load], _SECRET, load, None) if may_read >> load & 1 else None)
+         if source == "init" else
+         (source, waits[source], may[2 * source + 1],
+          (may[2 * load] | may[2 * source], _RF, load, source)
+          if may[2 * load] | may[2 * source] else None)
+         for source in _sources(skeleton, load, fixed)]
+        for load in loads
+    ]
+    # per depth, what its prefix decided: (memo, whether the memo is the
+    # prefix's own, live, seen, settled, pending checks, the loads whose
+    # secret check is pending)
+    frames = [(dataflow.memo, True, full, 0, 0, tuple(checks), 0)] + [None] * n
+    every = sum(1 << load for load in loads)
     needs: dict[int, int] = {}  # load chosen before the one at hand -> its needs
-    chosen: list = [None] * len(loads)
-    cursor = [0] * len(loads)
-    hit = [0] * (len(loads) + 1)  # hit[i]: the loads that read it in the first i
+    reads: dict[int, int] = {}  # chosen load -> the loads its value may read
+    chosen: list = [None] * n
+    cursor = [0] * n
+    prefix = dataflow.rf_choice
     depth = 0
     while depth >= 0:
-        load = loads[depth]
-        if cursor[depth] == len(options[depth]):
+        row, at = options[depth], cursor[depth]
+        if at == len(row):
             cursor[depth] = 0
             depth -= 1
             continue
-        source = options[depth][cursor[depth]]
-        cursor[depth] += 1
-        hit[depth + 1] = hit[depth] | (may_read & 1 << load if source == "init" else 0)
-        if not (hit[depth + 1] or may_read >> load + 1):
+        cursor[depth] = at + 1
+        source, need, read, check = row[at]
+        memo, owned, live, seen, settled, checks, open_ = frames[depth]
+        load = loads[depth]
+        init = source == "init"
+        if not (live & seen or open_ or may_read >> load + 1 or init and check):
+            # no lane can read the secret any more, nor through a later store
+            cursor[depth] = len(row)
             continue
-        need = waits[load if source == "init" else source]
         reached = todo = need  # closed over the needs of the loads chosen so far
         while todo and not reached >> load & 1:
             m = todo.bit_length() - 1
@@ -365,66 +494,121 @@ def _rf_vectors(skeleton: CandidateExecution, fixed: dict, may_read: int):
         if reached >> load & 1:
             continue
         needs[load] = need
+        reads[load] = read
+        prefix[load] = source
+        if check is None:
+            pass
+        elif check[0] & ~settled:
+            checks += (check,)
+            if init:
+                open_ |= 1 << load
+        else:  # ready before the choice: shared by every choice of this load
+            if not owned:
+                memo, owned = memo[:], True
+                frames[depth] = (memo, owned, *frames[depth][2:])
+            dataflow.memo = memo
+            live, seen, undecided = _decide(skeleton, dataflow, (check,), live, seen, full)
+            checks += undecided
+            if undecided and init:
+                open_ |= 1 << load
+        if depth + 1 == n:  # every load has its source: decide what is left
+            if live and (checks or live & seen):
+                memo = dataflow.memo = memo[:]  # the goal test writes to it too
+                live, seen, checks = _decide(skeleton, dataflow, checks, live, seen, full)
+                if checks or live & seen:
+                    chosen[depth] = source
+                    yield tuple(chosen), memo, live, seen, checks
+            continue
+        own = False
+        if live and not read & ~settled:
+            settled |= 1 << load
+            waiting = every & (1 << load) - 1 & ~settled  # chosen, not settled
+            while waiting:  # the loads chosen before that this one settles
+                now = sum(1 << m for m in reads if waiting >> m & 1 and not reads[m] & ~settled)
+                if not now:
+                    break
+                settled |= now
+                waiting ^= now
+            ready = checks and tuple(c for c in checks if not c[0] & ~settled)
+            if ready:
+                memo = dataflow.memo = memo[:]
+                own = True
+                live, seen, undecided = _decide(skeleton, dataflow, ready, live, seen, full)
+                checks = tuple(c for c in checks if c[0] & ~settled) + undecided
+                open_ = 0
+                for c in checks:
+                    if c[1] == _SECRET:
+                        open_ |= 1 << c[2]
+        if not (live and (live & seen or open_ or may_read >> load + 1)):
+            continue
         chosen[depth] = source
-        if depth + 1 == len(loads):
-            yield tuple(chosen), hit[depth + 1]
-        else:
-            depth += 1
+        depth += 1
+        frames[depth] = (memo, own, live, seen, settled, checks, open_)
 
 
 def _pairs(skeleton: CandidateExecution, query: _Query):
     """Per reads-from vector, in the blind order, the value-consistent
     (rf, inputs) pairs that read the secret and whose branches agree with
     their outcomes, inputs in the blind order, each as its floor: the
-    candidate with the empty coherence order.  The goal test evaluates the
-    addresses of the vector's `hit` loads, and only a pair where one is the
-    secret's and the branch values agree is propagated, on from the goal
-    test's `Evaluator`: a pair it leaves consistent reads the secret.  Its
-    lanes are the last input's values, the other inputs iterated outside;
-    after a `MixedGuard` each remaining lane runs alone."""
-    secret, bits, inputs = skeleton.program.secret_addr, query.bits, query.inputs
-    events, load_ids = skeleton.events, skeleton.structure.loads
-    branches = skeleton.structure.branches
-    # the address of every load and store whose address reads no register
-    fixed = {eid: query.fixed[events[eid].thread][events[eid].label]
-             for eid in (*load_ids, *skeleton.structure.stores)}
+    candidate with the empty coherence order.  The lanes are the last
+    input's values, the other inputs, the head, iterated outside: one
+    search of `_rf_vectors` per head, merged in the blind order.  A vector
+    it yields is propagated, on from its memo, in each lane that is live
+    and reads the secret, after every node has been evaluated; if that or
+    a check meets a `MixedGuard`, each such lane runs alone."""
+    bits, inputs = query.bits, query.inputs
+    events, loads = skeleton.events, skeleton.structure.loads
     # the leaky loads, as a bitset
-    may_read = sum(1 << load for load in load_ids
+    may_read = sum(1 << load for load in loads
                    if events[load].label in query.leaky[events[load].thread])
-    probe = copy.copy(skeleton)  # the goal test's candidate, one rf vector at a time
     domain = range(1 << bits)
-    lanes = tuple(domain) if inputs else (None,)  # the last input's value per lane
-    last = (lanes if len(lanes) > 1 else lanes[0],)  # their cell: plain for one lane
-    # the memo with every init cell filled, and the value cells of the inputs
-    template = Evaluator(probe, query.init_vals, bits).memo
-    cells = [2 * skeleton.structure.init_by_addr[a] + 1 for a in inputs]
-    for rf_vector, hit in _rf_vectors(skeleton, fixed, may_read):
-        probe.rf_choice = dict(zip(load_ids, rf_vector))
-        readers = [load for load in load_ids if hit >> load & 1]
-        passing = []
-        for head in itertools.product(domain, repeat=max(len(inputs) - 1, 0)):
-            evaluations = [lanes]  # and one per lane left after a `MixedGuard`
-            for block in evaluations:
-                memo = template[:]
-                for cell, value in zip(cells, head + (last if block is lanes else block)):
-                    memo[cell] = value
-                dataflow = Evaluator(probe, None, bits, memo)
+    width = len(domain) if inputs else 1
+    full = (1 << width) - 1
+    last = tuple(domain) if width > 1 else 0  # the last input's cell
+
+    def search(head):
+        probe = copy.copy(skeleton)
+        probe.rf_choice = {}  # the prefix at hand
+        dataflow = Evaluator(probe, {**query.init_vals, **dict(zip(inputs, (*head, last)))}, bits)
+        for vector, _, live, seen, undecided in _rf_vectors(probe, dataflow, may_read, full):
+            rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
+            alone = bool(undecided)
+            if lanes and not alone:
                 try:
-                    for lane in range(len(block)):
-                        if (all(dataflow.address(load, lane) != secret for load in readers)
-                                or not _branches_agree(branches,
-                                                       lambda e: dataflow.value(e, lane))):
-                            continue
-                        x = copy.copy(probe)
-                        x.inputs = dict(zip(inputs, (*head, block[lane])))
-                        propagate_values(x, {**query.init_vals, **x.inputs}, bits,
-                                         dataflow=dataflow, lane=lane if len(block) > 1 else None)
-                        if x.valuation is not None:  # a reader reads init at the secret
-                            passing.append(x)
+                    dataflow.nodes()  # no propagation starts on a void evaluation
                 except MixedGuard:
-                    evaluations += [(value,) for value in block[lane:]]
-        if passing:
+                    alone = True
+            for lane in range(width):
+                if not (live if alone else lanes) >> lane & 1:
+                    continue
+                x = copy.copy(skeleton)
+                x.rf_choice = rf
+                x.inputs = dict(zip(inputs, (*head, domain[lane])))
+                init_vals = {**query.init_vals, **x.inputs}
+                if alone:  # this lane on its own
+                    one = Evaluator(x, init_vals, bits)
+                    if not all(_decide(x, one, undecided, 1, seen >> lane & 1, 1)[:2]):
+                        continue
+                    propagate_values(x, init_vals, bits, dataflow=one)
+                else:
+                    propagate_values(x, init_vals, bits, dataflow=dataflow,
+                                     lane=lane if width > 1 else None)
+                if x.valuation is not None:
+                    passing.append(x)
+            if passing:
+                yield vector, passing
+
+    heads = list(itertools.product(domain, repeat=len(inputs) - 1)) if inputs else [()]
+    if len(heads) == 1:
+        for _, passing in search(heads[0]):
             yield passing
+        return
+
+    def order(item):  # the blind order of a vector: "init" before the stores
+        return tuple(-1 if s == "init" else s for s in item[0])
+
+    for _, group in itertools.groupby(heapq.merge(*map(search, heads), key=order), key=order):
+        yield [x for _, passing in group for x in passing]
 
 
 def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):

@@ -592,34 +592,38 @@ class Evaluator:
     to `_NESTED` deep; deeper, it is pushed on an explicit stack and the
     node that needs it is evaluated again once it is, so a long dependency
     chain does not exhaust the interpreter's recursion limit.  `init_vals`
-    must cover every declared address, unless `memo` is given: the memo to
-    start from, instead of the one `init_vals` fills.  An init value may be
-    a tuple of one value per lane, each lane an input vector: a memo cell
-    holds a plain value where it reads no tuple, else a tuple, and
-    `value(eid, lane)` and `address(eid, lane)` give one lane's.  For one
-    rf choice the lanes read the same nodes but at a conditional
-    assignment, so a node reads None on its own cycle in all lanes exactly
-    when it would in each alone; a guard that is not zero in all lanes or
-    in none raises `MixedGuard`, which voids the evaluation.
+    must cover every declared address.  An init value may be a tuple of
+    one value per lane, each lane an input vector: a memo cell holds a
+    plain value where it reads no tuple, else a tuple, and `value(eid,
+    lane)` and `address(eid, lane)` give one lane's.  For one rf choice the
+    lanes read the same nodes but at a conditional assignment, so a node
+    reads None on its own cycle in all lanes exactly when it would in each
+    alone; a guard that is not zero in all lanes or in none raises
+    `MixedGuard`.  That leaves the nodes under evaluation unset and the
+    evaluator usable: a node it resolved that read one of them lies on a
+    cycle with it in every lane, so None is its value anyway.  The memo
+    may be swapped for a copy to carry the evaluation on under another rf
+    choice, as long as no node it holds reads a source that changed.
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
                  "mask", "memo", "at", "missing", "depth")
 
-    def __init__(self, x: CandidateExecution, init_vals: dict | None, bits: int,
-                 memo: list | None = None):
+    def __init__(self, x: CandidateExecution, init_vals: dict, bits: int):
         self.events, self.rf_choice = x.events, x.rf_choice
         self.init_by_addr, self.writers = x.structure.init_by_addr, x.structure.writers
         self.secret_addr, self.mask = x.program.secret_addr, (1 << bits) - 1
         # node 2 * eid is the address of event eid, node 2 * eid + 1 its value
-        if memo is None:
-            memo = [_UNSET] * (2 * len(x.events))
-            for addr, eid in self.init_by_addr.items():
-                memo[2 * eid], memo[2 * eid + 1] = addr, init_vals[addr]
-        self.memo = memo
+        self.memo = [_UNSET] * (2 * len(x.events))
+        for addr, eid in self.init_by_addr.items():
+            self.memo[2 * eid], self.memo[2 * eid + 1] = addr, init_vals[addr]
         self.at: dict = {}  # the writers of the registers of the node at hand
         self.missing = None  # an input of that node left for the stack
         self.depth = 0  # the nested evaluations under way
+
+    def cell(self, node: int):
+        """The node's memo cell: a plain value, or a tuple of one per lane."""
+        return self._demand(node)
 
     def value(self, eid: int, lane: int = 0):
         cell = self._demand(2 * eid + 1)
@@ -647,15 +651,20 @@ class Evaluator:
             return result
         memo[node] = None  # on its own dependency cycle until resolved
         stack = [node]
-        while stack:
-            result = self._evaluate(stack[-1])
-            need = self.missing
-            if need is None:
-                memo[stack.pop()] = result
-            else:
-                self.missing = None
-                memo[need] = None
-                stack.append(need)
+        try:
+            while stack:
+                result = self._evaluate(stack[-1])
+                need = self.missing
+                if need is None:
+                    memo[stack.pop()] = result
+                else:
+                    self.missing = None
+                    memo[need] = None
+                    stack.append(need)
+        except MixedGuard:
+            for pending in stack:
+                memo[pending] = _UNSET
+            raise
         return result
 
     def _input(self, node: int):
@@ -671,8 +680,10 @@ class Evaluator:
             return None
         at = self.at
         self.depth += 1
-        val = self._demand(node)
-        self.depth -= 1
+        try:
+            val = self._demand(node)
+        finally:
+            self.depth -= 1
         self.at = at
         return val
 

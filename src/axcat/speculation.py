@@ -10,9 +10,9 @@ by `build_events`, with a completed valuation.  The builder walks each
 thread along the chosen outcomes and predictions, so the path constraints
 hold by construction except for the data: the control-flow checks only
 test that each branch the walk passed through has a value that agrees with
-the outcome chosen for it (`Skeleton.branches`).  That test,
-`_branches_agree`, takes any value lookup: the engine's goal test runs it
-on values computed on demand, and these checks only replay a witness.
+the outcome chosen for it (`Skeleton.branches`).  That test, `agrees`,
+is stated once: the engine's reads-from search applies it lane by lane to
+values computed on demand, and these checks only replay a witness.
 """
 
 from __future__ import annotations
@@ -38,10 +38,16 @@ class SpecConfig:
             raise ValueError("speculation window must be >= 1")
 
 
+def agrees(value, taken: bool) -> bool:
+    """Whether a branch value sends the branch the chosen way: zero when
+    taken."""
+    return (value == 0) == taken
+
+
 def _branches_agree(branches, value) -> bool:
     """Whether each of `branches`, (event id, taken) pairs, has a value
-    (`value(eid)`) that sends it the chosen way: zero when taken."""
-    return all((value(eid) == 0) == taken for eid, taken in branches)
+    (`value(eid)`) that agrees with its outcome."""
+    return all(agrees(value(eid), taken) for eid, taken in branches)
 
 
 def check_traditional_cf(x: CandidateExecution) -> bool:

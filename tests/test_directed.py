@@ -26,7 +26,8 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
-from axcat.events import Evaluator, MixedGuard, _walk_thread, secret_sentinel
+from axcat.events import _UNSET, Evaluator, MixedGuard, _walk_thread, rf_rejection, secret_sentinel
+from axcat.masm import eval_expr, expr_registers
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
 
@@ -189,8 +190,9 @@ def test_directed_search_with_a_secret_probe(base):
 
 def fixed_addresses(skeleton):
     """Load or store id -> its register-free address at 3 bits, or None."""
-    fixed = _query(skeleton.program, 3).fixed
-    return {e.id: fixed[e.thread][e.label] for e in (*skeleton.loads(), *skeleton.stores())}
+    secret = skeleton.program.secret_addr
+    return {e.id: None if expr_registers(e.stmt.addr) else eval_expr(e.stmt.addr, {}, secret, 7)
+            for e in (*skeleton.loads(), *skeleton.stores())}
 
 
 _EDGE_LAYOUT = "layout A[1]@0 secret@1 input in0@2 B[1]@3\nthread 0:\n"
@@ -270,49 +272,46 @@ def test_store_buffer_sources_come_from_po():
 
 def rf_vectors(src):
     """The skeleton structure of a branch-free program plus a thread that
-    reads `p`, and the (vector, hit) pairs that `_rf_vectors` yields on it
-    when every load may read the secret.  The probe reads init in every vector, so no
-    vector is dropped for want of a load that reads it."""
-    program = parse_program(src + f"thread {src.count('thread ')}:\n1: load r9, p\n")
-    skeleton = build_events(program, {}, {})
-    fixed = fixed_addresses(skeleton)
-    may_read = sum(1 << load for load in skeleton.structure.loads)
-    return skeleton.structure, list(engine._rf_vectors(skeleton, fixed, may_read))
+    reads the secret, and the vectors that `_rf_vectors` yields on it when
+    every load may read the secret.  The probe reads init, at the secret,
+    in every vector, so no vector is dropped for want of a secret read; the
+    one lane reads the secret in each."""
+    program = parse_program(src + f"thread {src.count('thread ')}:\n1: load r9, secret\n")
+    probe = copy.copy(build_events(program, {}, {}))
+    probe.rf_choice = {}
+    dataflow = Evaluator(probe, _query(program, 3).init_vals, 3)
+    may_read = sum(1 << load for load in probe.structure.loads)
+    got = list(engine._rf_vectors(probe, dataflow, may_read, 1))
+    assert all(live & seen == 1 and not undecided for _, _, live, seen, undecided in got)
+    return probe.structure, [vector for vector, *_ in got]
 
 
 def test_must_dependency_cycles_are_pruned():
     """A source whose wait set, closed over the loads chosen before, holds
-    the load is never offered; every other source is, and `hit` holds the
-    loads that read init."""
+    the load is never offered; every other source is."""
     # load buffering: each load would read the store of the other's value
     structure, got = rf_vectors(
         "layout x@0 y@1 p@2 secret@3\nthread 0:\n1: load r1, x\n2: store y, r1\n"
         "thread 1:\n1: load r2, y\n2: store x, r2\n"
     )
-    lx, ly, probe = structure.loads
     sy, sx = structure.stores
     assert got == [
-        (("init", "init", "init"), 1 << lx | 1 << ly | 1 << probe),
-        (("init", sy, "init"), 1 << lx | 1 << probe),  # ly waits for lx, which reads init
-        ((sx, "init", "init"), 1 << ly | 1 << probe),
+        ("init", "init", "init"),
+        ("init", sy, "init"),  # ly waits for lx, which reads init
+        (sx, "init", "init"),
     ]
     # a store of the load's own value, later in its thread
     structure, got = rf_vectors(
         "layout A@0 p@1 secret@2\nthread 0:\n1: load r1, A\n2: store A, r1\n"
     )
-    load, probe = structure.loads
-    assert got == [(("init", "init"), 1 << load | 1 << probe)]
+    assert got == [("init", "init")]
     # the store's value waits for the conditional assignment's guard only
     structure, got = rf_vectors(
         "layout A@0 p@1 secret@2\nthread 0:\n1: load r0, A\n2: r1 <-(0?) r0\n"
         "3: store A, r1\n"
     )
-    load, probe = structure.loads
     (store,) = structure.stores
-    assert got == [
-        (("init", "init"), 1 << load | 1 << probe),
-        ((store, "init"), 1 << probe),
-    ]
+    assert got == [("init", "init"), (store, "init")]
 
 
 def test_thread_vectors_need_no_recursion_per_branch():
@@ -736,85 +735,87 @@ def test_kept_tables_stay_bounded():
 
 
 def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
-    """Every lane of every goal test's `Evaluator`, started from a copy of
-    its skeleton's memo template, gives the address and the value of every
-    event that a fresh one-lane `Evaluator` over the lane's input vector
-    gives: the corpus, and generator seeds 0-199 in both modes.  An
-    evaluation voided by a `MixedGuard` is not compared; its remaining
-    lanes have evaluations of their own.  On the corpus, whose programs
-    have at most one input and no conditional assignment, each reads-from
-    vector has one goal test, and it covers every value of the input."""
-    started = []  # per goal test, in `_pairs`' order: rf choice, evaluator, input cells
+    """Every reads-from vector that reaches the goal test brings the memo of
+    its last prefix, grown from the skeleton's template one depth at a
+    time, and the goal test continues from it.  Every cell of it holds, in
+    every lane, what a fresh one-lane `Evaluator` over the lane's input
+    vector gives; and unless a `MixedGuard` left a check undecided, its
+    lanes that are live and read the secret are exactly those in which the
+    fresh evaluation has a leaky load read init at the secret's address,
+    every branch agree with its outcome and every load that reads a store
+    pass `rf_rejection` at their addresses.  The corpus, and generator
+    seeds 0-199 in both modes, alone and with the secret probe of
+    `with_probe`.  On the corpus, whose programs have at most
+    one input and no conditional assignment, no check is left undecided,
+    and every goal test holds every value of the input as its lanes."""
+    reached = []  # per goal test: skeleton, vector, memo, live, seen, undecided
+    rf_vectors = engine._rf_vectors
 
-    class Recording(Evaluator):
-        def __init__(self, x, init_vals, bits, memo=None):
-            super().__init__(x, init_vals, bits, memo)
-            self.void = False
-            if memo is not None:
-                cells = [memo[2 * x.structure.init_by_addr[a] + 1]
-                         for a in sorted(x.program.input_locations)]
-                started.append((x.rf_choice, self, cells))
-
-        def _demand(self, node):
-            try:
-                return super()._demand(node)
-            except MixedGuard:
-                self.void = True
-                raise
+    def recording(skeleton, dataflow, may_read, full):
+        for item in rf_vectors(skeleton, dataflow, may_read, full):
+            reached.append((skeleton, *item))
+            yield item
 
     def compare(program, cfg, k, bits):
         inputs = sorted(program.input_locations)
-        init = {a: 0 for a in program.declared_addresses()}
-        init[program.secret_addr] = secret_sentinel(bits)
-        tested = voided = goal_tests = 0
         unrolled = unroll(program, k)
         query = _query(unrolled, bits)
+        secret, init = program.secret_addr, query.init_vals
+        tested = undecided_tests = 0
+        inputs_cells = []  # per goal test, its input cells
+        reached.clear()
         for skeleton in _skeletons(unrolled, cfg):
-            started.clear()
             for _ in _pairs(skeleton, query):
                 pass
-            goal_tests += len(started)
-            covered = {}  # rf choice -> the input vectors of its evaluations
-            for rf_choice, dataflow, cells in started:
-                width = max((len(c) for c in cells if type(c) is tuple), default=1)
-                vectors = [tuple(c[lane] if type(c) is tuple else c for c in cells)
-                           for lane in range(width)]
-                x = copy.copy(skeleton)
-                x.rf_choice = rf_choice
-                ids = range(len(x.events))
-                for lane, vector in enumerate(vectors):
-                    fresh = Evaluator(x, {**init, **dict(zip(inputs, vector))}, bits)
-                    try:
-                        got = [(dataflow.address(e, lane), dataflow.value(e, lane)) for e in ids]
-                    except MixedGuard:
-                        dataflow.void = True
-                    if dataflow.void:
-                        voided += 1
-                        break
-                    assert got == [(fresh.address(e), fresh.value(e)) for e in ids]
-                    covered.setdefault(tuple(sorted(rf_choice.items())), []).append(vector)
-                    tested += 1
-            if not voided:  # every input vector once per rf vector, in the blind order
-                every = list(itertools.product(range(1 << bits), repeat=len(inputs)))
-                assert all(vectors == every for vectors in covered.values())
-        return tested, voided, goal_tests
+        for skeleton, vector, memo, live, seen, undecided in reached:
+            x = copy.copy(skeleton)
+            x.rf_choice = dict(zip(skeleton.structure.loads, vector))
+            cells = [memo[2 * skeleton.structure.init_by_addr[a] + 1] for a in inputs]
+            width = max((len(c) for c in cells if type(c) is tuple), default=1)
+            inputs_cells += cells
+            undecided_tests += bool(undecided)
+            for lane in range(width):
+                vector_in = [c[lane] if type(c) is tuple else c for c in cells]
+                fresh = Evaluator(x, {**init, **dict(zip(inputs, vector_in))}, bits)
+                for node, cell in enumerate(memo):
+                    if cell is not _UNSET:
+                        got = cell[lane] if type(cell) is tuple else cell
+                        want = (fresh.value if node & 1 else fresh.address)(node >> 1)
+                        assert got == want, (program, vector, lane, node)
+                if undecided:
+                    continue
+                events = skeleton.events
+                reads = any(
+                    x.rf_choice[load] == "init" and fresh.address(load) == secret
+                    and events[load].label in query.leaky[events[load].thread]
+                    for load in skeleton.structure.loads)
+                agree = all((fresh.value(e) == 0) == taken
+                            for e, taken in skeleton.structure.branches)
+                allowed = all(
+                    source == "init" or rf_rejection(
+                        x, source, load, fresh.address(source), fresh.address(load)) is None
+                    for load, source in x.rf_choice.items())
+                assert bool((live & seen) >> lane & 1) == (reads and agree and allowed)
+                tested += 1
+        return tested, undecided_tests, inputs_cells
 
-    monkeypatch.setattr(engine, "Evaluator", Recording)
+    monkeypatch.setattr(engine, "_rf_vectors", recording)
     corpus_lanes = 0
     for param in corpus_expectations():
         program, exp = param.values
         _, cfg, k, bits = corpus_settings(exp)
-        tested, voided, goal_tests = compare(program, cfg, k, bits)
-        assert not voided and len(program.input_locations) <= 1
-        assert tested == goal_tests << bits * len(program.input_locations)
+        tested, undecided, cells = compare(program, cfg, k, bits)
+        assert not undecided and len(program.input_locations) <= 1
+        assert all(c == tuple(range(1 << bits)) for c in cells)
         corpus_lanes += tested
-    assert corpus_lanes > 300
-    tested = voided = 0
+    assert corpus_lanes > 100
+    tested = undecided = 0
     for seed in range(200):
-        program = parse_program(random_program_source(random.Random(seed)))
-        for mode in ("traditional", "speculative"):
-            cfg = SpecConfig(mode=mode, psf=seed % 2 == 1)
-            lanes, voids, _ = compare(program, cfg, 1 + seed // 2 % 2, 2)
-            tested += lanes
-            voided += voids
-    assert tested > 1000 and voided < tested / 100
+        source = random_program_source(random.Random(seed))
+        for program in (parse_program(source), parse_program(with_probe(source))):
+            for mode in ("traditional", "speculative"):
+                cfg = SpecConfig(mode=mode, psf=seed % 2 == 1)
+                lanes, left, _ = compare(program, cfg, 1 + seed // 2 % 2, 2)
+                tested += lanes
+                undecided += left
+    assert tested > 3000 and undecided < tested / 100, (tested, undecided)

@@ -162,6 +162,35 @@ def test_a_guard_that_splits_the_lanes_runs_them_one_at_a_time(monkeypatch, name
             == [signature(x) for x in blind(program, cfg, 1, 2)])
 
 
+# every lane reads the secret at label 4; the guard at label 2 splits them
+GUARD_AFTER_THE_GOAL = """layout A@0 secret@1 input idx@2 B@3
+thread 0:
+1: load r1, idx
+2: r2 <-(r1 < 2?) 1
+3: store B, r2
+4: load r3, secret
+"""
+
+
+def test_no_propagation_starts_on_a_voided_evaluation(monkeypatch):
+    """No check of the search reads the guard, so every lane passes the goal
+    test and only the demand of every node meets the `MixedGuard`: that
+    demand comes before any propagation, so each of the four lanes is
+    propagated once, alone, and none is started on the voided evaluation."""
+    voided = recording(monkeypatch)
+    calls = []
+    propagate = engine.propagate_values
+    monkeypatch.setattr(engine, "propagate_values",
+                        lambda x, *args, **kw: calls.append(x.inputs) or propagate(x, *args, **kw))
+    program = parse_program(GUARD_AFTER_THE_GOAL)
+    model, cfg = load_model("inorder"), SpecConfig(mode="traditional")
+    got = verdict(program, model, cfg, 1, 2)
+    assert voided
+    assert calls == [{2: idx} for idx in range(4)]
+    assert got == blind_verdict(program, model, cfg, 1, 2)
+    assert got[0] == "unsafe" and got[1]["inputs"] == {2: 0}
+
+
 TWO_INPUTS = """layout A@0 secret@1 input x@2 input y@3
 thread 0:
 1: load r1, x
@@ -173,28 +202,33 @@ thread 0:
 
 @pytest.mark.parametrize("mode", ("traditional", "speculative"))
 def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
-    """With two inputs at 2 bits only x = 2, y = 3 reads the secret.  Each
-    goal test holds x plain and y's four values as lanes; the verdict,
-    witness inputs and `generated` are those of the first consistent
-    secret reader of the blind enumeration, and the verdict the
-    reference's."""
-    cells = []  # per goal test, the input cells it starts from
+    """With two inputs at 2 bits only x = 2, y = 3 reads the secret.  One
+    reads-from search runs per value of x, in order, each holding x plain
+    and y's four values as lanes; only the search of x = 2 brings a vector
+    to the goal test, whose only lane to read the secret is y = 3, as the
+    others are decided at a prefix.  The verdict, witness inputs and
+    `generated` are those of the first consistent secret reader of the
+    blind enumeration, and the verdict the reference's."""
+    searches = []  # per reads-from search, the input cells it starts from
+    reached = []  # per goal test: x, y and the lanes that are live and read the secret
+    rf_vectors = engine._rf_vectors
 
-    class Recording(Evaluator):
-        def __init__(self, x, init_vals, bits, memo=None):
-            super().__init__(x, init_vals, bits, memo)
-            if memo is not None:
-                cells.append([memo[2 * x.structure.init_by_addr[a] + 1] for a in (2, 3)])
+    def recording(skeleton, dataflow, may_read, full):
+        init = skeleton.structure.init_by_addr
+        cells = [dataflow.memo[2 * init[a] + 1] for a in (2, 3)]
+        searches.append(cells)
+        for item in rf_vectors(skeleton, dataflow, may_read, full):
+            reached.append((*cells, item[2] & item[3]))
+            yield item
 
-    monkeypatch.setattr(engine, "Evaluator", Recording)
+    monkeypatch.setattr(engine, "_rf_vectors", recording)
     program, model, cfg = parse_program(TWO_INPUTS), load_model("inorder"), SpecConfig(mode=mode)
     got = verdict(program, model, cfg, 1, 2)
     assert got[0] == "unsafe" and got[1]["inputs"] == {2: 2, 3: 3}
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
                                            cfg.buffer, 2)
-    # up to the witness: x = 0, 1, 2 as the head of one rf vector's goal tests
-    assert cells and all(type(x) is int and y == (0, 1, 2, 3) for x, y in cells)
-    assert [x for x, _ in cells[:3]] == [0, 1, 2]
+    assert searches[:4] == [[x, (0, 1, 2, 3)] for x in range(4)]
+    assert reached and all(r == (2, (0, 1, 2, 3), 1 << 3) for r in reached)
     assert ([signature(x) for x in directed(program, cfg, 1, 2)]
             == [signature(x) for x in blind(program, cfg, 1, 2)])
