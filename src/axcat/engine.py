@@ -32,12 +32,13 @@ reference by every candidate of the vector.
 
 Values do not depend on the coherence order, so the reads-from search
 carries one `events.Evaluator` whose lanes are the last input's values
-(the other inputs, the head, iterated outside it, one search each), and
-a bitset of the lanes still live.  It chooses sources depth first over
-the loads in id order, offering each load its sources in the blind
-order ("init", then the stores), each prefix with its own memo, grown
-from its parent's.  `_waits` tables once per skeleton, as bitsets, the
-loads that each address, store value and branch value must wait for
+(the other inputs, the head, iterated outside it, one search each, all
+merged in the blind order without looking ahead), and a bitset of the
+lanes still live.  It chooses sources depth first over the loads in id
+order, offering each load its sources in the blind order ("init", then
+the stores), each prefix with its own memo, grown from its parent's.
+`_waits` tables once per skeleton, as bitsets, the loads that each
+address, store value and branch value must wait for
 (`eval_expr` is strict in None, so an expression waits for the last
 writers of its registers, a conditional assignment's value for its guard
 only, and a load's value for its source: its own address when it reads
@@ -94,8 +95,8 @@ kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the leaky loads and the initial values; no input vector
 is kept.  Per control vector: the skeleton, its wait tables, the
-addresses that read no load, each load's sources, the search's memo
-template per head, and the model bound at its first pair
+addresses that read no load, each load's sources (`_plan`), the
+search's evaluator per head, and the model bound at its first pair
 (`CompiledModel.bind`), so every definition that reads no data relation
 is evaluated once per vector and a vector without pairs is never bound;
 each candidate then only builds the data rows the model reads
@@ -377,7 +378,7 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
         _, kind, a, b = check
         try:
             if kind == _SECRET:
-                cell = dataflow.cell(2 * a)
+                cell = dataflow.address(a)
                 if type(cell) is not tuple:
                     seen |= full if cell == secret else 0
                 else:
@@ -386,7 +387,7 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
                             seen |= 1 << lane
                 continue
             if kind == _BRANCH:
-                cell = dataflow.cell(2 * a + 1)
+                cell = dataflow.value(a)
                 if type(cell) is not tuple:
                     live &= full if agrees(cell, b) else 0
                 else:
@@ -394,7 +395,7 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
                         if not agrees(value, b):
                             live &= ~(1 << lane)
                 continue
-            to, at = dataflow.cell(2 * b), dataflow.cell(2 * a)
+            to, at = dataflow.address(b), dataflow.address(a)
             if type(to) is not tuple and type(at) is not tuple:
                 live &= full if to == at or rf_rejection(x, b, a, to, at) is None else 0
             else:  # where the addresses differ, the rule says the same in every lane
@@ -412,28 +413,20 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
     return live, seen, undecided
 
 
-def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int, full: int):
-    """(reads-from vector, memo, live, seen, undecided) per vector over the
-    skeleton's loads (in id order) in which some live lane reads the secret
-    or a check is left undecided, in the blind lexicographic order (see
-    the module docstring).  `dataflow` evaluates the skeleton with its
-    `rf_choice` the prefix at hand, and its lanes make up `full`, a
-    bitset; `may_read` is the bitset of the leaky loads.
-
-    A choice whose source's must-wait set (`_waits`), closed over the
-    needs of the loads chosen before, holds the load closes a cycle and is
-    dropped.  A chosen load is settled once every load that its value may
-    read is settled; a lane check is decided once every load that its
-    nodes may read is, for its nodes then hold what they hold in every
-    vector with this prefix.  A check ready before a load's choice is
-    decided in the prefix's own memo, shared by the load's choices; one
-    that the choice makes ready, in a copy.  At the last load every check
-    left is decided, in the memo yielded, which the goal test continues."""
+def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
+    """What `_rf_vectors` reads of the skeleton, the same for every input:
+    (the leaky loads left, as a bitset; the branch checks; per load, its
+    sources), or None where no vector can read the secret.  `dataflow`
+    evaluates the skeleton; `may_read` is the bitset of the leaky loads.
+    The address of a load or store that reads no load is the same in every
+    lane, so a leaky load with one reads the secret in every lane or in
+    none, and `_sources` prunes with these addresses; a branch whose value
+    reads no load agrees in every lane or in none.  Per load and source:
+    (source, its must-wait set, the loads the load's value then may read,
+    its lane check or None)."""
     structure = skeleton.structure
-    loads, n = structure.loads, len(structure.loads)
+    loads = structure.loads
     waits, may = _waits(skeleton)
-    # the address of every load and store that reads no load, the same in
-    # every lane: a leaky load with one reads the secret in every lane or none
     fixed = {eid: None if may[2 * eid] else dataflow.address(eid)
              for eid in (*loads, *structure.stores)}
     may_read &= ~sum(1 << load for load in loads
@@ -443,11 +436,9 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
         if may[2 * eid + 1]:
             checks.append((may[2 * eid + 1], _BRANCH, eid, taken))
         elif not agrees(dataflow.value(eid), taken):
-            return  # a branch disagrees in every lane
+            return None  # a branch disagrees in every lane
     if not may_read:
-        return
-    # per load, its sources: (source, its must-wait set, the loads the
-    # load's value then may read, its lane check or None)
+        return None
     options = [
         [(source, waits[load], may[2 * load],
           (may[2 * load], _SECRET, load, None) if may_read >> load & 1 else None)
@@ -458,10 +449,33 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
          for source in _sources(skeleton, load, fixed)]
         for load in loads
     ]
+    return may_read, tuple(checks), options
+
+
+def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: int):
+    """(reads-from vector, memo, live, seen, undecided) per vector over the
+    skeleton's loads (in id order) in which some live lane reads the secret
+    or a check is left undecided, in the blind lexicographic order (see
+    the module docstring).  `dataflow` evaluates the skeleton with its
+    `rf_choice` the prefix at hand, and its lanes make up `full`, a
+    bitset; `plan` is the skeleton's `_plan`.
+
+    A choice whose source's must-wait set (`_waits`), closed over the
+    needs of the loads chosen before, holds the load closes a cycle and is
+    dropped.  A chosen load is settled once every load that its value may
+    read is settled; a lane check is decided once every load that its
+    nodes may read is, for its nodes then hold what they hold in every
+    vector with this prefix.  A check ready before a load's choice is
+    decided in the prefix's own memo, shared by the load's choices; one
+    that the choice makes ready, in a copy.  At the last load every check
+    left is decided, in the memo yielded, which the goal test continues."""
+    loads = skeleton.structure.loads
+    n = len(loads)
+    may_read, checks, options = plan
     # per depth, what its prefix decided: (memo, whether the memo is the
     # prefix's own, live, seen, settled, pending checks, the loads whose
     # secret check is pending)
-    frames = [(dataflow.memo, True, full, 0, 0, tuple(checks), 0)] + [None] * n
+    frames = [(dataflow.memo, True, full, 0, 0, checks, 0)] + [None] * n
     every = sum(1 << load for load in loads)
     needs: dict[int, int] = {}  # load chosen before the one at hand -> its needs
     reads: dict[int, int] = {}  # chosen load -> the loads its value may read
@@ -552,10 +566,11 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     their outcomes, inputs in the blind order, each as its floor: the
     candidate with the empty coherence order.  The lanes are the last
     input's values, the other inputs, the head, iterated outside: one
-    search of `_rf_vectors` per head, merged in the blind order.  A vector
-    it yields is propagated, on from its memo, in each lane that is live
-    and reads the secret, after every node has been evaluated; if that or
-    a check meets a `MixedGuard`, each such lane runs alone."""
+    search of `_rf_vectors` per head, all on one `_plan`, merged in the
+    blind order.  A vector it yields is propagated, on from its memo, in
+    each lane that is live and reads the secret, after every node has been
+    evaluated; if that or a check meets a `MixedGuard`, each such lane
+    runs alone."""
     bits, inputs = query.bits, query.inputs
     events, loads = skeleton.events, skeleton.structure.loads
     # the leaky loads, as a bitset
@@ -565,12 +580,22 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     width = len(domain) if inputs else 1
     full = (1 << width) - 1
     last = tuple(domain) if width > 1 else 0  # the last input's cell
+    heads = list(itertools.product(domain, repeat=len(inputs) - 1)) if inputs else [()]
 
-    def search(head):
+    def evaluator(head):
         probe = copy.copy(skeleton)
         probe.rf_choice = {}  # the prefix at hand
-        dataflow = Evaluator(probe, {**query.init_vals, **dict(zip(inputs, (*head, last)))}, bits)
-        for vector, _, live, seen, undecided in _rf_vectors(probe, dataflow, may_read, full):
+        return Evaluator(probe, {**query.init_vals, **dict(zip(inputs, (*head, last)))}, bits)
+
+    dataflows = list(map(evaluator, heads))
+    plan = _plan(skeleton, dataflows[0], may_read)
+    if plan is None:
+        return
+
+    blind = {"init": -1}  # the blind order of a source: "init" before the stores
+
+    def search(i, head, dataflow):
+        for vector, _, live, seen, undecided in _rf_vectors(skeleton, dataflow, plan, full):
             rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
             alone = bool(undecided)
             if lanes and not alone:
@@ -596,19 +621,26 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
                 if x.valuation is not None:
                     passing.append(x)
             if passing:
-                yield vector, passing
+                yield tuple(map(blind.get, vector, vector)), i, passing
 
-    heads = list(itertools.product(domain, repeat=len(inputs) - 1)) if inputs else [()]
-    if len(heads) == 1:
-        for _, passing in search(heads[0]):
-            yield passing
-        return
-
-    def order(item):  # the blind order of a vector: "init" before the stores
-        return tuple(-1 if s == "init" else s for s in item[0])
-
-    for _, group in itertools.groupby(heapq.merge(*map(search, heads), key=order), key=order):
-        yield [x for _, passing in group for x in passing]
+    # per search, its next vector: (blind order, head index, passing).  A
+    # search yields each vector once, so a vector's group is complete once
+    # no search has it next, and the searches it came from are advanced
+    # only after it is yielded: a caller that stops there starts no more.
+    searches = list(map(search, range(len(heads)), heads, dataflows))
+    heap = [item for item in map(next, searches, itertools.repeat(None)) if item]
+    heapq.heapify(heap)
+    while heap:
+        order, i, passing = heapq.heappop(heap)
+        group = [i]
+        while heap and heap[0][0] == order:
+            _, i, more = heapq.heappop(heap)
+            passing += more
+            group.append(i)
+        yield passing
+        for i in group:
+            if item := next(searches[i], None):
+                heapq.heappush(heap, item)
 
 
 def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):

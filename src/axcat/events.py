@@ -594,8 +594,9 @@ class Evaluator:
     chain does not exhaust the interpreter's recursion limit.  `init_vals`
     must cover every declared address.  An init value may be a tuple of
     one value per lane, each lane an input vector: a memo cell holds a
-    plain value where it reads no tuple, else a tuple, and `value(eid,
-    lane)` and `address(eid, lane)` give one lane's.  For one rf choice the
+    plain value where it reads no tuple, else a tuple, which `value(eid)`
+    and `address(eid)` give as it is, and `value(eid, lane)` and
+    `address(eid, lane)` give one lane's.  For one rf choice the
     lanes read the same nodes but at a conditional assignment, so a node
     reads None on its own cycle in all lanes exactly when it would in each
     alone; a guard that is not zero in all lanes or in none raises
@@ -621,17 +622,13 @@ class Evaluator:
         self.missing = None  # an input of that node left for the stack
         self.depth = 0  # the nested evaluations under way
 
-    def cell(self, node: int):
-        """The node's memo cell: a plain value, or a tuple of one per lane."""
-        return self._demand(node)
-
-    def value(self, eid: int, lane: int = 0):
+    def value(self, eid: int, lane: int | None = None):
         cell = self._demand(2 * eid + 1)
-        return cell[lane] if type(cell) is tuple else cell
+        return cell if lane is None or type(cell) is not tuple else cell[lane]
 
-    def address(self, eid: int, lane: int = 0):
+    def address(self, eid: int, lane: int | None = None):
         cell = self._demand(2 * eid)
-        return cell[lane] if type(cell) is tuple else cell
+        return cell if lane is None or type(cell) is not tuple else cell[lane]
 
     def nodes(self, lane: int | None = None) -> list:
         """Every node's value, demanded in node order (each event's address,

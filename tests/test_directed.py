@@ -280,8 +280,8 @@ def rf_vectors(src):
     probe = copy.copy(build_events(program, {}, {}))
     probe.rf_choice = {}
     dataflow = Evaluator(probe, _query(program, 3).init_vals, 3)
-    may_read = sum(1 << load for load in probe.structure.loads)
-    got = list(engine._rf_vectors(probe, dataflow, may_read, 1))
+    plan = engine._plan(probe, dataflow, sum(1 << load for load in probe.structure.loads))
+    got = list(engine._rf_vectors(probe, dataflow, plan, 1))
     assert all(live & seen == 1 and not undecided for _, _, live, seen, undecided in got)
     return probe.structure, [vector for vector, *_ in got]
 
@@ -751,8 +751,8 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
     reached = []  # per goal test: skeleton, vector, memo, live, seen, undecided
     rf_vectors = engine._rf_vectors
 
-    def recording(skeleton, dataflow, may_read, full):
-        for item in rf_vectors(skeleton, dataflow, may_read, full):
+    def recording(skeleton, dataflow, plan, full):
+        for item in rf_vectors(skeleton, dataflow, plan, full):
             reached.append((skeleton, *item))
             yield item
 

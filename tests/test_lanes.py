@@ -213,11 +213,11 @@ def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
     reached = []  # per goal test: x, y and the lanes that are live and read the secret
     rf_vectors = engine._rf_vectors
 
-    def recording(skeleton, dataflow, may_read, full):
+    def recording(skeleton, dataflow, plan, full):
         init = skeleton.structure.init_by_addr
         cells = [dataflow.memo[2 * init[a] + 1] for a in (2, 3)]
         searches.append(cells)
-        for item in rf_vectors(skeleton, dataflow, may_read, full):
+        for item in rf_vectors(skeleton, dataflow, plan, full):
             reached.append((*cells, item[2] & item[3]))
             yield item
 
@@ -232,3 +232,37 @@ def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
     assert reached and all(r == (2, (0, 1, 2, 3), 1 << 3) for r in reached)
     assert ([signature(x) for x in directed(program, cfg, 1, 2)]
             == [signature(x) for x in blind(program, cfg, 1, 2)])
+
+
+FIRST_PAIR_LEAKS = """thread 0:
+1: load r1, secret
+2: load r2, A
+thread 1:
+1: store A, 1
+"""
+
+
+@pytest.mark.parametrize("layout, heads", (("layout A@0 secret@1", 1),
+                                           ("layout A@0 secret@1 input x@2 input y@3", 4)),
+                         ids=("no-input", "two-inputs"))
+def test_a_check_that_stops_at_its_first_pair_starts_no_later_goal_test(
+        monkeypatch, layout, heads):
+    """The first candidate, reads-from vector (init, init), reads the secret
+    and is consistent.  The searches, one per head, are merged without
+    looking ahead: each has brought its first vector to the goal test, to
+    find the least, and none its second, (init, the store)."""
+    reached = []
+    rf_vectors = engine._rf_vectors
+
+    def recording(*args):
+        for item in rf_vectors(*args):
+            reached.append(item[0])
+            yield item
+
+    monkeypatch.setattr(engine, "_rf_vectors", recording)
+    program, model, cfg = (parse_program(f"{layout}\n{FIRST_PAIR_LEAKS}"),
+                           load_model("inorder"), SpecConfig(mode="traditional"))
+    got = verdict(program, model, cfg, 1, 2)
+    assert got[0] == "unsafe" and got[2] == 1
+    assert got == blind_verdict(program, model, cfg, 1, 2)
+    assert reached == [("init", "init")] * heads
