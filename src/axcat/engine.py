@@ -31,12 +31,11 @@ the frozen events and their `Skeleton` (thread order, `po`, `fence`,
 reference by every candidate of the vector.
 
 Values do not depend on the coherence order, so the reads-from search
-carries one `events.Evaluator` whose lanes are the last input's values
-(the other inputs, the head, iterated outside it, one search each, all
-merged in the blind order without looking ahead), and a bitset of the
-lanes still live.  It chooses sources depth first over the loads in id
-order, offering each load its sources in the blind order ("init", then
-the stores), each prefix with its own memo, grown from its parent's.
+carries one `events.Evaluator` whose lanes are the input vectors, in the
+blind order, and a bitset of the lanes still live.  It chooses sources
+depth first over the loads in id order, offering each load its sources
+in the blind order ("init", then the stores), each prefix with its own
+memo, grown from its parent's.
 `_waits` tables once per skeleton, as bitsets, the loads that each
 address, store value and branch value must wait for
 (`eval_expr` is strict in None, so an expression waits for the last
@@ -96,7 +95,7 @@ thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the leaky loads and the initial values; no input vector
 is kept.  Per control vector: the skeleton, its wait tables, the
 addresses that read no load, each load's sources (`_plan`), the
-search's evaluator per head, and the model bound at its first pair
+search's evaluator, and the model bound at its first pair
 (`CompiledModel.bind`), so every definition that reads no data relation
 is evaluated once per vector and a vector without pairs is never bound;
 each candidate then only builds the data rows the model reads
@@ -106,7 +105,6 @@ each candidate then only builds the data rows the model reads
 from __future__ import annotations
 
 import copy
-import heapq
 import itertools
 import math
 from collections import Counter
@@ -564,11 +562,10 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     """Per reads-from vector, in the blind order, the value-consistent
     (rf, inputs) pairs that read the secret and whose branches agree with
     their outcomes, inputs in the blind order, each as its floor: the
-    candidate with the empty coherence order.  The lanes are the last
-    input's values, the other inputs, the head, iterated outside: one
-    search of `_rf_vectors` per head, all on one `_plan`, merged in the
-    blind order.  A vector it yields is propagated, on from its memo, in
-    each lane that is live and reads the secret, after every node has been
+    candidate with the empty coherence order.  Lane i is the blind
+    product's input vector i, so one search of `_rf_vectors` covers every
+    input.  A vector it yields is propagated, on from its memo, in each
+    lane that is live and reads the secret, after every node has been
     evaluated; if that or a check meets a `MixedGuard`, each such lane
     runs alone."""
     bits, inputs = query.bits, query.inputs
@@ -576,71 +573,43 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     # the leaky loads, as a bitset
     may_read = sum(1 << load for load in loads
                    if events[load].label in query.leaky[events[load].thread])
-    domain = range(1 << bits)
-    width = len(domain) if inputs else 1
+    vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
+    width = len(vectors)
     full = (1 << width) - 1
-    last = tuple(domain) if width > 1 else 0  # the last input's cell
-    heads = list(itertools.product(domain, repeat=len(inputs) - 1)) if inputs else [()]
-
-    def evaluator(head):
-        probe = copy.copy(skeleton)
-        probe.rf_choice = {}  # the prefix at hand
-        return Evaluator(probe, {**query.init_vals, **dict(zip(inputs, (*head, last)))}, bits)
-
-    dataflows = list(map(evaluator, heads))
-    plan = _plan(skeleton, dataflows[0], may_read)
+    probe = copy.copy(skeleton)
+    probe.rf_choice = {}  # the prefix at hand
+    cells = zip(*vectors) if width > 1 else vectors[0]  # each input's cell
+    dataflow = Evaluator(probe, {**query.init_vals, **dict(zip(inputs, cells))}, bits)
+    plan = _plan(skeleton, dataflow, may_read)
     if plan is None:
         return
-
-    blind = {"init": -1}  # the blind order of a source: "init" before the stores
-
-    def search(i, head, dataflow):
-        for vector, _, live, seen, undecided in _rf_vectors(skeleton, dataflow, plan, full):
-            rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
-            alone = bool(undecided)
-            if lanes and not alone:
-                try:
-                    dataflow.nodes()  # no propagation starts on a void evaluation
-                except MixedGuard:
-                    alone = True
-            for lane in range(width):
-                if not (live if alone else lanes) >> lane & 1:
+    for vector, _, live, seen, undecided in _rf_vectors(skeleton, dataflow, plan, full):
+        rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
+        alone = bool(undecided)
+        if lanes and not alone:
+            try:
+                dataflow.nodes()  # no propagation starts on a void evaluation
+            except MixedGuard:
+                alone = True
+        for lane in range(width):
+            if not (live if alone else lanes) >> lane & 1:
+                continue
+            x = copy.copy(skeleton)
+            x.rf_choice = rf
+            x.inputs = dict(zip(inputs, vectors[lane]))
+            init_vals = {**query.init_vals, **x.inputs}
+            if alone:  # this lane on its own
+                one = Evaluator(x, init_vals, bits)
+                if not all(_decide(x, one, undecided, 1, seen >> lane & 1, 1)[:2]):
                     continue
-                x = copy.copy(skeleton)
-                x.rf_choice = rf
-                x.inputs = dict(zip(inputs, (*head, domain[lane])))
-                init_vals = {**query.init_vals, **x.inputs}
-                if alone:  # this lane on its own
-                    one = Evaluator(x, init_vals, bits)
-                    if not all(_decide(x, one, undecided, 1, seen >> lane & 1, 1)[:2]):
-                        continue
-                    propagate_values(x, init_vals, bits, dataflow=one)
-                else:
-                    propagate_values(x, init_vals, bits, dataflow=dataflow,
-                                     lane=lane if width > 1 else None)
-                if x.valuation is not None:
-                    passing.append(x)
-            if passing:
-                yield tuple(map(blind.get, vector, vector)), i, passing
-
-    # per search, its next vector: (blind order, head index, passing).  A
-    # search yields each vector once, so a vector's group is complete once
-    # no search has it next, and the searches it came from are advanced
-    # only after it is yielded: a caller that stops there starts no more.
-    searches = list(map(search, range(len(heads)), heads, dataflows))
-    heap = [item for item in map(next, searches, itertools.repeat(None)) if item]
-    heapq.heapify(heap)
-    while heap:
-        order, i, passing = heapq.heappop(heap)
-        group = [i]
-        while heap and heap[0][0] == order:
-            _, i, more = heapq.heappop(heap)
-            passing += more
-            group.append(i)
-        yield passing
-        for i in group:
-            if item := next(searches[i], None):
-                heapq.heappush(heap, item)
+                propagate_values(x, init_vals, bits, dataflow=one)
+            else:
+                propagate_values(x, init_vals, bits, dataflow=dataflow,
+                                 lane=lane if width > 1 else None)
+            if x.valuation is not None:
+                passing.append(x)
+        if passing:
+            yield passing
 
 
 def candidate_consistent(x: CandidateExecution, model: CatModel, cfg: SpecConfig):

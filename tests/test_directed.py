@@ -734,6 +734,20 @@ def test_kept_tables_stay_bounded():
         assert tables(fresh) == first
 
 
+# a bounds check of each of two indices, and a load of A at their sum:
+# i = j = 1 passes the check and reads the secret
+TWO_INDEX = """layout A[2]@0 secret@2 input i@3 input j@4 B[2]@5
+thread 0:
+1: load r1, i
+2: load r2, j
+3: r3 <- (r1 < A.size) & (r2 < A.size)
+4: beqz r3, 7
+5: load r4, A + (r1 + r2)
+6: load r5, B + r4
+7: skip
+"""
+
+
 def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
     """Every reads-from vector that reaches the goal test brings the memo of
     its last prefix, grown from the skeleton's template one depth at a
@@ -747,7 +761,10 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
     seeds 0-199 in both modes, alone and with the secret probe of
     `with_probe`.  On the corpus, whose programs have at most
     one input and no conditional assignment, no check is left undecided,
-    and every goal test holds every value of the input as its lanes."""
+    and every goal test holds every value of the input as its lanes.  On
+    three programs with two inputs every goal test holds the 64 input
+    vectors of 3 bits as its lanes, the first input major; only the one
+    whose guard reads the first input leaves its checks undecided."""
     reached = []  # per goal test: skeleton, vector, memo, live, seen, undecided
     rf_vectors = engine._rf_vectors
 
@@ -819,3 +836,11 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
                 tested += lanes
                 undecided += left
     assert tested > 3000 and undecided < tested / 100, (tested, undecided)
+    from test_lanes import SPLIT, TWO_INPUTS  # test_lanes imports this module
+    vectors = list(itertools.product(range(8), repeat=2))
+    product = [tuple(x for x, _ in vectors), tuple(y for _, y in vectors)]
+    for source, splits in ((TWO_INPUTS, False), (SPLIT["non-last"][0], True), (TWO_INDEX, False)):
+        for mode in ("traditional", "speculative"):
+            lanes, left, cells = compare(parse_program(source), SpecConfig(mode=mode), 1, 3)
+            assert bool(left) == splits and (splits or lanes >= 64), (source, mode)
+            assert cells and cells == product * (len(cells) // 2), (source, mode)

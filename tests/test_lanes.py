@@ -1,10 +1,10 @@
-"""Goal tests over input lanes: one `Evaluator` takes the last input's
-values as its lanes.
+"""Goal tests over input lanes: one `Evaluator` takes every input vector
+as a lane.
 
 Lane by lane, the compiled expressions must give what each lane gives
 alone; a guard that splits the lanes must send them to one evaluation
-each; and with two inputs the lanes are the last one's values, the first
-iterated outside, in the blind order.
+each; and with two inputs the lanes are the input vectors in the blind
+order, the first input major.
 """
 
 import itertools
@@ -86,10 +86,12 @@ def test_every_operator_over_every_pair_of_lanes(op):
         eval_expr(e, alone(regs, i), 4, mask) for i in range(len(pairs))]
 
 
-# Conditional assignments whose guard reads the input, so that their lanes
-# part: per program, the source and the first idx that reads the secret.
+# Conditional assignments whose guard reads an input, so that their lanes
+# part: per program, the source and the first inputs that read the secret.
 # The programs read the secret only where the guard is zero: idx >= 2, or
-# in "first" idx < 2, the lanes at hand when the guard is met.  In "cycle"
+# in "first" idx < 2, the lanes at hand when the guard is met.  In
+# "non-last" the guard reads x, the first of two inputs, and the load adds
+# y: x < 2 reads the secret at y = 1, x >= 2 at y = 0.  In "cycle"
 # the expression, read where idx < 2, closes a dependency cycle through
 # the other thread; where the guard is zero it is not read.  Evaluated for
 # every lane at once, the cycle would leave the stores' values None in
@@ -101,14 +103,22 @@ thread 0:
 2: r2 <- secret
 3: r2 <-(r1 < 2?) B
 4: load r3, r2
-""", 2),
+""", {2: 2}),
     "first": ("""layout B@0 secret@1 input idx@2 C@3
 thread 0:
 1: load r1, idx
 2: r2 <- secret
 3: r2 <-(r1 > 1?) B
 4: load r3, r2
-""", 0),
+""", {2: 0}),
+    "non-last": ("""layout B@0 secret@1 input x@2 input y@3
+thread 0:
+1: load r1, x
+2: load r6, y
+3: r2 <- secret
+4: r2 <-(r1 < 2?) B
+5: load r3, r2 + r6
+""", {2: 0, 3: 1}),
     "cycle": ("""layout B@0 secret@1 input idx@2 C@3
 thread 0:
 1: load r1, idx
@@ -120,7 +130,7 @@ thread 0:
 thread 1:
 1: load r6, C
 2: store B, r6
-""", 2),
+""", {2: 2}),
 }
 
 
@@ -147,8 +157,8 @@ def recording(monkeypatch):
 @pytest.mark.parametrize("model_name", ("inorder", "stl", "tso"))
 def test_a_guard_that_splits_the_lanes_runs_them_one_at_a_time(monkeypatch, name, mode, model_name):
     """The fallback runs, and the verdict, witness and counts are the blind
-    enumeration's, the verdict the reference's; the witness's idx is the
-    first where the guard is zero, and its candidates the blind ones."""
+    enumeration's, the verdict the reference's; the witness's inputs are
+    the first that read the secret, and its candidates the blind ones."""
     voided = recording(monkeypatch)
     source, first = SPLIT[name]
     program, model, cfg = parse_program(source), load_model(model_name), SpecConfig(mode=mode)
@@ -157,7 +167,7 @@ def test_a_guard_that_splits_the_lanes_runs_them_one_at_a_time(monkeypatch, name
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
                                            cfg.buffer, 2)
-    assert got[0] == "unsafe" and got[1]["inputs"] == {2: first}
+    assert got[0] == "unsafe" and got[1]["inputs"] == first
     assert ([signature(x) for x in directed(program, cfg, 1, 2)]
             == [signature(x) for x in blind(program, cfg, 1, 2)])
 
@@ -203,10 +213,10 @@ thread 0:
 @pytest.mark.parametrize("mode", ("traditional", "speculative"))
 def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
     """With two inputs at 2 bits only x = 2, y = 3 reads the secret.  One
-    reads-from search runs per value of x, in order, each holding x plain
-    and y's four values as lanes; only the search of x = 2 brings a vector
-    to the goal test, whose only lane to read the secret is y = 3, as the
-    others are decided at a prefix.  The verdict, witness inputs and
+    reads-from search runs, its x and y cells holding the 16 input vectors
+    as lanes, x major; at the goal test the only lane that is live and
+    reads the secret is lane 11 (x = 2, y = 3), as the others are decided
+    at a prefix.  The verdict, witness inputs and
     `generated` are those of the first consistent secret reader of the
     blind enumeration, and the verdict the reference's."""
     searches = []  # per reads-from search, the input cells it starts from
@@ -228,8 +238,9 @@ def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
                                            cfg.buffer, 2)
-    assert searches[:4] == [[x, (0, 1, 2, 3)] for x in range(4)]
-    assert reached and all(r == (2, (0, 1, 2, 3), 1 << 3) for r in reached)
+    lanes = list(itertools.product(range(4), repeat=2))
+    assert searches == [[tuple(x for x, _ in lanes), tuple(y for _, y in lanes)]]
+    assert reached and all(r == (*searches[0], 1 << 11) for r in reached)
     assert ([signature(x) for x in directed(program, cfg, 1, 2)]
             == [signature(x) for x in blind(program, cfg, 1, 2)])
 
@@ -242,15 +253,15 @@ thread 1:
 """
 
 
-@pytest.mark.parametrize("layout, heads", (("layout A@0 secret@1", 1),
-                                           ("layout A@0 secret@1 input x@2 input y@3", 4)),
+@pytest.mark.parametrize("layout", ("layout A@0 secret@1",
+                                    "layout A@0 secret@1 input x@2 input y@3"),
                          ids=("no-input", "two-inputs"))
 def test_a_check_that_stops_at_its_first_pair_starts_no_later_goal_test(
-        monkeypatch, layout, heads):
+        monkeypatch, layout):
     """The first candidate, reads-from vector (init, init), reads the secret
-    and is consistent.  The searches, one per head, are merged without
-    looking ahead: each has brought its first vector to the goal test, to
-    find the least, and none its second, (init, the store)."""
+    and is consistent.  The search is used without looking ahead: it has
+    brought its first vector to the goal test, and not its second, (init,
+    the store)."""
     reached = []
     rf_vectors = engine._rf_vectors
 
@@ -265,4 +276,4 @@ def test_a_check_that_stops_at_its_first_pair_starts_no_later_goal_test(
     got = verdict(program, model, cfg, 1, 2)
     assert got[0] == "unsafe" and got[2] == 1
     assert got == blind_verdict(program, model, cfg, 1, 2)
-    assert reached == [("init", "init")] * heads
+    assert reached == [("init", "init")]
