@@ -63,16 +63,12 @@ expression and old value too).  What a prefix drops:
   * a prefix with no live lane that has, or may still get, a leaky load
     that reads "init" at the secret's address.
 
-A check that meets a conditional assignment whose guard splits the
-lanes (`events.MixedGuard`) is left to the goal test at the last load.
 The vectors left are the goal tests: their live lanes that read the
-secret are propagated, on from the vector's memo once every node of it
-is evaluated, or each alone from the input values where that meets a
-`MixedGuard`, and `_pairs` yields those left value-consistent.  Choices
-are only dropped, never reordered, so crossed with the coherence orders
-the pairs are exactly the blind product's consistent, secret-reading
-candidates whose skeleton fits the window and whose branches agree, in
-the blind order: a subsequence of it.
+secret are propagated, on from the vector's memo, and `_pairs` yields
+those left value-consistent.  Choices are only dropped, never reordered,
+so crossed with the coherence orders the pairs are exactly the blind
+product's consistent, secret-reading candidates whose skeleton fits the
+window and whose branches agree, in the blind order: a subsequence of it.
 
 The model reads the order only through `co`, per address
 (`events.data_rows`), so the orders with one per-address projection, a
@@ -115,7 +111,6 @@ from .catlang import CatModel
 from .events import (
     CandidateExecution,
     Evaluator,
-    MixedGuard,
     _walk_thread,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
@@ -363,52 +358,45 @@ _RF, _SECRET, _BRANCH = range(3)
 def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen: int,
             full: int):
     """Decide `checks` on the cells of `dataflow`, whose lanes `full` holds
-    as a bitset: (live, seen, undecided).  An rf check (load a reads store
-    b) keeps in `live` the lanes where `rf_rejection` allows it at their
-    addresses, a branch check (event a, taken b) the lanes where its value
-    sends it that way; a secret check (load a reads init) adds to `seen`
-    the lanes where its address is the secret's.  A check whose evaluation
-    meets a `MixedGuard` is left undecided, with a requirement that no
-    prefix meets."""
+    as a bitset: (live, seen).  An rf check (load a reads store b) keeps
+    in `live` the lanes where `rf_rejection` allows it at their addresses,
+    a branch check (event a, taken b) the lanes where its value sends it
+    that way; a secret check (load a reads init) adds to `seen` the lanes
+    where its address is the secret's."""
     secret = x.program.secret_addr
-    undecided = ()
-    for check in checks:
-        _, kind, a, b = check
-        try:
-            if kind == _SECRET:
-                cell = dataflow.address(a)
-                if type(cell) is not tuple:
-                    seen |= full if cell == secret else 0
-                else:
-                    for lane, at in enumerate(cell):
-                        if at == secret:
-                            seen |= 1 << lane
-                continue
-            if kind == _BRANCH:
-                cell = dataflow.value(a)
-                if type(cell) is not tuple:
-                    live &= full if agrees(cell, b) else 0
-                else:
-                    for lane, value in enumerate(cell):
-                        if not agrees(value, b):
-                            live &= ~(1 << lane)
-                continue
-            to, at = dataflow.address(b), dataflow.address(a)
-            if type(to) is not tuple and type(at) is not tuple:
-                live &= full if to == at or rf_rejection(x, b, a, to, at) is None else 0
-            else:  # where the addresses differ, the rule says the same in every lane
-                width, alias = full.bit_length(), None
-                tos = to if type(to) is tuple else (to,) * width
-                ats = at if type(at) is tuple else (at,) * width
-                for lane, (t, l) in enumerate(zip(tos, ats)):
-                    if t != l and t is not None and l is not None:
-                        if alias is None:
-                            alias = rf_rejection(x, b, a, t, l) is None
-                        if not alias:
-                            live &= ~(1 << lane)
-        except MixedGuard:
-            undecided += ((-1, kind, a, b),)
-    return live, seen, undecided
+    for _, kind, a, b in checks:
+        if kind == _SECRET:
+            cell = dataflow.address(a)
+            if type(cell) is not tuple:
+                seen |= full if cell == secret else 0
+            else:
+                for lane, at in enumerate(cell):
+                    if at == secret:
+                        seen |= 1 << lane
+            continue
+        if kind == _BRANCH:
+            cell = dataflow.value(a)
+            if type(cell) is not tuple:
+                live &= full if agrees(cell, b) else 0
+            else:
+                for lane, value in enumerate(cell):
+                    if not agrees(value, b):
+                        live &= ~(1 << lane)
+            continue
+        to, at = dataflow.address(b), dataflow.address(a)
+        if type(to) is not tuple and type(at) is not tuple:
+            live &= full if to == at or rf_rejection(x, b, a, to, at) is None else 0
+        else:  # where the addresses differ, the rule says the same in every lane
+            width, alias = full.bit_length(), None
+            tos = to if type(to) is tuple else (to,) * width
+            ats = at if type(at) is tuple else (at,) * width
+            for lane, (t, l) in enumerate(zip(tos, ats)):
+                if t != l and t is not None and l is not None:
+                    if alias is None:
+                        alias = rf_rejection(x, b, a, t, l) is None
+                    if not alias:
+                        live &= ~(1 << lane)
+    return live, seen
 
 
 def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
@@ -451,12 +439,11 @@ def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
 
 
 def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: int):
-    """(reads-from vector, memo, live, seen, undecided) per vector over the
-    skeleton's loads (in id order) in which some live lane reads the secret
-    or a check is left undecided, in the blind lexicographic order (see
-    the module docstring).  `dataflow` evaluates the skeleton with its
-    `rf_choice` the prefix at hand, and its lanes make up `full`, a
-    bitset; `plan` is the skeleton's `_plan`.
+    """(reads-from vector, memo, live, seen) per vector over the skeleton's
+    loads (in id order) in which some live lane reads the secret, in the
+    blind lexicographic order (see the module docstring).  `dataflow`
+    evaluates the skeleton with its `rf_choice` the prefix at hand, and its
+    lanes make up `full`, a bitset; `plan` is the skeleton's `_plan`.
 
     A choice whose source's must-wait set (`_waits`), closed over the
     needs of the loads chosen before, holds the load closes a cycle and is
@@ -519,17 +506,14 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: i
                 memo, owned = memo[:], True
                 frames[depth] = (memo, owned, *frames[depth][2:])
             dataflow.memo = memo
-            live, seen, undecided = _decide(skeleton, dataflow, (check,), live, seen, full)
-            checks += undecided
-            if undecided and init:
-                open_ |= 1 << load
+            live, seen = _decide(skeleton, dataflow, (check,), live, seen, full)
         if depth + 1 == n:  # every load has its source: decide what is left
             if live and (checks or live & seen):
                 memo = dataflow.memo = memo[:]  # the goal test writes to it too
-                live, seen, checks = _decide(skeleton, dataflow, checks, live, seen, full)
-                if checks or live & seen:
+                live, seen = _decide(skeleton, dataflow, checks, live, seen, full)
+                if live & seen:
                     chosen[depth] = source
-                    yield tuple(chosen), memo, live, seen, checks
+                    yield tuple(chosen), memo, live, seen
             continue
         own = False
         if live and not read & ~settled:
@@ -545,12 +529,9 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: i
             if ready:
                 memo = dataflow.memo = memo[:]
                 own = True
-                live, seen, undecided = _decide(skeleton, dataflow, ready, live, seen, full)
-                checks = tuple(c for c in checks if c[0] & ~settled) + undecided
-                open_ = 0
-                for c in checks:
-                    if c[1] == _SECRET:
-                        open_ |= 1 << c[2]
+                live, seen = _decide(skeleton, dataflow, ready, live, seen, full)
+                checks = tuple(c for c in checks if c[0] & ~settled)
+                open_ = sum(1 << c[2] for c in checks if c[1] == _SECRET)
         if not (live and (live & seen or open_ or may_read >> load + 1)):
             continue
         chosen[depth] = source
@@ -565,9 +546,7 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     candidate with the empty coherence order.  Lane i is the blind
     product's input vector i, so one search of `_rf_vectors` covers every
     input.  A vector it yields is propagated, on from its memo, in each
-    lane that is live and reads the secret, after every node has been
-    evaluated; if that or a check meets a `MixedGuard`, each such lane
-    runs alone."""
+    lane that is live and reads the secret."""
     bits, inputs = query.bits, query.inputs
     events, loads = skeleton.events, skeleton.structure.loads
     # the leaky loads, as a bitset
@@ -583,29 +562,16 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     plan = _plan(skeleton, dataflow, may_read)
     if plan is None:
         return
-    for vector, _, live, seen, undecided in _rf_vectors(skeleton, dataflow, plan, full):
+    for vector, _, live, seen in _rf_vectors(skeleton, dataflow, plan, full):
         rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
-        alone = bool(undecided)
-        if lanes and not alone:
-            try:
-                dataflow.nodes()  # no propagation starts on a void evaluation
-            except MixedGuard:
-                alone = True
         for lane in range(width):
-            if not (live if alone else lanes) >> lane & 1:
+            if not lanes >> lane & 1:
                 continue
             x = copy.copy(skeleton)
             x.rf_choice = rf
             x.inputs = dict(zip(inputs, vectors[lane]))
-            init_vals = {**query.init_vals, **x.inputs}
-            if alone:  # this lane on its own
-                one = Evaluator(x, init_vals, bits)
-                if not all(_decide(x, one, undecided, 1, seen >> lane & 1, 1)[:2]):
-                    continue
-                propagate_values(x, init_vals, bits, dataflow=one)
-            else:
-                propagate_values(x, init_vals, bits, dataflow=dataflow,
-                                 lane=lane if width > 1 else None)
+            propagate_values(x, {**query.init_vals, **x.inputs}, bits, dataflow=dataflow,
+                             lane=lane if width > 1 else None)
             if x.valuation is not None:
                 passing.append(x)
         if passing:

@@ -569,8 +569,17 @@ _UNSET = object()  # not evaluated yet
 _NESTED = 16
 
 
-class MixedGuard(Exception):
-    """A guard splits an `Evaluator`'s lanes (see there)."""
+class _Lane(dict):
+    """The memo of one lane of a memo whose cells may be tuples (see
+    `Evaluator._alone`): a node not set here reads, on first use, the
+    lane's value of its cell there, a plain None as not evaluated."""
+
+    def __init__(self, memo: list, lane: int):
+        self.memo, self.lane = memo, lane
+
+    def __missing__(self, node: int):
+        cell = self.memo[node]
+        return _UNSET if cell is None else cell[self.lane] if type(cell) is tuple else cell
 
 
 class Evaluator:
@@ -597,14 +606,13 @@ class Evaluator:
     plain value where it reads no tuple, else a tuple, which `value(eid)`
     and `address(eid)` give as it is, and `value(eid, lane)` and
     `address(eid, lane)` give one lane's.  For one rf choice the
-    lanes read the same nodes but at a conditional assignment, so a node
+    lanes read the same nodes but at a conditional assignment whose guard
+    is zero in some lanes and not in others: that node alone is evaluated
+    lane by lane, each lane by a one-lane evaluator (`_alone`), so a node
     reads None on its own cycle in all lanes exactly when it would in each
-    alone; a guard that is not zero in all lanes or in none raises
-    `MixedGuard`.  That leaves the nodes under evaluation unset and the
-    evaluator usable: a node it resolved that read one of them lies on a
-    cycle with it in every lane, so None is its value anyway.  The memo
-    may be swapped for a copy to carry the evaluation on under another rf
-    choice, as long as no node it holds reads a source that changed.
+    alone.  The memo may be swapped for a copy to carry the evaluation on
+    under another rf choice, as long as no node it holds reads a source
+    that changed.
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
@@ -648,21 +656,28 @@ class Evaluator:
             return result
         memo[node] = None  # on its own dependency cycle until resolved
         stack = [node]
-        try:
-            while stack:
-                result = self._evaluate(stack[-1])
-                need = self.missing
-                if need is None:
-                    memo[stack.pop()] = result
-                else:
-                    self.missing = None
-                    memo[need] = None
-                    stack.append(need)
-        except MixedGuard:
-            for pending in stack:
-                memo[pending] = _UNSET
-            raise
+        while stack:
+            result = self._evaluate(stack[-1])
+            need = self.missing
+            if need is None:
+                memo[stack.pop()] = result
+            else:
+                self.missing = None
+                memo[need] = None
+                stack.append(need)
         return result
+
+    def _alone(self, lane: int) -> Evaluator:
+        """An evaluator of the lane alone, sharing the events, the rf choice
+        and the writers, its memo the lane's projection of this one's, read
+        on demand (`_Lane`).  A plain None is evaluated again: here it may be
+        a node under evaluation, which the lane need not be.  Its nesting
+        goes on from this one's depth."""
+        one = object.__new__(Evaluator)
+        one.events, one.rf_choice, one.writers = self.events, self.rf_choice, self.writers
+        one.init_by_addr, one.secret_addr, one.mask = self.init_by_addr, self.secret_addr, self.mask
+        one.memo, one.at, one.missing, one.depth = _Lane(self.memo, lane), {}, None, self.depth
+        return one
 
     def _input(self, node: int):
         """The value of an input of the node at hand; void once an input is
@@ -716,9 +731,9 @@ class Evaluator:
             guard = eval_expr(s.guard, self, self.secret_addr, self.mask)
             if guard is None or self.missing is not None:
                 return None
-            if type(guard) is tuple:  # every lane must read the same node
-                if not all(guard) and guard.count(0) < len(guard):
-                    raise MixedGuard(f"the guard of e{eid} is not zero in all lanes or none")
+            if type(guard) is tuple:
+                if not all(guard) and guard.count(0) < len(guard):  # split: lane by lane
+                    return tuple([self._alone(lane).value(eid) for lane in range(len(guard))])
                 guard = guard[0]
             if guard != 0:
                 return eval_expr(s.expr, self, self.secret_addr, self.mask)

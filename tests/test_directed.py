@@ -26,7 +26,7 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
-from axcat.events import _UNSET, Evaluator, MixedGuard, _walk_thread, rf_rejection, secret_sentinel
+from axcat.events import _UNSET, Evaluator, _walk_thread, rf_rejection, secret_sentinel
 from axcat.masm import eval_expr, expr_registers
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
@@ -282,7 +282,7 @@ def rf_vectors(src):
     dataflow = Evaluator(probe, _query(program, 3).init_vals, 3)
     plan = engine._plan(probe, dataflow, sum(1 << load for load in probe.structure.loads))
     got = list(engine._rf_vectors(probe, dataflow, plan, 1))
-    assert all(live & seen == 1 and not undecided for _, _, live, seen, undecided in got)
+    assert all(live & seen == 1 for _, _, live, seen in got)
     return probe.structure, [vector for vector, *_ in got]
 
 
@@ -753,19 +753,19 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
     its last prefix, grown from the skeleton's template one depth at a
     time, and the goal test continues from it.  Every cell of it holds, in
     every lane, what a fresh one-lane `Evaluator` over the lane's input
-    vector gives; and unless a `MixedGuard` left a check undecided, its
-    lanes that are live and read the secret are exactly those in which the
-    fresh evaluation has a leaky load read init at the secret's address,
-    every branch agree with its outcome and every load that reads a store
-    pass `rf_rejection` at their addresses.  The corpus, and generator
-    seeds 0-199 in both modes, alone and with the secret probe of
-    `with_probe`.  On the corpus, whose programs have at most
-    one input and no conditional assignment, no check is left undecided,
-    and every goal test holds every value of the input as its lanes.  On
-    three programs with two inputs every goal test holds the 64 input
-    vectors of 3 bits as its lanes, the first input major; only the one
-    whose guard reads the first input leaves its checks undecided."""
-    reached = []  # per goal test: skeleton, vector, memo, live, seen, undecided
+    vector gives; and its lanes that are live and read the secret are
+    exactly those in which the fresh evaluation has a leaky load read init
+    at the secret's address, every branch agree with its outcome and every
+    load that reads a store pass `rf_rejection` at their addresses.  The
+    corpus, and generator seeds 0-199 in both modes, alone and with the
+    secret probe of `with_probe`, and the generator seeds among 200-399
+    that have a guard that splits the lanes.  On the corpus, whose programs
+    have at most one input and no conditional assignment, every goal test
+    holds every value of the input as its lanes.  On three programs with
+    two inputs, one of them with a guard that splits the lanes, every goal
+    test holds the 64 input vectors of 3 bits as its lanes, the first input
+    major."""
+    reached = []  # per goal test: skeleton, vector, memo, live, seen
     rf_vectors = engine._rf_vectors
 
     def recording(skeleton, dataflow, plan, full):
@@ -778,19 +778,18 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
         unrolled = unroll(program, k)
         query = _query(unrolled, bits)
         secret, init = program.secret_addr, query.init_vals
-        tested = undecided_tests = 0
+        tested = 0
         inputs_cells = []  # per goal test, its input cells
         reached.clear()
         for skeleton in _skeletons(unrolled, cfg):
             for _ in _pairs(skeleton, query):
                 pass
-        for skeleton, vector, memo, live, seen, undecided in reached:
+        for skeleton, vector, memo, live, seen in reached:
             x = copy.copy(skeleton)
             x.rf_choice = dict(zip(skeleton.structure.loads, vector))
             cells = [memo[2 * skeleton.structure.init_by_addr[a] + 1] for a in inputs]
             width = max((len(c) for c in cells if type(c) is tuple), default=1)
             inputs_cells += cells
-            undecided_tests += bool(undecided)
             for lane in range(width):
                 vector_in = [c[lane] if type(c) is tuple else c for c in cells]
                 fresh = Evaluator(x, {**init, **dict(zip(inputs, vector_in))}, bits)
@@ -799,8 +798,6 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
                         got = cell[lane] if type(cell) is tuple else cell
                         want = (fresh.value if node & 1 else fresh.address)(node >> 1)
                         assert got == want, (program, vector, lane, node)
-                if undecided:
-                    continue
                 events = skeleton.events
                 reads = any(
                     x.rf_choice[load] == "init" and fresh.address(load) == secret
@@ -814,33 +811,38 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
                     for load, source in x.rf_choice.items())
                 assert bool((live & seen) >> lane & 1) == (reads and agree and allowed)
                 tested += 1
-        return tested, undecided_tests, inputs_cells
+        return tested, inputs_cells
 
     monkeypatch.setattr(engine, "_rf_vectors", recording)
     corpus_lanes = 0
     for param in corpus_expectations():
         program, exp = param.values
         _, cfg, k, bits = corpus_settings(exp)
-        tested, undecided, cells = compare(program, cfg, k, bits)
-        assert not undecided and len(program.input_locations) <= 1
+        tested, cells = compare(program, cfg, k, bits)
+        assert len(program.input_locations) <= 1
         assert all(c == tuple(range(1 << bits)) for c in cells)
         corpus_lanes += tested
     assert corpus_lanes > 100
-    tested = undecided = 0
+    tested = 0
     for seed in range(200):
         source = random_program_source(random.Random(seed))
         for program in (parse_program(source), parse_program(with_probe(source))):
             for mode in ("traditional", "speculative"):
                 cfg = SpecConfig(mode=mode, psf=seed % 2 == 1)
-                lanes, left, _ = compare(program, cfg, 1 + seed // 2 % 2, 2)
-                tested += lanes
-                undecided += left
-    assert tested > 3000 and undecided < tested / 100, (tested, undecided)
-    from test_lanes import SPLIT, TWO_INPUTS  # test_lanes imports this module
+                tested += compare(program, cfg, 1 + seed // 2 % 2, 2)[0]
+    assert tested > 3000, tested
+    from test_lanes import SPLIT, TWO_INPUTS, recording  # test_lanes imports this module
+    alone = recording(monkeypatch)
+    for seed in (226, 249, 257, 324):  # the first seeds whose probed program splits a guard
+        program = parse_program(with_probe(random_program_source(random.Random(seed))))
+        alone.clear()
+        for mode in ("traditional", "speculative"):
+            compare(program, SpecConfig(mode=mode, psf=seed % 2 == 1), 1, 2)
+        assert alone, seed
     vectors = list(itertools.product(range(8), repeat=2))
     product = [tuple(x for x, _ in vectors), tuple(y for _, y in vectors)]
-    for source, splits in ((TWO_INPUTS, False), (SPLIT["non-last"][0], True), (TWO_INDEX, False)):
+    for source in (TWO_INPUTS, SPLIT["non-last"][0], TWO_INDEX):
         for mode in ("traditional", "speculative"):
-            lanes, left, cells = compare(parse_program(source), SpecConfig(mode=mode), 1, 3)
-            assert bool(left) == splits and (splits or lanes >= 64), (source, mode)
+            lanes, cells = compare(parse_program(source), SpecConfig(mode=mode), 1, 3)
+            assert lanes >= 64, (source, mode)
             assert cells and cells == product * (len(cells) // 2), (source, mode)

@@ -2,9 +2,9 @@
 as a lane.
 
 Lane by lane, the compiled expressions must give what each lane gives
-alone; a guard that splits the lanes must send them to one evaluation
-each; and with two inputs the lanes are the input vectors in the blind
-order, the first input major.
+alone; a conditional assignment whose guard splits the lanes must be
+evaluated lane by lane; and with two inputs the lanes are the input
+vectors in the blind order, the first input major.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axcat import SpecConfig, engine, load_model, parse_program, unroll
-from axcat.events import Evaluator, MixedGuard
+from axcat.events import Evaluator
 from axcat.masm import _BIN_OPS, _UN_OPS, Binary, Const, Reg, Secret, Unary, eval_expr, eval_set
 from reference import brute_force_isolation
 from test_directed import blind, blind_verdict, directed, signature, verdict
@@ -91,7 +91,9 @@ def test_every_operator_over_every_pair_of_lanes(op):
 # The programs read the secret only where the guard is zero: idx >= 2, or
 # in "first" idx < 2, the lanes at hand when the guard is met.  In
 # "non-last" the guard reads x, the first of two inputs, and the load adds
-# y: x < 2 reads the secret at y = 1, x >= 2 at y = 0.  In "cycle"
+# y: x < 2 reads the secret at y = 1, x >= 2 at y = 0.  In "chain" the
+# second guard reads the value of the first conditional assignment, which
+# its lanes already split.  In "cycle"
 # the expression, read where idx < 2, closes a dependency cycle through
 # the other thread; where the guard is zero it is not read.  Evaluated for
 # every lane at once, the cycle would leave the stores' values None in
@@ -119,6 +121,14 @@ thread 0:
 4: r2 <-(r1 < 2?) B
 5: load r3, r2 + r6
 """, {2: 0, 3: 1}),
+    "chain": ("""layout B@0 secret@1 input idx@2 C@3
+thread 0:
+1: load r1, idx
+2: r2 <- secret
+3: r4 <-(r1 < 2?) 1
+4: r2 <-(r4?) B
+5: load r3, r2
+""", {2: 2}),
     "cycle": ("""layout B@0 secret@1 input idx@2 C@3
 thread 0:
 1: load r1, idx
@@ -135,35 +145,33 @@ thread 1:
 
 
 def recording(monkeypatch):
-    """Patch the engine's `Evaluator`; returns the list of those whose
-    evaluation a `MixedGuard` voided."""
-    voided = []
+    """Patch the engine's `Evaluator`; returns the list of its one-lane
+    evaluations, (evaluator, lane) each, of a node whose guard splits the
+    lanes."""
+    alone = []
 
     class Recording(Evaluator):
-        def _demand(self, node):
-            try:
-                return super()._demand(node)
-            except MixedGuard:
-                if self not in voided:
-                    voided.append(self)
-                raise
+        def _alone(self, lane):
+            alone.append((self, lane))
+            return super()._alone(lane)
 
     monkeypatch.setattr(engine, "Evaluator", Recording)
-    return voided
+    return alone
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT))
 @pytest.mark.parametrize("mode", ("traditional", "speculative"))
 @pytest.mark.parametrize("model_name", ("inorder", "stl", "tso"))
 def test_a_guard_that_splits_the_lanes_runs_them_one_at_a_time(monkeypatch, name, mode, model_name):
-    """The fallback runs, and the verdict, witness and counts are the blind
-    enumeration's, the verdict the reference's; the witness's inputs are
-    the first that read the secret, and its candidates the blind ones."""
-    voided = recording(monkeypatch)
+    """The node whose guard splits the lanes is evaluated lane by lane, and
+    the verdict, witness and counts are the blind enumeration's, the
+    verdict the reference's; the witness's inputs are the first that read
+    the secret, and its candidates the blind ones."""
+    alone = recording(monkeypatch)
     source, first = SPLIT[name]
     program, model, cfg = parse_program(source), load_model(model_name), SpecConfig(mode=mode)
     got = verdict(program, model, cfg, 1, 2)
-    assert voided  # the fallback ran
+    assert alone  # the split node ran lane by lane
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == brute_force_isolation(unroll(program, 1), model, mode, cfg.window,
                                            cfg.buffer, 2)
@@ -184,19 +192,26 @@ thread 0:
 
 def test_no_propagation_starts_on_a_voided_evaluation(monkeypatch):
     """No check of the search reads the guard, so every lane passes the goal
-    test and only the demand of every node meets the `MixedGuard`: that
-    demand comes before any propagation, so each of the four lanes is
-    propagated once, alone, and none is started on the voided evaluation."""
-    voided = recording(monkeypatch)
-    calls = []
+    test and only the propagation meets the split guard: each of the four
+    lanes is propagated once, on from the search's evaluator with its
+    `lane`, and the guard's node is evaluated lane by lane there."""
+    alone = recording(monkeypatch)
+    searches, calls = [], []
+    rf_vectors = engine._rf_vectors
+
+    def search(skeleton, dataflow, plan, full):
+        searches.append(dataflow)
+        yield from rf_vectors(skeleton, dataflow, plan, full)
+
     propagate = engine.propagate_values
-    monkeypatch.setattr(engine, "propagate_values",
-                        lambda x, *args, **kw: calls.append(x.inputs) or propagate(x, *args, **kw))
+    monkeypatch.setattr(engine, "_rf_vectors", search)
+    monkeypatch.setattr(engine, "propagate_values", lambda x, *args, **kw: calls.append(
+        (x.inputs, kw.get("dataflow"), kw.get("lane"))) or propagate(x, *args, **kw))
     program = parse_program(GUARD_AFTER_THE_GOAL)
     model, cfg = load_model("inorder"), SpecConfig(mode="traditional")
     got = verdict(program, model, cfg, 1, 2)
-    assert voided
-    assert calls == [{2: idx} for idx in range(4)]
+    assert len(searches) == 1 and [e for e, _ in alone] == [searches[0]] * 4
+    assert calls == [({2: idx}, searches[0], idx) for idx in range(4)]
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == "unsafe" and got[1]["inputs"] == {2: 0}
 
