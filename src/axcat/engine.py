@@ -80,9 +80,9 @@ committed store and so lies within every order's.  If it fails, so does
 every order.  The first offered candidate that the model accepts is the
 witness the blind product would give; without one the verdict is Safe, or
 Unknown if loops could not be fully unrolled.  `candidate_consistent`
-runs the whole filter pipeline on one candidate, to replay a witness;
-`check_window`, `check_fences` and `catlang.check_srf_fence` run on no
-candidate here.
+runs the whole filter pipeline on one candidate, `check_window` included,
+to replay a witness; the search itself calls none of the filters, and
+`check_fences` and `catlang.check_srf_fence` run on no candidate here.
 
 Each table is derived at the widest scope it depends on.  Per (model,
 cfg), cached: the compiled model (`catlang.compile_model`).  Per program,
@@ -111,7 +111,7 @@ from .catlang import CatModel
 from .events import (
     CandidateExecution,
     Evaluator,
-    _walk_thread,
+    _walks,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
     propagate_values,
@@ -191,36 +191,19 @@ def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
     _check_domain(program, domain_bits)
 
 
-def _thread_vectors(program: Program, tid: int, cfg: SpecConfig):
-    """All (outcomes, cp, committed, transient) assignments for the branches
-    this thread reaches, with the labels it runs committed and transient,
-    depth first over the first branch each walk reaches without an outcome:
-    not taken before taken, correct before mispredicted."""
+def _skeletons(unrolled: Program, cfg: SpecConfig, leaky=None):
+    """The event skeleton of every control vector of the program, in the
+    blind order, built from the thread walks that chose it.  With `leaky`, a
+    set of labels per thread, only the vectors under which every thread's
+    transient walk, its one transient run, is shorter than the window and
+    some thread runs one of its labels."""
     speculative = cfg.mode == "speculative"
-    cp_values = (False, True) if speculative else (True,)  # pushed in reverse
-    stack = [({}, {})]
-    while stack:
-        outcomes, cps = stack.pop()
-        committed, transient, missing = _walk_thread(program, tid, outcomes, cps, speculative)
-        if missing is None:
-            yield outcomes, cps, committed, transient
-        else:
-            stack.extend(({**outcomes, missing: taken}, {**cps, missing: cp})
-                         for taken in (True, False) for cp in cp_values)
-
-
-def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
-    """Every (outcomes, cps, walks) choice of the program, in the blind
-    order, with `walks` each thread's (committed, transient) labels under
-    it.  With `leaky`, a set of labels per thread, only the choices under
-    which every thread's transient walk, its one transient run, is shorter
-    than the window and some thread runs one of its labels."""
     per_thread = [
         [(o, c, (committed, transient),
           leaky is None or not leaky[tid].isdisjoint(committed + transient))
-         for o, c, committed, transient in _thread_vectors(program, tid, cfg)
+         for o, c, committed, transient in _walks(unrolled, tid, {}, {}, speculative)
          if leaky is None or len(transient) < cfg.window]
-        for tid in range(len(program.threads))
+        for tid in range(len(unrolled.threads))
     ]
     for combo in itertools.product(*per_thread):
         if not any(hit for _, _, _, hit in combo):
@@ -230,16 +213,8 @@ def _control_vectors(program: Program, cfg: SpecConfig, leaky=None):
         for o, c, _, _ in combo:
             outcomes.update(o)
             cps.update(c)
-        yield outcomes, cps, tuple(walk for _, _, walk, _ in combo)
-
-
-def _skeletons(unrolled: Program, cfg: SpecConfig, leaky=None):
-    """The event skeleton of every control vector that `_control_vectors`
-    yields, in the blind order, built from the walks it made."""
-    speculative = cfg.mode == "speculative"
-    for outcomes, cps, walks in _control_vectors(unrolled, cfg, leaky):
         yield build_events(unrolled, outcomes, cps, speculative=speculative, psf=cfg.psf,
-                           walks=walks)
+                           walks=tuple(walk for _, _, walk, _ in combo))
 
 
 def enumerate_candidates(program: Program, cfg: SpecConfig, k: int, domain_bits: int):

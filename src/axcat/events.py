@@ -355,54 +355,62 @@ def _tables(program: Program) -> tuple:
     return derived["skeleton tables"]
 
 
-def _walk_thread(program: Program, tid: int, outcomes, cps, speculative: bool):
-    """One control-flow unfolding of a thread: (committed labels, transient
-    labels, missing).
+def _walks(program: Program, tid: int, outcomes, cps, speculative: bool):
+    """Every control-flow unfolding of a thread under choices that extend
+    `outcomes` and `cps`: (outcomes, cps, committed labels, transient labels).
 
     `outcomes` and `cps` map (thread, label) of a conditional jump to its
-    chosen direction and to whether it was predicted correctly (`cps` is
-    ignored in traditional mode, where every prediction is correct).  The
-    walk stops at the first branch without an outcome, which it returns as
-    `missing`, a (thread, label) key; `missing` is None when none is reached.
-    One walk fills the committed list until a mispredicted branch, then the
-    transient list, which follows the direction the branch did not take
-    until a fence, a correctly predicted branch, a cut jump edge, or the end
-    of the path.  A mispredicted branch inside the transient run keeps it
-    going the wrong way.  A jump back, which only a program with a loop
-    takes, raises `ValueError`: the walk would not end.
+    chosen direction and to whether it was predicted correctly (every
+    prediction is correct in traditional mode).  A walk fills the committed
+    list until a mispredicted branch, then the transient list, which follows
+    the direction the branch did not take until a fence, a correctly
+    predicted branch, a cut jump edge, or the end of the path.  A
+    mispredicted branch inside the transient run keeps it going the wrong
+    way.  At a branch without an outcome the walk goes on with the first
+    choice and keeps one state per other (taken, prediction), resumed later
+    from copies of its labels, so the unfoldings come depth first in the
+    blind order, not taken before taken and correct before mispredicted,
+    and no prefix is walked twice.  A jump back, which only a program with a
+    loop takes, raises `ValueError`: the walk would not end.
     """
-    committed: list[int] = []
-    transient: list[int] = []
     *_, thread_steps = _tables(program)
     steps = thread_steps[tid]
-    walk = committed
-    label = next(iter(steps), None)
-    while label is not None:
-        ins = steps[label][0]
-        s = ins.stmt
-        if isinstance(s, Fence) and walk is transient:
-            break  # fences stall speculation and never execute transiently
-        walk.append(label)
-        if isinstance(s, Beqz):
+    # the blind order reversed: a walk goes on with the last, the stack pops the others
+    *later, first = [(taken, cp) for taken in (True, False)
+                     for cp in ((False, True) if speculative else (True,))]
+    stack = [(next(iter(steps), None), [], [], False, outcomes, cps)]
+    while stack:
+        label, committed, transient, running, outcomes, cps = stack.pop()
+        walk = transient if running else committed
+        while label is not None:
+            ins = steps[label][0]
+            s = ins.stmt
+            if isinstance(s, Fence) and walk is transient:
+                break  # fences stall speculation and never execute transiently
             key = (tid, label)
-            if key not in outcomes:
-                return committed, transient, key
-            predicted = not speculative or cps.get(key, True)
-            if predicted and walk is transient:
-                break  # no transient continuation after a correct prediction
-            if not predicted:
-                walk = transient
-            # a misprediction runs the direction opposite to the outcome
-            taken = outcomes[key] == predicted
-            label = s.target if taken else fall_label(ins, steps)
-        elif isinstance(s, Jmp):
-            label = s.target
-        else:
-            label = fall_label(ins, steps)
-        if label is not None and label <= ins.label:
-            raise ValueError(f"thread {tid} jumps back from label {ins.label} "
-                             f"to {label}: unroll it first")
-    return committed, transient, None
+            if isinstance(s, Beqz) and key not in outcomes:
+                stack.extend((label, committed.copy(), transient.copy(), walk is transient,
+                              {**outcomes, key: taken}, {**cps, key: cp})
+                             for taken, cp in later)
+                outcomes, cps = {**outcomes, key: first[0]}, {**cps, key: first[1]}
+            walk.append(label)
+            if isinstance(s, Beqz):
+                predicted = not speculative or cps.get(key, True)
+                if predicted and walk is transient:
+                    break  # no transient continuation after a correct prediction
+                if not predicted:
+                    walk = transient
+                # a misprediction runs the direction opposite to the outcome
+                taken = outcomes[key] == predicted
+                label = s.target if taken else fall_label(ins, steps)
+            elif isinstance(s, Jmp):
+                label = s.target
+            else:
+                label = fall_label(ins, steps)
+            if label is not None and label <= ins.label:
+                raise ValueError(f"thread {tid} jumps back from label {ins.label} "
+                                 f"to {label}: unroll it first")
+        yield outcomes, cps, committed, transient
 
 
 def build_events(
@@ -423,16 +431,17 @@ def build_events(
     determined by these choices.  Every candidate built from the result
     shares its `events` tuple and its `structure`.  A reached branch without
     an outcome raises `KeyError`.  `walks`, when given, is each thread's
-    committed and transient labels under these choices, as `_walk_thread`
-    gives them; the threads are then not walked again.
+    committed and transient labels under these choices, as `_walks` gives
+    them; the threads are then not walked again.
     """
     if walks is None:
-        walks = [_walk_thread(program, tid, branch_outcomes, cp_assign, speculative)
-                 for tid in range(len(program.threads))]
-        for _, _, missing in walks:
-            if missing is not None:
-                raise KeyError(missing)
-        walks = [(committed, transient) for committed, transient, _ in walks]
+        walks = []
+        for tid in range(len(program.threads)):
+            outcomes, _, committed, transient = next(
+                _walks(program, tid, branch_outcomes, cp_assign, speculative))
+            if len(outcomes) > len(branch_outcomes):
+                raise KeyError(list(outcomes)[len(branch_outcomes)])  # the first one added
+            walks.append((committed, transient))
     return _build(program, walks, branch_outcomes, cp_assign, psf)
 
 

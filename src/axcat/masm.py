@@ -171,7 +171,11 @@ def eval_set(e: Expr, regs: dict, secret_addr: int, mask: int) -> int:
 
 
 def _members(values: int) -> list[int]:
-    return [v for v in range(values.bit_length()) if values >> v & 1]
+    out = []
+    while values:  # one step per set bit: the secret's sentinel is bit 2^bits
+        out.append((values & -values).bit_length() - 1)
+        values &= values - 1
+    return out
 
 
 def expr_registers(e: Expr) -> frozenset[str]:

@@ -228,6 +228,23 @@ def test_huge_store_buffer_bound_exports_fast(tmp_path):
     assert out.read_text().splitlines()[-2:] == ["(check-sat)", "(exit)"]
 
 
+def test_wide_domain_with_the_secret_in_a_value_set_exports_fast(tmp_path):
+    # `1 << r1` of the secret's sentinel (bit 2^bits) puts a set bit far up
+    # every value set after it: the export's cost follows the set bits only
+    program, out = tmp_path / "shift.litmus", tmp_path / "q.smt2"
+    program.write_text("layout secret@0 A[2]@1\nthread 0:\n1: load r1, secret\n"
+                       "2: r2 <- 1 << r1\n3: load r3, A + r2\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "axcat", "--program", str(program), "--model", "inorder",
+         "--mode", "traditional", "-k", "1", "--bits", "22", "--engine", "emit-smt",
+         "--smt", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().splitlines()[-2:] == ["(check-sat)", "(exit)"]
+
+
 def test_huge_literal_bound_in_custom_model(tmp_path, capsys):
     custom = tmp_path / "deep.cat"
     custom.write_text("com = co | rf | (rf^-1;co)\n"

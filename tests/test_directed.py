@@ -26,10 +26,11 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
-from axcat.events import _UNSET, Evaluator, _walk_thread, rf_rejection, secret_sentinel
+from axcat.events import _UNSET, Evaluator, _walks, rf_rejection, secret_sentinel
 from axcat.masm import eval_expr, expr_registers
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
+from reference import brute_force_isolation
 
 # (model, mode, compare only candidates with every prediction correct);
 # psf follows the model
@@ -322,7 +323,7 @@ def test_thread_vectors_need_no_recursion_per_branch():
     program = unroll(parse_program(
         f"layout A[1]@0 secret@1\nthread 0:\n{body}{n + 1}: load r1, A\n"
     ), 1)
-    vectors = engine._thread_vectors(program, 0, SpecConfig(mode="traditional"))
+    vectors = engine._walks(program, 0, {}, {}, False)
     outcomes, _, committed, transient = next(vectors)
     assert outcomes == {(0, label): False for label in range(1, n + 1)}
     assert (committed, transient) == (list(range(1, n + 2)), [])
@@ -334,7 +335,7 @@ def test_thread_vectors_run_depth_first_in_the_blind_order():
     ), 1)
     order = [
         (outcomes[(0, 1)], cps[(0, 1)])
-        for outcomes, cps, _, _ in engine._thread_vectors(program, 0, SpecConfig())
+        for outcomes, cps, _, _ in engine._walks(program, 0, {}, {}, True)
     ]
     assert order == [(False, True), (False, False), (True, True), (True, False)]
 
@@ -591,10 +592,11 @@ def window_mismatches(program, k):
     unrolled = unroll(program, k)
     for mode in ("traditional", "speculative"):
         speculative = mode == "speculative"
-        for outcomes, cps, _ in engine._control_vectors(unrolled, SpecConfig(mode=mode)):
+        for skeleton in _skeletons(unrolled, SpecConfig(mode=mode)):
+            outcomes, cps = dict(skeleton.structure.outcomes), dict(skeleton.structure.predictions)
             x = build_events(unrolled, outcomes, cps, speculative=speculative)
             runs = [
-                len(_walk_thread(unrolled, tid, outcomes, cps, speculative)[1])
+                len(next(_walks(unrolled, tid, outcomes, cps, speculative))[3])
                 for tid in range(len(unrolled.threads))
             ]
             for w in range(1, 9):
@@ -683,17 +685,33 @@ def test_the_width_dependent_program_depends_on_the_width():
         assert verdict(program, model, cfg, k, 3) != verdict(program, model, cfg, k, 4), mode
 
 
-def branch_family(b):
-    """b copies of a fenced bounds-check gadget in one thread, each branch
-    jumping to the next copy."""
-    copies = "".join(
-        f"{6 * i + 1}: load r1, idx\n{6 * i + 2}: r2 <- r1 < 4\n"
-        f"{6 * i + 3}: beqz r2, {6 * i + 7}\n{6 * i + 4}: fence\n"
-        f"{6 * i + 5}: load r3, A + r1\n{6 * i + 6}: load r4, B + r3\n"
-        for i in range(b)
-    )
+def branch_family(b, fence=True):
+    """b copies of a bounds-check gadget in one thread, each branch jumping
+    to the next copy, with a fence after the branch unless `fence` is off."""
+    body = ("load r1, idx", "r2 <- r1 < 4", "beqz r2, {next}",
+            *(("fence",) if fence else ()), "load r3, A + r1", "load r4, B + r3")
+    n = len(body)
+    copies = "".join(f"{n * i + j + 1}: {line.format(next=n * i + n + 1)}\n"
+                     for i in range(b) for j, line in enumerate(body))
     return (f"layout A[4]@0 secret@4 input idx@5 B[1]@6\nthread 0:\n{copies}"
-            f"{6 * b + 1}: skip\n")
+            f"{n * b + 1}: skip\n")
+
+
+@pytest.mark.parametrize("fence", (True, False), ids=("fenced", "unfenced"))
+@pytest.mark.parametrize("b", (1, 2, 3))
+def test_branch_family_matches_the_blind_enumeration(b, fence):
+    """A misprediction of one copy's branch runs into the next copy, whose
+    branch the transient run meets: the verdict, its witness choices and
+    counts are the blind enumeration's at every window, and where the
+    reference finishes in time (one copy) its verdict too."""
+    program, model = parse_program(branch_family(b, fence)), _MODELS["inorder"]
+    for w in (2, 4, 8):
+        cfg = SpecConfig(mode="speculative", window=w)
+        got = verdict(program, model, cfg, 2, 3)
+        assert got == blind_verdict(program, model, cfg, 2, 3), w
+        if b == 1:
+            assert got[0] == brute_force_isolation(unroll(program, 2), model, cfg.mode, w,
+                                                   cfg.buffer, 3), w
 
 
 def kept(obj) -> int:

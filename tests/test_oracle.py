@@ -5,9 +5,20 @@ import re
 
 import pytest
 
-from axcat import SpecConfig, check_isolation, emit_smt, load_model, parse_program, unroll
+import reference
+from axcat import (
+    SpecConfig,
+    check_isolation,
+    corpus_dir,
+    emit_smt,
+    load_model,
+    parse_program,
+    unroll,
+)
+from axcat.events import _walks
 from generator import random_program_source
 from reference import brute_force_isolation
+from test_directed import branch_family
 from smt_eval import Script
 from test_smt import witness_assignment
 
@@ -114,6 +125,33 @@ def test_reference_edge_cases_agree(src, model_name, mode, psf, expected):
     got = check_isolation(program, model, cfg, 1, 2).outcome
     want = brute_force_isolation(unroll(program, 1), model, mode, 8, 2, 2, psf=psf)
     assert got == want == expected
+
+
+def test_walks_match_the_reference_walk():
+    """Every unfolding that `events._walks` yields for a thread, in either
+    mode, is the reference's walk under the choices it yields with it, and
+    no thread yields a choice vector twice: over the corpus at k=2,
+    generator seeds 0-599 and the branch family of four copies, fenced and
+    not, whose mispredictions run into later branches."""
+    programs = [unroll(parse_program(path.read_text()), 2)
+                for path in sorted(corpus_dir().glob("*.litmus"))]
+    programs += [unroll(parse_program(random_program_source(random.Random(seed))), 1 + seed % 2)
+                 for seed in range(600)]
+    programs += [unroll(parse_program(branch_family(4, fence)), 2) for fence in (True, False)]
+    walks = 0
+    for program in programs:
+        for speculative in (False, True):
+            for tid in range(len(program.threads)):
+                seen = set()
+                for outcomes, cps, committed, transient in _walks(program, tid, {}, {},
+                                                                   speculative):
+                    choices = (tuple(sorted(outcomes.items())), tuple(sorted(cps.items())))
+                    assert choices not in seen, (program, tid, choices)
+                    seen.add(choices)
+                    want = reference._walk(program, tid, outcomes, cps, speculative)
+                    assert (committed, transient) == want, (program, tid, choices)
+                    walks += 1
+    assert walks > 2500
 
 
 _UNARY_OPS = ("-", "~", "!")

@@ -27,7 +27,7 @@ from axcat.engine import _skeletons
 from axcat.events import (
     MEMORY_KINDS,
     WRITE_KINDS,
-    _walk_thread,
+    _walks,
     relation_of,
     static_skeleton,
     value_sets,
@@ -128,8 +128,8 @@ def check_vectors(program, mode):
             mismatches(program, x.events, s, x.committed), s.outcomes, s.predictions)
         assert x.transient == frozenset(range(len(x.events))) - x.committed
         for tid, ids in enumerate(s.threads):
-            committed, transient, _ = _walk_thread(program, tid, s.outcomes, s.predictions,
-                                                   speculative)
+            *_, committed, transient = next(_walks(program, tid, s.outcomes, s.predictions,
+                                                   speculative))
             assert [x.events[i].label for i in ids] == committed + transient
         y = build_events(program, dict(s.outcomes), dict(s.predictions), speculative)
         assert (y.events, y.structure, y.committed) == (x.events, s, x.committed)

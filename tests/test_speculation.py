@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from axcat.engine import _control_vectors, enumerate_candidates
+from axcat.engine import _skeletons, enumerate_candidates
 from axcat.events import build_events, propagate_values, secret_sentinel
 from axcat.masm import parse_program, unroll
 from axcat.speculation import (
@@ -116,7 +116,8 @@ def test_speculative_rejects_transients_without_misprediction():
     built = 0
     for seed in range(300):
         program = unroll(parse_program(random_program_source(random.Random(seed))), 2)
-        for outcomes, cps, _ in _control_vectors(program, SpecConfig()):
+        for skeleton in _skeletons(program, SpecConfig()):
+            outcomes, cps = dict(skeleton.structure.outcomes), dict(skeleton.structure.predictions)
             if all(cps.values()):
                 assert not build_events(program, outcomes, cps).transient
                 built += 1
