@@ -35,9 +35,9 @@ carries one `events.Evaluator` whose lanes are the input vectors, in the
 blind order, and a bitset of the lanes still live.  It chooses sources
 depth first over the loads in id order, offering each load its sources
 in the blind order ("init", then the stores), each prefix with its own
-memo, grown from its parent's.
-`_waits` tables once per skeleton, as bitsets, the loads that each
-address, store value and branch value must wait for
+memo, copied from its parent's when a choice goes deeper.  `_waits`
+tables, once per skeleton and as bitsets, the loads that each address,
+store value and branch value must wait for
 (`eval_expr` is strict in None, so an expression waits for the last
 writers of its registers, a conditional assignment's value for its guard
 only, and a load's value for its source: its own address when it reads
@@ -90,8 +90,8 @@ kept on it: the unroll per bound (`masm.unroll`), the init events and the
 thread tables (`events._tables`).  Per check, as the domain width decides
 them (`_query`): the leaky loads and the initial values; no input vector
 is kept.  Per control vector: the skeleton, its wait tables, the
-addresses that read no load, each load's sources (`_plan`), the
-search's evaluator, and the model bound at its first pair
+addresses that read no load, each load's sources, the search's
+evaluator, and the model bound at its first pair
 (`CompiledModel.bind`), so every definition that reads no data relation
 is evaluated once per vector and a vector without pairs is never bound;
 each candidate then only builds the data rows the model reads
@@ -103,6 +103,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -174,6 +175,8 @@ def _check_domain(program: Program, domain_bits: int):
             f"domain of {domain_bits} bits cannot address {worst} "
             f"(layout and secret need {worst + 1} addresses)"
         )
+    if program.input_locations and limit > sys.maxsize:
+        raise EngineError(f"domain of {domain_bits} bits has too many input values to enumerate")
 
 
 def _check_query(program: Program, model: CatModel, cfg: SpecConfig, k: int,
@@ -374,19 +377,33 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
     return live, seen
 
 
-def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
-    """What `_rf_vectors` reads of the skeleton, the same for every input:
-    (the leaky loads left, as a bitset; the branch checks; per load, its
-    sources), or None where no vector can read the secret.  `dataflow`
-    evaluates the skeleton; `may_read` is the bitset of the leaky loads.
-    The address of a load or store that reads no load is the same in every
-    lane, so a leaky load with one reads the secret in every lane or in
-    none, and `_sources` prunes with these addresses; a branch whose value
-    reads no load agrees in every lane or in none.  Per load and source:
-    (source, its must-wait set, the loads the load's value then may read,
-    its lane check or None)."""
+def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int, full: int):
+    """(reads-from vector, memo, live, seen) per vector over the skeleton's
+    loads (in id order) in which some live lane reads the secret, in the
+    blind lexicographic order (see the module docstring).  `dataflow`
+    evaluates the skeleton, its lanes make up `full`, a bitset, and the
+    search sets its `rf_choice` to the prefix at hand; `may_read` is the
+    bitset of the leaky loads.
+
+    Before the first choice: the address of a load or store that reads no
+    load is the same in every lane, so a leaky load with one reads the
+    secret in every lane or in none, and `_sources` prunes with these
+    addresses; a branch whose value reads no load agrees in every lane or
+    in none.  Where no vector can read the secret nothing is yielded.
+
+    A choice whose source's must-wait set (`_waits`), closed over the
+    needs of the loads chosen before, holds the load closes a cycle and is
+    dropped.  A chosen load is settled once every load that its value may
+    read is settled; a lane check is decided once every load that its
+    nodes may read is, for its nodes then hold what they hold in every
+    vector with this prefix.  Each prefix has its own memo.  A check ready
+    before a load's choice is decided in it, shared by the load's choices;
+    a choice that goes deeper copies it before deciding the checks it makes
+    ready.  At the last load every check left is decided, in the memo
+    yielded, which the goal test continues."""
     structure = skeleton.structure
     loads = structure.loads
+    prefix = dataflow.rf_choice = {}
     waits, may = _waits(skeleton)
     fixed = {eid: None if may[2 * eid] else dataflow.address(eid)
              for eid in (*loads, *structure.stores)}
@@ -397,9 +414,11 @@ def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
         if may[2 * eid + 1]:
             checks.append((may[2 * eid + 1], _BRANCH, eid, taken))
         elif not agrees(dataflow.value(eid), taken):
-            return None  # a branch disagrees in every lane
+            return  # a branch disagrees in every lane
     if not may_read:
-        return None
+        return
+    # per load and source: (source, its must-wait set, the loads the load's
+    # value then may read, its lane check or None)
     options = [
         [(source, waits[load], may[2 * load],
           (may[2 * load], _SECRET, load, None) if may_read >> load & 1 else None)
@@ -410,38 +429,14 @@ def _plan(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int):
          for source in _sources(skeleton, load, fixed)]
         for load in loads
     ]
-    return may_read, tuple(checks), options
-
-
-def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: int):
-    """(reads-from vector, memo, live, seen) per vector over the skeleton's
-    loads (in id order) in which some live lane reads the secret, in the
-    blind lexicographic order (see the module docstring).  `dataflow`
-    evaluates the skeleton with its `rf_choice` the prefix at hand, and its
-    lanes make up `full`, a bitset; `plan` is the skeleton's `_plan`.
-
-    A choice whose source's must-wait set (`_waits`), closed over the
-    needs of the loads chosen before, holds the load closes a cycle and is
-    dropped.  A chosen load is settled once every load that its value may
-    read is settled; a lane check is decided once every load that its
-    nodes may read is, for its nodes then hold what they hold in every
-    vector with this prefix.  A check ready before a load's choice is
-    decided in the prefix's own memo, shared by the load's choices; one
-    that the choice makes ready, in a copy.  At the last load every check
-    left is decided, in the memo yielded, which the goal test continues."""
-    loads = skeleton.structure.loads
     n = len(loads)
-    may_read, checks, options = plan
-    # per depth, what its prefix decided: (memo, whether the memo is the
-    # prefix's own, live, seen, settled, pending checks, the loads whose
-    # secret check is pending)
-    frames = [(dataflow.memo, True, full, 0, 0, checks, 0)] + [None] * n
+    # per depth, what its prefix decided: (memo, live, seen, settled,
+    # pending checks, the loads whose secret check is pending)
+    frames = [(dataflow.memo, full, 0, 0, tuple(checks), 0)] + [None] * n
     every = sum(1 << load for load in loads)
     needs: dict[int, int] = {}  # load chosen before the one at hand -> its needs
     reads: dict[int, int] = {}  # chosen load -> the loads its value may read
-    chosen: list = [None] * n
     cursor = [0] * n
-    prefix = dataflow.rf_choice
     depth = 0
     while depth >= 0:
         row, at = options[depth], cursor[depth]
@@ -451,7 +446,7 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: i
             continue
         cursor[depth] = at + 1
         source, need, read, check = row[at]
-        memo, owned, live, seen, settled, checks, open_ = frames[depth]
+        memo, live, seen, settled, checks, open_ = frames[depth]
         load = loads[depth]
         init = source == "init"
         if not (live & seen or open_ or may_read >> load + 1 or init and check):
@@ -477,21 +472,19 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: i
             if init:
                 open_ |= 1 << load
         else:  # ready before the choice: shared by every choice of this load
-            if not owned:
-                memo, owned = memo[:], True
-                frames[depth] = (memo, owned, *frames[depth][2:])
             dataflow.memo = memo
             live, seen = _decide(skeleton, dataflow, (check,), live, seen, full)
+        if not live:
+            continue
         if depth + 1 == n:  # every load has its source: decide what is left
-            if live and (checks or live & seen):
+            if checks or live & seen:
                 memo = dataflow.memo = memo[:]  # the goal test writes to it too
                 live, seen = _decide(skeleton, dataflow, checks, live, seen, full)
                 if live & seen:
-                    chosen[depth] = source
-                    yield tuple(chosen), memo, live, seen
+                    yield tuple(prefix.values()), memo, live, seen
             continue
-        own = False
-        if live and not read & ~settled:
+        memo = dataflow.memo = memo[:]  # the next depth's own
+        if not read & ~settled:
             settled |= 1 << load
             waiting = every & (1 << load) - 1 & ~settled  # chosen, not settled
             while waiting:  # the loads chosen before that this one settles
@@ -502,16 +495,12 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, plan, full: i
                 waiting ^= now
             ready = checks and tuple(c for c in checks if not c[0] & ~settled)
             if ready:
-                memo = dataflow.memo = memo[:]
-                own = True
                 live, seen = _decide(skeleton, dataflow, ready, live, seen, full)
                 checks = tuple(c for c in checks if c[0] & ~settled)
                 open_ = sum(1 << c[2] for c in checks if c[1] == _SECRET)
-        if not (live and (live & seen or open_ or may_read >> load + 1)):
-            continue
-        chosen[depth] = source
-        depth += 1
-        frames[depth] = (memo, own, live, seen, settled, checks, open_)
+        if live and (live & seen or open_ or may_read >> load + 1):
+            depth += 1
+            frames[depth] = memo, live, seen, settled, checks, open_
 
 
 def _pairs(skeleton: CandidateExecution, query: _Query):
@@ -530,14 +519,9 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     vectors = list(itertools.product(range(1 << bits), repeat=len(inputs)))
     width = len(vectors)
     full = (1 << width) - 1
-    probe = copy.copy(skeleton)
-    probe.rf_choice = {}  # the prefix at hand
-    cells = zip(*vectors) if width > 1 else vectors[0]  # each input's cell
-    dataflow = Evaluator(probe, {**query.init_vals, **dict(zip(inputs, cells))}, bits)
-    plan = _plan(skeleton, dataflow, may_read)
-    if plan is None:
-        return
-    for vector, _, live, seen in _rf_vectors(skeleton, dataflow, plan, full):
+    # each input's cell: its value in every lane
+    dataflow = Evaluator(skeleton, {**query.init_vals, **dict(zip(inputs, zip(*vectors)))}, bits)
+    for vector, _, live, seen in _rf_vectors(skeleton, dataflow, may_read, full):
         rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
         for lane in range(width):
             if not lanes >> lane & 1:

@@ -38,6 +38,8 @@ be cross-checked externally against the enumeration verdict.
 
 from __future__ import annotations
 
+import sys
+
 from . import catlang
 from .catlang import (
     CatError,
@@ -55,7 +57,7 @@ from .catlang import (
     TStar,
     TUnion,
 )
-from .engine import _check_query
+from .engine import EngineError, _check_query
 from .events import SECRET_INIT, Event, secret_sentinel, static_skeleton, value_sets
 from .masm import (
     Assign,
@@ -770,4 +772,6 @@ def emit_smt(
 ) -> str:
     """Emit the SMT-LIB2 isolation query for the k-unrolled program."""
     _check_query(program, model, cfg, k, domain_bits)
+    if secret_sentinel(domain_bits) > sys.maxsize:  # `value_sets` sets the bit at the sentinel
+        raise EngineError(f"domain of {domain_bits} bits is too wide to export")
     return _Emitter(program, model, cfg, k, domain_bits, program_name).render()

@@ -139,6 +139,7 @@ def test_domain_error_exit_code(capsys):
         (["--buffer", "0"], "store buffer size must be >= 1"),
         (["--bits", "1"], "domain of 1 bits cannot address 7"),
         (["--bits", "-1"], "domain width must be >= 0 bits, got -1"),
+        (["--bits", "64"], "domain of 64 bits"),
     ],
 )
 def test_bad_option_exit_code(capsys, engine, option, message):
@@ -149,6 +150,17 @@ def test_bad_option_exit_code(capsys, engine, option, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_export_of_a_domain_too_wide_exit_code(tmp_path, capsys):
+    # the engine answers this input-free program at 64 bits, but the
+    # export's value sets would need a bit at the sentinel 2^64
+    program = tmp_path / "wide.litmus"
+    program.write_text("layout secret@0 A@1\n1: load r1, secret\n2: r2 <- 1 << r1\n")
+    assert main(["--program", str(program), "--engine", "emit-smt", "--bits", "64"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: domain of 64 bits is too wide to export\n"
 
 
 def test_cli_matches_library_verdicts(capsys):

@@ -278,13 +278,12 @@ def rf_vectors(src):
     in every vector, so no vector is dropped for want of a secret read; the
     one lane reads the secret in each."""
     program = parse_program(src + f"thread {src.count('thread ')}:\n1: load r9, secret\n")
-    probe = copy.copy(build_events(program, {}, {}))
-    probe.rf_choice = {}
-    dataflow = Evaluator(probe, _query(program, 3).init_vals, 3)
-    plan = engine._plan(probe, dataflow, sum(1 << load for load in probe.structure.loads))
-    got = list(engine._rf_vectors(probe, dataflow, plan, 1))
+    skeleton = build_events(program, {}, {})
+    dataflow = Evaluator(skeleton, _query(program, 3).init_vals, 3)
+    may_read = sum(1 << load for load in skeleton.structure.loads)
+    got = list(engine._rf_vectors(skeleton, dataflow, may_read, 1))
     assert all(live & seen == 1 for _, _, live, seen in got)
-    return probe.structure, [vector for vector, *_ in got]
+    return skeleton.structure, [vector for vector, *_ in got]
 
 
 def test_must_dependency_cycles_are_pruned():
@@ -786,8 +785,8 @@ def test_goal_tests_start_from_the_skeleton_template(monkeypatch):
     reached = []  # per goal test: skeleton, vector, memo, live, seen
     rf_vectors = engine._rf_vectors
 
-    def recording(skeleton, dataflow, plan, full):
-        for item in rf_vectors(skeleton, dataflow, plan, full):
+    def recording(skeleton, dataflow, may_read, full):
+        for item in rf_vectors(skeleton, dataflow, may_read, full):
             reached.append((skeleton, *item))
             yield item
 

@@ -124,6 +124,12 @@ def test_build_rejects_a_loop_instead_of_walking_it():
     assert len(build_events(p, {(0, 2): False}, {(0, 2): True}).loads()) == 1
 
 
+def test_build_names_the_first_branch_without_an_outcome():
+    with pytest.raises(KeyError) as raised:
+        build_events(fig2(), {}, {})  # pht-01 unrolled twice
+    assert raised.value.args == ((0, 3),)
+
+
 def test_events_are_frozen():
     x = build_events(fig2(), {(0, 3): False}, {(0, 3): True})
     init, load = x.init_events()[0], x.loads()[0]

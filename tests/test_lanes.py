@@ -199,9 +199,9 @@ def test_no_propagation_starts_on_a_voided_evaluation(monkeypatch):
     searches, calls = [], []
     rf_vectors = engine._rf_vectors
 
-    def search(skeleton, dataflow, plan, full):
+    def search(skeleton, dataflow, may_read, full):
         searches.append(dataflow)
-        yield from rf_vectors(skeleton, dataflow, plan, full)
+        yield from rf_vectors(skeleton, dataflow, may_read, full)
 
     propagate = engine.propagate_values
     monkeypatch.setattr(engine, "_rf_vectors", search)
@@ -238,11 +238,11 @@ def test_two_inputs_lanes_over_the_last(monkeypatch, mode):
     reached = []  # per goal test: x, y and the lanes that are live and read the secret
     rf_vectors = engine._rf_vectors
 
-    def recording(skeleton, dataflow, plan, full):
+    def recording(skeleton, dataflow, may_read, full):
         init = skeleton.structure.init_by_addr
         cells = [dataflow.memo[2 * init[a] + 1] for a in (2, 3)]
         searches.append(cells)
-        for item in rf_vectors(skeleton, dataflow, plan, full):
+        for item in rf_vectors(skeleton, dataflow, may_read, full):
             reached.append((*cells, item[2] & item[3]))
             yield item
 

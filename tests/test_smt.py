@@ -575,6 +575,31 @@ def test_accepted_corpus_candidates_satisfy_the_export_without_its_goal():
     assert accepted >= 1000, accepted
 
 
+def test_inverse_inside_a_recursive_definition_matches_the_export():
+    # `^-1` inside a recursion is translated pointwise with its pair swapped:
+    # without its goal, the export is satisfied by every candidate the model
+    # accepts and refuted by every one its assertion rejects, over the
+    # corpus programs at their own bounds but the three slowest
+    model = parse_cat("t = rf | (po;t^-1)^-1\nacyclic t | co\n", "inverse")
+    cfg, done = SpecConfig(mode="traditional"), set()
+    refuted = accepted = 0
+    for name, program, _, _, k, bits, _ in corpus_cases():
+        if name in ("stl-01", "stl-01-fence", "stl-03") or (name, k, bits) in done:
+            continue
+        done.add((name, k, bits))
+        script = Script(_without_goal(emit_smt(program, model, cfg, k, bits, name)))
+        for x in enumerate_candidates(program, cfg, k, bits):
+            ok, reason = candidate_consistent(x, model, cfg)
+            if ok:
+                check_accepted(script, x, model, cfg, bits)
+                accepted += 1
+            elif reason.startswith("assertion "):
+                ok, failures = script.check(witness_assignment(x, model, cfg, bits, script))
+                assert not ok and failures[0][0] != "unbound", (name, reason, failures)
+                refuted += 1
+    assert (accepted, refuted) == (96, 22)
+
+
 @pytest.mark.parametrize("seeds", [range(0, 30), range(30, 60)], ids=["0-29", "30-59"])
 def test_generator_witnesses_and_model_rejections_match_the_export(seeds):
     # every unsafe witness satisfies the script; without its goal, every
