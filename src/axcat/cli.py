@@ -109,9 +109,10 @@ def run(spec: RunSpec):
         if spec.json_out:
             Path(spec.json_out).write_text(json.dumps(record, indent=2) + "\n")
         return code, record
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR, {"error": str(exc)}
+    except (OSError, ValueError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error: {reason}", file=sys.stderr)
+        return USAGE_ERROR, {"error": reason}
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,9 @@ def run_corpus(directory):
                     "got": got,
                     "ok": got == exp.outcome,
                 })
-    except (OSError, ValueError) as exc:
-        print(f"error: {path.name}: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error: {path.name}: {reason}", file=sys.stderr)
         return USAGE_ERROR, []
     rows.sort(key=lambda r: (r["test"], r["variant"], r["model"], r["mode"]))
 

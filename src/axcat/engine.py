@@ -16,8 +16,8 @@ The window and the loads that may leak are decided on the thread walks,
 before any skeleton is built; the reads-from rule, must-dependency
 cycles, branch agreement and the secret read in `_rf_vectors`, at the
 shortest prefix of source choices that fixes them, per input lane; the
-values in propagation; then the pair's floor, its coherence classes and
-the model, with no other filter in between.
+rest of the values at its leaf; then the pair's floor, its coherence
+classes and the model, with no other filter in between.
 
 Only a load that reads "init" and whose address reads a register or is
 the secret's can read the secret: `_query` picks these leaky loads
@@ -51,7 +51,7 @@ expression and old value too).  What a prefix drops:
     store-buffer pair); or transient, unless the load is a later
     transient load of its thread;
   * a source that closes a cycle of must-dependencies, which stays None
-    at the least fixpoint that value propagation computes;
+    at the least fixpoint of the dataflow;
   * the lanes in which a lane check fails, once every load whose value
     it may read has its source, and whose values, closed over their
     sources, read only such loads: a store at another address than the
@@ -63,9 +63,9 @@ expression and old value too).  What a prefix drops:
   * a prefix with no live lane that has, or may still get, a leaky load
     that reads "init" at the secret's address.
 
-The vectors left are the goal tests: their live lanes that read the
-secret are propagated, on from the vector's memo, and `_pairs` yields
-those left value-consistent.  Choices are only dropped, never reordered,
+The vectors left are the goal tests: each live lane that reads the
+secret is valued from the vector's memo, and `_pairs` yields those that
+`events.value_rejection` keeps.  Choices are only dropped, never reordered,
 so crossed with the coherence orders the pairs are exactly the blind
 product's consistent, secret-reading candidates whose skeleton fits the
 window and whose branches agree, in the blind order: a subsequence of it.
@@ -118,6 +118,7 @@ from .events import (
     propagate_values,
     rf_rejection,
     secret_sentinel,
+    value_rejection,
 )
 from .masm import (
     Assign,
@@ -509,8 +510,8 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     their outcomes, inputs in the blind order, each as its floor: the
     candidate with the empty coherence order.  Lane i is the blind
     product's input vector i, so one search of `_rf_vectors` covers every
-    input.  A vector it yields is propagated, on from its memo, in each
-    lane that is live and reads the secret."""
+    input.  Each live lane of a yielded vector that reads the secret is
+    valued from its memo and kept unless `value_rejection` says why not."""
     bits, inputs = query.bits, query.inputs
     events, loads = skeleton.events, skeleton.structure.loads
     # the leaky loads, as a bitset
@@ -521,17 +522,17 @@ def _pairs(skeleton: CandidateExecution, query: _Query):
     full = (1 << width) - 1
     # each input's cell: its value in every lane
     dataflow = Evaluator(skeleton, {**query.init_vals, **dict(zip(inputs, zip(*vectors)))}, bits)
-    for vector, _, live, seen in _rf_vectors(skeleton, dataflow, may_read, full):
+    for vector, dataflow.memo, live, seen in _rf_vectors(skeleton, dataflow, may_read, full):
         rf, lanes, passing = dict(zip(loads, vector)), live & seen, []
         for lane in range(width):
             if not lanes >> lane & 1:
                 continue
             x = copy.copy(skeleton)
-            x.rf_choice = rf
-            x.inputs = dict(zip(inputs, vectors[lane]))
-            propagate_values(x, {**query.init_vals, **x.inputs}, bits, dataflow=dataflow,
-                             lane=lane if width > 1 else None)
-            if x.valuation is not None:
+            x.rf_choice, x.inputs = rf, dict(zip(inputs, vectors[lane]))
+            nodes = dataflow.nodes(lane)  # in id order, each event's address then value
+            addrs, vals = nodes[0::2], nodes[1::2]
+            if value_rejection(x, addrs, vals) is None:
+                x.valuation = tuple(zip(addrs, vals))
                 passing.append(x)
         if passing:
             yield passing

@@ -22,8 +22,8 @@ events (frozen, in a tuple) and the skeleton in one pass over each
 thread's walk, which the engine hands it from its own search, and every
 candidate of the vector shares both by reference.  A candidate is the
 skeleton plus its choices (`rf_choice`, `co_order`, `inputs`) plus the
-valuation that `propagate_values` derives from them, the one place that
-holds an instruction event's address and value.  The valuation is the
+valuation from `propagate_values` or the engine search's leaf, the one
+place that holds an instruction event's address and value.  The valuation is the
 least fixpoint of the candidate's dataflow, which `Evaluator` computes on
 demand over the writer table; evaluating only some addresses with it is
 how the search decides cheaply whether a candidate can read the secret at
@@ -258,7 +258,7 @@ class CandidateExecution:
     rf_choice: dict = field(default_factory=dict)
     co_order: tuple = ()  # committed store ids, coherence positions
     inputs: dict = field(default_factory=dict)  # input address -> chosen value
-    # (addr, val) per event id, from `propagate_values`; None until it succeeds
+    # (addr, val) per event id, from `propagate_values` or the search's leaf, else None
     valuation: tuple | None = None
     inconsistency: str | None = None
 
@@ -771,8 +771,25 @@ def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_
     return None
 
 
-def propagate_values(x: CandidateExecution, init_vals: dict, bits: int, *,
-                     dataflow: Evaluator | None = None, lane: int | None = None):
+def value_rejection(x: CandidateExecution, addrs, vals):
+    """Why `addrs` and `vals`, by event id, are no valuation of `x`, whose
+    every load has a source, or None: a load that reads init at an
+    undeclared address, an unresolved value (then only a dependency cycle
+    leaves one; an address resolves once its registers do) or a store at an
+    undeclared address, the rules the reads-from search does not decide."""
+    init_by_addr = x.structure.init_by_addr
+    for lid in x.structure.loads:
+        if x.rf_choice[lid] == "init" and addrs[lid] is not None and addrs[lid] not in init_by_addr:
+            return f"load e{lid} reads undeclared address {addrs[lid]}"
+    for e in x.instruction_events():
+        if e.kind in ("load", "store", "cond-jump", "local", "cond-local") and vals[e.id] is None:
+            return f"unresolved value at e{e.id} (cyclic dataflow)"
+    for sid in x.structure.stores:
+        if addrs[sid] not in init_by_addr:
+            return f"store e{sid} hits undeclared address {addrs[sid]}"
+
+
+def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     """Resolve addresses and values, or report an inconsistency.
 
     `init_vals` gives the initial value of every declared address (the
@@ -785,35 +802,20 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int, *,
     (addr, val) indexed by event id, and stores it in `x.valuation`; on
     failure `x.valuation` is None and the result an `Inconsistent` with the
     first reason found.  The events are not touched: the data relations the
-    valuation induces come from `data_rows`.  A given `dataflow` is an
-    `Evaluator` of `x`'s events and rf choice whose `lane` (None: its only
-    one) has these `init_vals`.
+    valuation induces come from `data_rows`.
     """
     init_by_addr, rf_choice = x.structure.init_by_addr, x.rf_choice
     for addr in init_by_addr:
         if addr not in init_vals:
             return _fail(x, f"no initial value for address {addr}")
-    if dataflow is None:
-        dataflow = Evaluator(x, init_vals, bits)
-    nodes = dataflow.nodes(lane)  # in id order, so a thread's earlier events come first
+    nodes = Evaluator(x, init_vals, bits).nodes()  # in id order: a thread's earlier events first
     addrs, vals = nodes[0::2], nodes[1::2]
 
-    # A load without a source of its own leaves its value unresolved, and
-    # otherwise only a dependency cycle does.  An address reads only register
-    # values, so it resolves once they do.
     for lid in x.structure.loads:
-        choice = rf_choice.get(lid)
-        if choice is None:
+        if rf_choice.get(lid) is None:
             return _fail(x, f"load e{lid} has no reads-from source")
-        if choice == "init" and addrs[lid] is not None and addrs[lid] not in init_by_addr:
-            return _fail(x, f"load e{lid} reads undeclared address {addrs[lid]}")
-    for e in x.instruction_events():
-        if e.kind in ("load", "store", "cond-jump", "local", "cond-local") and vals[e.id] is None:
-            return _fail(x, f"unresolved value at e{e.id} (cyclic dataflow)")
-
-    for sid in x.structure.stores:
-        if addrs[sid] not in init_by_addr:
-            return _fail(x, f"store e{sid} hits undeclared address {addrs[sid]}")
+    if reason := value_rejection(x, addrs, vals):
+        return _fail(x, reason)
 
     for lid in x.structure.loads:
         sid = rf_choice[lid]

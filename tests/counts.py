@@ -1,11 +1,12 @@
 """Print the search counts that the CI workflow reports per pass.
 
 The reads-from vectors that `engine._rf_vectors` brings to the goal test
-in one corpus pass, one litmus-co pass (seed 1), one check of each
-scaling shape of test_scaling.py, and one check of test_lanes.py's
-two-input program at 3 bits, with its searches, and of each of its
-split-guard programs at 3 bits, with the one-lane evaluations of their
-split guards; and, for the speculative branch family of eight copies,
+in one corpus pass, one litmus-co pass (seed 1) and one check of each
+scaling shape of test_scaling.py, with the lanes valued at the search's
+leaf there and those that `engine.value_rejection` drops; one check of
+test_lanes.py's two-input program at 3 bits, with its searches, and of
+each of its split-guard programs at 3 bits, with the one-lane evaluations
+of their split guards; and, for the speculative branch family of eight copies,
 fenced and not, the thread walks that `engine._walks` yields, the
 skeletons built, the candidates offered and the verdict.  It only
 prints; run it from the repository root:
@@ -22,8 +23,8 @@ from test_smt import corpus_cases
 
 import litmus_co
 
-reached, searches = [], []
-rf_vectors = engine._rf_vectors
+reached, searches, leaf = [], [], []
+rf_vectors, value_rejection = engine._rf_vectors, engine.value_rejection
 
 
 def counted(skeleton, dataflow, may_read, full):
@@ -33,10 +34,22 @@ def counted(skeleton, dataflow, may_read, full):
         yield item
 
 
-engine._rf_vectors = counted
+def valued(*args):
+    leaf.append(value_rejection(*args))
+    return leaf[-1]
+
+
+def print_leaf(name):
+    dropped = sum(reason is not None for reason in leaf)
+    print(name, "lanes valued at the leaf:", len(leaf), "dropped:", dropped)
+    leaf.clear()
+
+
+engine._rf_vectors, engine.value_rejection = counted, valued
 for _, p, m, c, k, b, _ in corpus_cases():
     check_isolation(p, m, c, k, b)
 print("corpus rf vectors at the goal test:", len(reached))
+print_leaf("corpus")
 reached.clear()
 models = [load_model(name) for name in litmus_co.MODELS]
 for _, source in litmus_co.generate(1):
@@ -44,11 +57,13 @@ for _, source in litmus_co.generate(1):
     for m in models:
         check_isolation(p, m, SpecConfig(mode="traditional"), litmus_co.K, litmus_co.BITS)
 print("litmus-co rf vectors at the goal test:", len(reached))
+print_leaf("litmus-co")
 for shape, consistent in SHAPES.items():
     reached.clear()
     check_isolation(parse_program(family(*shape)), load_model("inorder"), CFG, 2, 3)
     print("scaling", shape, "rf vectors at the goal test:", len(reached),
           "consistent pairs:", consistent)
+    print_leaf(f"scaling {shape}")
 reached.clear()
 searches.clear()
 check_isolation(parse_program(TWO_INPUTS), load_model("inorder"),

@@ -12,6 +12,7 @@ from axcat import (
     SpecConfig,
     build_events,
     check_isolation,
+    cli,
     corpus_dir,
     load_model,
     parse_program,
@@ -161,6 +162,11 @@ def test_export_of_a_domain_too_wide_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: domain of 64 bits is too wide to export\n"
+    # at 62 bits the value set of `1 << r1` needs a bit at 2^(2^62)
+    assert main(["--program", str(program), "--engine", "emit-smt", "--bits", "62"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_cli_matches_library_verdicts(capsys):
@@ -371,6 +377,18 @@ def test_corpus_parse_error_names_the_file(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: bad.litmus: line 4: cannot parse statement 'bogus'"
     ]
+    assert captured.out == ""
+
+
+def test_corpus_out_of_memory_names_the_file(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_isolation", exhausted)
+    shutil.copy(corpus_dir() / "mcu-01.litmus", tmp_path)
+    assert main(["corpus", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: mcu-01.litmus: out of memory"]
     assert captured.out == ""
 
 

@@ -394,23 +394,74 @@ def test_directed_candidates_share_their_skeleton():
 
 
 def test_only_pairs_with_agreeing_branches_are_propagated(monkeypatch):
-    """The goal test drops a pair whose branch values disagree with their
-    outcomes before value propagation: on the corpus in speculative mode,
-    every candidate that `_pairs` propagates has agreeing branches."""
-    agreement = []  # per branch of each propagated candidate: does it agree
+    """The search drops a pair whose branch values disagree with their
+    outcomes before its lanes are valued: on the corpus in speculative
+    mode, every candidate that `_pairs` yields has agreeing branches,
+    evaluated afresh from its inputs."""
+    agreement = []  # per branch of each yielded candidate: does it agree
+    pairs = engine._pairs
 
-    def record(x, init_vals, bits, **kwargs):
-        values = Evaluator(x, init_vals, bits)
-        agreement.extend((values.value(eid) == 0) == taken for eid, taken in x.structure.branches)
-        return propagate_values(x, init_vals, bits, **kwargs)
+    def record(skeleton, query):
+        for passing in pairs(skeleton, query):
+            for x in passing:
+                values = Evaluator(x, {**query.init_vals, **x.inputs}, query.bits)
+                agreement.extend((values.value(eid) == 0) == taken
+                                 for eid, taken in x.structure.branches)
+            yield passing
 
-    monkeypatch.setattr(engine, "propagate_values", record)
+    monkeypatch.setattr(engine, "_pairs", record)
     for param in corpus_expectations():
         program, exp = param.values
         model, cfg, k, bits = corpus_settings(exp)
         if cfg.mode == "speculative":
             check_isolation(program, model, cfg, k, bits)
     assert agreement and all(agreement)
+
+
+# One program per rule that `value_rejection` decides at the search's leaf,
+# with the reason it gives there (inorder, traditional, k=1, bits=3).  The
+# cycle runs through the conditional assignment's expression, which the
+# search's must-wait sets do not follow.
+LEAF_RULES = {
+    "undeclared init load": ("""layout A[1]@0 secret@1 input in0@2
+1: load r1, in0
+2: load r2, A + r1
+3: load r3, r1 + 6
+""", "load e5 reads undeclared address 7"),
+    "undeclared store": ("""layout A[1]@0 secret@1 input in0@2
+1: load r1, in0
+2: load r2, A + r1
+3: store r1 + 6, r2
+""", "store e5 hits undeclared address 7"),
+    "unresolved value": ("""layout A[1]@0 secret@1 X@2 Y@3 input in0@4
+thread 0:
+1: load r0, X
+2: r1 <-(1?) r0
+3: store Y, r1
+4: load r5, in0
+5: load r6, A + r5
+thread 1:
+1: load r3, Y
+2: store X, r3
+""", "unresolved value at e5 (cyclic dataflow)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_RULES))
+def test_each_leaf_rule_drops_a_lane_as_the_blind_product_does(monkeypatch, name):
+    """Each rule left to the leaf gives its reason there, for every pair of
+    the search, and the pairs and the verdict are the blind enumeration's."""
+    source, reason = LEAF_RULES[name]
+    reasons = []
+    rejection = engine.value_rejection
+    monkeypatch.setattr(engine, "value_rejection",
+                        lambda *args: reasons.append(rejection(*args)) or reasons[-1])
+    program, model = parse_program(source), _MODELS["inorder"]
+    cfg = SpecConfig(mode="traditional")
+    assert verdict(program, model, cfg, 1, 3) == blind_verdict(program, model, cfg, 1, 3)
+    assert ([signature(x) for x in directed(program, cfg, 1, 3)]
+            == [signature(x) for x in blind(program, cfg, 1, 3)])
+    assert reason in reasons
 
 
 def test_corpus_witnesses_rebuild_to_the_same_base_relations():

@@ -192,9 +192,9 @@ thread 0:
 
 def test_no_propagation_starts_on_a_voided_evaluation(monkeypatch):
     """No check of the search reads the guard, so every lane passes the goal
-    test and only the propagation meets the split guard: each of the four
-    lanes is propagated once, on from the search's evaluator with its
-    `lane`, and the guard's node is evaluated lane by lane there."""
+    test and only the valuation at the leaf meets the split guard: each of
+    the four lanes is valued once, from the search's own evaluator, and the
+    guard's node is evaluated lane by lane there."""
     alone = recording(monkeypatch)
     searches, calls = [], []
     rf_vectors = engine._rf_vectors
@@ -203,15 +203,20 @@ def test_no_propagation_starts_on_a_voided_evaluation(monkeypatch):
         searches.append(dataflow)
         yield from rf_vectors(skeleton, dataflow, may_read, full)
 
-    propagate = engine.propagate_values
+    def valued(x, addrs, vals):
+        # the lane's projection of the search's memo, every node evaluated
+        lane = [c[x.inputs[2]] if type(c) is tuple else c for c in searches[-1].memo]
+        calls.append((x.inputs, (addrs, vals) == (lane[0::2], lane[1::2])))
+        return value_rejection(x, addrs, vals)
+
+    value_rejection = engine.value_rejection
     monkeypatch.setattr(engine, "_rf_vectors", search)
-    monkeypatch.setattr(engine, "propagate_values", lambda x, *args, **kw: calls.append(
-        (x.inputs, kw.get("dataflow"), kw.get("lane"))) or propagate(x, *args, **kw))
+    monkeypatch.setattr(engine, "value_rejection", valued)
     program = parse_program(GUARD_AFTER_THE_GOAL)
     model, cfg = load_model("inorder"), SpecConfig(mode="traditional")
     got = verdict(program, model, cfg, 1, 2)
     assert len(searches) == 1 and [e for e, _ in alone] == [searches[0]] * 4
-    assert calls == [({2: idx}, searches[0], idx) for idx in range(4)]
+    assert calls == [({2: idx}, True) for idx in range(4)]
     assert got == blind_verdict(program, model, cfg, 1, 2)
     assert got[0] == "unsafe" and got[1]["inputs"] == {2: 0}
 
