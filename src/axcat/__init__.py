@@ -2,8 +2,9 @@
 axiomatic memory models, covering control-flow speculation, store-to-load
 and predictive store forwarding, and memory-ordering machine clears."""
 
+import importlib
+
 from .catlang import CatModel, check_assertions, check_srf_fence, evaluate, parse_cat
-from .dot import emit_witness_dot
 from .engine import Verdict, check_isolation, enumerate_candidates
 from .events import (
     CandidateExecution,
@@ -15,7 +16,6 @@ from .events import (
 )
 from .masm import ParseError, Program, parse_program, pred, unroll
 from .resources import BUNDLED_MODELS, corpus_dir, load_model, models_dir
-from .smt import emit_smt
 from .speculation import (
     SpecConfig,
     check_fences,
@@ -58,3 +58,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the solver export and the DOT writer, which no verdict run calls, are
+# imported on first use (PEP 562): each name to the submodule it comes from
+_ON_FIRST_USE = {"emit_smt": "smt", "emit_witness_dot": "dot", "smt": "smt", "dot": "dot"}
+
+
+def __getattr__(name):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    sub = _ON_FIRST_USE[name]
+    module = importlib.import_module("." + sub, __name__)
+    value = module if name == sub else getattr(module, name)
+    globals()[name] = value
+    return value

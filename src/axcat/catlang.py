@@ -47,9 +47,9 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .events import (
     DATA_RELATIONS,
@@ -647,15 +647,15 @@ def _run(groups, env: dict, model_name: str):
             raise CatError(f"{model_name}: fixpoint iteration did not converge")
 
 
-class CompiledModel(NamedTuple):
-    """A `CatModel` compiled for one configuration (see `compile_model`)."""
+class CompiledModel(namedtuple(
+        "CompiledModel", "name data static dynamic assertions monotone")):
+    """A `CatModel` compiled for one configuration (see `compile_model`):
+    its name, the data relations it reads, the definition groups that read
+    no data (static) and the others (dynamic), its assertions as (kind,
+    source, closure env -> holds) in file order, and whether it is monotone
+    (see the module docstring)."""
 
-    name: str
-    data: frozenset  # the data relations the model reads
-    static: tuple  # definition groups that read no data
-    dynamic: tuple  # the other definition groups
-    assertions: tuple  # (kind, source, closure env -> holds), file order
-    monotone: bool  # see the module docstring
+    __slots__ = ()
 
     def bind(self, skeleton: Skeleton) -> "BoundModel":
         """Evaluate everything the skeleton fixes, once per control vector."""
@@ -674,11 +674,11 @@ class CompiledModel(NamedTuple):
         return None
 
 
-class BoundModel(NamedTuple):
-    """A compiled model with the static part of one skeleton evaluated."""
+class BoundModel(namedtuple("BoundModel", "model env")):
+    """A compiled model (`model`) with the static part of one skeleton
+    evaluated (`env`, a read-only mapping)."""
 
-    model: CompiledModel
-    env: MappingProxyType
+    __slots__ = ()
 
     def check(self, x: CandidateExecution):
         """Run the assertions on a propagated candidate of the skeleton.

@@ -18,11 +18,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dot import emit_witness_dot
 from .engine import check_isolation
 from .masm import ParseError, parse_program
 from .resources import BUNDLED_MODELS, corpus_dir, load_model
-from .smt import emit_smt
 from .speculation import SpecConfig
 
 USAGE_ERROR = 3
@@ -69,6 +67,8 @@ def run(spec: RunSpec):
             "w_prime": spec.buffer,
         }
         if spec.engine == "emit-smt" or spec.smt:
+            from .smt import emit_smt  # a verdict run never loads the export
+
             # exported before any verdict: a failed export prints none
             text = emit_smt(program, model, cfg, spec.k, spec.bits,
                             Path(spec.program).stem)
@@ -104,6 +104,8 @@ def run(spec: RunSpec):
                 f"filtered={verdict.filtered} elapsed_ms={elapsed_ms}"
             )
             if spec.dot and verdict.witness is not None:
+                from .dot import emit_witness_dot
+
                 Path(spec.dot).write_text(emit_witness_dot(verdict.witness))
             code = OUTCOME_CODE[verdict.outcome]
         if spec.json_out:

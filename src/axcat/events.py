@@ -613,15 +613,14 @@ class Evaluator:
     must cover every declared address.  An init value may be a tuple of
     one value per lane, each lane an input vector: a memo cell holds a
     plain value where it reads no tuple, else a tuple, which `value(eid)`
-    and `address(eid)` give as it is, and `value(eid, lane)` and
-    `address(eid, lane)` give one lane's.  For one rf choice the
-    lanes read the same nodes but at a conditional assignment whose guard
-    is zero in some lanes and not in others: that node alone is evaluated
-    lane by lane, each lane by a one-lane evaluator (`_alone`), so a node
-    reads None on its own cycle in all lanes exactly when it would in each
-    alone.  The memo may be swapped for a copy to carry the evaluation on
-    under another rf choice, as long as no node it holds reads a source
-    that changed.
+    and `address(eid)` give as it is, and `value(eid, lane)` gives one
+    lane's.  For one rf choice the lanes read the same nodes but at a
+    conditional assignment whose guard is zero in some lanes and not in
+    others: that node alone is evaluated lane by lane, each lane by a
+    one-lane evaluator (`_alone`), so a node reads None on its own cycle
+    in all lanes exactly when it would in each alone.  The memo may be
+    swapped for a copy to carry the evaluation on under another rf choice,
+    as long as no node it holds reads a source that changed.
     """
 
     __slots__ = ("events", "rf_choice", "init_by_addr", "writers", "secret_addr",
@@ -643,9 +642,8 @@ class Evaluator:
         cell = self._demand(2 * eid + 1)
         return cell if lane is None or type(cell) is not tuple else cell[lane]
 
-    def address(self, eid: int, lane: int | None = None):
-        cell = self._demand(2 * eid)
-        return cell if lane is None or type(cell) is not tuple else cell[lane]
+    def address(self, eid: int):
+        return self._demand(2 * eid)
 
     def nodes(self, lane: int | None = None) -> list:
         """Every node's value, demanded in node order (each event's address,

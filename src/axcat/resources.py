@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .catlang import CatModel, parse_cat
@@ -11,7 +10,7 @@ BUNDLED_MODELS = ("inorder", "stl", "psf", "tso", "tso-mcu")
 
 
 def _package_dir(sub: str) -> Path:
-    return Path(str(resources.files("axcat") / sub))
+    return Path(__file__).parent / sub
 
 
 def models_dir() -> Path:
