@@ -55,10 +55,11 @@ expression and old value too).  What a prefix drops:
   * the lanes in which a lane check fails, once every load whose value
     it may read has its source, and whose values, closed over their
     sources, read only such loads: a store at another address than the
-    load's, by the same rule, or a branch value that disagrees with its
-    outcome.  The walk already followed the chosen outcomes and
-    predictions, and ends every transient run before a fence, so the
-    control-flow constraints reduce to that agreement
+    load's where the rule's address clause, `events.alias_rejection`,
+    decided once per (load, store) option, rejects the pair, or a branch
+    value that disagrees with its outcome.  The walk already followed the
+    chosen outcomes and predictions, and ends every transient run before a
+    fence, so the control-flow constraints reduce to that agreement
     (`speculation.agrees`);
   * a prefix with no live lane that has, or may still get, a leaky load
     that reads "init" at the secret's address.
@@ -113,6 +114,7 @@ from .events import (
     CandidateExecution,
     Evaluator,
     _walks,
+    alias_rejection,
     base_relations,  # not called here; bench/tracer.py wraps engine.base_relations
     build_events,
     propagate_values,
@@ -334,15 +336,15 @@ def _sources(skeleton: CandidateExecution, load: int, fixed: dict) -> list:
 _RF, _SECRET, _BRANCH = range(3)
 
 
-def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen: int,
-            full: int):
+def _decide(dataflow: Evaluator, checks, live: int, seen: int, full: int):
     """Decide `checks` on the cells of `dataflow`, whose lanes `full` holds
-    as a bitset: (live, seen).  An rf check (load a reads store b) keeps
-    in `live` the lanes where `rf_rejection` allows it at their addresses,
-    a branch check (event a, taken b) the lanes where its value sends it
-    that way; a secret check (load a reads init) adds to `seen` the lanes
-    where its address is the secret's."""
-    secret = x.program.secret_addr
+    as a bitset: (live, seen).  An rf check (load a reads store b, made only
+    for a pair that `alias_rejection` rejects) drops from `live` the lanes
+    where both addresses resolve and differ, a branch check (event a,
+    taken b) keeps the lanes where its value sends it that way; a secret
+    check (load a reads init) adds to `seen` the lanes where its address is
+    the secret's."""
+    secret = dataflow.secret_addr
     for _, kind, a, b in checks:
         if kind == _SECRET:
             cell = dataflow.address(a)
@@ -362,19 +364,12 @@ def _decide(x: CandidateExecution, dataflow: Evaluator, checks, live: int, seen:
                     if not agrees(value, b):
                         live &= ~(1 << lane)
             continue
-        to, at = dataflow.address(b), dataflow.address(a)
-        if type(to) is not tuple and type(at) is not tuple:
-            live &= full if to == at or rf_rejection(x, b, a, to, at) is None else 0
-        else:  # where the addresses differ, the rule says the same in every lane
-            width, alias = full.bit_length(), None
-            tos = to if type(to) is tuple else (to,) * width
-            ats = at if type(at) is tuple else (at,) * width
-            for lane, (t, l) in enumerate(zip(tos, ats)):
-                if t != l and t is not None and l is not None:
-                    if alias is None:
-                        alias = rf_rejection(x, b, a, t, l) is None
-                    if not alias:
-                        live &= ~(1 << lane)
+        to, at, width = dataflow.address(b), dataflow.address(a), full.bit_length()
+        tos = to if type(to) is tuple else (to,) * width
+        ats = at if type(at) is tuple else (at,) * width
+        for lane, (t, l) in enumerate(zip(tos, ats)):
+            if t != l and t is not None and l is not None:
+                live &= ~(1 << lane)
     return live, seen
 
 
@@ -419,21 +414,22 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
     if not may_read:
         return
     # per load and source: (source, its must-wait set, the loads the load's
-    # value then may read, its lane check or None)
+    # value then may read, its lane check or None, as `_decide` says)
     options = [
         [(source, waits[load], may[2 * load],
           (may[2 * load], _SECRET, load, None) if may_read >> load & 1 else None)
          if source == "init" else
          (source, waits[source], may[2 * source + 1],
           (may[2 * load] | may[2 * source], _RF, load, source)
-          if may[2 * load] | may[2 * source] else None)
+          if may[2 * load] | may[2 * source] and alias_rejection(skeleton, source, load)
+          else None)
          for source in _sources(skeleton, load, fixed)]
         for load in loads
     ]
     n = len(loads)
     # per depth, what its prefix decided: (memo, live, seen, settled,
-    # pending checks, the loads whose secret check is pending)
-    frames = [(dataflow.memo, full, 0, 0, tuple(checks), 0)] + [None] * n
+    # pending checks, whether a secret check is pending)
+    frames = [(dataflow.memo, full, 0, 0, tuple(checks), False)] + [None] * n
     every = sum(1 << load for load in loads)
     needs: dict[int, int] = {}  # load chosen before the one at hand -> its needs
     reads: dict[int, int] = {}  # chosen load -> the loads its value may read
@@ -447,10 +443,10 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
             continue
         cursor[depth] = at + 1
         source, need, read, check = row[at]
-        memo, live, seen, settled, checks, open_ = frames[depth]
+        memo, live, seen, settled, checks, pending = frames[depth]
         load = loads[depth]
         init = source == "init"
-        if not (live & seen or open_ or may_read >> load + 1 or init and check):
+        if not (live & seen or pending or may_read >> load + 1 or init and check):
             # no lane can read the secret any more, nor through a later store
             cursor[depth] = len(row)
             continue
@@ -470,17 +466,16 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
             pass
         elif check[0] & ~settled:
             checks += (check,)
-            if init:
-                open_ |= 1 << load
+            pending = pending or init
         else:  # ready before the choice: shared by every choice of this load
             dataflow.memo = memo
-            live, seen = _decide(skeleton, dataflow, (check,), live, seen, full)
+            live, seen = _decide(dataflow, (check,), live, seen, full)
         if not live:
             continue
         if depth + 1 == n:  # every load has its source: decide what is left
             if checks or live & seen:
                 memo = dataflow.memo = memo[:]  # the goal test writes to it too
-                live, seen = _decide(skeleton, dataflow, checks, live, seen, full)
+                live, seen = _decide(dataflow, checks, live, seen, full)
                 if live & seen:
                     yield tuple(prefix.values()), memo, live, seen
             continue
@@ -496,12 +491,12 @@ def _rf_vectors(skeleton: CandidateExecution, dataflow: Evaluator, may_read: int
                 waiting ^= now
             ready = checks and tuple(c for c in checks if not c[0] & ~settled)
             if ready:
-                live, seen = _decide(skeleton, dataflow, ready, live, seen, full)
+                live, seen = _decide(dataflow, ready, live, seen, full)
                 checks = tuple(c for c in checks if c[0] & ~settled)
-                open_ = sum(1 << c[2] for c in checks if c[1] == _SECRET)
-        if live and (live & seen or open_ or may_read >> load + 1):
+                pending = any(c[1] == _SECRET for c in checks)
+        if live and (live & seen or pending or may_read >> load + 1):
             depth += 1
-            frames[depth] = memo, live, seen, settled, checks, open_
+            frames[depth] = memo, live, seen, settled, checks, pending
 
 
 def _pairs(skeleton: CandidateExecution, query: _Query):

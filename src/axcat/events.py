@@ -50,11 +50,12 @@ Conventions baked in here:
     distinct from every expressible store value;
   * registers start at 0 and follow program order within a thread;
   * transient stores never enter the coherence order;
-  * which store a load may read, the psf fence clause included, is stated
-    once, in `rf_rejection`, for value propagation and the engine's source
-    search alike; under predictive store forwarding the per-load source
-    choice is the speculative reads-from (srf), and a load that reads
-    "init" reads the init event of its own address.
+  * which store a load may read is stated once, in `rf_rejection` (its
+    address clause, the psf fence included, in `alias_rejection`), for
+    value propagation and the engine's source search alike; under
+    predictive store forwarding the per-load source choice is the
+    speculative reads-from (srf), and a load that reads "init" reads the
+    init event of its own address.
 """
 
 from __future__ import annotations
@@ -205,16 +206,6 @@ class Event:
 
     def is_init(self) -> bool:
         return self.kind in (INIT, SECRET_INIT)
-
-
-class Inconsistent:
-    """Marker result of value propagation: the candidate contradicts itself."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Inconsistent({self.reason!r})"
 
 
 @dataclass(frozen=True)
@@ -613,10 +604,9 @@ class Evaluator:
     must cover every declared address.  An init value may be a tuple of
     one value per lane, each lane an input vector: a memo cell holds a
     plain value where it reads no tuple, else a tuple, which `value(eid)`
-    and `address(eid)` give as it is, and `value(eid, lane)` gives one
-    lane's.  For one rf choice the lanes read the same nodes but at a
-    conditional assignment whose guard is zero in some lanes and not in
-    others: that node alone is evaluated lane by lane, each lane by a
+    and `address(eid)` give as it is.  For one rf choice the lanes read the
+    same nodes but at a conditional assignment whose guard is zero in some
+    lanes and not in others: that node alone is evaluated lane by lane, each lane by a
     one-lane evaluator (`_alone`), so a node reads None on its own cycle
     in all lanes exactly when it would in each alone.  The memo may be
     swapped for a copy to carry the evaluation on under another rf choice,
@@ -638,9 +628,8 @@ class Evaluator:
         self.missing = None  # an input of that node left for the stack
         self.depth = 0  # the nested evaluations under way
 
-    def value(self, eid: int, lane: int | None = None):
-        cell = self._demand(2 * eid + 1)
-        return cell if lane is None or type(cell) is not tuple else cell[lane]
+    def value(self, eid: int):
+        return self._demand(2 * eid + 1)
 
     def address(self, eid: int):
         return self._demand(2 * eid)
@@ -726,8 +715,9 @@ class Evaluator:
             choice = self.rf_choice.get(eid)
             if choice == "init":
                 if type(addr := self._input(node - 1)) is tuple:  # each lane its own init cell
-                    return tuple([None if c is None else self.value(c, i)
-                                  for i, c in enumerate(map(self.init_by_addr.get, addr))])
+                    cells = [None if c is None else self.memo[2 * c + 1]
+                             for c in map(self.init_by_addr.get, addr)]
+                    return tuple([c[i] if type(c) is tuple else c for i, c in enumerate(cells)])
                 choice = self.init_by_addr.get(addr)
             return None if choice is None else self._input(2 * choice + 1)
         if kind is Assign:
@@ -750,21 +740,29 @@ class Evaluator:
         return None  # jumps, fences and skips have no value
 
 
+def alias_rejection(x: CandidateExecution, store: int, load: int):
+    """Why `load` may not read `store` in `x` at another address than its
+    own, or None if it may: only a store-buffer pair may, under predictive
+    store forwarding, the store `po`-before the load with no fence in
+    between.  No address enters it, so it holds in every lane."""
+    if not x.psf:
+        return f"reads-from (e{store}, e{load}) joins different addresses"
+    if not x.structure.po[store] >> load & 1:
+        return f"alias forwarding (e{store}, e{load}) is not a store-buffer pair"
+    if x.structure.fence[store] >> load & 1:
+        return f"alias forwarding (e{store}, e{load}) crosses a fence"
+    return None
+
+
 def rf_rejection(x: CandidateExecution, store: int, load: int, store_addr, load_addr):
     """Why `load` may not read `store` in `x` at these addresses (None: not
     known yet), or None if it may.  A load reads a store at its own address,
-    under predictive store forwarding also one `po`-before it with no fence
-    in between (a store-buffer alias); a transient store feeds only later
-    transient loads of its thread."""
-    buffered = x.structure.po[store] >> load & 1
-    if None not in (store_addr, load_addr) and store_addr != load_addr:
-        if not x.psf:
-            return f"reads-from (e{store}, e{load}) joins different addresses"
-        if not buffered:
-            return f"alias forwarding (e{store}, e{load}) is not a store-buffer pair"
-        if x.structure.fence[store] >> load & 1:
-            return f"alias forwarding (e{store}, e{load}) crosses a fence"
-    if store in x.transient and (load not in x.transient or not buffered):
+    or at another one as `alias_rejection` allows; a transient store feeds
+    only later transient loads of its thread."""
+    if None not in (store_addr, load_addr) and store_addr != load_addr and (
+            reason := alias_rejection(x, store, load)):
+        return reason
+    if store in x.transient and (load not in x.transient or not x.structure.po[store] >> load & 1):
         return f"transient store e{store} can only feed a later transient load of its thread"
     return None
 
@@ -798,8 +796,8 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
     thread, a load takes its source's value, and a value on its own
     dependency cycle stays unresolved.  Returns the valuation, a tuple of
     (addr, val) indexed by event id, and stores it in `x.valuation`; on
-    failure `x.valuation` is None and the result an `Inconsistent` with the
-    first reason found.  The events are not touched: the data relations the
+    failure both are None and `x.inconsistency` holds the first reason
+    found.  The events are not touched: the data relations the
     valuation induces come from `data_rows`.
     """
     init_by_addr, rf_choice = x.structure.init_by_addr, x.rf_choice
@@ -833,7 +831,6 @@ def propagate_values(x: CandidateExecution, init_vals: dict, bits: int):
 def _fail(x: CandidateExecution, reason: str):
     x.inconsistency = reason
     x.valuation = None
-    return Inconsistent(reason)
 
 
 # ---------------------------------------------------------------------------

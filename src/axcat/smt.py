@@ -27,9 +27,11 @@ and `srf`, stores x other threads' loads for `rfe`, W x stores for `co`,
 M x M for `loc`) whose address sets meet, by `events.value_sets` computed
 once per export; `srf` also keeps the store-buffer pairs of a store and a
 later load of its thread.  A derived term's support is computed from
-those with `catlang`'s row operations.  Only support pairs are declared,
-asserted and composed over, and a derived pair that comes out TRUE or FALSE
-is folded to the constant.
+those with `catlang`'s row operations, reading each name's rows in one
+table, `rows`, as its formulas are in `values`; `catlang._run` iterates a
+recursive group's supports over `rows` to their least fixpoint.  Only
+support pairs are declared, asserted and composed over, and a derived pair
+that comes out TRUE or FALSE is folded to the constant.
 
 No solver ships with the package: the file is an exchange artifact whose
 structure and determinism are tested in-tree and whose satisfiability can
@@ -133,10 +135,9 @@ class _Emitter:
         self.decls: list[str] = []
         self.lines: list[str] = []
         self.fresh = 0
-        self.bases: dict = {}  # base relation -> (table, rows), see `base`
+        # by name: a base relation's or a definition's formula per support pair
+        self.values: dict = {}
         self.supports: dict = {}  # id(term) -> rows, see `support`
-        self.def_rows: dict = {}  # definition -> its support rows
-        self.values: dict = {}  # definition -> {(i, j): TRUE or its Bool}
         self.speculative = cfg.mode == "speculative"
 
         # every instruction instance as an event; an event's id is its bit
@@ -162,6 +163,12 @@ class _Emitter:
         self.meet = [sum(1 << j for j in memory if addrs[i] & addrs[j]) for i in range(self.n)]
         # the (write, load) pairs with a reads-from selector
         self.sources = self.base_rows("srf" if cfg.psf else "rf")
+        # by name: the support rows of each event class X (those of [X]), of
+        # each base relation the model reads and of each emitted definition
+        self.rows = {name: [(i in sk.sets[name]) << i for i in range(self.n)]
+                     for name in catlang.SET_NAMES}
+        for name in sorted(model.base_names()):
+            self.base(name)
 
     # -- small term helpers --------------------------------------------------
 
@@ -500,21 +507,18 @@ class _Emitter:
 
     def base(self, name: str):
         """(table, rows) of base relation `name`: its formula at each pair
-        of its static support, keyed by event ids, and the support rows."""
-        if name not in self.bases:
+        of its static support, keyed by event ids, and the support rows,
+        entered into `values` and `rows` on first use."""
+        if name not in self.values:
             term, rows = getattr(self, f"{name}_term"), self.base_rows(name)
-            self.bases[name] = {(x.id, y.id): term(x, y) for x, y in self.pairs(rows)}, rows
-        return self.bases[name]
-
-    def set_rows(self, name: str) -> list:
-        """The rows of [X] for the event class X named `name`."""
-        ids = self.skeleton.sets[name]
-        return [(i in ids) << i for i in range(self.n)]
+            self.values[name] = {(x.id, y.id): term(x, y) for x, y in self.pairs(rows)}
+            self.rows[name] = rows
+        return self.values[name], self.rows[name]
 
     def support(self, term, memo=None) -> list:
         """Rows of the pairs at which the formula of `term` may be other than
-        FALSE.  A reference reads the rows of the definition it names, so a
-        recursive group passes a fresh `memo` on each fixpoint round."""
+        FALSE.  A name reads its rows in `rows`, so a recursive group's
+        members pass a fresh `memo` on each fixpoint round."""
         memo = self.supports if memo is None else memo
         key = id(term)
         if key in memo:
@@ -523,12 +527,11 @@ class _Emitter:
             raise CatError("closure operators inside a recursive definition are "
                            "not supported by the solver export")
         if isinstance(term, (TBase, TRef)):
-            rows = (self.base(term.name)[1] if isinstance(term, TBase)
-                    else self.def_rows[term.name])
+            rows = self.rows[term.name]
         elif isinstance(term, TSetId):
-            rows = self.set_rows(term.set_name)
+            rows = self.rows[term.set_name]
         elif isinstance(term, TCross):
-            rows = catlang.cross_rows(self.set_rows(term.left), self.set_rows(term.right))
+            rows = catlang.cross_rows(self.rows[term.left], self.rows[term.right])
         elif isinstance(term, TDiff):  # the right side may hold or not
             if memo is not self.supports:
                 self.support(term.right, memo)  # to reject a closure there too
@@ -539,7 +542,7 @@ class _Emitter:
         elif type(term) in catlang._UNARY:
             rows = catlang._UNARY[type(term)](self.support(term.term, memo))
         elif isinstance(term, TStar):
-            rows = catlang.star_rows(self.support(term.term, memo), self.set_rows("E"))
+            rows = catlang.star_rows(self.support(term.term, memo), self.rows["E"])
         elif isinstance(term, TBounded):
             k = catlang.resolve_bound(term.k_base, term.k_offset, self.cfg)
             rows = catlang.power_rows(self.support(term.term, memo), k)
@@ -602,8 +605,7 @@ class _Emitter:
     def materialize(self, term):
         """formula(x, y) for a term with no recursive references."""
         if isinstance(term, (TBase, TRef)):
-            table = (self.base(term.name)[0] if isinstance(term, TBase)
-                     else self.values[term.name])
+            table = self.values[term.name]
             out = lambda x, y: table.get((x.id, y.id), FALSE)
         elif isinstance(term, TSetId):
             out = lambda x, y, s=term.set_name: (
@@ -666,22 +668,16 @@ class _Emitter:
         raise TypeError(f"not a term: {term!r}")
 
     def emit_recursive(self, group: tuple, terms: dict, rankw: int):
-        """A recursive group: its support is the least fixpoint of its
-        members' rows, iterated from empty, and each support pair gets a
-        Bool and a derivation rank."""
-        self.def_rows.update(dict.fromkeys(group, [0] * self.n))
-        while True:
-            memo = {}
-            rows = {nm: self.support(terms[nm], memo) for nm in group}
-            if all(rows[nm] == self.def_rows[nm] for nm in group):
-                break
-            self.def_rows.update(rows)
-        self.supports.update(memo)  # the last round saw the final rows only
+        """A recursive group: `catlang._run` iterates its members' support
+        rows in `rows` from empty to their least fixpoint, and each support
+        pair gets a Bool and a derivation rank."""
+        members = tuple((nm, lambda _, term=terms[nm]: self.support(term, {})) for nm in group)
+        catlang._run(((True, members),), self.rows, self.model.name)
         for nm in group:
             self.values[nm] = {(x.id, y.id): f"d_{nm}_{self.pair_name(x, y)}"
-                               for x, y in self.pairs(self.def_rows[nm])}
+                               for x, y in self.pairs(self.rows[nm])}
         for nm in group:
-            for x, y in self.pairs(self.def_rows[nm]):
+            for x, y in self.pairs(self.rows[nm]):
                 d = self.declare(self.values[nm][x.id, y.id], "Bool")
                 rank = self.declare(f"drk_{nm}_{self.pair_name(x, y)}", f"(_ BitVec {rankw})")
                 self.assert_(f"(= {d} {self._inline_recursive(terms[nm], x, y, group, rank)})")
@@ -712,7 +708,7 @@ class _Emitter:
                     t = d
                 values[x.id, y.id] = t
                 rows[x.id] |= 1 << y.id
-            self.values[nm], self.def_rows[nm] = values, rows
+            self.values[nm], self.rows[nm] = values, rows
 
     def emit_assertions(self):
         self.say("model assertions")

@@ -3,7 +3,8 @@
 The reads-from vectors that `engine._rf_vectors` brings to the goal test
 in one corpus pass, one litmus-co pass (seed 1) and one check of each
 scaling shape of test_scaling.py, with the lanes valued at the search's
-leaf there and those that `engine.value_rejection` drops; one check of
+leaf there and those that `engine.value_rejection` drops, and in the
+first two passes the rf lane checks that `engine._decide` decides; one check of
 test_lanes.py's two-input program at 3 bits, with its searches, and of
 each of its split-guard programs at 3 bits, with the one-lane evaluations
 of their split guards; and, for the speculative branch family of eight copies,
@@ -23,8 +24,8 @@ from test_smt import corpus_cases
 
 import litmus_co
 
-reached, searches, leaf = [], [], []
-rf_vectors, value_rejection = engine._rf_vectors, engine.value_rejection
+reached, searches, leaf, rf_checks = [], [], [], []
+rf_vectors, value_rejection, decide = engine._rf_vectors, engine.value_rejection, engine._decide
 
 
 def counted(skeleton, dataflow, may_read, full):
@@ -39,18 +40,25 @@ def valued(*args):
     return leaf[-1]
 
 
+def deciding(dataflow, checks, *args):
+    rf_checks.extend(c for c in checks if c[1] == engine._RF)
+    return decide(dataflow, checks, *args)
+
+
 def print_leaf(name):
     dropped = sum(reason is not None for reason in leaf)
     print(name, "lanes valued at the leaf:", len(leaf), "dropped:", dropped)
     leaf.clear()
 
 
-engine._rf_vectors, engine.value_rejection = counted, valued
+engine._rf_vectors, engine.value_rejection, engine._decide = counted, valued, deciding
 for _, p, m, c, k, b, _ in corpus_cases():
     check_isolation(p, m, c, k, b)
 print("corpus rf vectors at the goal test:", len(reached))
 print_leaf("corpus")
+print("corpus rf lane checks decided:", len(rf_checks))
 reached.clear()
+rf_checks.clear()
 models = [load_model(name) for name in litmus_co.MODELS]
 for _, source in litmus_co.generate(1):
     p = parse_program(source)
@@ -58,6 +66,7 @@ for _, source in litmus_co.generate(1):
         check_isolation(p, m, SpecConfig(mode="traditional"), litmus_co.K, litmus_co.BITS)
 print("litmus-co rf vectors at the goal test:", len(reached))
 print_leaf("litmus-co")
+print("litmus-co rf lane checks decided:", len(rf_checks))
 for shape, consistent in SHAPES.items():
     reached.clear()
     check_isolation(parse_program(family(*shape)), load_model("inorder"), CFG, 2, 3)

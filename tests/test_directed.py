@@ -26,7 +26,7 @@ from axcat import (
 from axcat import engine
 from axcat.catlang import BoundModel, CompiledModel, compile_model, parse_cat
 from axcat.engine import _pairs, _query, _skeletons, candidate_consistent, violating_load
-from axcat.events import _UNSET, Evaluator, _walks, rf_rejection, secret_sentinel
+from axcat.events import _UNSET, Evaluator, _walks, alias_rejection, rf_rejection, secret_sentinel
 from axcat.masm import eval_expr, expr_registers
 from axcat.speculation import check_speculative_cf, check_traditional_cf, check_window
 from generator import random_program_source
@@ -269,6 +269,34 @@ def test_store_buffer_sources_come_from_po():
         assert engine._sources(skeleton, before, fixed) == ["init"]
         assert engine._sources(skeleton, after, fixed) == ["init", store]
         assert engine._sources(skeleton, other, fixed) == ["init"]
+
+
+def test_rf_lane_checks_name_pairs_the_alias_clause_rejects(monkeypatch):
+    """The search makes an rf lane check only for a (load, store) pair that
+    `alias_rejection` keeps to one address: a store-buffer pair that it
+    allows reads the store at any address, in every lane.  Over every
+    corpus expectation, each rf check that `_decide` receives names such a
+    pair, and psf-01's store-buffer pair gets none."""
+    skeletons, checked = [], []
+    rf_vectors, decide = engine._rf_vectors, engine._decide
+
+    def recording(skeleton, *args):
+        skeletons.append(skeleton)
+        yield from rf_vectors(skeleton, *args)
+
+    def deciding(dataflow, checks, *args):
+        checked.extend((skeletons[-1], load, store)
+                       for _, kind, load, store in checks if kind == engine._RF)
+        return decide(dataflow, checks, *args)
+
+    monkeypatch.setattr(engine, "_rf_vectors", recording)
+    monkeypatch.setattr(engine, "_decide", deciding)
+    for param in corpus_expectations():
+        program, exp = param.values
+        check_isolation(program, *corpus_settings(exp))
+    assert checked
+    for skeleton, load, store in checked:
+        assert alias_rejection(skeleton, store, load) is not None, (load, store)
 
 
 def rf_vectors(src):

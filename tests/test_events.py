@@ -8,7 +8,6 @@ from axcat.events import (
     INIT,
     SECRET_INIT,
     Evaluator,
-    Inconsistent,
     base_relations,
     build_events,
     propagate_values,
@@ -175,7 +174,7 @@ def test_propagate_masked_index_stays_in_bounds():
     x.rf_choice[loads[1].id] = store.id
     x.co_order = tuple(s.id for s in x.stores() if s.id in x.committed)
     vals = propagate_values(x, init_vals(p, **{"5": 7}), 3)
-    assert not isinstance(vals, Inconsistent)
+    assert vals is not None
     e4 = loads[2]  # load r3, A + r2
     assert x.valuation[e4.id][0] == 7 & 3  # masked
     assert (store.id, loads[1].id) in x.rf
@@ -188,7 +187,7 @@ def test_propagate_bypassed_store_reaches_secret():
     x.rf_choice = {e.id: "init" for e in loads}  # e3 reads the stale init
     x.co_order = tuple(s.id for s in x.stores() if s.id in x.committed)
     vals = propagate_values(x, init_vals(p, **{"5": 4}), 3)
-    assert not isinstance(vals, Inconsistent)
+    assert vals is not None
     e4 = loads[2]
     assert x.valuation[e4.id][0] == p.secret_addr
     src = [w for w, r in x.rf if r == e4.id]
@@ -202,7 +201,7 @@ def test_propagate_load_from_init_defaults_to_zero():
     x.rf_choice = {e.id: "init" for e in x.loads()}
     x.co_order = ()
     vals = propagate_values(x, init_vals(p, **{"5": 2}), 3)
-    assert not isinstance(vals, Inconsistent)
+    assert vals is not None
     e1, e4, e5 = (x.valuation[e.id][1] for e in x.loads())
     assert e1 == 2  # the input
     assert e4 == 0  # A[2] initial value
@@ -218,8 +217,8 @@ def test_propagate_rejects_address_mismatch():
     x.rf_choice[loads[2].id] = store.id  # load from A+r2 cannot read store to idx
     x.co_order = tuple(s.id for s in x.stores() if s.id in x.committed)
     out = propagate_values(x, init_vals(p, **{"5": 0}), 3)
-    assert isinstance(out, Inconsistent)
-    assert "different addresses" in out.reason
+    assert out is None
+    assert "different addresses" in x.inconsistency
 
 
 def test_propagate_determinism():
@@ -256,7 +255,7 @@ thread 0:
     x.rf_choice = {loads[0].id: "init", loads[1].id: store.id}
     x.co_order = ()
     ok = propagate_values(x, init_vals(p, **{"3": 0}), 3)
-    assert not isinstance(ok, Inconsistent)
+    assert ok is not None
     assert x.valuation[loads[1].id][1] == 1
 
     # a committed load must not read a transient store
@@ -266,7 +265,7 @@ thread 0:
     x2.rf_choice = {l1.id: st2.id, x2.loads()[1].id: "init"}
     x2.co_order = ()
     out = propagate_values(x2, init_vals(p, **{"3": 0}), 3)
-    assert isinstance(out, Inconsistent)
+    assert out is None
 
 
 def test_transient_stores_never_in_coherence():
@@ -284,8 +283,8 @@ thread 0:
     x.rf_choice = {x.loads()[0].id: "init"}
     x.co_order = (store.id,)
     out = propagate_values(x, init_vals(p, **{"3": 0}), 3)
-    assert isinstance(out, Inconsistent)
-    assert "coherence" in out.reason
+    assert out is None
+    assert "coherence" in x.inconsistency
 
 
 def test_base_relations_single_thread_rfe_empty():
@@ -308,7 +307,7 @@ def test_base_relations_mp_rfe_cross_thread():
     x.rf_choice = {loads[0].id: store_x.id, loads[1].id: "init", loads[2].id: "init"}
     x.co_order = tuple(sorted(s.id for s in x.stores()))
     out = propagate_values(x, init_vals(p), 3)
-    assert not isinstance(out, Inconsistent)
+    assert out is not None
     rels = base_relations(x)
     assert (store_x.id, loads[0].id) in rels["rfe"]
     assert len(rels["rfe"]) == 1
@@ -404,8 +403,8 @@ def test_must_dependency_cycle_across_threads_stays_unresolved():
     # which a nonzero guard takes from r1, the value of e3
     p, x = cycle_candidate(1)
     out = propagate_values(x, init_vals(p), 3)
-    assert isinstance(out, Inconsistent)
-    assert out.reason == "unresolved value at e3 (cyclic dataflow)"
+    assert out is None
+    assert x.inconsistency == "unresolved value at e3 (cyclic dataflow)"
     dataflow = Evaluator(x, init_vals(p), 3)
     assert [dataflow.value(e) for e in range(3, 8)] == [None] * 5
     assert [dataflow.address(e) for e in range(3, 8)] == [0, None, 1, 1, 0]
@@ -428,7 +427,7 @@ def test_load_without_a_source_says_why(rf_choice, reason):
     x = build_events(p, {}, {})
     x.rf_choice = rf_choice
     out = propagate_values(x, init_vals(p), 3)
-    assert out.reason == reason
+    assert out is None and x.inconsistency == reason
 
 
 def test_load_reading_init_at_an_address_on_a_cycle_is_cyclic():
@@ -449,7 +448,7 @@ thread 1:
     x.rf_choice = {load_x: store_x, load_a: "init", load_y: store_y}
     out = propagate_values(x, init_vals(p), 3)
     assert Evaluator(x, init_vals(p), 3).address(load_a) is None
-    assert out.reason == f"unresolved value at e{load_x} (cyclic dataflow)"
+    assert out is None and x.inconsistency == f"unresolved value at e{load_x} (cyclic dataflow)"
 
 
 def test_zero_guard_breaks_a_cycle_of_the_program_text():
@@ -496,6 +495,6 @@ def test_long_dependency_chain_stays_within_the_recursion_limit(cyclic):
     x.rf_choice = {load_x: store_x, load_y: store_y if cyclic else "init"}
     out = propagate_values(x, init_vals(p), 3)
     if cyclic:
-        assert out.reason == f"unresolved value at e{load_x} (cyclic dataflow)"
+        assert out is None and x.inconsistency == f"unresolved value at e{load_x} (cyclic dataflow)"
     else:
         assert (out[load_x], out[store_y]) == ((0, steps % 8), (1, steps % 8))

@@ -493,7 +493,7 @@ def test_supports_hold_every_candidate_relation(seeds):
             sets = {n: final[n] for n in SET_NAMES}
             env = {n: final[n].pairs for n, _ in model.definitions}
             for n, _ in model.definitions:
-                assert not _pairs_in(emitter.def_rows[n], env[n], index), (model.name, n)
+                assert not _pairs_in(emitter.rows[n], env[n], index), (model.name, n)
             for _, term, src in model.assertions:
                 rel = _naive_term(term, rels, sets, env, bounds)
                 assert not _pairs_in(emitter.support(term), rel, index), (model.name, src)
@@ -521,7 +521,7 @@ def test_difference_keeps_the_pairs_its_right_side_may_lack():
     emitter = _Emitter(parse_program(src), model, SpecConfig(mode="traditional"), 1, 2, "d")
     emitter.render()
     store, load = emitter.by_site[(0, 1)], emitter.by_site[(0, 2)]
-    assert emitter.def_rows["d"][store.id] >> load.id & 1
+    assert emitter.rows["d"][store.id] >> load.id & 1
     assert emitter.values["d"][store.id, load.id] == f"d_d_{emitter.pair_name(store, load)}"
 
 
